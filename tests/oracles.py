@@ -155,3 +155,63 @@ def derivation_constraint_matrix_3(space_parities, alpha, beta, entries, s, r, p
     # transpose columns into rows
     nrows = len(columns[0]) if columns else 0
     return [[columns[c][r_] for c in range(len(slots))] for r_ in range(nrows)], len(slots)
+
+
+def derivation_constraint_matrix_2(space_parities, alpha, beta, entries, s, r, parity):
+    """Dense constraint matrix for the binary twisted-derivation space.
+
+    Same second assembly path as :func:`derivation_constraint_matrix_3`, with
+    the two-slot Leibniz rule D[x, y] = [Dx, My] + (-1)^{|x||D|} [Mx, Dy].
+    """
+    dim = len(space_parities)
+    ent = dict(entries)
+
+    def compose(mat1, mat2):
+        return [
+            [sum((mat1[k][t] * mat2[t][i] for t in range(dim)), ZERO) for i in range(dim)]
+            for k in range(dim)
+        ]
+
+    M = [[ONE if i == k else ZERO for i in range(dim)] for k in range(dim)]
+    for _ in range(s):
+        M = compose(alpha, M)
+    for _ in range(r):
+        M = compose(beta, M)
+
+    slots = [
+        (k, i)
+        for k in range(dim)
+        for i in range(dim)
+        if space_parities[k] == (space_parities[i] + parity) % 2
+    ]
+
+    def residual_stack(D):
+        out = []
+        for other in (alpha, beta):
+            dm = compose(D, other)
+            md = compose(other, D)
+            for k in range(dim):
+                for i in range(dim):
+                    out.append(dm[k][i] - md[k][i])
+        for i in range(dim):
+            for j in range(dim):
+                ei, ej = unit_vec(dim, i), unit_vec(dim, j)
+                Dei = matvec(D, ei)
+                Dej = matvec(D, ej)
+                Mei = matvec(M, ei)
+                Mej = matvec(M, ej)
+                res = list(matvec(D, bracket2_of_vectors(ent, dim, ei, ej)))
+                t1 = bracket2_of_vectors(ent, dim, Dei, Mej)
+                t2 = bracket2_of_vectors(ent, dim, Mei, Dej)
+                s2 = sign(space_parities[i] * parity)
+                for k in range(dim):
+                    res[k] -= t1[k] + s2 * t2[k]
+                out.extend(res)
+        return out
+
+    columns = []
+    for (k, i) in slots:
+        E = [[ONE if (a, b) == (k, i) else ZERO for b in range(dim)] for a in range(dim)]
+        columns.append(residual_stack(E))
+    nrows = len(columns[0]) if columns else 0
+    return [[columns[c][r_] for c in range(len(slots))] for r_ in range(nrows)], len(slots)

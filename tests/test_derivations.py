@@ -17,6 +17,7 @@ from bihomsuper import (
     induce_tau,
     is_derivation_2,
     is_derivation_3,
+    is_quasiderivation_2,
     is_quasiderivation_3,
     solve_derivation_space,
     solve_derivation_space_2,
@@ -24,7 +25,14 @@ from bihomsuper import (
 )
 
 import corpus
-from oracles import derivation_constraint_matrix_3, nullity
+from oracles import (
+    bracket2_of_vectors,
+    derivation_constraint_matrix_2,
+    derivation_constraint_matrix_3,
+    matvec,
+    nullity,
+    sign,
+)
 
 
 def _ident(sp):
@@ -212,6 +220,89 @@ def test_binary_derivation_and_solver():
     # ad(e3) = [., e3]-style map: D(e2) = -e2 is a derivation
     D = GradedMap.diagonal(ax.space, [0, 1, 0])
     assert is_derivation_2(ax, D, 0, 0).passed
+
+
+def test_binary_solver_matches_dense_oracle(binary_corpus):
+    for fx in binary_corpus:
+        A = fx.algebra
+        for s, r in ((0, 0), (1, 0), (0, 1)):
+            for parity in (0, 1):
+                ours = solve_derivation_space_2(A, DerivationQuery(s, r, parity)).dimension
+                rows, ncols = derivation_constraint_matrix_2(
+                    A.space.parities,
+                    [list(r_) for r_ in A.alpha.matrix],
+                    [list(r_) for r_ in A.beta.matrix],
+                    A.bracket.as_dict(),
+                    s,
+                    r,
+                    parity,
+                )
+                assert ours == nullity(rows, ncols), (fx.name, s, r, parity)
+
+
+def _binary_quasi_target(A, D, M, i, j):
+    """[D e_i, M e_j] + (-1)^{|e_i||D|} [M e_i, D e_j], straight from the entries."""
+    dim = A.space.dim
+    ent = A.bracket.as_dict()
+    ei = tuple(F(int(t == i)) for t in range(dim))
+    ej = tuple(F(int(t == j)) for t in range(dim))
+    t1 = bracket2_of_vectors(ent, dim, matvec(D.matrix, ei), matvec(M.matrix, ej))
+    t2 = bracket2_of_vectors(ent, dim, matvec(M.matrix, ei), matvec(D.matrix, ej))
+    sgn = sign(A.space.parities[i] * D.parity)
+    return tuple(a + sgn * b for a, b in zip(t1, t2))
+
+
+def _assert_binary_companion(A, D, witness, s, r):
+    M = A.alpha.power(s).compose(A.beta.power(r))
+    ent = A.bracket.as_dict()
+    dim = A.space.dim
+    assert witness.parity == D.parity
+    for i, j in itertools.product(range(dim), repeat=2):
+        bracket = bracket2_of_vectors(
+            ent, dim, tuple(F(int(t == i)) for t in range(dim)), tuple(F(int(t == j)) for t in range(dim))
+        )
+        assert matvec(witness.matrix, bracket) == _binary_quasi_target(A, D, M, i, j)
+
+
+def test_binary_quasiderivation_witnesses(binary_corpus):
+    named = {f.name: f.algebra for f in binary_corpus}
+    # every derivation is a quasiderivation; the witness satisfies the relation
+    for name in ("axb3-trivline", "gl11", "axb3-twist-phi"):
+        A = named[name]
+        for s, r in ((0, 0), (1, 0)):
+            for D in solve_derivation_space_2(A, DerivationQuery(s, r, 0)).basis:
+                ok, witness = is_quasiderivation_2(A, D, s, r)
+                assert ok
+                _assert_binary_companion(A, D, witness, s, r)
+    # the identity is not a derivation of a nonzero bracket, but 2 Id is its companion
+    ax = named["axb3-trivline"]
+    ident = _ident(ax.space)
+    assert not is_derivation_2(ax, ident, 0, 0).passed
+    ok, witness = is_quasiderivation_2(ax, ident, 0, 0)
+    assert ok
+    _assert_binary_companion(ax, ident, witness, 0, 0)
+    assert witness.matrix[1][1] == 2
+
+
+def test_binary_quasiderivation_inconsistent_system():
+    # heis3: [e1, e2] = e3.  D(e3) = e2 makes the target at (e3, e1) equal to
+    # [e2, e1] = -e3 while [e3, e1] = 0, so no companion exists.
+    named = {f.name: f.algebra for f in corpus.binary_fixtures()}
+    heis = named["heis3"]
+    D = GradedMap(heis.space, ((F(0),) * 3, (F(0), F(0), F(1)), (F(0),) * 3), 0)
+    assert is_quasiderivation_2(heis, D, 0, 0) == (False, None)
+    # odd candidate on heis-super2 ([e2, e2] = e1, e2 odd): D(e1) = e2 gives the
+    # target [e2, e2] = e1 at (e1, e2) while [e1, e2] = 0
+    sup = named["heis-super2"]
+    odd = GradedMap(sup.space, ((F(0), F(0)), (F(1), F(0))), 1)
+    assert is_quasiderivation_2(sup, odd, 0, 0) == (False, None)
+
+
+def test_binary_quasiderivation_rejects_noncommuting_candidate():
+    A = next(f for f in corpus.binary_fixtures() if f.name == "axb2-twist-aneb").algebra
+    bad = GradedMap(A.space, ((F(0), F(1)), (F(0), F(0))), 0)
+    with pytest.raises(PreconditionError):
+        is_quasiderivation_2(A, bad, 0, 0)
 
 
 def test_derivation_transfer_trivial_cases(tau_corpus):
