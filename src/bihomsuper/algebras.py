@@ -19,12 +19,12 @@ from .core import (
     GradedMap,
     ParityError,
     PreconditionError,
+    StructureTensor,
     StructureTensor2,
     StructureTensor3,
     SuperSpace,
     Vector,
-    all_pairs,
-    all_triples,
+    basis_tuples,
     commute,
     ksign,
     vec_add,
@@ -85,15 +85,15 @@ class TwistError(PreconditionError):
 
 
 @dataclass(frozen=True)
-class BiHomLieSuperalgebra:
-    """A graded space with an even bilinear bracket and two even twisting maps.
+class _TwistedAlgebra:
+    """A graded space with an even bracket and two even twisting maps.
 
-    ``multiplicative`` is a claim recorded by whoever built the algebra; use
-    :func:`verify_multiplicativity2` to check it.
+    ``multiplicative`` is a claim recorded by whoever built the algebra; the
+    multiplicativity verifiers check it.
     """
 
     space: SuperSpace
-    bracket: StructureTensor2
+    bracket: StructureTensor
     alpha: GradedMap
     beta: GradedMap
     multiplicative: bool = False
@@ -112,28 +112,15 @@ class BiHomLieSuperalgebra:
         return self.space.dim
 
 
-@dataclass(frozen=True)
-class ThreeBiHomLieSuperalgebra:
-    """Ternary analogue of :class:`BiHomLieSuperalgebra`."""
+class BiHomLieSuperalgebra(_TwistedAlgebra):
+    """A graded space with an even bilinear bracket (:class:`StructureTensor2`)
+    and two even twisting maps; :func:`verify_multiplicativity2` checks the
+    ``multiplicative`` claim."""
 
-    space: SuperSpace
-    bracket: StructureTensor3
-    alpha: GradedMap
-    beta: GradedMap
-    multiplicative: bool = False
 
-    def __post_init__(self) -> None:
-        if self.bracket.space != self.space:
-            raise DimensionError("bracket is defined on a different space")
-        for name, m in (("alpha", self.alpha), ("beta", self.beta)):
-            if m.space != self.space:
-                raise DimensionError(f"{name} is defined on a different space")
-            if m.parity != EVEN:
-                raise ParityError(f"{name} must be an even map")
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
+class ThreeBiHomLieSuperalgebra(_TwistedAlgebra):
+    """Ternary analogue of :class:`BiHomLieSuperalgebra`, with a
+    :class:`StructureTensor3` bracket."""
 
 
 def _collect(identity, gen, fail_fast, notes=()):
@@ -148,23 +135,74 @@ def _collect(identity, gen, fail_fast, notes=()):
     return VerificationReport(identity, total, tuple(violations), tuple(notes))
 
 
+def _twisted_tensor(tensor: StructureTensor, first: GradedMap, last: GradedMap) -> StructureTensor:
+    """The tensor [first(x_1), ..., first(x_{n-1}), last(x_n)], of the same kind as ``tensor``."""
+    idx = tensor.space.indices()
+    fcol = [first.column(i) for i in idx]
+    lcol = [last.column(i) for i in idx]
+    entries: dict[tuple[int, ...], object] = {}
+    for t in basis_tuples(tensor.space, tensor.arity):
+        w = tensor.bracket(*(fcol[i] for i in t[:-1]), lcol[t[-1]])
+        for k, c in enumerate(w):
+            if c != 0:
+                entries[t + (k,)] = c
+    return type(tensor).from_dict(tensor.space, entries)
+
+
+def _twisted_skew_residuals(A, w: StructureTensor, suffix: str = ""):
+    """Twisted swaps of adjacent slots of ``w`` on every basis tuple.
+
+    With T(x) = [beta(x_1), ..., beta(x_{n-1}), alpha(x_n)], the residual for
+    the slots (p, p+1) is T(x) + (-1)^{|x_p||x_{p+1}|} T(x with x_p, x_{p+1}
+    exchanged).  Rules are named ``twisted-swap`` for n = 2 and
+    ``swap-12``, ``swap-23``, ... otherwise, followed by ``suffix``.
+    """
+    P = A.space.parities
+    T = _twisted_tensor(w, A.beta, A.alpha)
+    n = w.arity
+    for t in basis_tuples(A.space, n):
+        base = T.bracket_basis(*t)
+        for p in range(n - 1):
+            swapped = T.bracket_basis(*t[:p], t[p + 1], t[p], *t[p + 2 :])
+            rule = "twisted-swap" if n == 2 else f"swap-{p + 1}{p + 2}"
+            yield t, rule + suffix, vec_add(base, vec_scale(ksign(P[t[p]] * P[t[p + 1]]), swapped))
+
+
+def _morphism_images(tensor: StructureTensor, maps: tuple[tuple[str, GradedMap], ...]):
+    """Yield (tuple, name, m([e_t]), [m(e_t)]) for each basis tuple, then each named map."""
+    cols = [(name, m, [m.column(i) for i in tensor.space.indices()]) for name, m in maps]
+    for t in basis_tuples(tensor.space, tensor.arity):
+        value = tensor.bracket_basis(*t)
+        for name, m, col in cols:
+            yield t, name, m.apply(value), tensor.bracket(*(col[i] for i in t))
+
+
+def _verify_multiplicativity(A, identity: str, fail_fast: bool) -> VerificationReport:
+    ab = A.alpha.compose(A.beta)
+    ba = A.beta.compose(A.alpha)
+
+    def gen():
+        for i in A.space.indices():
+            yield (i,), "twists-commute", vec_sub(ab.column(i), ba.column(i))
+        twists = (("alpha", A.alpha), ("beta", A.beta))
+        for t, name, image, bracket in _morphism_images(A.bracket, twists):
+            yield t, f"{name}-morphism", vec_sub(image, bracket)
+
+    return _collect(identity, gen(), fail_fast)
+
+
+def _is_morphism(tensor: StructureTensor, m: GradedMap) -> bool:
+    """True iff m([x_1, ..., x_n]) = [m(x_1), ..., m(x_n)] on all basis tuples."""
+    return all(image == bracket for _, _, image, bracket in _morphism_images(tensor, (("", m),)))
+
+
 def verify_bihom_skewsymmetry(A: BiHomLieSuperalgebra, fail_fast: bool = False) -> VerificationReport:
     """Twisted skew-symmetry of the binary bracket.
 
     Residual per pair (i, j):
         [beta(e_i), alpha(e_j)] + (-1)^{|e_i||e_j|} [beta(e_j), alpha(e_i)].
     """
-    P = A.space.parities
-    acol = [A.alpha.column(i) for i in A.space.indices()]
-    bcol = [A.beta.column(i) for i in A.space.indices()]
-
-    def gen():
-        for i, j in all_pairs(A.space):
-            lhs = A.bracket.bracket(bcol[i], acol[j])
-            rhs = A.bracket.bracket(bcol[j], acol[i])
-            yield (i, j), "twisted-swap", vec_add(lhs, vec_scale(ksign(P[i] * P[j]), rhs))
-
-    return _collect("binary-twisted-skewsymmetry", gen(), fail_fast)
+    return _collect("binary-twisted-skewsymmetry", _twisted_skew_residuals(A, A.bracket), fail_fast)
 
 
 def verify_bihom_jacobi(A: BiHomLieSuperalgebra, fail_fast: bool = False) -> VerificationReport:
@@ -184,7 +222,7 @@ def verify_bihom_jacobi(A: BiHomLieSuperalgebra, fail_fast: bool = False) -> Ver
         return vec_scale(ksign(P[x] * P[z]), br(b2col[x], br(bcol[y], acol[z])))
 
     def gen():
-        for i, j, k in all_triples(A.space):
+        for i, j, k in basis_tuples(A.space, 3):
             res = vec_add(vec_add(term(i, j, k), term(j, k, i)), term(k, i, j))
             yield (i, j, k), "twisted-jacobi", res
 
@@ -193,20 +231,7 @@ def verify_bihom_jacobi(A: BiHomLieSuperalgebra, fail_fast: bool = False) -> Ver
 
 def verify_multiplicativity2(A: BiHomLieSuperalgebra, fail_fast: bool = False) -> VerificationReport:
     """Commutation of the twists plus both bracket-morphism conditions."""
-    acol = [A.alpha.column(i) for i in A.space.indices()]
-    bcol = [A.beta.column(i) for i in A.space.indices()]
-    ab = A.alpha.compose(A.beta)
-    ba = A.beta.compose(A.alpha)
-
-    def gen():
-        for i in A.space.indices():
-            yield (i,), "twists-commute", vec_sub(ab.column(i), ba.column(i))
-        for i, j in all_pairs(A.space):
-            v = A.bracket.bracket_basis(i, j)
-            yield (i, j), "alpha-morphism", vec_sub(A.alpha.apply(v), A.bracket.bracket(acol[i], acol[j]))
-            yield (i, j), "beta-morphism", vec_sub(A.beta.apply(v), A.bracket.bracket(bcol[i], bcol[j]))
-
-    return _collect("binary-multiplicativity", gen(), fail_fast)
+    return _verify_multiplicativity(A, "binary-multiplicativity", fail_fast)
 
 
 _SWAP23_NOTE = (
@@ -224,71 +249,64 @@ def verify_3bihom_skewsymmetry(
         [b(x), b(y), a(z)] + (-1)^{|x||y|} [b(y), b(x), a(z)]      (swap-12)
         [b(x), b(y), a(z)] + (-1)^{|y||z|} [b(x), b(z), a(y)]      (swap-23)
     """
-    P = A.space.parities
-    acol = [A.alpha.column(i) for i in A.space.indices()]
-    bcol = [A.beta.column(i) for i in A.space.indices()]
-    br = A.bracket.bracket
-
-    def gen():
-        for i, j, k in all_triples(A.space):
-            base = br(bcol[i], bcol[j], acol[k])
-            yield (i, j, k), "swap-12", vec_add(
-                base, vec_scale(ksign(P[i] * P[j]), br(bcol[j], bcol[i], acol[k]))
-            )
-            yield (i, j, k), "swap-23", vec_add(
-                base, vec_scale(ksign(P[j] * P[k]), br(bcol[i], bcol[k], acol[j]))
-            )
-
-    return _collect("ternary-twisted-skewsymmetry", gen(), fail_fast, notes=(_SWAP23_NOTE,))
+    return _collect(
+        "ternary-twisted-skewsymmetry",
+        _twisted_skew_residuals(A, A.bracket),
+        fail_fast,
+        notes=(_SWAP23_NOTE,),
+    )
 
 
-def _jacobi_tables(A: ThreeBiHomLieSuperalgebra):
-    """Precompute the inner bracket values and outer partial-evaluation matrices."""
-    idx = list(A.space.indices())
-    acol = [A.alpha.column(i) for i in idx]
-    bcol = [A.beta.column(i) for i in idx]
-    beta2 = A.beta.compose(A.beta)
-    b2col = [beta2.column(i) for i in idx]
-    inner = [
-        [[A.bracket.bracket(bcol[z], bcol[u], acol[v]) for v in idx] for u in idx]
-        for z in idx
-    ]
-    outer = [
-        [A.bracket.partial_matrix(2, b2col[x], b2col[y]) for y in idx] for x in idx
-    ]
+class _TwistedTables:
+    """Ternary tensors evaluated on twisted basis arguments, for the
+    five-argument identities (Jacobi and the wedge compositions).
 
-    def apply_outer(x: int, y: int, w: Vector) -> Vector:
-        m = outer[x][y]
-        return tuple(
-            sum((m[k][t] * w[t] for t in idx if w[t] != 0), ZERO) for k in idx
-        )
+    ``inner[n][a][b][c]`` is w_n(b(e_a), b(e_b), a(e_c)).  ``outer_apply(n,
+    slot, u, v, w)`` evaluates w_n with ``w`` in the given slot and
+    b^2(e_u), b^2(e_v) in the other two, in order; the partial-evaluation
+    matrices behind it are built once per (tensor, slot).
+    """
 
-    return inner, apply_outer
+    def __init__(self, A: ThreeBiHomLieSuperalgebra, tensors: dict[int, StructureTensor]):
+        self.idx = list(A.space.indices())
+        self.P = A.space.parities
+        beta2 = A.beta.compose(A.beta)
+        self._b2col = [beta2.column(i) for i in self.idx]
+        self._tensors = tensors
+        self._outer: dict[tuple[int, int], list] = {}
+        self.inner = {}
+        for n, w in tensors.items():
+            T = _twisted_tensor(w, A.beta, A.alpha)
+            self.inner[n] = [
+                [[T.bracket_basis(a, b, c) for c in self.idx] for b in self.idx] for a in self.idx
+            ]
+
+    def outer_apply(self, n: int, slot: int, u: int, v: int, w: Vector) -> Vector:
+        matrices = self._outer.get((n, slot))
+        if matrices is None:
+            tensor, b2 = self._tensors[n], self._b2col
+            matrices = [[tensor.partial_matrix(slot, b2[x], b2[y]) for y in self.idx] for x in self.idx]
+            self._outer[(n, slot)] = matrices
+        support = [(t, c) for t, c in enumerate(w) if c]
+        return tuple(sum((row[t] * c for t, c in support), ZERO) for row in matrices[u][v])
 
 
-def jacobi_residual(
-    A: ThreeBiHomLieSuperalgebra, x: int, y: int, z: int, u: int, v: int
-) -> Vector:
-    """Residual of the five-argument twisted Jacobi identity at one basis tuple.
+def _jacobi_residual(tables: _TwistedTables, x, y, z, u, v) -> Vector:
+    """LHS - RHS of the five-argument twisted Jacobi identity at one basis tuple:
 
-    LHS - RHS with
         LHS = [b^2(x), b^2(y), [b(z), b(u), a(v)]]
         RHS = (-1)^{(|u|+|v|)(|x|+|y|+|z|)} [b^2(u), b^2(v), [b(x), b(y), a(z)]]
             - (-1)^{(|z|+|v|)(|x|+|y|) + |u||v|} [b^2(z), b^2(v), [b(x), b(y), a(u)]]
             + (-1)^{(|z|+|u|)(|x|+|y|)} [b^2(z), b^2(u), [b(x), b(y), a(v)]].
     """
-    inner, apply_outer = _jacobi_tables(A)
-    return _jacobi_residual_from_tables(A.space.parities, inner, apply_outer, x, y, z, u, v)
-
-
-def _jacobi_residual_from_tables(P, inner, apply_outer, x, y, z, u, v) -> Vector:
-    lhs = apply_outer(x, y, inner[z][u][v])
+    P, inner, outer = tables.P, tables.inner[0], tables.outer_apply
+    lhs = outer(0, 2, x, y, inner[z][u][v])
     s1 = ksign((P[u] + P[v]) * (P[x] + P[y] + P[z]))
     s2 = ksign((P[z] + P[v]) * (P[x] + P[y]) + P[u] * P[v])
     s3 = ksign((P[z] + P[u]) * (P[x] + P[y]))
-    rhs = vec_scale(s1, apply_outer(u, v, inner[x][y][z]))
-    rhs = vec_sub(rhs, vec_scale(s2, apply_outer(z, v, inner[x][y][u])))
-    rhs = vec_add(rhs, vec_scale(s3, apply_outer(z, u, inner[x][y][v])))
+    rhs = vec_scale(s1, outer(0, 2, u, v, inner[x][y][z]))
+    rhs = vec_sub(rhs, vec_scale(s2, outer(0, 2, z, v, inner[x][y][u])))
+    rhs = vec_add(rhs, vec_scale(s3, outer(0, 2, z, u, inner[x][y][v])))
     return vec_sub(lhs, rhs)
 
 
@@ -296,20 +314,11 @@ def verify_3bihom_jacobi(
     A: ThreeBiHomLieSuperalgebra, fail_fast: bool = False
 ) -> VerificationReport:
     """The five-argument twisted Jacobi identity over all basis 5-tuples."""
-    P = A.space.parities
-    inner, apply_outer = _jacobi_tables(A)
-    idx = list(A.space.indices())
+    tables = _TwistedTables(A, {0: A.bracket})
 
     def gen():
-        for x in idx:
-            for y in idx:
-                for z in idx:
-                    for u in idx:
-                        for v in idx:
-                            res = _jacobi_residual_from_tables(
-                                P, inner, apply_outer, x, y, z, u, v
-                            )
-                            yield (x, y, z, u, v), "twisted-jacobi", res
+        for t in basis_tuples(A.space, 5):
+            yield t, "twisted-jacobi", _jacobi_residual(tables, *t)
 
     return _collect("ternary-twisted-jacobi", gen(), fail_fast)
 
@@ -325,26 +334,22 @@ def verify_3bihom_jacobi_cyclic(
     to the outer brackets, e.g. for plainly skew brackets or invertible alpha.
     """
     P = A.space.parities
-    inner, apply_outer = _jacobi_tables(A)
-    idx = list(A.space.indices())
+    tables = _TwistedTables(A, {0: A.bracket})
+    inner = tables.inner[0]
 
     def cyc_term(x, y, z, u, v):
         s = ksign((P[u] + P[v]) * (P[x] + P[y]) + P[z] * P[u])
-        return vec_scale(s, apply_outer(u, v, inner[x][y][z]))
+        return vec_scale(s, tables.outer_apply(0, 2, u, v, inner[x][y][z]))
 
     def gen():
-        for x in idx:
-            for y in idx:
-                for z in idx:
-                    for u in idx:
-                        for v in idx:
-                            lhs = apply_outer(x, y, inner[z][u][v])
-                            cyc = vec_add(
-                                vec_add(cyc_term(x, y, z, u, v), cyc_term(x, y, u, v, z)),
-                                cyc_term(x, y, v, z, u),
-                            )
-                            res = vec_sub(lhs, vec_scale(ksign(P[z] * P[v]), cyc))
-                            yield (x, y, z, u, v), "cyclic-form", res
+        for x, y, z, u, v in basis_tuples(A.space, 5):
+            lhs = tables.outer_apply(0, 2, x, y, inner[z][u][v])
+            cyc = vec_add(
+                vec_add(cyc_term(x, y, z, u, v), cyc_term(x, y, u, v, z)),
+                cyc_term(x, y, v, z, u),
+            )
+            res = vec_sub(lhs, vec_scale(ksign(P[z] * P[v]), cyc))
+            yield (x, y, z, u, v), "cyclic-form", res
 
     return _collect("ternary-twisted-jacobi-cyclic-form", gen(), fail_fast)
 
@@ -353,53 +358,45 @@ def verify_multiplicativity3(
     A: ThreeBiHomLieSuperalgebra, fail_fast: bool = False
 ) -> VerificationReport:
     """Twist commutation plus both ternary bracket-morphism conditions."""
-    acol = [A.alpha.column(i) for i in A.space.indices()]
-    bcol = [A.beta.column(i) for i in A.space.indices()]
-    ab = A.alpha.compose(A.beta)
-    ba = A.beta.compose(A.alpha)
-
-    def gen():
-        for i in A.space.indices():
-            yield (i,), "twists-commute", vec_sub(ab.column(i), ba.column(i))
-        for i, j, k in all_triples(A.space):
-            v = A.bracket.bracket_basis(i, j, k)
-            yield (i, j, k), "alpha-morphism", vec_sub(
-                A.alpha.apply(v), A.bracket.bracket(acol[i], acol[j], acol[k])
-            )
-            yield (i, j, k), "beta-morphism", vec_sub(
-                A.beta.apply(v), A.bracket.bracket(bcol[i], bcol[j], bcol[k])
-            )
-
-    return _collect("ternary-multiplicativity", gen(), fail_fast)
+    return _verify_multiplicativity(A, "ternary-multiplicativity", fail_fast)
 
 
 def is_morphism_2(tensor: StructureTensor2, m: GradedMap) -> bool:
-    return all(
-        vec_is_zero(
-            vec_sub(
-                m.apply(tensor.bracket_basis(i, j)),
-                tensor.bracket(m.column(i), m.column(j)),
-            )
-        )
-        for i, j in all_pairs(tensor.space)
-    )
+    return _is_morphism(tensor, m)
 
 
 def is_morphism_3(tensor: StructureTensor3, m: GradedMap) -> bool:
-    return all(
-        vec_is_zero(
-            vec_sub(
-                m.apply(tensor.bracket_basis(i, j, k)),
-                tensor.bracket(m.column(i), m.column(j), m.column(k)),
-            )
-        )
-        for i, j, k in all_triples(tensor.space)
-    )
+    return _is_morphism(tensor, m)
 
 
 def _require_identity_twists(alpha: GradedMap, beta: GradedMap, what: str) -> None:
     if not (alpha.is_identity() and beta.is_identity()):
         raise TwistError(f"{what} expects an untwisted input (identity structure maps)")
+
+
+def _twist(L, alpha, beta, what, input_name, axioms, reverify):
+    """[x_1, ..., x_n]' = [alpha(x_1), ..., alpha(x_{n-1}), beta(x_n)] on a verified input.
+
+    Preconditions: identity twists on an input passing ``axioms``, and
+    commuting even bracket morphisms alpha, beta.  The result is checked
+    against ``reverify``; a failing report is raised as a TwistError.
+    """
+    _require_identity_twists(L.alpha, L.beta, what)
+    for rep in [verify(L) for verify in axioms]:
+        if not rep.passed:
+            raise TwistError(f"input is not {input_name}", details=rep)
+    if alpha.parity != EVEN or beta.parity != EVEN:
+        raise ParityError("twisting maps must be even")
+    if not commute(alpha, beta):
+        raise TwistError("twisting maps do not commute")
+    for name, m in (("alpha", alpha), ("beta", beta)):
+        if not _is_morphism(L.bracket, m):
+            raise TwistError(f"{name} is not a morphism of the input bracket")
+    twisted = type(L)(L.space, _twisted_tensor(L.bracket, alpha, beta), alpha, beta, multiplicative=True)
+    for rep in [verify(twisted) for verify in reverify]:
+        if not rep.passed:
+            raise TwistError("twisted bracket failed verification", details=rep)
+    return twisted
 
 
 def make_twist_2(
@@ -413,34 +410,11 @@ def make_twist_2(
     proved theorem, the result is re-verified and a TwistError carrying the
     failing report is raised if any binary axiom breaks.
     """
-    _require_identity_twists(L.alpha, L.beta, "make_twist_2")
-    for rep in (verify_bihom_skewsymmetry(L), verify_bihom_jacobi(L)):
-        if not rep.passed:
-            raise TwistError("input is not a Lie superalgebra", details=rep)
-    if alpha.parity != EVEN or beta.parity != EVEN:
-        raise ParityError("twisting maps must be even")
-    if not commute(alpha, beta):
-        raise TwistError("twisting maps do not commute")
-    for name, m in (("alpha", alpha), ("beta", beta)):
-        if not is_morphism_2(L.bracket, m):
-            raise TwistError(f"{name} is not a morphism of the input bracket")
-    entries: dict[tuple[int, int, int], object] = {}
-    for i, j in all_pairs(L.space):
-        w = L.bracket.bracket(alpha.column(i), beta.column(j))
-        for k, c in enumerate(w):
-            if c != 0:
-                entries[(i, j, k)] = c
-    twisted = BiHomLieSuperalgebra(
-        L.space, StructureTensor2.from_dict(L.space, entries), alpha, beta, multiplicative=True
+    return _twist(
+        L, alpha, beta, "make_twist_2", "a Lie superalgebra",
+        (verify_bihom_skewsymmetry, verify_bihom_jacobi),
+        (verify_bihom_skewsymmetry, verify_bihom_jacobi, verify_multiplicativity2),
     )
-    for rep in (
-        verify_bihom_skewsymmetry(twisted),
-        verify_bihom_jacobi(twisted),
-        verify_multiplicativity2(twisted),
-    ):
-        if not rep.passed:
-            raise TwistError("twisted bracket failed verification", details=rep)
-    return twisted
 
 
 def make_twist_3(
@@ -452,23 +426,8 @@ def make_twist_3(
     morphisms) are enforced with witnesses; the construction itself is sound,
     so the output is returned without re-running the quintuple identity.
     """
-    _require_identity_twists(L.alpha, L.beta, "make_twist_3")
-    for rep in (verify_3bihom_skewsymmetry(L), verify_3bihom_jacobi(L)):
-        if not rep.passed:
-            raise TwistError("input is not a ternary Lie superalgebra", details=rep)
-    if alpha.parity != EVEN or beta.parity != EVEN:
-        raise ParityError("twisting maps must be even")
-    if not commute(alpha, beta):
-        raise TwistError("twisting maps do not commute")
-    for name, m in (("alpha", alpha), ("beta", beta)):
-        if not is_morphism_3(L.bracket, m):
-            raise TwistError(f"{name} is not a morphism of the input bracket")
-    entries: dict[tuple[int, int, int, int], object] = {}
-    for i, j, k in all_triples(L.space):
-        w = L.bracket.bracket(alpha.column(i), alpha.column(j), beta.column(k))
-        for t, c in enumerate(w):
-            if c != 0:
-                entries[(i, j, k, t)] = c
-    return ThreeBiHomLieSuperalgebra(
-        L.space, StructureTensor3.from_dict(L.space, entries), alpha, beta, multiplicative=True
+    return _twist(
+        L, alpha, beta, "make_twist_3", "a ternary Lie superalgebra",
+        (verify_3bihom_skewsymmetry, verify_3bihom_jacobi),
+        (),
     )

@@ -42,6 +42,7 @@ from .core import (
     ParityError,
     PreconditionError,
     TheoremContradictionError,
+    as_scalar,
 )
 from .documents import AlgebraDocument, DocumentError
 
@@ -166,7 +167,7 @@ def _ternary_algebra(doc: AlgebraDocument) -> algebras.ThreeBiHomLieSuperalgebra
 
 def _weight(doc: AlgebraDocument, options: dict) -> Fraction:
     if options.get("weight") is not None:
-        return Fraction(options["weight"])
+        return as_scalar(options["weight"])
     return doc.scalars.get("lambda", Fraction(0))
 
 
@@ -543,8 +544,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report.machine_text())
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(report.machine_text())
+        except OSError as exc:
+            print(f"input error: cannot write --output: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     if args.format == "machine":
         sys.stdout.write(report.machine_text())
     else:

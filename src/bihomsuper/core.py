@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -41,6 +41,7 @@ __all__ = [
     "SuperSpace",
     "GradedMap",
     "LinearForm",
+    "StructureTensor",
     "StructureTensor2",
     "StructureTensor3",
     "WedgePair",
@@ -51,7 +52,6 @@ __all__ = [
     "parity_components",
     "signed_slot_expansion",
     "vec_add",
-    "vec_eq",
     "vec_is_zero",
     "vec_parity",
     "vec_scale",
@@ -140,10 +140,6 @@ def vec_scale(c: Fraction | int, v: Vector) -> Vector:
 
 def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
-
-
-def vec_eq(u: Vector, v: Vector) -> bool:
-    return len(u) == len(v) and all(a == b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -404,165 +400,145 @@ def _canonical_entries(
 ) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     """Validate, drop zeros and sort sparse structure-constant entries."""
     out: dict[tuple[int, ...], Fraction] = {}
-    for key, raw in entries.items():
-        if len(key) != arity + 1:
+    for raw_key, raw in entries.items():
+        if len(raw_key) != arity + 1:
             raise DimensionError(
-                f"entry key {key} should have {arity} argument indices plus one output index"
+                f"entry key {raw_key} should have {arity} argument indices plus one output index"
             )
-        if any(not 0 <= t < space.dim for t in key):
-            raise DimensionError(f"entry key {key} out of range for dim {space.dim}")
+        if any(not 0 <= t < space.dim for t in raw_key):
+            raise DimensionError(f"entry key {raw_key} out of range for dim {space.dim}")
         c = as_scalar(raw)
         if c == 0:
             continue
+        key = tuple(int(t) for t in raw_key)
         *args, k = key
         if space.parity(k) != sum(space.parity(a) for a in args) % 2:
-            raise ParityError(
-                f"structure constant at {tuple(key)} violates parity additivity"
-            )
-        out[tuple(int(t) for t in key)] = out.get(tuple(key), ZERO) + c
+            raise ParityError(f"structure constant at {key} violates parity additivity")
+        out[key] = out.get(key, ZERO) + c
     return tuple(sorted((k, c) for k, c in out.items() if c != 0))
 
 
 @dataclass(frozen=True)
-class StructureTensor2:
-    """A bilinear bracket given by sparse structure constants.
+class StructureTensor:
+    """A multilinear even bracket given by sparse structure constants.
 
-    An entry ``(i, j, k) -> c`` contributes ``c * e_k`` to ``[e_i, e_j]``.
-    The bracket is even: every entry must satisfy parity additivity.
+    An entry ``(i_1, ..., i_n, k) -> c`` contributes ``c * e_k`` to
+    ``[e_{i_1}, ..., e_{i_n}]``; the arity n is read from the length of the
+    keys.  Every entry must satisfy parity additivity.  The subclasses
+    :class:`StructureTensor2` and :class:`StructureTensor3` fix the arity, so
+    that a tensor without entries still knows it.
     """
 
     space: SuperSpace
-    entries: tuple[tuple[tuple[int, int, int], Fraction], ...]
+    entries: tuple[tuple[tuple[int, ...], Fraction], ...]
+    arity: ClassVar[int | None] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", _canonical_entries(self.space, 2, dict(self.entries))
-        )
+        raw = dict(self.entries)
+        arity = self.arity
+        if arity is None:
+            if not raw:
+                raise DimensionError("the arity of a tensor without entries is unknown")
+            arity = len(next(iter(raw))) - 1
+            object.__setattr__(self, "arity", arity)
+        entries = _canonical_entries(self.space, arity, raw)
+        object.__setattr__(self, "entries", entries)
+        images: dict[tuple[int, ...], list[Fraction]] = {}
+        for (*args, k), c in entries:
+            images.setdefault(tuple(args), [ZERO] * self.space.dim)[k] += c
+        object.__setattr__(self, "_images", {a: tuple(v) for a, v in images.items()})
 
     @classmethod
-    def from_dict(cls, space: SuperSpace, entries: Mapping[tuple[int, ...], object]) -> "StructureTensor2":
+    def from_dict(cls, space: SuperSpace, entries: Mapping[tuple[int, ...], object]):
         return cls(space, tuple(dict(entries).items()))  # type: ignore[arg-type]
 
     @classmethod
-    def zero(cls, space: SuperSpace) -> "StructureTensor2":
+    def zero(cls, space: SuperSpace):
         return cls(space, ())
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] as a coefficient vector."""
+    def _vectors(self, vectors: Sequence[Sequence[Fraction]], count: int) -> list[Vector]:
+        if len(vectors) != count:
+            raise DimensionError(f"expected {count} arguments, got {len(vectors)}")
+        return [self.space.check_vector(v) for v in vectors]
+
+    def bracket_basis(self, *indices: int) -> Vector:
+        """[e_{i_1}, ..., e_{i_n}] as a coefficient vector."""
         dim = self.space.dim
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise DimensionError(f"basis indices ({i},{j}) out of range for dim {dim}")
-        out = [ZERO] * dim
-        for (a, b, k), c in self.entries:
-            if a == i and b == j:
-                out[k] += c
-        return tuple(out)
+        if len(indices) != self.arity or not all(0 <= i < dim for i in indices):
+            shown = ",".join(str(i) for i in indices)
+            raise DimensionError(f"basis indices ({shown}) out of range for dim {dim}")
+        return self._images.get(indices) or zero_vector(dim)
 
-    def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        """Bilinear extension of the basis bracket."""
-        uu = self.space.check_vector(u)
-        vv = self.space.check_vector(v)
+    def bracket(self, *vectors: Sequence[Fraction]) -> Vector:
+        """Multilinear extension of the basis bracket."""
+        vs = self._vectors(vectors, self.arity)
         out = [ZERO] * self.space.dim
-        for (a, b, k), c in self.entries:
-            coeff = uu[a] * vv[b]
-            if coeff != 0:
-                out[k] += c * coeff
+        for key, c in self.entries:
+            for v, a in zip(vs, key):
+                x = v[a]
+                if not x:
+                    break
+                c *= x
+            else:
+                out[key[-1]] += c
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return not self.entries
+    def partial_matrix(self, slot: int, *fixed: Sequence[Fraction]) -> Matrix:
+        """Matrix of the linear map obtained by fixing all arguments but one.
 
-    def as_dict(self) -> dict[tuple[int, int, int], Fraction]:
-        return dict(self.entries)
-
-
-@dataclass(frozen=True)
-class StructureTensor3:
-    """A trilinear bracket given by sparse structure constants.
-
-    An entry ``(i, j, l, k) -> c`` contributes ``c * e_k`` to ``[e_i, e_j, e_l]``.
-    """
-
-    space: SuperSpace
-    entries: tuple[tuple[tuple[int, int, int, int], Fraction], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", _canonical_entries(self.space, 3, dict(self.entries))
-        )
-
-    @classmethod
-    def from_dict(cls, space: SuperSpace, entries: Mapping[tuple[int, ...], object]) -> "StructureTensor3":
-        return cls(space, tuple(dict(entries).items()))  # type: ignore[arg-type]
-
-    @classmethod
-    def zero(cls, space: SuperSpace) -> "StructureTensor3":
-        return cls(space, ())
-
-    def bracket_basis(self, i: int, j: int, l: int) -> Vector:
-        dim = self.space.dim
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= l < dim):
-            raise DimensionError(f"basis indices ({i},{j},{l}) out of range for dim {dim}")
-        out = [ZERO] * dim
-        for (a, b, c_, k), c in self.entries:
-            if a == i and b == j and c_ == l:
-                out[k] += c
-        return tuple(out)
-
-    def bracket(
-        self, u: Sequence[Fraction], v: Sequence[Fraction], w: Sequence[Fraction]
-    ) -> Vector:
-        uu = self.space.check_vector(u)
-        vv = self.space.check_vector(v)
-        ww = self.space.check_vector(w)
-        out = [ZERO] * self.space.dim
-        for (a, b, c_, k), c in self.entries:
-            coeff = uu[a] * vv[b] * ww[c_]
-            if coeff != 0:
-                out[k] += c * coeff
-        return tuple(out)
-
-    def partial_matrix(self, slot: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> Matrix:
-        """Matrix of the linear map obtained by fixing two arguments.
-
-        ``slot`` names the free argument position (0, 1 or 2); ``u`` and ``v``
-        fill the remaining positions in order.  Column ``m`` of the result is
-        the bracket with ``e_m`` in the free slot.
+        ``slot`` names the free argument position; ``fixed`` fills the
+        remaining positions in order.  Column ``m`` of the result is the
+        bracket with ``e_m`` in the free slot.
         """
-        uu = self.space.check_vector(u)
-        vv = self.space.check_vector(v)
+        if not 0 <= slot < self.arity:
+            raise DimensionError(f"slot must be in 0..{self.arity - 1}, got {slot}")
+        vs = self._vectors(fixed, self.arity - 1)
         dim = self.space.dim
         rows = [[ZERO] * dim for _ in range(dim)]
-        for (a, b, c_, k), c in self.entries:
-            if slot == 0:
-                coeff, free = c * uu[b] * vv[c_], a
-            elif slot == 1:
-                coeff, free = c * uu[a] * vv[c_], b
-            elif slot == 2:
-                coeff, free = c * uu[a] * vv[b], c_
+        for key, c in self.entries:
+            for v, a in zip(vs, key[:slot] + key[slot + 1 : -1]):
+                x = v[a]
+                if not x:
+                    break
+                c *= x
             else:
-                raise DimensionError(f"slot must be 0, 1 or 2, got {slot}")
-            if coeff != 0:
-                rows[k][free] += coeff
+                rows[key[-1]][key[slot]] += c
         return tuple(tuple(r) for r in rows)
 
     def is_zero(self) -> bool:
         return not self.entries
 
-    def as_dict(self) -> dict[tuple[int, int, int, int], Fraction]:
+    def as_dict(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.entries)
 
-    def scale(self, c: Fraction | int) -> "StructureTensor3":
+    def scale(self, c: Fraction | int):
         cc = as_scalar(c)
-        return StructureTensor3(self.space, tuple((k, cc * v) for k, v in self.entries))
+        return type(self)(self.space, tuple((k, cc * v) for k, v in self.entries))
 
-    def add(self, other: "StructureTensor3") -> "StructureTensor3":
+    def add(self, other: "StructureTensor"):
         if self.space != other.space:
             raise DimensionError("sum of tensors on different spaces")
         merged = dict(self.entries)
         for k, v in other.entries:
             merged[k] = merged.get(k, ZERO) + v
-        return StructureTensor3(self.space, tuple(merged.items()))
+        return type(self)(self.space, tuple(merged.items()))
+
+
+# The fixed-arity tensors rebind the hot methods in their own class namespace
+# so that per-arity call counters (perfbench/tracer.py) can wrap them.
+class StructureTensor2(StructureTensor):
+    """A bilinear bracket: an entry ``(i, j, k) -> c`` puts ``c * e_k`` in ``[e_i, e_j]``."""
+
+    arity = 2
+    bracket = StructureTensor.bracket
+
+
+class StructureTensor3(StructureTensor):
+    """A trilinear bracket: an entry ``(i, j, l, k) -> c`` puts ``c * e_k`` in ``[e_i, e_j, e_l]``."""
+
+    arity = 3
+    bracket = StructureTensor.bracket
+    partial_matrix = StructureTensor.partial_matrix
 
 
 @dataclass(frozen=True)
@@ -628,9 +604,27 @@ def signed_slot_expansion(
     return out
 
 
-def all_pairs(space: SuperSpace) -> Iterable[tuple[int, int]]:
-    return itertools.product(space.indices(), repeat=2)  # type: ignore[return-value]
+def basis_tuples(space: SuperSpace, length: int) -> Iterable[tuple[int, ...]]:
+    """All tuples of basis indices of the given length, in lexicographic order."""
+    return itertools.product(space.indices(), repeat=length)
 
 
-def all_triples(space: SuperSpace) -> Iterable[tuple[int, int, int]]:
-    return itertools.product(space.indices(), repeat=3)  # type: ignore[return-value]
+def subset_insertions(
+    tensor: StructureTensor,
+    plain: Sequence[Vector],
+    inserted: Sequence[Vector],
+    indices: Sequence[int],
+    sizes: Iterable[int] | None = None,
+) -> Iterable[tuple[tuple[int, ...], Vector]]:
+    """Yield (I, bracket) over the nonempty slot subsets I, by size, then lexicographic.
+
+    Slots in I receive ``plain[index]`` and the other slots ``inserted[index]``;
+    with ``plain`` the basis and ``inserted`` the columns of an operator this
+    is the enumeration behind every weighted and Nijenhuis subset sum.  When
+    ``sizes`` is given, only subsets of those sizes are bracketed.
+    """
+    n = len(indices)
+    for size in range(1, n + 1) if sizes is None else sizes:
+        for subset in itertools.combinations(range(n), size):
+            args = [plain[i] if slot in subset else inserted[i] for slot, i in enumerate(indices)]
+            yield subset, tensor.bracket(*args)

@@ -37,22 +37,26 @@ from .algebras import (
     BiHomLieSuperalgebra,
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
-    Violation,
+    _collect,
+    _morphism_images,
+    _twisted_skew_residuals,
+    _TwistedTables,
 )
 from .core import (
     EVEN,
-    ZERO,
+    DimensionError,
     GradedMap,
     LinearForm,
     ParityError,
     PreconditionError,
+    StructureTensor,
     StructureTensor3,
     TheoremContradictionError,
     Vector,
     WedgePair,
-    all_pairs,
-    all_triples,
+    basis_tuples,
     ksign,
+    subset_insertions,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -84,7 +88,7 @@ class DeformationPair:
 
     def __post_init__(self) -> None:
         if self.omega1.space != self.omega2.space:
-            raise ParityError("deformation tensors live on different spaces")
+            raise DimensionError("deformation tensors live on different spaces")
 
 
 def _require_even_commuting(N: GradedMap, A) -> None:
@@ -113,7 +117,7 @@ def omega_compose(
     tensors on the same space (in particular the ambient bracket itself).
     """
     if X.space != A.space or Y.space != A.space:
-        raise ParityError("wedge arguments live on a different space")
+        raise DimensionError("wedge arguments live on a different space")
     beta = A.beta
     beta2 = beta.compose(beta)
     az = A.alpha.column(z)
@@ -137,86 +141,24 @@ def omega_compose(
     return out
 
 
-class _CompositionTables:
-    """Precomputed partial evaluations for fast degree-l sums on raw tuples."""
-
-    def __init__(self, A: ThreeBiHomLieSuperalgebra, omegas: dict[int, StructureTensor3]):
-        space = A.space
-        idx = list(space.indices())
-        beta2 = A.beta.compose(A.beta)
-        acol = [A.alpha.column(i) for i in idx]
-        bcol = [A.beta.column(i) for i in idx]
-        b2col = [beta2.column(i) for i in idx]
-        self.space = space
-        self.P = space.parities
-        self.idx = idx
-        # inner[w][a][b][c] = w(beta e_a, beta e_b, alpha e_c)
-        self.inner = {
-            n: [[[w.bracket(bcol[a], bcol[b], acol[c]) for c in idx] for b in idx] for a in idx]
-            for n, w in omegas.items()
-        }
-        # slot matrices for the outer tensor: free first, second, or third slot
-        self.first = {
-            n: [[w.partial_matrix(0, b2col[d], b2col[m]) for m in idx] for d in idx]
-            for n, w in omegas.items()
-        }
-        self.second = {
-            n: [[w.partial_matrix(1, b2col[c], b2col[m]) for m in idx] for c in idx]
-            for n, w in omegas.items()
-        }
-        self.third = {
-            n: [[w.partial_matrix(2, b2col[a], b2col[b]) for b in idx] for a in idx]
-            for n, w in omegas.items()
-        }
-
-    def _matvec(self, m, v: Vector) -> Vector:
-        return tuple(
-            sum((m[k][t] * v[t] for t in self.idx if v[t] != 0), ZERO) for k in self.idx
-        )
-
-    def compose_at(self, ni: int, nj: int, a: int, b: int, c: int, d: int, m: int) -> Vector:
-        """(w_{ni} o w_{nj})(e_a ^ e_b, e_c ^ e_d, e_m) via the tables."""
-        P = self.P
-        pX = P[a] + P[b]
-        pY = P[c] + P[d]
-        inner_j = self.inner[nj]
-        out = self._matvec(self.first[ni][d][m], inner_j[a][b][c])
-        out = vec_add(
-            out,
-            vec_scale(ksign(P[c] * pX), self._matvec(self.second[ni][c][m], inner_j[a][b][d])),
-        )
-        out = vec_sub(out, self._matvec(self.third[ni][a][b], inner_j[c][d][m]))
-        out = vec_add(
-            out, vec_scale(ksign(pX * pY), self._matvec(self.third[ni][c][d], inner_j[a][b][m]))
-        )
-        return out
+def _compose_at(tables: _TwistedTables, ni: int, nj: int, a: int, b: int, c: int, d: int, m: int) -> Vector:
+    """(w_{ni} o w_{nj})(e_a ^ e_b, e_c ^ e_d, e_m) via the twisted tables."""
+    P = tables.P
+    pX = P[a] + P[b]
+    pY = P[c] + P[d]
+    inner_j = tables.inner[nj]
+    outer = tables.outer_apply
+    out = outer(ni, 0, d, m, inner_j[a][b][c])
+    out = vec_add(out, vec_scale(ksign(P[c] * pX), outer(ni, 1, c, m, inner_j[a][b][d])))
+    out = vec_sub(out, outer(ni, 2, a, b, inner_j[c][d][m]))
+    out = vec_add(out, vec_scale(ksign(pX * pY), outer(ni, 2, c, d, inner_j[a][b][m])))
+    return out
 
 
 def _compat_violations(A, w: StructureTensor3, tag: str):
-    acol = [A.alpha.column(i) for i in A.space.indices()]
-    bcol = [A.beta.column(i) for i in A.space.indices()]
-    for i, j, l in all_triples(A.space):
-        v = w.bracket_basis(i, j, l)
-        yield (i, j, l), f"alpha-compat-{tag}", vec_sub(
-            w.bracket(acol[i], acol[j], acol[l]), A.alpha.apply(v)
-        )
-        yield (i, j, l), f"beta-compat-{tag}", vec_sub(
-            w.bracket(bcol[i], bcol[j], bcol[l]), A.beta.apply(v)
-        )
-
-
-def _twisted_skew_violations(A, w: StructureTensor3, tag: str):
-    P = A.space.parities
-    acol = [A.alpha.column(i) for i in A.space.indices()]
-    bcol = [A.beta.column(i) for i in A.space.indices()]
-    for i, j, k in all_triples(A.space):
-        base = w.bracket(bcol[i], bcol[j], acol[k])
-        yield (i, j, k), f"swap-12-{tag}", vec_add(
-            base, vec_scale(ksign(P[i] * P[j]), w.bracket(bcol[j], bcol[i], acol[k]))
-        )
-        yield (i, j, k), f"swap-23-{tag}", vec_add(
-            base, vec_scale(ksign(P[j] * P[k]), w.bracket(bcol[i], bcol[k], acol[j]))
-        )
+    twists = (("alpha", A.alpha), ("beta", A.beta))
+    for t, name, image, bracket in _morphism_images(w, twists):
+        yield t, f"{name}-compat-{tag}", vec_sub(bracket, image)
 
 
 def check_deformation(
@@ -230,126 +172,104 @@ def check_deformation(
     raw basis tuples.
     """
     if d.omega1.space != A.space:
-        raise ParityError("deformation pair lives on a different space")
-    violations: list[Violation] = []
-    total = 0
+        raise DimensionError("deformation pair lives on a different space")
 
-    def feed(gen) -> bool:
-        nonlocal total
-        for where, rule, res in gen:
-            total += 1
-            if not vec_is_zero(res):
-                violations.append(Violation(tuple(where), tuple(res), rule))
-                if fail_fast:
-                    return True
-        return False
-
-    stopped = feed(_twisted_skew_violations(A, d.omega1, "omega1"))
-    stopped = stopped or feed(_twisted_skew_violations(A, d.omega2, "omega2"))
-    stopped = stopped or feed(_compat_violations(A, d.omega1, "omega1"))
-    stopped = stopped or feed(_compat_violations(A, d.omega2, "omega2"))
-    if not stopped:
-        omegas = {0: A.bracket, 1: d.omega1, 2: d.omega2}
-        tables = _CompositionTables(A, omegas)
-        pairs_for = {
-            l: [(i, l - i) for i in range(3) if 0 <= l - i <= 2] for l in (1, 2, 3, 4)
-        }
-        idx = list(A.space.indices())
+    def series():
+        tables = _TwistedTables(A, {0: A.bracket, 1: d.omega1, 2: d.omega2})
         for l in (1, 2, 3, 4):
-            for a, b, c, dd, m in itertools.product(idx, repeat=5):
-                total += 1
+            pairs = [(i, l - i) for i in range(3) if 0 <= l - i <= 2]
+            for t in basis_tuples(A.space, 5):
                 acc = None
-                for ni, nj in pairs_for[l]:
-                    term = tables.compose_at(ni, nj, a, b, c, dd, m)
+                for ni, nj in pairs:
+                    term = _compose_at(tables, ni, nj, *t)
                     acc = term if acc is None else vec_add(acc, term)
-                if not vec_is_zero(acc):
-                    violations.append(
-                        Violation((a, b, c, dd, m), tuple(acc), f"series-degree-{l}")
-                    )
-                    if fail_fast:
-                        break
-            else:
-                continue
-            break
-    return VerificationReport("second-order-deformation", total, tuple(violations))
+                yield t, f"series-degree-{l}", acc
+
+    checks = itertools.chain(
+        _twisted_skew_residuals(A, d.omega1, "-omega1"),
+        _twisted_skew_residuals(A, d.omega2, "-omega2"),
+        _compat_violations(A, d.omega1, "omega1"),
+        _compat_violations(A, d.omega2, "omega2"),
+        series(),
+    )
+    return _collect("second-order-deformation", checks, fail_fast)
 
 
 def check_2cocycle(A: ThreeBiHomLieSuperalgebra, w1: StructureTensor3) -> VerificationReport:
     """The degree-1 composition sum alone: w0 o w1 + w1 o w0 = 0 on raw tuples."""
     if w1.space != A.space:
-        raise ParityError("cocycle candidate lives on a different space")
-    tables = _CompositionTables(A, {0: A.bracket, 1: w1})
-    idx = list(A.space.indices())
-    violations = []
-    total = 0
-    for a, b, c, d, m in itertools.product(idx, repeat=5):
-        total += 1
-        res = vec_add(
-            tables.compose_at(0, 1, a, b, c, d, m), tables.compose_at(1, 0, a, b, c, d, m)
-        )
-        if not vec_is_zero(res):
-            violations.append(Violation((a, b, c, d, m), tuple(res), "degree-1-sum"))
-    return VerificationReport("two-cocycle", total, tuple(violations))
+        raise DimensionError("cocycle candidate lives on a different space")
+    tables = _TwistedTables(A, {0: A.bracket, 1: w1})
+
+    def gen():
+        for t in basis_tuples(A.space, 5):
+            yield t, "degree-1-sum", vec_add(_compose_at(tables, 0, 1, *t), _compose_at(tables, 1, 0, *t))
+
+    return _collect("two-cocycle", gen(), False)
 
 
 # ---------------------------------------------------------------------------
 # N-brackets and Nijenhuis operators
 # ---------------------------------------------------------------------------
 
-def make_n_bracket_1(A: ThreeBiHomLieSuperalgebra, N: GradedMap) -> StructureTensor3:
-    """First deformed bracket: insert N once in each slot, subtract N of the bracket."""
+def _n_bracket(A, N: GradedMap, inserted: int, previous: StructureTensor) -> StructureTensor:
+    """Insert N into ``inserted`` slots in every way, minus N of the ``previous`` bracket."""
     _require_even_commuting(N, A)
     e = A.space.basis()
     Nc = [N.column(i) for i in A.space.indices()]
-    entries: dict[tuple[int, int, int, int], Fraction] = {}
-    for i, j, l in all_triples(A.space):
-        w = A.bracket.bracket(Nc[i], e[j], e[l])
-        w = vec_add(w, A.bracket.bracket(e[i], Nc[j], e[l]))
-        w = vec_add(w, A.bracket.bracket(e[i], e[j], Nc[l]))
-        w = vec_sub(w, N.apply(A.bracket.bracket_basis(i, j, l)))
+    plain = A.bracket.arity - inserted
+    entries: dict[tuple[int, ...], Fraction] = {}
+    for t in basis_tuples(A.space, A.bracket.arity):
+        w = vec_scale(-1, N.apply(previous.bracket_basis(*t)))
+        for _, value in subset_insertions(A.bracket, e, Nc, t, (plain,)):
+            w = vec_add(w, value)
         for k, c in enumerate(w):
             if c != 0:
-                entries[(i, j, l, k)] = c
-    return StructureTensor3.from_dict(A.space, entries)
+                entries[t + (k,)] = c
+    return type(A.bracket).from_dict(A.space, entries)
+
+
+def make_n_bracket_1(A: ThreeBiHomLieSuperalgebra, N: GradedMap) -> StructureTensor3:
+    """First deformed bracket: insert N once in each slot, subtract N of the bracket."""
+    return _n_bracket(A, N, 1, A.bracket)
 
 
 def make_n_bracket_2(A: ThreeBiHomLieSuperalgebra, N: GradedMap) -> StructureTensor3:
     """Second deformed bracket: pairwise N insertions minus N of the first bracket."""
-    _require_even_commuting(N, A)
-    nb1 = make_n_bracket_1(A, N)
-    e = A.space.basis()
-    Nc = [N.column(i) for i in A.space.indices()]
-    entries: dict[tuple[int, int, int, int], Fraction] = {}
-    for i, j, l in all_triples(A.space):
-        w = A.bracket.bracket(Nc[i], Nc[j], e[l])
-        w = vec_add(w, A.bracket.bracket(Nc[i], e[j], Nc[l]))
-        w = vec_add(w, A.bracket.bracket(e[i], Nc[j], Nc[l]))
-        w = vec_sub(w, N.apply(nb1.bracket_basis(i, j, l)))
-        for k, c in enumerate(w):
-            if c != 0:
-                entries[(i, j, l, k)] = c
-    return StructureTensor3.from_dict(A.space, entries)
+    return _n_bracket(A, N, 2, make_n_bracket_1(A, N))
 
 
-def _subset_form(A: ThreeBiHomLieSuperalgebra, N: GradedMap, i: int, j: int, l: int) -> Vector:
-    """Alternating subset sum: over nonempty I, (-1)^{|I|-1} N^{|I|} [args].
+def _is_nijenhuis(A, N: GradedMap, top_bracket, identity: str, fail_fast: bool, notes=()) -> VerificationReport:
+    """[N(x_1), ..., N(x_n)] = N(w) on every basis tuple, w the (n-1)-th N-bracket.
 
-    Slots in I keep their basis argument; slots outside I receive N.
+    The inductive form N(w) is compared with the alternating subset sum over
+    nonempty slot subsets I of (-1)^{|I|-1} N^{|I|} [args], where slots in I
+    keep their basis argument and the others receive N.  The two agree
+    identically; a mismatch would indicate an implementation defect and is
+    reported as a ``form-consistency`` violation.
     """
+    _require_even_commuting(N, A)
+    top = top_bracket(A, N)
     e = A.space.basis()
     Nc = [N.column(t) for t in A.space.indices()]
-    powers = {1: N, 2: N.compose(N), 3: N.compose(N).compose(N)}
-    acc = None
-    for size in (1, 2, 3):
-        for subset in itertools.combinations(range(3), size):
-            args = [
-                e[idx] if slot in subset else Nc[idx]
-                for slot, idx in enumerate((i, j, l))
-            ]
-            term = powers[size].apply(A.bracket.bracket(*args))
-            term = vec_scale(ksign(size - 1), term)
-            acc = term if acc is None else vec_add(acc, term)
-    return acc
+    powers = [GradedMap.identity(A.space)]
+    for _ in range(A.bracket.arity):
+        powers.append(powers[-1].compose(N))
+
+    def gen():
+        for t in basis_tuples(A.space, A.bracket.arity):
+            inductive = N.apply(top.bracket_basis(*t))
+            subset_form = None
+            for subset, value in subset_insertions(A.bracket, e, Nc, t):
+                term = vec_scale(ksign(len(subset) - 1), powers[len(subset)].apply(value))
+                subset_form = term if subset_form is None else vec_add(subset_form, term)
+            mismatch = vec_sub(inductive, subset_form)
+            if vec_is_zero(mismatch):
+                yield t, "nijenhuis", vec_sub(A.bracket.bracket(*(Nc[i] for i in t)), inductive)
+            else:
+                yield t, "form-consistency", mismatch
+
+    return _collect(identity, gen(), fail_fast, notes)
 
 
 def is_nijenhuis_3(A: ThreeBiHomLieSuperalgebra, N: GradedMap) -> VerificationReport:
@@ -360,50 +280,19 @@ def is_nijenhuis_3(A: ThreeBiHomLieSuperalgebra, N: GradedMap) -> VerificationRe
     indicate an implementation defect, reported as an internal-consistency
     violation.
     """
-    _require_even_commuting(N, A)
-    nb2 = make_n_bracket_2(A, N)
-    Nc = [N.column(t) for t in A.space.indices()]
-    violations = []
-    total = 0
-    for i, j, l in all_triples(A.space):
-        total += 1
-        lhs = A.bracket.bracket(Nc[i], Nc[j], Nc[l])
-        inductive = N.apply(nb2.bracket_basis(i, j, l))
-        subset = _subset_form(A, N, i, j, l)
-        if not vec_is_zero(vec_sub(inductive, subset)):
-            violations.append(
-                Violation((i, j, l), vec_sub(inductive, subset), "form-consistency")
-            )
-            continue
-        res = vec_sub(lhs, inductive)
-        if not vec_is_zero(res):
-            violations.append(Violation((i, j, l), res, "nijenhuis"))
-    return VerificationReport(
-        "ternary-nijenhuis",
-        total,
-        tuple(violations),
+    return _is_nijenhuis(
+        A, N, make_n_bracket_2, "ternary-nijenhuis", False,
         ("inductive and subset forms are cross-checked on every triple",),
     )
 
 
 def is_nijenhuis_2(A: BiHomLieSuperalgebra, N: GradedMap, fail_fast: bool = False) -> VerificationReport:
-    """Binary Nijenhuis check: [Nx, Ny] = N([Nx, y] + [x, Ny] - N[x, y])."""
-    _require_even_commuting(N, A)
-    e = A.space.basis()
-    Nc = [N.column(t) for t in A.space.indices()]
-    br = A.bracket.bracket
-    violations = []
-    total = 0
-    for i, j in all_pairs(A.space):
-        total += 1
-        inner = vec_add(br(Nc[i], e[j]), br(e[i], Nc[j]))
-        inner = vec_sub(inner, N.apply(A.bracket.bracket_basis(i, j)))
-        res = vec_sub(br(Nc[i], Nc[j]), N.apply(inner))
-        if not vec_is_zero(res):
-            violations.append(Violation((i, j), res, "nijenhuis"))
-            if fail_fast:
-                break
-    return VerificationReport("binary-nijenhuis", total, tuple(violations))
+    """Binary Nijenhuis check: [Nx, Ny] = N([Nx, y] + [x, Ny] - N[x, y]).
+
+    The alternating subset form N[Nx, y] + N[x, Ny] - N^2[x, y] is compared
+    with it on every pair, as in :func:`is_nijenhuis_3`.
+    """
+    return _is_nijenhuis(A, N, make_n_bracket_1, "binary-nijenhuis", fail_fast)
 
 
 def check_nijenhuis_transfer(
@@ -494,7 +383,7 @@ def build_trivial_deformation(
     w1 = make_n_bracket_1(A, N)
     w2 = make_n_bracket_2(A, N)
     Nc = [N.column(t) for t in A.space.indices()]
-    for i, j, l in all_triples(A.space):
+    for i, j, l in basis_tuples(A.space, 3):
         lhs = N.apply(w2.bracket_basis(i, j, l))
         rhs = A.bracket.bracket(Nc[i], Nc[j], Nc[l])
         if not vec_is_zero(vec_sub(lhs, rhs)):

@@ -21,6 +21,7 @@ from .algebras import (
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
     Violation,
+    _collect,
 )
 from .core import (
     EVEN,
@@ -33,13 +34,11 @@ from .core import (
     PreconditionError,
     TheoremContradictionError,
     Vector,
-    all_pairs,
-    all_triples,
+    basis_tuples,
     ksign,
     signed_slot_expansion,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vec_sub,
 )
 from .linalg import kernel_basis, solve_linear
@@ -107,60 +106,57 @@ def _require_homogeneous(D: GradedMap) -> None:
         raise ParityError("derivation candidate must be homogeneous")
 
 
+def _insertions(P, t: tuple[int, ...], q: int) -> list[tuple[int, int]]:
+    """The signed-insertion terms of the Leibniz rule at the basis tuple ``t``.
+
+    One (slot, sign) pair per slot p: D moves past the arguments before p,
+    so the sign is (-1)^{|D| (|x_1| + ... + |x_{p-1}|)}.
+    """
+    return [(p, ksign(q * sum(P[i] for i in t[:p]))) for p in range(len(t))]
+
+
+def _leibniz_sum(A, Dcol, Mcol, t, q) -> Vector:
+    """sum over slots p of sign_p [M x_1, ..., D x_p, ..., M x_n] at the tuple ``t``."""
+    acc = None
+    for p, sign in _insertions(A.space.parities, t, q):
+        term = A.bracket.bracket(*(Dcol[i] if n == p else Mcol[i] for n, i in enumerate(t)))
+        if acc is None:
+            acc = term  # slot 0: D passes no argument, the sign is +1
+        else:
+            acc = vec_add(acc, term) if sign > 0 else vec_sub(acc, term)
+    return acc
+
+
+def _is_derivation(A, D: GradedMap, s: int, r: int, identity: str, fail_fast: bool) -> VerificationReport:
+    _require_homogeneous(D)
+    M = twist_power(A.alpha, A.beta, s, r)
+    violations = list(_commutation_violations(D, {"alpha": A.alpha, "beta": A.beta}))
+    total = 2 * A.space.dim
+    if not (fail_fast and violations):
+        Dcol = [D.column(i) for i in A.space.indices()]
+        Mcol = [M.column(i) for i in A.space.indices()]
+        for t in basis_tuples(A.space, A.bracket.arity):
+            total += 1
+            res = vec_sub(D.apply(A.bracket.bracket_basis(*t)), _leibniz_sum(A, Dcol, Mcol, t, D.parity))
+            if not vec_is_zero(res):
+                violations.append(Violation(t, res, "leibniz"))
+                if fail_fast:
+                    break
+    return VerificationReport(identity, total, tuple(violations))
+
+
 def is_derivation_2(
     A: BiHomLieSuperalgebra, D: GradedMap, s: int, r: int, fail_fast: bool = False
 ) -> VerificationReport:
     """Check the two-slot twisted Leibniz rule plus commutation with the twists."""
-    _require_homogeneous(D)
-    M = twist_power(A.alpha, A.beta, s, r)
-    P = A.space.parities
-    q = D.parity
-    violations = list(_commutation_violations(D, {"alpha": A.alpha, "beta": A.beta}))
-    total = 2 * A.space.dim
-    if not (fail_fast and violations):
-        for i, j in all_pairs(A.space):
-            total += 1
-            res = D.apply(A.bracket.bracket_basis(i, j))
-            res = vec_sub(res, A.bracket.bracket(D.column(i), M.column(j)))
-            res = vec_sub(
-                res, vec_scale(ksign(P[i] * q), A.bracket.bracket(M.column(i), D.column(j)))
-            )
-            if not vec_is_zero(res):
-                violations.append(Violation((i, j), res, "leibniz"))
-                if fail_fast:
-                    break
-    return VerificationReport("binary-twisted-derivation", total, tuple(violations))
+    return _is_derivation(A, D, s, r, "binary-twisted-derivation", fail_fast)
 
 
 def is_derivation_3(
     A: ThreeBiHomLieSuperalgebra, D: GradedMap, s: int, r: int, fail_fast: bool = False
 ) -> VerificationReport:
     """Check the three-slot twisted Leibniz rule plus commutation with the twists."""
-    _require_homogeneous(D)
-    M = twist_power(A.alpha, A.beta, s, r)
-    P = A.space.parities
-    q = D.parity
-    violations = list(_commutation_violations(D, {"alpha": A.alpha, "beta": A.beta}))
-    total = 2 * A.space.dim
-    if not (fail_fast and violations):
-        Dcol = [D.column(i) for i in A.space.indices()]
-        Mcol = [M.column(i) for i in A.space.indices()]
-        for i, j, l in all_triples(A.space):
-            total += 1
-            res = D.apply(A.bracket.bracket_basis(i, j, l))
-            res = vec_sub(res, A.bracket.bracket(Dcol[i], Mcol[j], Mcol[l]))
-            res = vec_sub(
-                res, vec_scale(ksign(P[i] * q), A.bracket.bracket(Mcol[i], Dcol[j], Mcol[l]))
-            )
-            res = vec_sub(
-                res,
-                vec_scale(ksign(q * (P[i] + P[j])), A.bracket.bracket(Mcol[i], Mcol[j], Dcol[l])),
-            )
-            if not vec_is_zero(res):
-                violations.append(Violation((i, j, l), res, "leibniz"))
-                if fail_fast:
-                    break
-    return VerificationReport("ternary-twisted-derivation", total, tuple(violations))
+    return _is_derivation(A, D, s, r, "ternary-twisted-derivation", fail_fast)
 
 
 def _allowed_slots(space, parity: int) -> list[tuple[int, int]]:
@@ -201,82 +197,57 @@ def _commutation_rows(space, m: GradedMap, slots, index_of) -> list[list]:
     return rows
 
 
-def _leibniz_rows_3(A, M, parity, slots, index_of) -> list[list]:
-    """Rows of the three-slot Leibniz constraint, one per (triple, component)."""
-    P = A.space.parities
-    q = parity
-    Mcol = [M.column(i) for i in A.space.indices()]
+def _leibniz_rows(A, M, parity, slots, index_of) -> list[list]:
+    """The Leibniz rule linearised in D: one row per (basis tuple, component).
+
+    Each signed insertion [M x_1, ..., D x_p, ..., M x_n] is the column x_p of
+    D pushed through the partial matrix with the M-images fixed around slot p.
+    """
+    idx = A.space.indices()
+    Mcol = [M.column(i) for i in idx]
     rows = []
-    for i, j, l in all_triples(A.space):
-        bval = A.bracket.bracket_basis(i, j, l)
-        left1 = A.bracket.partial_matrix(0, Mcol[j], Mcol[l])
-        left2 = A.bracket.partial_matrix(1, Mcol[i], Mcol[l])
-        left3 = A.bracket.partial_matrix(2, Mcol[i], Mcol[j])
-        s2 = ksign(P[i] * q)
-        s3 = ksign(q * (P[i] + P[j]))
-        for k in A.space.indices():
+    for t in basis_tuples(A.space, A.bracket.arity):
+        bval = A.bracket.bracket_basis(*t)
+        terms = [
+            (t[p], sign, A.bracket.partial_matrix(p, *(Mcol[i] for n, i in enumerate(t) if n != p)))
+            for p, sign in _insertions(A.space.parities, t, parity)
+        ]
+        for k in idx:
             row = [ZERO] * len(slots)
             touched = False
-            for m in A.space.indices():
+            for m in idx:
                 pos = index_of.get((k, m))
                 if pos is not None and bval[m] != 0:
                     row[pos] += bval[m]
                     touched = True
-                if left1[k][m] != 0:
-                    pos = index_of.get((m, i))
-                    if pos is not None:
-                        row[pos] -= left1[k][m]
-                        touched = True
-                if left2[k][m] != 0:
-                    pos = index_of.get((m, j))
-                    if pos is not None:
-                        row[pos] -= s2 * left2[k][m]
-                        touched = True
-                if left3[k][m] != 0:
-                    pos = index_of.get((m, l))
-                    if pos is not None:
-                        row[pos] -= s3 * left3[k][m]
-                        touched = True
+                for column, sign, left in terms:
+                    if left[k][m] != 0:
+                        pos = index_of.get((m, column))
+                        if pos is not None:
+                            row[pos] -= sign * left[k][m]
+                            touched = True
             if touched:
                 rows.append(row)
     return rows
 
 
-def _leibniz_rows_2(A, M, parity, slots, index_of) -> list[list]:
-    P = A.space.parities
-    q = parity
-    Mcol = [M.column(i) for i in A.space.indices()]
-    rows = []
-    basis = A.space.basis()
-    for i, j in all_pairs(A.space):
-        bval = A.bracket.bracket_basis(i, j)
-        # left1[k][m] = [e_m, M e_j]_k ; left2[k][m] = [M e_i, e_m]_k
-        cols1 = [A.bracket.bracket(em, Mcol[j]) for em in basis]
-        cols2 = [A.bracket.bracket(Mcol[i], em) for em in basis]
-        left1 = [[cols1[m][k] for m in A.space.indices()] for k in A.space.indices()]
-        left2 = [[cols2[m][k] for m in A.space.indices()] for k in A.space.indices()]
-        s2 = ksign(P[i] * q)
-        for k in A.space.indices():
-            row = [ZERO] * len(slots)
-            touched = False
-            for m in A.space.indices():
-                pos = index_of.get((k, m))
-                if pos is not None and bval[m] != 0:
-                    row[pos] += bval[m]
-                    touched = True
-                if left1[k][m] != 0:
-                    pos = index_of.get((m, i))
-                    if pos is not None:
-                        row[pos] -= left1[k][m]
-                        touched = True
-                if left2[k][m] != 0:
-                    pos = index_of.get((m, j))
-                    if pos is not None:
-                        row[pos] -= s2 * left2[k][m]
-                        touched = True
-            if touched:
-                rows.append(row)
-    return rows
+def _solve_derivation_space(A, query: DerivationQuery, verify) -> DerivationSpace:
+    """Kernel of the commutation and Leibniz rows; ``verify`` re-checks each basis map."""
+    slots = _allowed_slots(A.space, query.parity)
+    index_of = {slot: n for n, slot in enumerate(slots)}
+    M = twist_power(A.alpha, A.beta, query.s, query.r)
+    rows = _commutation_rows(A.space, A.alpha, slots, index_of)
+    rows += _commutation_rows(A.space, A.beta, slots, index_of)
+    rows += _leibniz_rows(A, M, query.parity, slots, index_of)
+    basis_vectors = kernel_basis(rows, len(slots))
+    basis = tuple(_slots_to_map(A.space, query.parity, slots, v) for v in basis_vectors)
+    for D in basis:
+        rep = verify(A, D, query.s, query.r)
+        if not rep.passed:
+            raise TheoremContradictionError(
+                f"solver produced a non-derivation: {rep.summary()}"
+            )
+    return DerivationSpace(query, basis)
 
 
 def solve_derivation_space(
@@ -289,42 +260,14 @@ def solve_derivation_space(
     maps.  Every returned basis element is re-verified against
     :func:`is_derivation_3`.
     """
-    slots = _allowed_slots(A.space, query.parity)
-    index_of = {slot: n for n, slot in enumerate(slots)}
-    M = twist_power(A.alpha, A.beta, query.s, query.r)
-    rows = _commutation_rows(A.space, A.alpha, slots, index_of)
-    rows += _commutation_rows(A.space, A.beta, slots, index_of)
-    rows += _leibniz_rows_3(A, M, query.parity, slots, index_of)
-    basis_vectors = kernel_basis(rows, len(slots))
-    basis = tuple(_slots_to_map(A.space, query.parity, slots, v) for v in basis_vectors)
-    for D in basis:
-        rep = is_derivation_3(A, D, query.s, query.r)
-        if not rep.passed:
-            raise TheoremContradictionError(
-                f"solver produced a non-derivation: {rep.summary()}"
-            )
-    return DerivationSpace(query, basis)
+    return _solve_derivation_space(A, query, is_derivation_3)
 
 
 def solve_derivation_space_2(
     A: BiHomLieSuperalgebra, query: DerivationQuery
 ) -> DerivationSpace:
     """Binary-bracket analogue of :func:`solve_derivation_space`."""
-    slots = _allowed_slots(A.space, query.parity)
-    index_of = {slot: n for n, slot in enumerate(slots)}
-    M = twist_power(A.alpha, A.beta, query.s, query.r)
-    rows = _commutation_rows(A.space, A.alpha, slots, index_of)
-    rows += _commutation_rows(A.space, A.beta, slots, index_of)
-    rows += _leibniz_rows_2(A, M, query.parity, slots, index_of)
-    basis_vectors = kernel_basis(rows, len(slots))
-    basis = tuple(_slots_to_map(A.space, query.parity, slots, v) for v in basis_vectors)
-    for D in basis:
-        rep = is_derivation_2(A, D, query.s, query.r)
-        if not rep.passed:
-            raise TheoremContradictionError(
-                f"solver produced a non-derivation: {rep.summary()}"
-            )
-    return DerivationSpace(query, basis)
+    return _solve_derivation_space(A, query, is_derivation_2)
 
 
 def supercommutator(D: GradedMap, D2: GradedMap) -> GradedMap:
@@ -357,6 +300,36 @@ def _quasiderivation_witness(space, parity, alpha, beta, rhs_rows, rhs_vals):
     return _slots_to_map(space, parity, slots, solution)
 
 
+def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMap | None]:
+    comm = list(_commutation_violations(D, {"alpha": A.alpha, "beta": A.beta}))
+    if comm:
+        raise PreconditionError(
+            "candidate does not commute with the structure maps", details=comm
+        )
+    M = twist_power(A.alpha, A.beta, s, r)
+    Dcol = [D.column(i) for i in A.space.indices()]
+    Mcol = [M.column(i) for i in A.space.indices()]
+    rhs_rows = []
+    rhs_vals = []
+    targets = {}
+    for t in basis_tuples(A.space, A.bracket.arity):
+        target = _leibniz_sum(A, Dcol, Mcol, t, D.parity)
+        targets[t] = target
+        bval = A.bracket.bracket_basis(*t)
+        for k in A.space.indices():
+            coeffs = {(k, m): bval[m] for m in A.space.indices() if bval[m] != 0}
+            rhs_rows.append(coeffs)
+            rhs_vals.append(target[k])
+    witness = _quasiderivation_witness(A.space, D.parity, A.alpha, A.beta, rhs_rows, rhs_vals)
+    if witness is None:
+        return False, None
+    for t, target in targets.items():
+        got = witness.apply(A.bracket.bracket_basis(*t))
+        if not vec_is_zero(vec_sub(got, target)):
+            raise TheoremContradictionError("quasiderivation witness failed substitution")
+    return True, witness
+
+
 def is_quasiderivation_3(
     A: ThreeBiHomLieSuperalgebra, D: GradedMap, s: int, r: int
 ) -> tuple[bool, GradedMap | None]:
@@ -373,81 +346,14 @@ def is_quasiderivation_3(
     (False, None) when the system is inconsistent.  The witness is re-verified
     by substitution before being returned.
     """
-    comm = list(_commutation_violations(D, {"alpha": A.alpha, "beta": A.beta}))
-    if comm:
-        raise PreconditionError(
-            "candidate does not commute with the structure maps", details=comm
-        )
-    M = twist_power(A.alpha, A.beta, s, r)
-    P = A.space.parities
-    q = D.parity
-    rhs_rows = []
-    rhs_vals = []
-    targets = {}
-    for i, j, l in all_triples(A.space):
-        target = A.bracket.bracket(D.column(i), M.column(j), M.column(l))
-        target = vec_add(
-            target,
-            vec_scale(ksign(P[i] * q), A.bracket.bracket(M.column(i), D.column(j), M.column(l))),
-        )
-        target = vec_add(
-            target,
-            vec_scale(
-                ksign(q * (P[i] + P[j])),
-                A.bracket.bracket(M.column(i), M.column(j), D.column(l)),
-            ),
-        )
-        targets[(i, j, l)] = target
-        bval = A.bracket.bracket_basis(i, j, l)
-        for k in A.space.indices():
-            coeffs = {(k, m): bval[m] for m in A.space.indices() if bval[m] != 0}
-            rhs_rows.append(coeffs)
-            rhs_vals.append(target[k])
-    witness = _quasiderivation_witness(A.space, q, A.alpha, A.beta, rhs_rows, rhs_vals)
-    if witness is None:
-        return False, None
-    for (i, j, l), target in targets.items():
-        got = witness.apply(A.bracket.bracket_basis(i, j, l))
-        if not vec_is_zero(vec_sub(got, target)):
-            raise TheoremContradictionError("quasiderivation witness failed substitution")
-    return True, witness
+    return _is_quasiderivation(A, D, s, r)
 
 
 def is_quasiderivation_2(
     A: BiHomLieSuperalgebra, D: GradedMap, s: int, r: int
 ) -> tuple[bool, GradedMap | None]:
     """Two-slot analogue of :func:`is_quasiderivation_3`."""
-    comm = list(_commutation_violations(D, {"alpha": A.alpha, "beta": A.beta}))
-    if comm:
-        raise PreconditionError(
-            "candidate does not commute with the structure maps", details=comm
-        )
-    M = twist_power(A.alpha, A.beta, s, r)
-    P = A.space.parities
-    q = D.parity
-    rhs_rows = []
-    rhs_vals = []
-    targets = {}
-    for i, j in all_pairs(A.space):
-        target = A.bracket.bracket(D.column(i), M.column(j))
-        target = vec_add(
-            target,
-            vec_scale(ksign(P[i] * q), A.bracket.bracket(M.column(i), D.column(j))),
-        )
-        targets[(i, j)] = target
-        bval = A.bracket.bracket_basis(i, j)
-        for k in A.space.indices():
-            coeffs = {(k, m): bval[m] for m in A.space.indices() if bval[m] != 0}
-            rhs_rows.append(coeffs)
-            rhs_vals.append(target[k])
-    witness = _quasiderivation_witness(A.space, q, A.alpha, A.beta, rhs_rows, rhs_vals)
-    if witness is None:
-        return False, None
-    for (i, j), target in targets.items():
-        got = witness.apply(A.bracket.bracket_basis(i, j))
-        if not vec_is_zero(vec_sub(got, target)):
-            raise TheoremContradictionError("quasiderivation witness failed substitution")
-    return True, witness
+    return _is_quasiderivation(A, D, s, r)
 
 
 def _transfer_conditions(
@@ -462,27 +368,23 @@ def _transfer_conditions(
     M = twist_power(A.alpha, A.beta, s, r)
     P = A.space.parities
     tD = [tau.apply(D.column(i)) for i in A.space.indices()]
-    violations = []
-    total = 0
-    for i in A.space.indices():
-        total += 1
-        d = tau.apply(M.column(i)) - tau.of_basis(i)
-        if d != 0:
-            violations.append(Violation((i,), (d,), "form-invariance"))
-    for i, j, l in all_triples(A.space):
-        total += 1
-        w = signed_slot_expansion(
-            (tD[i], tD[j], tD[l]),
-            (
-                A.bracket.bracket_basis(j, l),
-                A.bracket.bracket_basis(i, l),
-                A.bracket.bracket_basis(i, j),
-            ),
-            (P[i], P[j], P[l]),
-        )
-        if not vec_is_zero(w):
-            violations.append(Violation((i, j, l), w, "signed-cyclic-sum"))
-    return VerificationReport("derivation-transfer-conditions", total, tuple(violations))
+
+    def gen():
+        for i in A.space.indices():
+            yield (i,), "form-invariance", (tau.apply(M.column(i)) - tau.of_basis(i),)
+        for i, j, l in basis_tuples(A.space, 3):
+            w = signed_slot_expansion(
+                (tD[i], tD[j], tD[l]),
+                (
+                    A.bracket.bracket_basis(j, l),
+                    A.bracket.bracket_basis(i, l),
+                    A.bracket.bracket_basis(i, j),
+                ),
+                (P[i], P[j], P[l]),
+            )
+            yield (i, j, l), "signed-cyclic-sum", w
+
+    return _collect("derivation-transfer-conditions", gen(), False)
 
 
 def check_derivation_transfer(

@@ -26,6 +26,7 @@ from .core import (
     GradedMap,
     LinearForm,
     ParityError,
+    StructureTensor,
     StructureTensor2,
     StructureTensor3,
     SuperSpace,
@@ -104,59 +105,48 @@ def _scalar_str(c: Fraction) -> str:
     return str(c)
 
 
+def _is_int(raw: object) -> bool:
+    """JSON integers only: booleans are ints to Python but not here."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _parse_space(node: object) -> SuperSpace:
     _expect(isinstance(node, dict), "space must be an object", "space")
     dim = node.get("dim")
     parities = node.get("parities")
-    _expect(isinstance(dim, int) and dim >= 1, "dim must be a positive integer", "space.dim")
+    _expect(_is_int(dim) and dim >= 1, "dim must be a positive integer", "space.dim")
     _expect(isinstance(parities, list), "parities must be a list", "space.parities")
     _expect(len(parities) == dim, "parities length must equal dim", "space.parities")
     for n, p in enumerate(parities):
-        _expect(p in (EVEN, ODD), "parities entries must be 0 or 1", f"space.parities[{n}]")
+        _expect(_is_int(p) and p in (EVEN, ODD), "parities entries must be 0 or 1", f"space.parities[{n}]")
     return SuperSpace(tuple(parities))
 
 
-def _parse_tensor2(node: object, space: SuperSpace) -> StructureTensor2:
-    _expect(isinstance(node, list), "bracket2 must be a list of entries", "bracket2")
-    entries: dict[tuple[int, int, int], Fraction] = {}
+def _parse_tensor(node: object, space: SuperSpace, section: str, kind: type[StructureTensor]) -> StructureTensor:
+    """Entries ``[i_1, ..., i_n, k, c]`` with 1-based indices, for a tensor of the given kind."""
+    names = ("i", "j", "l")[: kind.arity] + ("k",)
+    shape = "[" + ", ".join(names + ("c",)) + "]"
+    _expect(isinstance(node, list), f"{section} must be a list of entries", section)
+    entries: dict[tuple[int, ...], Fraction] = {}
     for n, item in enumerate(node):
-        path = f"bracket2[{n}]"
-        _expect(isinstance(item, list) and len(item) == 4, "entry must be [i, j, k, c]", path)
-        i, j, k = item[0], item[1], item[2]
-        for t, name in zip((i, j, k), ("i", "j", "k")):
-            _expect(isinstance(t, int) and 1 <= t <= space.dim,
-                    f"index {name} must be in 1..{space.dim}", path)
-        c = _parse_scalar(item[3], path)
-        if c != 0 and space.parities[k - 1] != (space.parities[i - 1] + space.parities[j - 1]) % 2:
+        path = f"{section}[{n}]"
+        _expect(isinstance(item, list) and len(item) == len(names) + 1, f"entry must be {shape}", path)
+        for t, name in zip(item, names):
+            _expect(_is_int(t) and 1 <= t <= space.dim, f"index {name} must be in 1..{space.dim}", path)
+        c = _parse_scalar(item[-1], path)
+        *args, k = (t - 1 for t in item[:-1])
+        if c != 0 and space.parities[k] != sum(space.parities[a] for a in args) % 2:
             raise DocumentError("entry violates parity additivity", path)
-        key = (i - 1, j - 1, k - 1)
+        key = (*args, k)
         entries[key] = entries.get(key, Fraction(0)) + c
     try:
-        return StructureTensor2.from_dict(space, entries)
+        return kind.from_dict(space, entries)
     except ParityError as exc:  # pragma: no cover - caught entrywise above
-        raise DocumentError(str(exc), "bracket2") from exc
+        raise DocumentError(str(exc), section) from exc
 
 
-def _parse_tensor3(node: object, space: SuperSpace) -> StructureTensor3:
-    _expect(isinstance(node, list), "bracket3 must be a list of entries", "bracket3")
-    entries: dict[tuple[int, int, int, int], Fraction] = {}
-    for n, item in enumerate(node):
-        path = f"bracket3[{n}]"
-        _expect(isinstance(item, list) and len(item) == 5, "entry must be [i, j, l, k, c]", path)
-        i, j, l, k = item[0], item[1], item[2], item[3]
-        for t, name in zip((i, j, l, k), ("i", "j", "l", "k")):
-            _expect(isinstance(t, int) and 1 <= t <= space.dim,
-                    f"index {name} must be in 1..{space.dim}", path)
-        c = _parse_scalar(item[4], path)
-        parity_sum = (space.parities[i - 1] + space.parities[j - 1] + space.parities[l - 1]) % 2
-        if c != 0 and space.parities[k - 1] != parity_sum:
-            raise DocumentError("entry violates parity additivity", path)
-        key = (i - 1, j - 1, l - 1, k - 1)
-        entries[key] = entries.get(key, Fraction(0)) + c
-    try:
-        return StructureTensor3.from_dict(space, entries)
-    except ParityError as exc:  # pragma: no cover - caught entrywise above
-        raise DocumentError(str(exc), "bracket3") from exc
+def _tensor_tree(tensor: StructureTensor) -> list:
+    return [[*(t + 1 for t in key), _scalar_str(c)] for key, c in sorted(tensor.entries)]
 
 
 def _parse_maps(node: object, space: SuperSpace) -> tuple[dict[str, GradedMap], dict[str, LinearForm]]:
@@ -177,7 +167,7 @@ def _parse_maps(node: object, space: SuperSpace) -> tuple[dict[str, GradedMap], 
                 raise DocumentError(str(exc), f"{path}.row") from exc
             continue
         parity = spec.get("parity", EVEN)
-        _expect(parity in (EVEN, ODD), "parity must be 0 or 1", f"{path}.parity")
+        _expect(_is_int(parity) and parity in (EVEN, ODD), "parity must be 0 or 1", f"{path}.parity")
         matrix = spec.get("matrix")
         _expect(isinstance(matrix, list) and len(matrix) == space.dim,
                 f"matrix must have {space.dim} rows", f"{path}.matrix")
@@ -210,8 +200,8 @@ def parse_document(text: str) -> AlgebraDocument:
     }
     _expect(not unknown, f"unknown sections: {sorted(unknown)}", "")
     space = _parse_space(tree.get("space"))
-    bracket2 = _parse_tensor2(tree["bracket2"], space) if "bracket2" in tree else None
-    bracket3 = _parse_tensor3(tree["bracket3"], space) if "bracket3" in tree else None
+    bracket2 = _parse_tensor(tree["bracket2"], space, "bracket2", StructureTensor2) if "bracket2" in tree else None
+    bracket3 = _parse_tensor(tree["bracket3"], space, "bracket3", StructureTensor3) if "bracket3" in tree else None
     maps, forms = _parse_maps(tree.get("maps", {}), space)
     scalars: dict[str, Fraction] = {}
     scalars_node = tree.get("scalars", {})
@@ -243,15 +233,9 @@ def serialize_document(doc: AlgebraDocument) -> str:
     if doc.multiplicative:
         tree["multiplicative"] = True
     if doc.bracket2 is not None:
-        tree["bracket2"] = [
-            [i + 1, j + 1, k + 1, _scalar_str(c)]
-            for (i, j, k), c in sorted(doc.bracket2.entries)
-        ]
+        tree["bracket2"] = _tensor_tree(doc.bracket2)
     if doc.bracket3 is not None:
-        tree["bracket3"] = [
-            [i + 1, j + 1, l + 1, k + 1, _scalar_str(c)]
-            for (i, j, l, k), c in sorted(doc.bracket3.entries)
-        ]
+        tree["bracket3"] = _tensor_tree(doc.bracket3)
     maps_node: dict[str, object] = {}
     for name in sorted(doc.maps):
         m = doc.maps[name]

@@ -18,7 +18,6 @@ always performed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from .algebras import (
     BiHomLieSuperalgebra,
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
-    Violation,
+    _collect,
     verify_3bihom_jacobi,
     verify_3bihom_skewsymmetry,
 )
@@ -36,14 +35,13 @@ from .core import (
     LinearForm,
     ParityError,
     PreconditionError,
-    StructureTensor3,
     TheoremContradictionError,
+    Vector,
     as_scalar,
-    all_pairs,
-    all_triples,
+    basis_tuples,
     signed_slot_expansion,
+    subset_insertions,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -80,54 +78,43 @@ def _require_commutation(R: GradedMap, A) -> None:
             raise PreconditionError(f"operator does not commute with {name}")
 
 
-def is_rb2(A: BiHomLieSuperalgebra, R: RotaBaxterOperator, fail_fast: bool = False) -> VerificationReport:
-    """Check the binary weighted identity over all basis pairs."""
+def _subset_terms(A, R: RotaBaxterOperator, e, Rcol, indices):
+    for subset, value in subset_insertions(A.bracket, e, Rcol, indices):
+        yield subset, vec_scale(R.weight ** (len(subset) - 1), value)
+
+
+def _subset_sum(A, R: RotaBaxterOperator, e, Rcol, indices) -> Vector:
+    """[x_1, ..., x_n]_R at one basis tuple: the sum of all subset terms."""
+    acc = None
+    for _, term in _subset_terms(A, R, e, Rcol, indices):
+        acc = term if acc is None else vec_add(acc, term)
+    return acc
+
+
+def _is_rb(A, R: RotaBaxterOperator, identity: str, fail_fast: bool) -> VerificationReport:
+    """[R(x_1), ..., R(x_n)] = R([x_1, ..., x_n]_R) over all basis tuples."""
     _require_commutation(R.map, A)
-    lam = R.weight
     e = A.space.basis()
     Rcol = [R.map.column(i) for i in A.space.indices()]
-    br = A.bracket.bracket
-    violations = []
-    total = 0
-    for i, j in all_pairs(A.space):
-        total += 1
-        inner = br(Rcol[i], e[j])
-        inner = vec_add(inner, br(e[i], Rcol[j]))
-        inner = vec_add(inner, vec_scale(lam, A.bracket.bracket_basis(i, j)))
-        res = vec_sub(br(Rcol[i], Rcol[j]), R.map.apply(inner))
-        if not vec_is_zero(res):
-            violations.append(Violation((i, j), res, "weighted-identity"))
-            if fail_fast:
-                break
-    return VerificationReport("binary-rota-baxter", total, tuple(violations))
+
+    def gen():
+        for t in basis_tuples(A.space, A.bracket.arity):
+            lhs = A.bracket.bracket(*(Rcol[i] for i in t))
+            yield t, "weighted-identity", vec_sub(lhs, R.map.apply(_subset_sum(A, R, e, Rcol, t)))
+
+    return _collect(identity, gen(), fail_fast)
+
+
+def is_rb2(A: BiHomLieSuperalgebra, R: RotaBaxterOperator, fail_fast: bool = False) -> VerificationReport:
+    """Check the binary weighted identity over all basis pairs."""
+    return _is_rb(A, R, "binary-rota-baxter", fail_fast)
 
 
 def is_rb3(
     A: ThreeBiHomLieSuperalgebra, R: RotaBaxterOperator, fail_fast: bool = False
 ) -> VerificationReport:
     """Check the ternary weighted identity over all basis triples."""
-    _require_commutation(R.map, A)
-    lam = R.weight
-    e = A.space.basis()
-    Rc = [R.map.column(i) for i in A.space.indices()]
-    br = A.bracket.bracket
-    violations = []
-    total = 0
-    for i, j, k in all_triples(A.space):
-        total += 1
-        inner = br(Rc[i], Rc[j], e[k])
-        inner = vec_add(inner, br(Rc[i], e[j], Rc[k]))
-        inner = vec_add(inner, br(e[i], Rc[j], Rc[k]))
-        inner = vec_add(inner, vec_scale(lam, br(Rc[i], e[j], e[k])))
-        inner = vec_add(inner, vec_scale(lam, br(e[i], Rc[j], e[k])))
-        inner = vec_add(inner, vec_scale(lam, br(e[i], e[j], Rc[k])))
-        inner = vec_add(inner, vec_scale(lam * lam, A.bracket.bracket_basis(i, j, k)))
-        res = vec_sub(br(Rc[i], Rc[j], Rc[k]), R.map.apply(inner))
-        if not vec_is_zero(res):
-            violations.append(Violation((i, j, k), res, "weighted-identity"))
-            if fail_fast:
-                break
-    return VerificationReport("ternary-rota-baxter", total, tuple(violations))
+    return _is_rb(A, R, "ternary-rota-baxter", fail_fast)
 
 
 def check_inverse_derivation_equivalence(
@@ -178,26 +165,24 @@ def check_rb_transfer_criterion(
     t = tau.coefficients
     Rcol = [R.map.column(i) for i in A.space.indices()]
     shifted = R.map.add(GradedMap.identity(A.space).scale(R.weight))
-    violations = []
-    total = 0
-    for i, j, l in all_triples(A.space):
-        total += 1
-        v = signed_slot_expansion(
-            (t[i], t[j], t[l]),
-            (
-                A.bracket.bracket(Rcol[j], Rcol[l]),
-                A.bracket.bracket(Rcol[i], Rcol[l]),
-                A.bracket.bracket(Rcol[i], Rcol[j]),
-            ),
-            (P[i], P[j], P[l]),
-        )
-        res = shifted.apply(v)
-        if not vec_is_zero(res):
-            violations.append(Violation((i, j, l), res, "kernel-membership"))
-    report = VerificationReport(
+
+    def gen():
+        for i, j, l in basis_tuples(A.space, 3):
+            v = signed_slot_expansion(
+                (t[i], t[j], t[l]),
+                (
+                    A.bracket.bracket(Rcol[j], Rcol[l]),
+                    A.bracket.bracket(Rcol[i], Rcol[l]),
+                    A.bracket.bracket(Rcol[i], Rcol[j]),
+                ),
+                (P[i], P[j], P[l]),
+            )
+            yield (i, j, l), "kernel-membership", shifted.apply(v)
+
+    report = _collect(
         "rota-baxter-transfer-criterion",
-        total,
-        tuple(violations),
+        gen(),
+        False,
         ("criterion sign fixed by the plus-lambda defining identity: ker(R + lambda Id)",),
     )
     induced = induce_tau(A, tau)
@@ -209,32 +194,15 @@ def check_rb_transfer_criterion(
     return report.passed, report
 
 
-def _nonempty_subsets() -> list[tuple[int, ...]]:
-    """Nonempty subsets of {0, 1, 2} in canonical order: by size, then lexicographic."""
-    subsets = []
-    for size in (1, 2, 3):
-        subsets.extend(itertools.combinations(range(3), size))
-    return subsets
-
-
-def subset_deformations(
-    A: ThreeBiHomLieSuperalgebra, R: RotaBaxterOperator, i: int, j: int, k: int
-):
-    """The subset-indexed terms of the induced bracket at one basis triple.
+def subset_deformations(A, R: RotaBaxterOperator, *indices: int):
+    """The subset-indexed terms of the induced bracket at one basis tuple.
 
     Yields (subset, vector) where the vector is the ambient bracket with R
     applied at every slot outside the subset, scaled by lambda^{|subset|-1}.
     """
     e = A.space.basis()
-    Rc = [R.map.column(t) for t in A.space.indices()]
-    lam = R.weight
-    for subset in _nonempty_subsets():
-        args = [
-            e[idx] if slot in subset else Rc[idx]
-            for slot, idx in enumerate((i, j, k))
-        ]
-        weight = lam ** (len(subset) - 1)
-        yield subset, vec_scale(weight, A.bracket.bracket(*args))
+    Rcol = [R.map.column(t) for t in A.space.indices()]
+    return _subset_terms(A, R, e, Rcol, indices)
 
 
 def make_rb_bracket(
@@ -249,15 +217,14 @@ def make_rb_bracket(
     pre = is_rb3(A, R)
     if not pre.passed:
         raise PreconditionError("operator fails the ternary weighted identity", details=pre)
-    entries: dict[tuple[int, int, int, int], Fraction] = {}
-    for i, j, k in all_triples(A.space):
-        acc = None
-        for _, term in subset_deformations(A, R, i, j, k):
-            acc = term if acc is None else vec_add(acc, term)
-        for t, c in enumerate(acc):
+    e = A.space.basis()
+    Rcol = [R.map.column(i) for i in A.space.indices()]
+    entries: dict[tuple[int, ...], Fraction] = {}
+    for t in basis_tuples(A.space, A.bracket.arity):
+        for k, c in enumerate(_subset_sum(A, R, e, Rcol, t)):
             if c != 0:
-                entries[(i, j, k, t)] = c
-    tensor = StructureTensor3.from_dict(A.space, entries)
+                entries[t + (k,)] = c
+    tensor = type(A.bracket).from_dict(A.space, entries)
     return ThreeBiHomLieSuperalgebra(
         A.space, tensor, A.alpha, A.beta, multiplicative=A.multiplicative
     )

@@ -27,8 +27,7 @@ from .core import (
     LinearForm,
     PreconditionError,
     StructureTensor3,
-    all_pairs,
-    all_triples,
+    basis_tuples,
     signed_slot_expansion,
     vec_is_zero,
     vec_scale,
@@ -79,7 +78,7 @@ def check_tau_conditions(A: BiHomLieSuperalgebra, tau: LinearForm) -> TauWitness
     sym = []
     prop = []
     n_pairs = 0
-    for i, j in all_pairs(A.space):
+    for i, j in basis_tuples(A.space, 2):
         n_pairs += 1
         k = tau.apply(A.bracket.bracket_basis(i, j))
         if k != 0:
@@ -120,7 +119,7 @@ def induce_tau(
     t = tau.coefficients
     P = A.space.parities
     entries: dict[tuple[int, int, int, int], object] = {}
-    for i, j, l in all_triples(A.space):
+    for i, j, l in basis_tuples(A.space, 3):
         if t[i] == 0 and t[j] == 0 and t[l] == 0:
             continue
         w = signed_slot_expansion(
@@ -151,7 +150,7 @@ def bracket_annihilating_forms(A: BiHomLieSuperalgebra) -> list[LinearForm]:
     """
     dim = A.space.dim
     rows = []
-    for i, j in all_pairs(A.space):
+    for i, j in basis_tuples(A.space, 2):
         rows.append(list(A.bracket.bracket_basis(i, j)))
     for i in A.space.indices():
         if A.space.parity(i) == 1:

@@ -231,3 +231,20 @@ def test_induce_tau_override_flag(tmp_path, capsys):
     tree = json.loads(capsys.readouterr().out)
     assert "induced" in tree["derived"]
     assert any("unverified" in n for n in tree["notes"])
+
+
+@pytest.mark.parametrize("weight", ["1/0", "half", "1.5.2"])
+def test_bad_weight_is_an_input_error(weight, capsys):
+    assert run(["check-rb", DATA / "line_action.json", "--weight", weight]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "no_such_dir" / "report.json"
+    assert run(["verify", DATA / "abelian.json", "--output", target]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not target.exists()
+    assert run(["verify", DATA / "abelian.json", "--output", tmp_path]) == 2
+    assert capsys.readouterr().err.startswith("input error:")

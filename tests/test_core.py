@@ -18,7 +18,7 @@ from bihomsuper import (
     commute,
     parity_components,
 )
-from bihomsuper.core import basis_vector, ksign, vec_parity, vec_scale
+from bihomsuper.core import StructureTensor, basis_vector, ksign, vec_parity, vec_scale
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10)
 
@@ -193,6 +193,41 @@ def test_tensor3_partial_matrix_consistency():
             direct = t.bracket(*args)
             from_matrix = tuple(m[k][free] for k in sp.indices())
             assert direct == from_matrix
+
+
+@pytest.mark.parametrize(
+    "kind, entries",
+    [
+        (StructureTensor2, {(0, 2, 1): 2, (2, 1, 0): -1}),
+        (StructureTensor3, {(0, 1, 2, 0): 1, (1, 2, 0, 2): 3}),
+        (StructureTensor, {(0, 1, 2, 1, 0): 4, (2, 2, 1, 0, 1): -1}),
+    ],
+)
+def test_any_arity_partial_matrix_matches_bracket(kind, entries):
+    sp = SuperSpace((0, 0, 0))
+    t = kind.from_dict(sp, entries)
+    assert t.arity == len(next(iter(entries))) - 1
+    e = sp.basis()
+    fixed = [e[1], e[2], e[0]][: t.arity - 1]
+    for slot in range(t.arity):
+        m = t.partial_matrix(slot, *fixed)
+        for free in sp.indices():
+            args = fixed[:slot] + [e[free]] + fixed[slot:]
+            assert t.bracket(*args) == tuple(m[k][free] for k in sp.indices())
+    assert t.scale(2).add(t.scale(-1)) == t
+    assert type(t.scale(2)) is kind
+
+
+def test_tensor_arity_is_read_from_keys():
+    sp = SuperSpace((0, 1))
+    with pytest.raises(DimensionError):
+        StructureTensor.zero(sp)  # no keys to read the arity from
+    with pytest.raises(DimensionError):
+        StructureTensor.from_dict(sp, {(0, 0, 0): 1, (0, 0, 0, 0): 1})
+    e = sp.basis()
+    with pytest.raises(DimensionError):
+        StructureTensor3.zero(sp).bracket(e[0], e[0])  # one argument short
+    assert StructureTensor3.zero(sp).bracket_basis(1, 1, 0) == (F(0), F(0))
 
 
 def test_wedge_pair_parities():

@@ -7,6 +7,7 @@ import pytest
 
 from bihomsuper import (
     DeformationPair,
+    DimensionError,
     GradedMap,
     PreconditionError,
     RotaBaxterOperator,
@@ -293,15 +294,17 @@ def test_two_cocycle_for_nondiagonal_operator():
 
 
 def test_table_path_matches_direct_composition():
-    # check_deformation evaluates compositions through precomputed tables;
-    # they must agree with the direct wedge evaluation on every raw tuple
-    from bihomsuper.deformations import _CompositionTables
+    # check_deformation evaluates compositions through the twisted tables
+    # shared with the Jacobi verifiers; they must agree with the direct wedge
+    # evaluation on every raw tuple
+    from bihomsuper.algebras import _TwistedTables
+    from bihomsuper.deformations import _compose_at
 
     fx = next(f for f in corpus.ternary_fixtures() if f.name == "t3-e1-twist-equal")
     A = fx.algebra
     N = GradedMap.diagonal(A.space, [2, 3, 5])
     w1 = make_n_bracket_1(A, N)
-    tables = _CompositionTables(A, {0: A.bracket, 1: w1})
+    tables = _TwistedTables(A, {0: A.bracket, 1: w1})
     sp = A.space
     for a, b, c, d, m in itertools.product(range(sp.dim), repeat=5):
         for ni, nj in ((0, 1), (1, 0), (1, 1)):
@@ -310,4 +313,19 @@ def test_table_path_matches_direct_composition():
             direct = omega_compose(
                 A, w_i, w_j, WedgePair.from_basis(sp, a, b), WedgePair.from_basis(sp, c, d), m
             )
-            assert tables.compose_at(ni, nj, a, b, c, d, m) == direct
+            assert _compose_at(tables, ni, nj, a, b, c, d, m) == direct
+
+
+def test_space_mismatch_is_a_dimension_error():
+    A = _t3e1()
+    other = SuperSpace((0, 0))
+    w_other = StructureTensor3.zero(other)
+    w = StructureTensor3.zero(A.space)
+    with pytest.raises(DimensionError):
+        DeformationPair(w, w_other)
+    with pytest.raises(DimensionError):
+        check_deformation(A, DeformationPair(w_other, w_other))
+    with pytest.raises(DimensionError):
+        check_2cocycle(A, w_other)
+    with pytest.raises(DimensionError):
+        omega_compose(A, w, w, WedgePair.from_basis(other, 0, 1), WedgePair.from_basis(A.space, 0, 1), 0)

@@ -142,3 +142,39 @@ def test_row_parity_validation():
     with pytest.raises(DocumentError) as err:
         parse_document(text)
     assert "maps.tau.row" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "patch, path",
+    [
+        ({"space": {"dim": True, "parities": [True]}}, "space.dim"),
+        ({"space": {"dim": 2, "parities": [0, True]}}, "space.parities[1]"),
+        ({"bracket2": [[1, True, 1, "1"]]}, "bracket2[0]"),
+        ({"bracket3": [[1, 1, 1, True, "1"]]}, "bracket3[0]"),
+        ({"maps": {"D": {"parity": False, "matrix": [["1", "0"], ["0", "1"]]}}}, "maps.D.parity"),
+    ],
+)
+def test_booleans_rejected_as_integers_with_path(patch, path):
+    tree = {"format": "bihom-algebra/1", "space": {"dim": 2, "parities": [0, 0]}}
+    tree.update(patch)
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(tree))
+    assert err.value.path == path
+
+
+def test_ternary_tensor_roundtrip_and_entry_shape():
+    text = json.dumps(
+        {
+            "format": "bihom-algebra/1",
+            "space": {"dim": 2, "parities": [0, 1]},
+            "bracket3": [[2, 2, 1, 1, "3/6"], [1, 2, 1, 2, "1"]],
+        }
+    )
+    doc = parse_document(text)
+    assert doc.bracket3.as_dict() == {(1, 1, 0, 0): F(1, 2), (0, 1, 0, 1): F(1)}
+    assert serialize_document(parse_document(serialize_document(doc))) == serialize_document(doc)
+    bad = json.loads(text)
+    bad["bracket3"] = [[1, 2, 1, "1"]]
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(bad))
+    assert "[i, j, l, k, c]" in str(err.value) and err.value.path == "bracket3[0]"
