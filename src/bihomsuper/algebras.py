@@ -140,13 +140,9 @@ def _twisted_tensor(tensor: StructureTensor, first: GradedMap, last: GradedMap) 
     idx = tensor.space.indices()
     fcol = [first.column(i) for i in idx]
     lcol = [last.column(i) for i in idx]
-    entries: dict[tuple[int, ...], object] = {}
-    for t in basis_tuples(tensor.space, tensor.arity):
-        w = tensor.bracket(*(fcol[i] for i in t[:-1]), lcol[t[-1]])
-        for k, c in enumerate(w):
-            if c != 0:
-                entries[t + (k,)] = c
-    return type(tensor).from_dict(tensor.space, entries)
+    return type(tensor).from_images(
+        tensor.space, tensor.arity, lambda t: tensor.bracket(*(fcol[i] for i in t[:-1]), lcol[t[-1]])
+    )
 
 
 def _twisted_skew_residuals(A, w: StructureTensor, suffix: str = ""):

@@ -5,25 +5,8 @@ library call, and emits a run report.  Exit codes: 0 when every mandatory
 check passed, 1 when some mathematical check failed, 2 on input errors
 (unparseable documents, missing names, mismatched spaces, bad flags).
 
-Commands and the library operations they wrap:
-
-    verify                   axiom verifiers for whatever tensors are present
-    twist3                   ternary twist construction from a ternary Lie superalgebra
-    induce-tau               induction conditions + induced ternary bracket
-    derivations              exact twisted-derivation space of a ternary algebra
-    quasiderivation          companion-map solvability for one candidate map
-    check-rb                 binary/ternary weighted Baxter identity
-    rb-bracket               subset-induced ternary bracket of a weighted operator
-    rb-inverse-derivation    weight-0 operator iff inverse is a derivation (both sides)
-    rb-transfer              kernel criterion for transferring a binary operator
-    rb-projection-twist      idempotent operator: induced bracket with composed twists
-    check-nijenhuis          binary/ternary Nijenhuis identity
-    n-brackets               the two deformed brackets of an even operator
-    deformation-check        degree-wise validity of a quadratic deformation pair
-    trivial-deformation      deformation pair generated by a Nijenhuis operator
-    nijenhuis-transfer       binary Nijenhuis operator on the induced ternary algebra
-    nijenhuis-rb-compat      Nijenhuis operator on a subset-induced bracket
-    derivation-nijenhuis-rb  for even derivations: Nijenhuis iff weight 0 (both sides)
+The commands, their help lines, default operator maps and auxiliary
+documents are listed once, in :data:`COMMANDS` at the end of this module.
 """
 
 from __future__ import annotations
@@ -32,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 from fractions import Fraction
 
 from . import algebras, deformations, derivations, documents, rota_baxter, tau
@@ -131,426 +115,360 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _from_report(rep: VerificationReport, mandatory: bool = True) -> CheckResult:
-    return CheckResult(rep.identity, rep.total, rep.violations, rep.notes, mandatory)
-
-
-def _bool_check(name: str, ok: bool, note: str = "") -> CheckResult:
-    from .algebras import Violation
-
-    violations = () if ok else (Violation((), (), "failed"),)
-    notes = (note,) if note else ()
-    return CheckResult(name, 1, violations, notes)
-
-
-def _doc_tree(doc: AlgebraDocument) -> dict:
-    return json.loads(documents.serialize_document(doc))
+def _doc_tree(**fields) -> dict:
+    """The canonical JSON tree of the document with these fields."""
+    return json.loads(documents.serialize_document(AlgebraDocument(**fields)))
 
 
 def _binary_algebra(doc: AlgebraDocument) -> algebras.BiHomLieSuperalgebra:
     if doc.bracket2 is None:
         raise DocumentError("command needs a binary tensor", "bracket2")
     alpha, beta = doc.structure_maps()
-    return algebras.BiHomLieSuperalgebra(
-        doc.space, doc.bracket2, alpha, beta, doc.multiplicative
-    )
+    return algebras.BiHomLieSuperalgebra(doc.space, doc.bracket2, alpha, beta, doc.multiplicative)
 
 
 def _ternary_algebra(doc: AlgebraDocument) -> algebras.ThreeBiHomLieSuperalgebra:
     if doc.bracket3 is None:
         raise DocumentError("command needs a ternary tensor", "bracket3")
     alpha, beta = doc.structure_maps()
-    return algebras.ThreeBiHomLieSuperalgebra(
-        doc.space, doc.bracket3, alpha, beta, doc.multiplicative
-    )
-
-
-def _weight(doc: AlgebraDocument, options: dict) -> Fraction:
-    if options.get("weight") is not None:
-        return as_scalar(options["weight"])
-    return doc.scalars.get("lambda", Fraction(0))
+    return algebras.ThreeBiHomLieSuperalgebra(doc.space, doc.bracket3, alpha, beta, doc.multiplicative)
 
 
 def _matrix_tree(m: GradedMap) -> dict:
     return {"parity": m.parity, "matrix": [[str(c) for c in row] for row in m.matrix]}
 
 
-def _tensor3_doc(space, tensor) -> dict:
-    return _doc_tree(AlgebraDocument(space=space, bracket3=tensor))
-
-
-def _algebra3_doc(A: algebras.ThreeBiHomLieSuperalgebra, metadata: str = "") -> dict:
-    return _doc_tree(
-        AlgebraDocument(
-            space=A.space,
-            bracket3=A.bracket,
-            maps={"alpha": A.alpha, "beta": A.beta},
-            metadata=metadata,
-            multiplicative=A.multiplicative,
-        )
-    )
+def _algebra3_doc(A: algebras.ThreeBiHomLieSuperalgebra, metadata: str) -> dict:
+    return _doc_tree(space=A.space, bracket3=A.bracket, maps={"alpha": A.alpha, "beta": A.beta},
+                     metadata=metadata, multiplicative=A.multiplicative)
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command bodies and the command table
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    fail_fast = options.get("fail_fast", False)
-    if doc.bracket2 is not None:
-        A = _binary_algebra(doc)
-        report.checks.append(_from_report(algebras.verify_bihom_skewsymmetry(A, fail_fast)))
-        report.checks.append(_from_report(algebras.verify_bihom_jacobi(A, fail_fast)))
-        report.checks.append(
-            _from_report(
-                algebras.verify_multiplicativity2(A, fail_fast), mandatory=doc.multiplicative
-            )
-        )
-    if doc.bracket3 is not None:
-        A3 = _ternary_algebra(doc)
-        report.checks.append(_from_report(algebras.verify_3bihom_skewsymmetry(A3, fail_fast)))
-        report.checks.append(_from_report(algebras.verify_3bihom_jacobi(A3, fail_fast)))
-        report.checks.append(
-            _from_report(
-                algebras.verify_multiplicativity3(A3, fail_fast), mandatory=doc.multiplicative
-            )
-        )
-    if doc.bracket2 is None and doc.bracket3 is None:
-        report.notes.append("document carries no tensors; nothing to verify")
+@dataclass
+class _Context:
+    """What a command body works on.  Bodies call library functions through
+    their modules at call time, so a rebound module attribute reaches them."""
+
+    row: "Command"
+    doc: AlgebraDocument
+    options: dict
+    aux: dict[str, AlgebraDocument]
+    report: RunReport
+
+    @property
+    def fail_fast(self) -> bool:
+        return self.options.get("fail_fast", False)
+
+    def binary(self) -> algebras.BiHomLieSuperalgebra:
+        return _binary_algebra(self.doc)
+
+    def ternary(self) -> algebras.ThreeBiHomLieSuperalgebra:
+        return _ternary_algebra(self.doc)
+
+    def each_algebra(self, required: bool = True):
+        """Yield the binary, then the ternary algebra, for each tensor the document carries."""
+        if required and self.doc.bracket2 is None and self.doc.bracket3 is None:
+            raise DocumentError("command needs a binary or ternary tensor", "bracket2")
+        if self.doc.bracket2 is not None:
+            yield self.binary()
+        if self.doc.bracket3 is not None:
+            yield self.ternary()
+
+    def map(self) -> GradedMap:
+        """The operator map: ``--map``, else the command's default."""
+        return self.doc.map_named(self.options.get("map_name") or self.row.default_map)
+
+    def form(self):
+        return self.doc.form_named(self.options.get("tau_name", "tau"))
+
+    def operator(self, R_map: GradedMap | None = None) -> rota_baxter.RotaBaxterOperator:
+        """The operator on ``R_map`` (default: the operator map) at ``--weight``, else ``lambda``, else 0."""
+        R_map = self.map() if R_map is None else R_map
+        weight = self.options.get("weight")
+        weight = self.doc.scalars.get("lambda", Fraction(0)) if weight is None else as_scalar(weight)
+        return rota_baxter.RotaBaxterOperator(R_map, weight)
+
+    def check(self, rep: VerificationReport, mandatory: bool = True) -> None:
+        self.report.checks.append(CheckResult(rep.identity, rep.total, rep.violations, rep.notes, mandatory))
+
+    def flag(self, name: str, ok: bool, note: str = "") -> None:
+        violations = () if ok else (algebras.Violation((), (), "failed"),)
+        self.report.checks.append(CheckResult(name, 1, violations, (note,) if note else ()))
 
 
-def _cmd_twist3(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
+def _verify(ctx: _Context) -> None:
+    for A in ctx.each_algebra(required=False):
+        if A.bracket.arity == 2:
+            skew, jacobi, mult = (algebras.verify_bihom_skewsymmetry, algebras.verify_bihom_jacobi,
+                                  algebras.verify_multiplicativity2)
+        else:
+            skew, jacobi, mult = (algebras.verify_3bihom_skewsymmetry, algebras.verify_3bihom_jacobi,
+                                  algebras.verify_multiplicativity3)
+        ctx.check(skew(A, ctx.fail_fast))
+        ctx.check(jacobi(A, ctx.fail_fast))
+        ctx.check(mult(A, ctx.fail_fast), mandatory=ctx.doc.multiplicative)
+    if ctx.doc.bracket2 is None and ctx.doc.bracket3 is None:
+        ctx.report.notes.append("document carries no tensors; nothing to verify")
+
+
+def _twist3(ctx: _Context) -> None:
+    doc = ctx.doc
     if doc.bracket3 is None:
         raise DocumentError("command needs a ternary tensor", "bracket3")
     ident = GradedMap.identity(doc.space)
     seed = algebras.ThreeBiHomLieSuperalgebra(doc.space, doc.bracket3, ident, ident)
-    alpha = doc.map_named(options.get("alpha_name", "alpha"))
-    beta = doc.map_named(options.get("beta_name", "beta"))
-    twisted = algebras.make_twist_3(seed, alpha, beta)
-    report.checks.append(_bool_check("twist-preconditions", True))
-    report.derived["twisted"] = _algebra3_doc(twisted, metadata="twisted ternary algebra")
+    alpha = doc.map_named(ctx.options.get("alpha_name", "alpha"))
+    twisted = algebras.make_twist_3(seed, alpha, doc.map_named(ctx.options.get("beta_name", "beta")))
+    ctx.flag("twist-preconditions", True)
+    ctx.report.derived["twisted"] = _algebra3_doc(twisted, metadata="twisted ternary algebra")
 
 
-def _cmd_induce_tau(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    A = _binary_algebra(doc)
-    form = doc.form_named(options.get("tau_name", "tau"))
-    override = options.get("override_tau", False)
+def _induce_tau(ctx: _Context) -> None:
+    A, form = ctx.binary(), ctx.form()
+    override = ctx.options.get("override_tau", False)
     witness = tau.check_tau_conditions(A, form)
     for rep in witness.reports():
-        report.checks.append(_from_report(rep, mandatory=not override))
+        ctx.check(rep, mandatory=not override)
     if witness.satisfied or override:
         induced = tau.induce_tau(A, form, override=override)
-        report.derived["induced"] = _algebra3_doc(induced, metadata="tau-induced ternary algebra")
+        ctx.report.derived["induced"] = _algebra3_doc(induced, metadata="tau-induced ternary algebra")
         if override and not witness.satisfied:
-            report.notes.append("conditions overridden; the induced tensor is unverified")
+            ctx.report.notes.append("conditions overridden; the induced tensor is unverified")
 
 
-def _cmd_derivations(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    A3 = _ternary_algebra(doc)
-    parity = 1 if options.get("parity", "even") == "odd" else 0
-    query = derivations.DerivationQuery(options.get("s", 0), options.get("r", 0), parity)
+def _derivations(ctx: _Context) -> None:
+    A3 = ctx.ternary()
+    parity = 1 if ctx.options.get("parity", "even") == "odd" else 0
+    query = derivations.DerivationQuery(ctx.options.get("s", 0), ctx.options.get("r", 0), parity)
     space = derivations.solve_derivation_space(A3, query)
-    report.checks.append(_bool_check("derivation-space-solved", True))
-    report.derived["dimension"] = space.dimension
-    report.derived["basis"] = [_matrix_tree(m) for m in space.basis]
+    ctx.flag("derivation-space-solved", True)
+    ctx.report.derived.update(dimension=space.dimension, basis=[_matrix_tree(m) for m in space.basis])
 
 
-def _cmd_quasiderivation(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    A3 = _ternary_algebra(doc)
-    D = doc.map_named(options.get("map_name", "D"))
-    ok, witness = derivations.is_quasiderivation_3(A3, D, options.get("s", 0), options.get("r", 0))
-    report.checks.append(_bool_check("quasiderivation-solvable", ok))
-    report.derived["is_quasiderivation"] = ok
+def _quasiderivation(ctx: _Context) -> None:
+    s, r = ctx.options.get("s", 0), ctx.options.get("r", 0)
+    ok, witness = derivations.is_quasiderivation_3(ctx.ternary(), ctx.map(), s, r)
+    ctx.flag("quasiderivation-solvable", ok)
+    ctx.report.derived["is_quasiderivation"] = ok
     if witness is not None:
-        report.derived["companion"] = _matrix_tree(witness)
+        ctx.report.derived["companion"] = _matrix_tree(witness)
 
 
-def _cmd_check_rb(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    R_map = doc.map_named(options.get("map_name", "R"))
-    op = rota_baxter.RotaBaxterOperator(R_map, _weight(doc, options))
-    fail_fast = options.get("fail_fast", False)
-    ran = False
-    if doc.bracket2 is not None:
-        ran = True
-        report.checks.append(_from_report(rota_baxter.is_rb2(_binary_algebra(doc), op, fail_fast)))
-    if doc.bracket3 is not None:
-        ran = True
-        report.checks.append(_from_report(rota_baxter.is_rb3(_ternary_algebra(doc), op, fail_fast)))
-    if not ran:
-        raise DocumentError("command needs a binary or ternary tensor", "bracket2")
+def _check_rb(ctx: _Context) -> None:
+    op = ctx.operator()
+    for A in ctx.each_algebra():
+        is_rb = rota_baxter.is_rb2 if A.bracket.arity == 2 else rota_baxter.is_rb3
+        ctx.check(is_rb(A, op, ctx.fail_fast))
 
 
-def _cmd_rb_bracket(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    A3 = _ternary_algebra(doc)
-    op = rota_baxter.RotaBaxterOperator(doc.map_named(options.get("map_name", "R")), _weight(doc, options))
+def _rb_bracket(ctx: _Context) -> None:
+    A3, op = ctx.ternary(), ctx.operator()
     rep = rota_baxter.is_rb3(A3, op)
-    report.checks.append(_from_report(rep))
+    ctx.check(rep)
     if rep.passed:
         induced = rota_baxter.make_rb_bracket(A3, op)
-        report.derived["induced"] = _algebra3_doc(induced, metadata="subset-induced ternary bracket")
+        ctx.report.derived["induced"] = _algebra3_doc(induced, metadata="subset-induced ternary bracket")
 
 
-def _cmd_rb_inverse_derivation(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    A3 = _ternary_algebra(doc)
-    R_map = doc.map_named(options.get("map_name", "R"))
-    value = rota_baxter.check_inverse_derivation_equivalence(A3, R_map)
-    report.checks.append(
-        _bool_check(
-            "inverse-derivation-equivalence",
-            True,
-            "both sides computed independently and agreed",
-        )
-    )
-    report.derived["weight0_operator_and_inverse_derivation"] = value
+def _rb_inverse_derivation(ctx: _Context) -> None:
+    value = rota_baxter.check_inverse_derivation_equivalence(ctx.ternary(), ctx.map())
+    ctx.flag("inverse-derivation-equivalence", True, "both sides computed independently and agreed")
+    ctx.report.derived["weight0_operator_and_inverse_derivation"] = value
 
 
-def _cmd_rb_transfer(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    A = _binary_algebra(doc)
-    form = doc.form_named(options.get("tau_name", "tau"))
-    op = rota_baxter.RotaBaxterOperator(doc.map_named(options.get("map_name", "R")), _weight(doc, options))
-    ok, rep = rota_baxter.check_rb_transfer_criterion(A, form, op)
-    report.checks.append(_from_report(rep))
-    report.derived["criterion"] = ok
-    report.notes.append("verdict cross-checked against the direct induced verification")
+def _rb_transfer(ctx: _Context) -> None:
+    ok, rep = rota_baxter.check_rb_transfer_criterion(ctx.binary(), ctx.form(), ctx.operator())
+    ctx.check(rep)
+    ctx.report.derived["criterion"] = ok
+    ctx.report.notes.append("verdict cross-checked against the direct induced verification")
 
 
-def _cmd_rb_projection_twist(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    A3 = _ternary_algebra(doc)
-    op = rota_baxter.RotaBaxterOperator(doc.map_named(options.get("map_name", "R")), _weight(doc, options))
-    result = rota_baxter.make_projection_twisted_algebra(A3, op)
-    report.checks.append(_from_report(algebras.verify_3bihom_skewsymmetry(result)))
-    report.checks.append(_from_report(algebras.verify_3bihom_jacobi(result)))
-    report.notes.append(
+def _rb_projection_twist(ctx: _Context) -> None:
+    result = rota_baxter.make_projection_twisted_algebra(ctx.ternary(), ctx.operator())
+    ctx.check(algebras.verify_3bihom_skewsymmetry(result))
+    ctx.check(algebras.verify_3bihom_jacobi(result))
+    ctx.report.notes.append(
         "result validated against the nonmultiplicative axiom set; no morphism "
         "claim is made for the composed structure maps"
     )
-    report.derived["twisted"] = _algebra3_doc(result, metadata="projection-twisted algebra")
+    ctx.report.derived["twisted"] = _algebra3_doc(result, metadata="projection-twisted algebra")
 
 
-def _cmd_check_nijenhuis(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    N = doc.map_named(options.get("map_name", "N"))
-    ran = False
-    if doc.bracket2 is not None:
-        ran = True
-        report.checks.append(_from_report(deformations.is_nijenhuis_2(_binary_algebra(doc), N)))
-    if doc.bracket3 is not None:
-        ran = True
-        report.checks.append(_from_report(deformations.is_nijenhuis_3(_ternary_algebra(doc), N)))
-    if not ran:
-        raise DocumentError("command needs a binary or ternary tensor", "bracket2")
+def _check_nijenhuis(ctx: _Context) -> None:
+    N = ctx.map()
+    for A in ctx.each_algebra():
+        is_nijenhuis = deformations.is_nijenhuis_2 if A.bracket.arity == 2 else deformations.is_nijenhuis_3
+        ctx.check(is_nijenhuis(A, N))
 
 
-def _cmd_n_brackets(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    A3 = _ternary_algebra(doc)
-    N = doc.map_named(options.get("map_name", "N"))
+def _n_brackets(ctx: _Context) -> None:
+    A3, N = ctx.ternary(), ctx.map()
     nb1 = deformations.make_n_bracket_1(A3, N)
     nb2 = deformations.make_n_bracket_2(A3, N)
-    report.checks.append(_bool_check("n-brackets-built", True))
-    report.derived["first"] = _tensor3_doc(A3.space, nb1)
-    report.derived["second"] = _tensor3_doc(A3.space, nb2)
+    ctx.flag("n-brackets-built", True)
+    ctx.report.derived.update(first=_doc_tree(space=A3.space, bracket3=nb1),
+                              second=_doc_tree(space=A3.space, bracket3=nb2))
 
 
-def _cmd_deformation_check(
-    doc: AlgebraDocument, options: dict, report: RunReport, aux: dict[str, AlgebraDocument]
-) -> None:
-    A3 = _ternary_algebra(doc)
-    pair_docs = []
-    for key in ("omega1", "omega2"):
-        aux_doc = aux.get(key)
+def _deformation_check(ctx: _Context) -> None:
+    A3 = ctx.ternary()
+    omegas = []
+    for key in ctx.row.aux:
+        aux_doc = ctx.aux.get(key)
         if aux_doc is None:
             raise DocumentError(f"command needs --{key} FILE", key)
         if aux_doc.bracket3 is None:
             raise DocumentError("tensor document carries no ternary tensor", f"{key}.bracket3")
-        if aux_doc.space != doc.space:
+        if aux_doc.space != ctx.doc.space:
             raise DocumentError("tensor document is on a different space", f"{key}.space")
-        pair_docs.append(aux_doc.bracket3)
-    pair = deformations.DeformationPair(pair_docs[0], pair_docs[1])
-    report.checks.append(
-        _from_report(deformations.check_deformation(A3, pair, options.get("fail_fast", False)))
-    )
+        omegas.append(aux_doc.bracket3)
+    pair = deformations.DeformationPair(*omegas)
+    ctx.check(deformations.check_deformation(A3, pair, ctx.fail_fast))
 
 
-def _cmd_trivial_deformation(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    A3 = _ternary_algebra(doc)
-    N = doc.map_named(options.get("map_name", "N"))
+def _trivial_deformation(ctx: _Context) -> None:
+    A3, N = ctx.ternary(), ctx.map()
     pair = deformations.build_trivial_deformation(A3, N)
-    report.checks.append(_bool_check("nijenhuis-precondition", True))
-    report.derived["omega1"] = _tensor3_doc(A3.space, pair.omega1)
-    report.derived["omega2"] = _tensor3_doc(A3.space, pair.omega2)
+    ctx.flag("nijenhuis-precondition", True)
+    ctx.report.derived.update(omega1=_doc_tree(space=A3.space, bracket3=pair.omega1),
+                              omega2=_doc_tree(space=A3.space, bracket3=pair.omega2))
 
 
-def _cmd_nijenhuis_transfer(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    A = _binary_algebra(doc)
-    form = doc.form_named(options.get("tau_name", "tau"))
-    N = doc.map_named(options.get("map_name", "N"))
-    ok = deformations.check_nijenhuis_transfer(A, form, N)
-    report.checks.append(_bool_check("nijenhuis-transfer", ok))
+def _nijenhuis_transfer(ctx: _Context) -> None:
+    ok = deformations.check_nijenhuis_transfer(ctx.binary(), ctx.form(), ctx.map())
+    ctx.flag("nijenhuis-transfer", ok)
 
 
-def _cmd_nijenhuis_rb_compat(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    A3 = _ternary_algebra(doc)
-    N = doc.map_named(options.get("map_name", "N"))
-    op = rota_baxter.RotaBaxterOperator(doc.map_named(options.get("rb_name", "R")), _weight(doc, options))
-    ok = deformations.check_nijenhuis_rb_compatibility(A3, N, op)
-    report.checks.append(_bool_check("nijenhuis-survives-induced-bracket", ok))
+def _nijenhuis_rb_compat(ctx: _Context) -> None:
+    A3, N = ctx.ternary(), ctx.map()
+    op = ctx.operator(ctx.doc.map_named(ctx.options.get("rb_name", "R")))
+    ctx.flag("nijenhuis-survives-induced-bracket", deformations.check_nijenhuis_rb_compatibility(A3, N, op))
 
 
-def _cmd_derivation_nijenhuis_rb(doc: AlgebraDocument, options: dict, report: RunReport) -> None:
-    A3 = _ternary_algebra(doc)
-    N = doc.map_named(options.get("map_name", "N"))
-    value = deformations.check_derivation_nijenhuis_rb_equivalence(A3, N)
-    report.checks.append(
-        _bool_check(
-            "nijenhuis-weight0-equivalence",
-            True,
-            "both sides computed independently and agreed",
-        )
-    )
-    report.derived["nijenhuis_and_weight0"] = value
+def _derivation_nijenhuis_rb(ctx: _Context) -> None:
+    value = deformations.check_derivation_nijenhuis_rb_equivalence(ctx.ternary(), ctx.map())
+    ctx.flag("nijenhuis-weight0-equivalence", True, "both sides computed independently and agreed")
+    ctx.report.derived["nijenhuis_and_weight0"] = value
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "twist3": _cmd_twist3,
-    "induce-tau": _cmd_induce_tau,
-    "derivations": _cmd_derivations,
-    "quasiderivation": _cmd_quasiderivation,
-    "check-rb": _cmd_check_rb,
-    "rb-bracket": _cmd_rb_bracket,
-    "rb-inverse-derivation": _cmd_rb_inverse_derivation,
-    "rb-transfer": _cmd_rb_transfer,
-    "rb-projection-twist": _cmd_rb_projection_twist,
-    "check-nijenhuis": _cmd_check_nijenhuis,
-    "n-brackets": _cmd_n_brackets,
-    "deformation-check": _cmd_deformation_check,
-    "trivial-deformation": _cmd_trivial_deformation,
-    "nijenhuis-transfer": _cmd_nijenhuis_transfer,
-    "nijenhuis-rb-compat": _cmd_nijenhuis_rb_compat,
-    "derivation-nijenhuis-rb": _cmd_derivation_nijenhuis_rb,
+@dataclass(frozen=True)
+class Command:
+    """One CLI command: help line, body, default ``--map`` name and auxiliary document options."""
+
+    help: str
+    body: Callable[[_Context], None]
+    default_map: str | None = None
+    aux: tuple[str, ...] = ()
+
+
+COMMANDS: dict[str, Command] = {
+    "verify": Command("axiom verifiers for whatever tensors are present", _verify),
+    "twist3": Command("ternary twist construction from a ternary Lie superalgebra", _twist3),
+    "induce-tau": Command("induction conditions + induced ternary bracket", _induce_tau),
+    "derivations": Command("exact twisted-derivation space of a ternary algebra", _derivations),
+    "quasiderivation": Command("companion-map solvability for one candidate map", _quasiderivation, "D"),
+    "check-rb": Command("binary/ternary weighted Baxter identity", _check_rb, "R"),
+    "rb-bracket": Command("subset-induced ternary bracket of a weighted operator", _rb_bracket, "R"),
+    "rb-inverse-derivation":
+        Command("weight-0 operator iff inverse is a derivation (both sides)", _rb_inverse_derivation, "R"),
+    "rb-transfer": Command("kernel criterion for transferring a binary operator", _rb_transfer, "R"),
+    "rb-projection-twist":
+        Command("idempotent operator: induced bracket with composed twists", _rb_projection_twist, "R"),
+    "check-nijenhuis": Command("binary/ternary Nijenhuis identity", _check_nijenhuis, "N"),
+    "n-brackets": Command("the two deformed brackets of an even operator", _n_brackets, "N"),
+    "deformation-check": Command("degree-wise validity of a quadratic deformation pair", _deformation_check,
+                                 aux=("omega1", "omega2")),
+    "trivial-deformation":
+        Command("deformation pair generated by a Nijenhuis operator", _trivial_deformation, "N"),
+    "nijenhuis-transfer":
+        Command("binary Nijenhuis operator on the induced ternary algebra", _nijenhuis_transfer, "N"),
+    "nijenhuis-rb-compat": Command("Nijenhuis operator on a subset-induced bracket", _nijenhuis_rb_compat, "N"),
+    "derivation-nijenhuis-rb":
+        Command("for even derivations: Nijenhuis iff weight 0 (both sides)", _derivation_nijenhuis_rb, "N"),
 }
 
 
-def run_pipeline(
-    command: str,
-    doc: AlgebraDocument,
-    options: dict | None = None,
-    aux: dict[str, AlgebraDocument] | None = None,
-) -> RunReport:
+def run_pipeline(command: str, doc: AlgebraDocument, options: dict | None = None,
+                 aux: dict[str, AlgebraDocument] | None = None) -> RunReport:
     """Dispatch one command against parsed documents and return the report.
 
     Raises DocumentError (and friends) for structural problems; mathematical
     failures are encoded in the report status, with theorem-contradiction
     diagnostics converted into failing checks.
     """
-    if command not in _HANDLERS:
+    row = COMMANDS.get(command)
+    if row is None:
         raise DocumentError(f"unknown command {command!r}")
-    options = dict(options or {})
     aux = dict(aux or {})
     report = RunReport(command=command)
     report.inputs["document"] = documents.document_digest(doc)
     for name, aux_doc in aux.items():
         report.inputs[name] = documents.document_digest(aux_doc)
-    handler = _HANDLERS[command]
+    ctx = _Context(row, doc, dict(options or {}), aux, report)
     try:
-        if command == "deformation-check":
-            handler(doc, options, report, aux)
-        else:
-            handler(doc, options, report)
+        row.body(ctx)
     except PreconditionError as exc:
-        report.checks.append(_bool_check("preconditions", False, str(exc)))
+        ctx.flag("preconditions", False, str(exc))
         details = getattr(exc, "details", None)
         if isinstance(details, VerificationReport):
-            report.checks.append(_from_report(details))
+            ctx.check(details)
     except TheoremContradictionError as exc:
-        report.checks.append(_bool_check("internal-consistency", False, str(exc)))
+        ctx.flag("internal-consistency", False, str(exc))
     return report
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Every command takes the same options, so they live on one parent parser;
+    # ``dest`` names them as the option keys of ``run_pipeline``.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("document", help="algebra-description file")
+    shared.add_argument("--weight", help="rational weight, e.g. -1 or 1/2")
+    shared.add_argument("--s", type=int, default=0, help="power of the first structure map")
+    shared.add_argument("--r", type=int, default=0, help="power of the second structure map")
+    shared.add_argument("--parity", choices=["even", "odd"], default="even")
+    shared.add_argument("--fail-fast", action="store_true", help="stop at the first violation")
+    shared.add_argument("--output", help="write the machine report to this file")
+    shared.add_argument("--format", choices=["human", "machine"], default="human")
+    shared.add_argument("--override-tau-conditions", dest="override_tau", action="store_true",
+                        help="build the induced tensor even when the conditions fail")
+    shared.add_argument("--map", dest="map_name", help="name of the operator map in the document")
+    shared.add_argument("--tau", dest="tau_name", default="tau", help="name of the linear form")
+    shared.add_argument("--alpha", dest="alpha_name", default="alpha", help="name of the first twist map")
+    shared.add_argument("--beta", dest="beta_name", default="beta", help="name of the second twist map")
+    shared.add_argument("--rb", dest="rb_name", default="R", help="name of the weighted operator map")
+    for key in dict.fromkeys(key for row in COMMANDS.values() for key in row.aux):
+        shared.add_argument(f"--{key}", help=f"document holding the {key} tensor")
     parser = argparse.ArgumentParser(
-        prog="bihomsuper",
-        description="Exact checks and constructions for twisted graded Lie brackets.",
+        prog="bihomsuper", description="Exact checks and constructions for twisted graded Lie brackets."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("document", help="algebra-description file")
-        p.add_argument("--weight", help="rational weight, e.g. -1 or 1/2")
-        p.add_argument("--s", type=int, default=0, help="power of the first structure map")
-        p.add_argument("--r", type=int, default=0, help="power of the second structure map")
-        p.add_argument("--parity", choices=["even", "odd"], default="even")
-        p.add_argument("--fail-fast", action="store_true", help="stop at the first violation")
-        p.add_argument("--output", help="write the machine report to this file")
-        p.add_argument("--format", choices=["human", "machine"], default="human")
-        p.add_argument("--override-tau-conditions", action="store_true",
-                       help="build the induced tensor even when the conditions fail")
-        p.add_argument("--map", default=None, help="name of the operator map in the document")
-        p.add_argument("--tau", default="tau", help="name of the linear form in the document")
-        p.add_argument("--alpha", default="alpha", help="name of the first twist map")
-        p.add_argument("--beta", default="beta", help="name of the second twist map")
-        p.add_argument("--rb", default="R", help="name of the weighted operator map")
-        p.add_argument("--omega1", help="document holding the first coefficient tensor")
-        p.add_argument("--omega2", help="document holding the second coefficient tensor")
+    for name, row in COMMANDS.items():
+        sub.add_parser(name, help=row.help, description=row.help, parents=[shared])
     return parser
 
 
-_DEFAULT_MAP = {
-    "quasiderivation": "D",
-    "check-rb": "R",
-    "rb-bracket": "R",
-    "rb-inverse-derivation": "R",
-    "rb-transfer": "R",
-    "rb-projection-twist": "R",
-    "check-nijenhuis": "N",
-    "n-brackets": "N",
-    "trivial-deformation": "N",
-    "nijenhuis-transfer": "N",
-    "nijenhuis-rb-compat": "N",
-    "derivation-nijenhuis-rb": "N",
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    options = vars(_build_parser().parse_args(argv))
+    command = options["command"]
     try:
-        doc = documents.load_document(args.document)
-        aux: dict[str, AlgebraDocument] = {}
-        if args.command == "deformation-check":
-            for key, path in (("omega1", args.omega1), ("omega2", args.omega2)):
-                if path is not None:
-                    aux[key] = documents.load_document(path)
-        options = {
-            "weight": args.weight,
-            "s": args.s,
-            "r": args.r,
-            "parity": args.parity,
-            "fail_fast": args.fail_fast,
-            "override_tau": args.override_tau_conditions,
-            "map_name": args.map or _DEFAULT_MAP.get(args.command, "R"),
-            "tau_name": args.tau,
-            "alpha_name": args.alpha,
-            "beta_name": args.beta,
-            "rb_name": args.rb,
-        }
-        report = run_pipeline(args.command, doc, options, aux)
-    except (DocumentError, FileNotFoundError, IsADirectoryError) as exc:
+        doc = documents.load_document(options["document"])
+        aux = {key: documents.load_document(options[key])
+               for key in COMMANDS[command].aux if options[key] is not None}
+        report = run_pipeline(command, doc, options, aux)
+    except (DocumentError, DimensionError, ParityError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DimensionError, ParityError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.output:
+    if options["output"]:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
+            with open(options["output"], "w", encoding="utf-8") as fh:
                 fh.write(report.machine_text())
         except OSError as exc:
             print(f"input error: cannot write --output: {exc}", file=sys.stderr)
             return EXIT_INPUT
-    if args.format == "machine":
+    if options["format"] == "machine":
         sys.stdout.write(report.machine_text())
     else:
         sys.stdout.write(report.human_text())

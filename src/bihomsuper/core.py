@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -273,9 +273,13 @@ class GradedMap:
     def power(self, exponent: int) -> "GradedMap":
         if exponent < 0:
             raise ValueError("negative powers are not defined here; use inverse() first")
-        result = GradedMap.identity(self.space)
-        for _ in range(exponent):
-            result = result.compose(self)
+        result, square = GradedMap.identity(self.space), self
+        while exponent:
+            if exponent & 1:
+                result = result.compose(square)
+            exponent >>= 1
+            if exponent:
+                square = square.compose(square)
         return result
 
     def scale(self, c: Fraction | int) -> "GradedMap":
@@ -451,6 +455,21 @@ class StructureTensor:
     @classmethod
     def from_dict(cls, space: SuperSpace, entries: Mapping[tuple[int, ...], object]):
         return cls(space, tuple(dict(entries).items()))  # type: ignore[arg-type]
+
+    @classmethod
+    def from_images(
+        cls, space: SuperSpace, arity: int, image: Callable[[tuple[int, ...]], Sequence[Fraction]]
+    ):
+        """The tensor whose bracket on each basis tuple t is the vector ``image(t)``.
+
+        An empty image stands for the zero vector.
+        """
+        entries = {}
+        for t in basis_tuples(space, arity):
+            for k, c in enumerate(image(t)):
+                if c != 0:
+                    entries[t + (k,)] = c
+        return cls.from_dict(space, entries)
 
     @classmethod
     def zero(cls, space: SuperSpace):

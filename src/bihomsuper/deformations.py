@@ -218,15 +218,14 @@ def _n_bracket(A, N: GradedMap, inserted: int, previous: StructureTensor) -> Str
     e = A.space.basis()
     Nc = [N.column(i) for i in A.space.indices()]
     plain = A.bracket.arity - inserted
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for t in basis_tuples(A.space, A.bracket.arity):
+
+    def image(t):
         w = vec_scale(-1, N.apply(previous.bracket_basis(*t)))
         for _, value in subset_insertions(A.bracket, e, Nc, t, (plain,)):
             w = vec_add(w, value)
-        for k, c in enumerate(w):
-            if c != 0:
-                entries[t + (k,)] = c
-    return type(A.bracket).from_dict(A.space, entries)
+        return w
+
+    return type(A.bracket).from_images(A.space, A.bracket.arity, image)
 
 
 def make_n_bracket_1(A: ThreeBiHomLieSuperalgebra, N: GradedMap) -> StructureTensor3:

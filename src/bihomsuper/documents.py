@@ -191,6 +191,8 @@ def parse_document(text: str) -> AlgebraDocument:
         tree = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise DocumentError("JSON nesting is too deep") from exc
     _expect(isinstance(tree, dict), "document must be a JSON object", "")
     fmt = tree.get("format")
     _expect(fmt == FORMAT_VERSION, f"unsupported format {fmt!r}", "format")

@@ -219,12 +219,7 @@ def make_rb_bracket(
         raise PreconditionError("operator fails the ternary weighted identity", details=pre)
     e = A.space.basis()
     Rcol = [R.map.column(i) for i in A.space.indices()]
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for t in basis_tuples(A.space, A.bracket.arity):
-        for k, c in enumerate(_subset_sum(A, R, e, Rcol, t)):
-            if c != 0:
-                entries[t + (k,)] = c
-    tensor = type(A.bracket).from_dict(A.space, entries)
+    tensor = type(A.bracket).from_images(A.space, A.bracket.arity, lambda t: _subset_sum(A, R, e, Rcol, t))
     return ThreeBiHomLieSuperalgebra(
         A.space, tensor, A.alpha, A.beta, multiplicative=A.multiplicative
     )

@@ -118,11 +118,12 @@ def induce_tau(
         )
     t = tau.coefficients
     P = A.space.parities
-    entries: dict[tuple[int, int, int, int], object] = {}
-    for i, j, l in basis_tuples(A.space, 3):
+
+    def image(triple):
+        i, j, l = triple
         if t[i] == 0 and t[j] == 0 and t[l] == 0:
-            continue
-        w = signed_slot_expansion(
+            return ()
+        return signed_slot_expansion(
             (t[i], t[j], t[l]),
             (
                 A.bracket.bracket_basis(j, l),
@@ -131,12 +132,10 @@ def induce_tau(
             ),
             (P[i], P[j], P[l]),
         )
-        for k, c in enumerate(w):
-            if c != 0:
-                entries[(i, j, l, k)] = c
+
     # Parity additivity of the entries is rechecked by the tensor constructor;
     # it holds automatically because tau vanishes on the odd part.
-    tensor = StructureTensor3.from_dict(A.space, entries)
+    tensor = StructureTensor3.from_images(A.space, 3, image)
     return ThreeBiHomLieSuperalgebra(A.space, tensor, A.alpha, A.beta, multiplicative=False)
 
 

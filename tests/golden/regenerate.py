@@ -81,14 +81,14 @@ def run_case(argv: list[str]) -> tuple[int, str]:
 
 
 def default_cases() -> list[tuple[str, list[str]]]:
-    from bihomsuper.cli import _HANDLERS
+    from bihomsuper.cli import COMMANDS
 
     cases = []
-    for command in _HANDLERS:
+    for command, row in COMMANDS.items():
         for doc in documents():
             rel = doc.relative_to(TESTS).as_posix()
             argv = [command, rel]
-            if command == "deformation-check":
+            if row.aux:
                 argv += ["--omega1", "data/ternary_basic_w1.json", "--omega2", "data/ternary_basic_w2.json"]
             cases.append((f"{command}__{doc.stem}", argv))
     return cases

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from bihomsuper import load_document, run_pipeline
-from bihomsuper.cli import main
+from bihomsuper.cli import COMMANDS, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -248,3 +248,87 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert not target.exists()
     assert run(["verify", DATA / "abelian.json", "--output", tmp_path]) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_input_paths_that_are_not_files_are_input_errors(capsys):
+    # a path through a regular file raises NotADirectoryError, not FileNotFoundError
+    assert run(["verify", DATA / "abelian.json" / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+    assert run(["deformation-check", DATA / "ternary_basic.json",
+                "--omega1", DATA / "abelian.json" / "x",
+                "--omega2", DATA / "ternary_basic_w2.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    assert run(["verify", p]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
+
+# The --map name each command falls back to, written out independently of the table.
+DEFAULT_MAP = {
+    "quasiderivation": "D",
+    **dict.fromkeys(["check-nijenhuis", "n-brackets", "trivial-deformation", "nijenhuis-transfer",
+                     "nijenhuis-rb-compat", "derivation-nijenhuis-rb"], "N"),
+    **dict.fromkeys(["check-rb", "rb-bracket", "rb-inverse-derivation", "rb-transfer",
+                     "rb-projection-twist"], "R"),
+}
+
+
+def _names_requested(monkeypatch, call):
+    """Run ``call`` and return the map and form names it looked up in documents."""
+    from bihomsuper.documents import AlgebraDocument
+
+    seen = []
+    map_named, form_named = AlgebraDocument.map_named, AlgebraDocument.form_named
+
+    def record_map(self, name, *rest):
+        seen.append(("map", name))
+        return map_named(self, name, *rest)
+
+    def record_form(self, name, *rest):
+        seen.append(("form", name))
+        return form_named(self, name, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(AlgebraDocument, "map_named", record_map)
+        m.setattr(AlgebraDocument, "form_named", record_form)
+        result = call()
+    return seen, result
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_library_callers_get_the_cli_defaults(command, monkeypatch, capsys):
+    row = COMMANDS[command]
+    assert row.default_map == DEFAULT_MAP.get(command)
+    if row.aux:
+        path = DATA / "ternary_basic.json"
+        aux_paths = dict(zip(row.aux, [DATA / "ternary_basic_w1.json", DATA / "ternary_basic_w2.json"]))
+    else:
+        path, aux_paths = GOLDEN_DOCS / "mixed_parity.json", {}
+    argv = [command, path, "--format", "machine"]
+    for key, aux_path in aux_paths.items():
+        argv += [f"--{key}", aux_path]
+    cli_names, code = _names_requested(monkeypatch, lambda: run(argv))
+    cli_text = capsys.readouterr().out
+    assert code in (0, 1)
+    doc = load_document(str(path))
+    aux = {key: load_document(str(p)) for key, p in aux_paths.items()}
+    lib_names, report = _names_requested(monkeypatch, lambda: run_pipeline(command, doc, aux=aux))
+    assert lib_names == cli_names
+    assert report.machine_text() == cli_text
+    expected = {("map", DEFAULT_MAP[command])} if command in DEFAULT_MAP else set()
+    expected |= {
+        "nijenhuis-rb-compat": {("map", "R")},
+        "twist3": {("map", "alpha"), ("map", "beta")},
+        "induce-tau": {("form", "tau")},
+        "rb-transfer": {("form", "tau")},
+        "nijenhuis-transfer": {("form", "tau")},
+    }.get(command, set())
+    assert set(lib_names) == expected

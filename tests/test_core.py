@@ -87,6 +87,26 @@ def test_compose_matches_sequential_apply(vec):
     assert m1.compose(m2).apply(v) == m1.apply(m2.apply(v))
 
 
+def test_power_by_squaring_is_exact_for_large_exponents():
+    sp = SuperSpace((0, 0))
+    shear = GradedMap(sp, ((1, 1), (0, 1)))
+    assert shear.power(100_000).matrix == ((1, 100_000), (0, 1))
+
+
+def test_power_matches_repeated_composition():
+    sp = SuperSpace((0, 1, 1))
+    even = GradedMap(sp, ((2, 0, 0), (0, 1, F(1, 3)), (0, -1, 5)))
+    odd = GradedMap(sp, ((0, 1, 2), (3, 0, 0), (F(-1, 2), 0, 0)), 1)
+    for m in (even, odd):
+        expected = GradedMap.identity(sp)
+        for exponent in range(11):
+            got = m.power(exponent)
+            assert (got.matrix, got.parity) == (expected.matrix, expected.parity)
+            expected = expected.compose(m)
+    with pytest.raises(ValueError):
+        even.power(-1)
+
+
 def test_commute_examples():
     sp = SuperSpace((0, 0))
     ident = GradedMap.identity(sp)

@@ -72,6 +72,11 @@ def test_invalid_json_reports_location():
     assert "line" in str(err.value)
 
 
+def test_deeply_nested_json_is_a_document_error():
+    with pytest.raises(DocumentError, match="nesting"):
+        parse_document("[" * 100_000)
+
+
 def _doc_for(A, forms=None, scalars=None):
     return AlgebraDocument(
         space=A.space,

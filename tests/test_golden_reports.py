@@ -18,9 +18,9 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 def test_every_command_has_a_golden_report():
-    from bihomsuper.cli import _HANDLERS
+    from bihomsuper.cli import COMMANDS
 
-    assert {case["argv"][0] for case in CASES} == set(_HANDLERS)
+    assert {case["argv"][0] for case in CASES} == set(COMMANDS)
     assert {case["exit_code"] for case in CASES} == {0, 1}
 
 
