@@ -20,8 +20,6 @@ from .core import (
     ParityError,
     PreconditionError,
     StructureTensor,
-    StructureTensor2,
-    StructureTensor3,
     SuperSpace,
     Vector,
     basis_tuples,
@@ -46,8 +44,6 @@ __all__ = [
     "verify_3bihom_jacobi",
     "verify_3bihom_jacobi_cyclic",
     "verify_multiplicativity3",
-    "is_morphism_2",
-    "is_morphism_3",
     "make_twist_2",
     "make_twist_3",
 ]
@@ -357,12 +353,11 @@ def verify_multiplicativity3(
     return _verify_multiplicativity(A, "ternary-multiplicativity", fail_fast)
 
 
-def is_morphism_2(tensor: StructureTensor2, m: GradedMap) -> bool:
-    return _is_morphism(tensor, m)
-
-
-def is_morphism_3(tensor: StructureTensor3, m: GradedMap) -> bool:
-    return _is_morphism(tensor, m)
+def _require_commuting_twists(R: GradedMap, A) -> None:
+    """Raise unless the operator R commutes with both structure maps of A."""
+    for name, m in (("alpha", A.alpha), ("beta", A.beta)):
+        if not R.commutes_with(m):
+            raise PreconditionError(f"operator does not commute with {name}")
 
 
 def _require_identity_twists(alpha: GradedMap, beta: GradedMap, what: str) -> None:

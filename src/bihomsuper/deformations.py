@@ -39,6 +39,7 @@ from .algebras import (
     VerificationReport,
     _collect,
     _morphism_images,
+    _require_commuting_twists,
     _twisted_skew_residuals,
     _TwistedTables,
 )
@@ -94,9 +95,7 @@ class DeformationPair:
 def _require_even_commuting(N: GradedMap, A) -> None:
     if N.parity != EVEN:
         raise ParityError("operator must be even")
-    for name, m in (("alpha", A.alpha), ("beta", A.beta)):
-        if not N.commutes_with(m):
-            raise PreconditionError(f"operator does not commute with {name}")
+    _require_commuting_twists(N, A)
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +371,11 @@ def build_trivial_deformation(
 ) -> DeformationPair:
     """The deformation pair absorbed by id + t N for a Nijenhuis operator N.
 
-    Returns (first N-bracket, second N-bracket) and verifies the telescoping
-    condition N(w2) = [Nx, Ny, Nz] exactly; its failure would mean N was not
-    Nijenhuis after all.
+    Returns (first N-bracket, second N-bracket).  The telescoping condition
+    N(w2) = [Nx, Ny, Nz] is exactly the ``nijenhuis`` rule that
+    :func:`is_nijenhuis_3` requires on every triple first.
     """
     base = is_nijenhuis_3(A, N)
     if not base.passed:
         raise PreconditionError("operator is not ternary Nijenhuis", details=base)
-    w1 = make_n_bracket_1(A, N)
-    w2 = make_n_bracket_2(A, N)
-    Nc = [N.column(t) for t in A.space.indices()]
-    for i, j, l in basis_tuples(A.space, 3):
-        lhs = N.apply(w2.bracket_basis(i, j, l))
-        rhs = A.bracket.bracket(Nc[i], Nc[j], Nc[l])
-        if not vec_is_zero(vec_sub(lhs, rhs)):
-            raise PreconditionError(
-                "telescoping condition failed; the operator is not Nijenhuis"
-            )
-    return DeformationPair(w1, w2)
+    return DeformationPair(make_n_bracket_1(A, N), make_n_bracket_2(A, N))

@@ -8,8 +8,12 @@ commutes with both structure maps and satisfies, with M = alpha^s beta^r,
                  + (-1)^{|D|(|x|+|y|)} [M(x), M(y), D(z)].
 
 The two-slot analogue for binary brackets drops the last insertion.  All of
-these conditions are linear in the entries of D, so each derivation space is
-the kernel of an exactly assembled constraint matrix.
+these conditions are linear in the entries of D.  The rule is linearised once
+(:func:`_leibniz_rows`): per basis tuple and component it gives the row of
+X |-> X([x_1, ..., x_n]) and the row of the signed insertions of X.  Their
+difference, with the commutation rows, is the constraint matrix whose kernel is
+the derivation space; for a quasiderivation D the first row is the system row
+of the companion map and the second, applied to D, its right-hand side.
 """
 
 from __future__ import annotations
@@ -100,12 +104,6 @@ def _commutation_violations(D: GradedMap, maps: dict[str, GradedMap]):
                 yield Violation((i,), col, f"commutes-with-{name}")
 
 
-def _require_homogeneous(D: GradedMap) -> None:
-    # GradedMap is homogeneous by construction; this guards parity values only.
-    if D.parity not in (EVEN, ODD):
-        raise ParityError("derivation candidate must be homogeneous")
-
-
 def _insertions(P, t: tuple[int, ...], q: int) -> list[tuple[int, int]]:
     """The signed-insertion terms of the Leibniz rule at the basis tuple ``t``.
 
@@ -128,7 +126,6 @@ def _leibniz_sum(A, Dcol, Mcol, t, q) -> Vector:
 
 
 def _is_derivation(A, D: GradedMap, s: int, r: int, identity: str, fail_fast: bool) -> VerificationReport:
-    _require_homogeneous(D)
     M = twist_power(A.alpha, A.beta, s, r)
     violations = list(_commutation_violations(D, {"alpha": A.alpha, "beta": A.beta}))
     total = 2 * A.space.dim
@@ -159,16 +156,6 @@ def is_derivation_3(
     return _is_derivation(A, D, s, r, "ternary-twisted-derivation", fail_fast)
 
 
-def _allowed_slots(space, parity: int) -> list[tuple[int, int]]:
-    """Matrix positions (k, i) a parity-homogeneous map may populate."""
-    return [
-        (k, i)
-        for k in space.indices()
-        for i in space.indices()
-        if space.parity(k) == (space.parity(i) + parity) % 2
-    ]
-
-
 def _slots_to_map(space, parity: int, slots: list[tuple[int, int]], values: Vector) -> GradedMap:
     rows = [[ZERO] * space.dim for _ in range(space.dim)]
     for (k, i), v in zip(slots, values):
@@ -176,36 +163,50 @@ def _slots_to_map(space, parity: int, slots: list[tuple[int, int]], values: Vect
     return GradedMap(space, tuple(tuple(r) for r in rows), parity)
 
 
-def _commutation_rows(space, m: GradedMap, slots, index_of) -> list[list]:
-    """Rows expressing (D m - m D)[k][i] = 0 over the unknown slots of D."""
+def _add_coeff(row: dict[int, object], pos: int | None, coeff) -> None:
+    # Entries at forbidden-parity positions are identically zero for a
+    # homogeneous unknown, so their coefficients drop out of the row.
+    if pos is not None:
+        row[pos] = row.get(pos, ZERO) + coeff
+
+
+def _commuting_system(A, parity: int):
+    """The unknowns of a homogeneous map X of the given parity commuting with the twists.
+
+    Returns the parity-allowed matrix positions (k, i), their positions in the
+    unknown vector, and one sparse row {position: coefficient} per entry of
+    X m - m X for m = alpha, beta that involves any unknown.
+    """
+    space = A.space
+    idx = space.indices()
+    slots = [(k, i) for k in idx for i in idx if space.parity(k) == (space.parity(i) + parity) % 2]
+    index_of = {slot: n for n, slot in enumerate(slots)}
     rows = []
-    for k in space.indices():
-        for i in space.indices():
-            row = [ZERO] * len(slots)
-            touched = False
-            for t in space.indices():
-                pos = index_of.get((k, t))
-                if pos is not None and m.matrix[t][i] != 0:
-                    row[pos] += m.matrix[t][i]
-                    touched = True
-                pos = index_of.get((t, i))
-                if pos is not None and m.matrix[k][t] != 0:
-                    row[pos] -= m.matrix[k][t]
-                    touched = True
-            if touched:
-                rows.append(row)
-    return rows
+    for m in (A.alpha, A.beta):
+        for k in idx:
+            for i in idx:
+                row: dict[int, object] = {}
+                for t in idx:
+                    if m.matrix[t][i] != 0:
+                        _add_coeff(row, index_of.get((k, t)), m.matrix[t][i])
+                    if m.matrix[k][t] != 0:
+                        _add_coeff(row, index_of.get((t, i)), -m.matrix[k][t])
+                if row:
+                    rows.append(row)
+    return slots, index_of, rows
 
 
-def _leibniz_rows(A, M, parity, slots, index_of) -> list[list]:
-    """The Leibniz rule linearised in D: one row per (basis tuple, component).
+def _leibniz_rows(A, M, parity, index_of):
+    """The twisted Leibniz rule linearised in the unknown map X.
 
-    Each signed insertion [M x_1, ..., D x_p, ..., M x_n] is the column x_p of
-    D pushed through the partial matrix with the M-images fixed around slot p.
+    Yields, per (basis tuple, component k), two sparse rows over the unknowns:
+    the row of X |-> X([x_1, ..., x_n])_k and the row of the signed insertions
+    X |-> sum_p sign_p [M x_1, ..., X x_p, ..., M x_n]_k.  Each insertion is the
+    column x_p of X pushed through the partial matrix with the M-images fixed
+    around slot p.
     """
     idx = A.space.indices()
     Mcol = [M.column(i) for i in idx]
-    rows = []
     for t in basis_tuples(A.space, A.bracket.arity):
         bval = A.bracket.bracket_basis(*t)
         terms = [
@@ -213,33 +214,34 @@ def _leibniz_rows(A, M, parity, slots, index_of) -> list[list]:
             for p, sign in _insertions(A.space.parities, t, parity)
         ]
         for k in idx:
-            row = [ZERO] * len(slots)
-            touched = False
+            bracket_row: dict[int, object] = {}
+            insertion_row: dict[int, object] = {}
             for m in idx:
-                pos = index_of.get((k, m))
-                if pos is not None and bval[m] != 0:
-                    row[pos] += bval[m]
-                    touched = True
+                if bval[m] != 0:
+                    _add_coeff(bracket_row, index_of.get((k, m)), bval[m])
                 for column, sign, left in terms:
                     if left[k][m] != 0:
-                        pos = index_of.get((m, column))
-                        if pos is not None:
-                            row[pos] -= sign * left[k][m]
-                            touched = True
-            if touched:
-                rows.append(row)
-    return rows
+                        _add_coeff(insertion_row, index_of.get((m, column)), sign * left[k][m])
+            yield bracket_row, insertion_row
+
+
+def _dense(row: dict[int, object], ncols: int) -> list:
+    out = [ZERO] * ncols
+    for pos, coeff in row.items():
+        out[pos] = coeff
+    return out
 
 
 def _solve_derivation_space(A, query: DerivationQuery, verify) -> DerivationSpace:
     """Kernel of the commutation and Leibniz rows; ``verify`` re-checks each basis map."""
-    slots = _allowed_slots(A.space, query.parity)
-    index_of = {slot: n for n, slot in enumerate(slots)}
+    slots, index_of, rows = _commuting_system(A, query.parity)
     M = twist_power(A.alpha, A.beta, query.s, query.r)
-    rows = _commutation_rows(A.space, A.alpha, slots, index_of)
-    rows += _commutation_rows(A.space, A.beta, slots, index_of)
-    rows += _leibniz_rows(A, M, query.parity, slots, index_of)
-    basis_vectors = kernel_basis(rows, len(slots))
+    for bracket_row, insertion_row in _leibniz_rows(A, M, query.parity, index_of):
+        if bracket_row or insertion_row:
+            for pos, coeff in insertion_row.items():
+                bracket_row[pos] = bracket_row.get(pos, ZERO) - coeff
+            rows.append(bracket_row)
+    basis_vectors = kernel_basis([_dense(row, len(slots)) for row in rows], len(slots))
     basis = tuple(_slots_to_map(A.space, query.parity, slots, v) for v in basis_vectors)
     for D in basis:
         rep = verify(A, D, query.s, query.r)
@@ -278,54 +280,31 @@ def supercommutator(D: GradedMap, D2: GradedMap) -> GradedMap:
     return D.compose(D2).sub(D2.compose(D).scale(sign))
 
 
-def _quasiderivation_witness(space, parity, alpha, beta, rhs_rows, rhs_vals):
-    slots = _allowed_slots(space, parity)
-    index_of = {slot: n for n, slot in enumerate(slots)}
-    rows = _commutation_rows(space, alpha, slots, index_of)
-    rows += _commutation_rows(space, beta, slots, index_of)
-    rhs = [ZERO] * len(rows)
-    for lhs_coeffs, value in zip(rhs_rows, rhs_vals):
-        row = [ZERO] * len(slots)
-        for (k, m), coeff in lhs_coeffs.items():
-            pos = index_of.get((k, m))
-            # Entries at forbidden-parity positions are identically zero for a
-            # homogeneous unknown, so their coefficients drop out of the row.
-            if pos is not None:
-                row[pos] += coeff
-        rows.append(row)
-        rhs.append(value)
-    solution = solve_linear(rows, rhs, len(slots))
-    if solution is None:
-        return None
-    return _slots_to_map(space, parity, slots, solution)
-
-
 def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMap | None]:
     comm = list(_commutation_violations(D, {"alpha": A.alpha, "beta": A.beta}))
     if comm:
         raise PreconditionError(
             "candidate does not commute with the structure maps", details=comm
         )
+    slots, index_of, rows = _commuting_system(A, D.parity)
+    rhs = [ZERO] * len(rows)
     M = twist_power(A.alpha, A.beta, s, r)
+    Dvec = [D.matrix[k][i] for k, i in slots]
+    for bracket_row, insertion_row in _leibniz_rows(A, M, D.parity, index_of):
+        target = sum((c * Dvec[pos] for pos, c in insertion_row.items()), ZERO)
+        if bracket_row or target != 0:
+            rows.append(bracket_row)
+            rhs.append(target)
+    solution = solve_linear([_dense(row, len(slots)) for row in rows], rhs, len(slots))
+    if solution is None:
+        return False, None
+    witness = _slots_to_map(A.space, D.parity, slots, solution)
+    # Cross-check by substitution against the bracket-evaluating Leibniz sum.
     Dcol = [D.column(i) for i in A.space.indices()]
     Mcol = [M.column(i) for i in A.space.indices()]
-    rhs_rows = []
-    rhs_vals = []
-    targets = {}
     for t in basis_tuples(A.space, A.bracket.arity):
-        target = _leibniz_sum(A, Dcol, Mcol, t, D.parity)
-        targets[t] = target
-        bval = A.bracket.bracket_basis(*t)
-        for k in A.space.indices():
-            coeffs = {(k, m): bval[m] for m in A.space.indices() if bval[m] != 0}
-            rhs_rows.append(coeffs)
-            rhs_vals.append(target[k])
-    witness = _quasiderivation_witness(A.space, D.parity, A.alpha, A.beta, rhs_rows, rhs_vals)
-    if witness is None:
-        return False, None
-    for t, target in targets.items():
         got = witness.apply(A.bracket.bracket_basis(*t))
-        if not vec_is_zero(vec_sub(got, target)):
+        if not vec_is_zero(vec_sub(got, _leibniz_sum(A, Dcol, Mcol, t, D.parity))):
             raise TheoremContradictionError("quasiderivation witness failed substitution")
     return True, witness
 

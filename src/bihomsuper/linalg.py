@@ -1,9 +1,12 @@
 """Exact rational linear solvers built on fraction-free Gaussian elimination.
 
-The forward pass is Bareiss elimination over integers (rows are scaled to a
-common denominator first), so all intermediate values stay integral; divisions
-in the back-substitution are exact by construction.  These routines back the
-derivation-space and quasiderivation solvers.
+Every routine here runs one forward pass and one back-substitution.  The
+forward pass is Bareiss elimination over integers (rows are scaled to a common
+denominator first), so all intermediate values stay integral; divisions in the
+back-substitution are exact by construction.  Kernel bases, particular
+solutions and matrix inverses (elimination of [A | I]) all come from it.  These
+routines back the derivation-space and quasiderivation solvers and
+:meth:`GradedMap.inverse`.
 """
 
 from __future__ import annotations
@@ -55,6 +58,24 @@ def _bareiss_echelon(m: list[list[int]], ncols: int) -> tuple[list[list[int]], l
     return rows[:r], pivots
 
 
+def _back_substitute(
+    echelon: list[list[int]], pivots: list[int], sol: list[Fraction], rhs: int | None = None
+) -> Vector:
+    """Fill the pivot coordinates of ``sol`` so every echelon row holds.
+
+    Row r reads sum_j echelon[r][j] sol[j] = echelon[r][rhs] (0 when ``rhs`` is
+    None) over the unknown columns 0..len(sol)-1; the free coordinates already in
+    ``sol`` stay as given.
+    """
+    n = len(sol)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        row = echelon[r]
+        acc = sum((row[j] * sol[j] for j in range(c + 1, n) if sol[j]), ZERO)
+        sol[c] = ((row[rhs] if rhs is not None else 0) - acc) / row[c]
+    return tuple(sol)
+
+
 def kernel_basis(rows: Sequence[Sequence[object]], ncols: int) -> list[Vector]:
     """Exact basis of the right nullspace of the given coefficient rows.
 
@@ -64,20 +85,13 @@ def kernel_basis(rows: Sequence[Sequence[object]], ncols: int) -> list[Vector]:
     """
     if ncols == 0:
         return []
-    mat = _integer_rows(rows, ncols)
-    echelon, pivots = _bareiss_echelon(mat, ncols)
+    echelon, pivots = _bareiss_echelon(_integer_rows(rows, ncols), ncols)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis: list[Vector] = []
-    for free in free_cols:
-        sol: list[Fraction] = [ZERO] * ncols
+    for free in (c for c in range(ncols) if c not in pivot_set):
+        sol = [ZERO] * ncols
         sol[free] = ONE
-        # Back-substitute through the echelon rows (pivot r sits at column pivots[r]).
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            acc = sum((Fraction(echelon[r][j]) * sol[j] for j in range(c + 1, ncols)), ZERO)
-            sol[c] = -acc / echelon[r][c]
-        basis.append(tuple(sol))
+        basis.append(_back_substitute(echelon, pivots, sol))
     return basis
 
 
@@ -92,35 +106,24 @@ def solve_linear(
     if len(rows) != len(rhs):
         raise ValueError("number of rows and right-hand sides differ")
     augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    mat = _integer_rows(augmented, ncols + 1)
-    echelon, pivots = _bareiss_echelon(mat, ncols + 1)
+    echelon, pivots = _bareiss_echelon(_integer_rows(augmented, ncols + 1), ncols + 1)
     if ncols in pivots:
         return None  # a pivot in the RHS column certifies inconsistency
-    sol: list[Fraction] = [ZERO] * ncols
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        acc = sum((Fraction(echelon[r][j]) * sol[j] for j in range(c + 1, ncols)), ZERO)
-        sol[c] = (Fraction(echelon[r][ncols]) - acc) / echelon[r][c]
-    return tuple(sol)
+    return _back_substitute(echelon, pivots, [ZERO] * ncols, ncols)
 
 
 def invert_matrix(matrix: Matrix) -> Matrix | None:
-    """Exact inverse of a square rational matrix, or None when singular."""
+    """Exact inverse of a square rational matrix, or None when singular.
+
+    Eliminates [A | I]: A is invertible exactly when the pivots land on the
+    columns 0..n-1, and column j of the inverse solves A x = e_j.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    # Gauss-Jordan on [A | I] over Fractions; fine at the dimensions used here.
-    work = [[as_scalar(c) for c in row] + [ONE if i == j else ZERO for j in range(n)]
-            for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        p = work[col][col]
-        work[col] = [c / p for c in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    augmented = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(matrix)]
+    echelon, pivots = _bareiss_echelon(_integer_rows(augmented, 2 * n), 2 * n)
+    if pivots != list(range(n)):
+        return None
+    columns = [_back_substitute(echelon, pivots, [ZERO] * n, n + j) for j in range(n)]
+    return tuple(zip(*columns)) if n else ()

@@ -26,6 +26,7 @@ from .algebras import (
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
     _collect,
+    _require_commuting_twists,
     verify_3bihom_jacobi,
     verify_3bihom_skewsymmetry,
 )
@@ -72,12 +73,6 @@ class RotaBaxterOperator:
         object.__setattr__(self, "weight", as_scalar(self.weight))
 
 
-def _require_commutation(R: GradedMap, A) -> None:
-    for name, m in (("alpha", A.alpha), ("beta", A.beta)):
-        if not R.commutes_with(m):
-            raise PreconditionError(f"operator does not commute with {name}")
-
-
 def _subset_terms(A, R: RotaBaxterOperator, e, Rcol, indices):
     for subset, value in subset_insertions(A.bracket, e, Rcol, indices):
         yield subset, vec_scale(R.weight ** (len(subset) - 1), value)
@@ -93,7 +88,7 @@ def _subset_sum(A, R: RotaBaxterOperator, e, Rcol, indices) -> Vector:
 
 def _is_rb(A, R: RotaBaxterOperator, identity: str, fail_fast: bool) -> VerificationReport:
     """[R(x_1), ..., R(x_n)] = R([x_1, ..., x_n]_R) over all basis tuples."""
-    _require_commutation(R.map, A)
+    _require_commuting_twists(R.map, A)
     e = A.space.basis()
     Rcol = [R.map.column(i) for i in A.space.indices()]
 
@@ -129,7 +124,7 @@ def check_inverse_derivation_equivalence(
     if R.parity != EVEN:
         raise ParityError("equivalence is stated for even maps")
     Rinv = R.inverse()  # raises PreconditionError when singular
-    _require_commutation(R, A)
+    _require_commuting_twists(R, A)
     rb_side = is_rb3(A, RotaBaxterOperator(R, Fraction(0))).passed
     der_side = is_derivation_3(A, Rinv, 0, 0).passed
     if rb_side != der_side:

@@ -6,6 +6,7 @@ loop expansions of the defining identities) so that agreement between the two
 paths is meaningful.
 """
 
+import itertools
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -215,3 +216,92 @@ def derivation_constraint_matrix_2(space_parities, alpha, beta, entries, s, r, p
         columns.append(residual_stack(E))
     nrows = len(columns[0]) if columns else 0
     return [[columns[c][r_] for c in range(len(slots))] for r_ in range(nrows)], len(slots)
+
+
+def rank(rows):
+    return len(rref(rows)[1]) if rows else 0
+
+
+def _compose(mat1, mat2):
+    dim = len(mat1)
+    return [
+        [sum((mat1[k][t] * mat2[t][i] for t in range(dim)), ZERO) for i in range(dim)]
+        for k in range(dim)
+    ]
+
+
+def _bracket_of_vectors(entries, dim, vectors):
+    out = [ZERO] * dim
+    for key, coeff in entries.items():
+        term = coeff
+        for a, v in zip(key, vectors):
+            term *= v[a]
+        out[key[-1]] += term
+    return out
+
+
+def companion_system(space_parities, alpha, beta, entries, arity, parity):
+    """Dense coefficient rows of the companion map X of a quasiderivation.
+
+    Second assembly path for brackets of any arity.  Unknowns run over the
+    parity-allowed positions of X in row-major order.  Each column is the
+    residual stack at a unit map E_{k,i}: the entries of X alpha - alpha X and
+    X beta - beta X, then X([e_t1, ..., e_tn]) for every basis tuple in
+    lexicographic order.  Returns (rows, slots).
+    """
+    dim = len(space_parities)
+    ent = dict(entries)
+    images = [
+        _bracket_of_vectors(ent, dim, [unit_vec(dim, i) for i in t])
+        for t in itertools.product(range(dim), repeat=arity)
+    ]
+    slots = [
+        (k, i)
+        for k in range(dim)
+        for i in range(dim)
+        if space_parities[k] == (space_parities[i] + parity) % 2
+    ]
+
+    def residual_stack(X):
+        out = []
+        for other in (alpha, beta):
+            xm = _compose(X, other)
+            mx = _compose(other, X)
+            out.extend(xm[k][i] - mx[k][i] for k in range(dim) for i in range(dim))
+        for image in images:
+            out.extend(matvec(X, image))
+        return out
+
+    columns = []
+    for (k, i) in slots:
+        E = [[ONE if (a, b) == (k, i) else ZERO for b in range(dim)] for a in range(dim)]
+        columns.append(residual_stack(E))
+    nrows = 2 * dim * dim + len(images) * dim
+    return [[columns[c][r_] for c in range(len(slots))] for r_ in range(nrows)], slots
+
+
+def companion_rhs(space_parities, alpha, beta, entries, arity, s, r, D, parity):
+    """Right-hand side matching :func:`companion_system` for the candidate D.
+
+    Zero on the commutation block; per basis tuple, the signed insertion sum
+    sum_p (-1)^{|D|(|e_t1| + ... + |e_t(p-1)|)} [M e_t1, ..., D e_tp, ..., M e_tn]
+    with M = alpha^s beta^r.
+    """
+    dim = len(space_parities)
+    ent = dict(entries)
+    M = [[ONE if i == k else ZERO for i in range(dim)] for k in range(dim)]
+    for _ in range(s):
+        M = _compose(alpha, M)
+    for _ in range(r):
+        M = _compose(beta, M)
+    Dcol = [[D[k][i] for k in range(dim)] for i in range(dim)]
+    Mcol = [[M[k][i] for k in range(dim)] for i in range(dim)]
+    rhs = [ZERO] * (2 * dim * dim)
+    for t in itertools.product(range(dim), repeat=arity):
+        total = [ZERO] * dim
+        for p in range(arity):
+            args = [Dcol[i] if q == p else Mcol[i] for q, i in enumerate(t)]
+            sgn = sign(parity * sum(space_parities[i] for i in t[:p]))
+            total = [a + sgn * b for a, b in zip(total, _bracket_of_vectors(ent, dim, args))]
+        rhs.extend(total)
+    return rhs

@@ -27,10 +27,14 @@ from bihomsuper import (
 import corpus
 from oracles import (
     bracket2_of_vectors,
+    companion_rhs,
+    companion_system,
     derivation_constraint_matrix_2,
     derivation_constraint_matrix_3,
     matvec,
     nullity,
+    nullspace,
+    rank,
     sign,
 )
 
@@ -303,6 +307,67 @@ def test_binary_quasiderivation_rejects_noncommuting_candidate():
     bad = GradedMap(A.space, ((F(0), F(1)), (F(0), F(0))), 0)
     with pytest.raises(PreconditionError):
         is_quasiderivation_2(A, bad, 0, 0)
+
+
+def _oracle_args(A):
+    return (
+        A.space.parities,
+        [list(r_) for r_ in A.alpha.matrix],
+        [list(r_) for r_ in A.beta.matrix],
+        A.bracket.as_dict(),
+        A.bracket.arity,
+    )
+
+
+def _commuting_candidates(A, parity, rows, slots):
+    """Maps of one parity commuting with both twists, from the oracle's kernel.
+
+    Two kernel vectors of the commutation block, the sum of all of them,
+    a mixed combination and, for even parity, the identity: candidates on both
+    sides of the verdict.
+    """
+    dim = A.space.dim
+    vectors = nullspace(rows[: 2 * dim * dim], len(slots))
+    if vectors:
+        vectors = vectors[:2] + [
+            tuple(map(sum, zip(*vectors))),
+            tuple(a - 2 * b for a, b in zip(vectors[0], vectors[-1])),
+        ]
+    maps = []
+    for v in vectors:
+        mat = [[F(0)] * dim for _ in range(dim)]
+        for (k, i), c in zip(slots, v):
+            mat[k][i] = c
+        maps.append(GradedMap(A.space, tuple(map(tuple, mat)), parity))
+    if parity == 0:
+        maps.append(_ident(A.space))
+    return maps
+
+
+def test_quasiderivation_verdicts_match_dense_oracle(binary_corpus, ternary_corpus):
+    verdicts = {(arity, parity): set() for arity in (2, 3) for parity in (0, 1)}
+    for fx in binary_corpus + ternary_corpus:
+        A = fx.algebra
+        decide = is_quasiderivation_3 if A.bracket.arity == 3 else is_quasiderivation_2
+        untwisted = A.alpha.is_identity() and A.beta.is_identity()
+        for parity in (0, 1):
+            rows, slots = companion_system(*_oracle_args(A), parity)
+            system_rank = rank(rows)
+            for D in _commuting_candidates(A, parity, rows, slots):
+                for s, r in ((0, 0),) if untwisted else ((0, 0), (1, 1)):
+                    rhs = companion_rhs(*_oracle_args(A), s, r, D.matrix, parity)
+                    augmented = [row + [b] for row, b in zip(rows, rhs) if b or any(row)]
+                    consistent = rank(augmented) == system_rank
+                    ok, witness = decide(A, D, s, r)
+                    assert ok == consistent, (fx.name, s, r, D.matrix)
+                    if ok:
+                        assert witness.parity == D.parity
+                        values = [witness.matrix[k][i] for k, i in slots]
+                        assert list(matvec(rows, values)) == rhs, (fx.name, s, r, D.matrix)
+                    else:
+                        assert witness is None
+                    verdicts[A.bracket.arity, parity].add(ok)
+    assert all(seen == {False, True} for seen in verdicts.values()), verdicts
 
 
 def test_derivation_transfer_trivial_cases(tau_corpus):

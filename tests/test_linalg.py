@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bihomsuper import invert_matrix, kernel_basis, solve_linear
 
-from oracles import matvec, nullity, nullspace
+from oracles import matvec, nullity, nullspace, rank
 
 
 def test_identity_matrix_has_trivial_kernel():
@@ -74,6 +74,61 @@ def test_invert_matrix_roundtrip_and_singular():
     inv = invert_matrix(m)
     assert matvec(inv, matvec(m, (F(3), F(-4)))) == (F(3), F(-4))
     assert invert_matrix(((F(1), F(2)), (F(2), F(4)))) is None
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def square_matrices(draw):
+    """Random n x n rational matrices, n <= 4; about half are made singular."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = [draw(st.lists(small_fractions, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        # overwrite the last row with a combination of the others (zero when n = 1)
+        coeffs = draw(st.lists(small_fractions, min_size=n - 1, max_size=n - 1))
+        m[-1] = [sum((c * row[j] for c, row in zip(coeffs, m)), F(0)) for j in range(n)]
+    return m
+
+
+@given(square_matrices())
+@settings(max_examples=80)
+def test_invert_matrix_is_an_inverse_or_none_exactly_when_singular(m):
+    n = len(m)
+    inv = invert_matrix(m)
+    if rank(m) < n:
+        assert inv is None
+        return
+    # row j of the comparison is A times column j of the inverse, which must be e_j
+    identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    assert [list(matvec(m, col)) for col in zip(*inv)] == identity
+
+
+@st.composite
+def linear_systems(draw):
+    """Random systems A x = b of up to 5 x 4; half take b from A's column space."""
+    nrows = draw(st.integers(min_value=1, max_value=5))
+    ncols = draw(st.integers(min_value=1, max_value=4))
+    rows = [draw(st.lists(small_fractions, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(small_fractions, min_size=ncols, max_size=ncols))
+        rhs = list(matvec(rows, x0))
+    else:
+        rhs = draw(st.lists(small_fractions, min_size=nrows, max_size=nrows))
+    return rows, rhs, ncols
+
+
+@given(linear_systems())
+@settings(max_examples=80)
+def test_solve_linear_solves_or_none_exactly_when_inconsistent(system):
+    rows, rhs, ncols = system
+    sol = solve_linear(rows, rhs, ncols)
+    augmented = [row + [b] for row, b in zip(rows, rhs)]
+    if rank(augmented) > rank(rows):
+        assert sol is None
+    else:
+        assert sol is not None and len(sol) == ncols
+        assert list(matvec(rows, sol)) == list(rhs)
 
 
 def test_oracle_agrees_with_itself_on_span():
