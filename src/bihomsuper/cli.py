@@ -191,6 +191,26 @@ class _Context:
         weight = self.doc.scalars.get("lambda", Fraction(0)) if weight is None else as_scalar(weight)
         return rota_baxter.RotaBaxterOperator(R_map, weight)
 
+    def twist_powers(self, A) -> tuple[int, int]:
+        """``--s`` and ``--r``, refused before solving when alpha^s beta^r is too long to print.
+
+        Solved maps are built from the entries of alpha^s beta^r; when one of
+        those has more digits than ``int`` to ``str`` conversion allows, the
+        report could not be written after all the work was done.
+        """
+        s, r = self.options.get("s", 0), self.options.get("r", 0)
+        # Interpreters older than 3.10.7 have no conversion limit.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and min(s, r) >= 0:
+            bound = 10 ** limit
+            M = derivations.twist_power(A.alpha, A.beta, s, r)
+            if any(abs(c.numerator) >= bound or c.denominator >= bound for row in M.matrix for c in row):
+                raise ValueError(
+                    f"--s/--r: alpha^{s} beta^{r} has entries of more than {limit} digits, "
+                    "beyond the integer string conversion limit"
+                )
+        return s, r
+
     def check(self, rep: VerificationReport, mandatory: bool = True) -> None:
         self.report.checks.append(CheckResult(rep.identity, rep.total, rep.violations, rep.notes, mandatory))
 
@@ -242,15 +262,15 @@ def _induce_tau(ctx: _Context) -> None:
 def _derivations(ctx: _Context) -> None:
     A3 = ctx.ternary()
     parity = 1 if ctx.options.get("parity", "even") == "odd" else 0
-    query = derivations.DerivationQuery(ctx.options.get("s", 0), ctx.options.get("r", 0), parity)
+    query = derivations.DerivationQuery(*ctx.twist_powers(A3), parity)
     space = derivations.solve_derivation_space(A3, query)
     ctx.flag("derivation-space-solved", True)
     ctx.report.derived.update(dimension=space.dimension, basis=[_matrix_tree(m) for m in space.basis])
 
 
 def _quasiderivation(ctx: _Context) -> None:
-    s, r = ctx.options.get("s", 0), ctx.options.get("r", 0)
-    ok, witness = derivations.is_quasiderivation_3(ctx.ternary(), ctx.map(), s, r)
+    A3 = ctx.ternary()
+    ok, witness = derivations.is_quasiderivation_3(A3, ctx.map(), *ctx.twist_powers(A3))
     ctx.flag("quasiderivation-solvable", ok)
     ctx.report.derived["is_quasiderivation"] = ok
     if witness is not None:

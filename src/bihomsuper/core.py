@@ -215,14 +215,24 @@ class GradedMap:
         if self.parity not in (EVEN, ODD):
             raise ParityError(f"map parity must be 0 or 1, got {self.parity}")
         object.__setattr__(self, "matrix", _freeze_matrix(self.space, self.matrix))
-        for k in self.space.indices():
-            for i in self.space.indices():
-                if self.matrix[k][i] != 0:
+        idx = self.space.indices()
+        columns: list[list[tuple[int, Fraction]]] = [[] for _ in idx]
+        rows: list[list[tuple[int, Fraction]]] = [[] for _ in idx]
+        for k in idx:
+            for i in idx:
+                c = self.matrix[k][i]
+                if c != 0:
                     expected = (self.space.parity(i) + self.parity) % 2
                     if self.space.parity(k) != expected:
                         raise ParityError(
                             f"entry ({k},{i}) violates the grading of a parity-{self.parity} map"
                         )
+                    columns[i].append((k, c))
+                    rows[k].append((i, c))
+        # Nonzero supports: _columns[i] lists (k, c) with c = matrix[k][i] != 0,
+        # _rows[k] lists (i, c) likewise; every product below walks only these.
+        object.__setattr__(self, "_columns", tuple(tuple(col) for col in columns))
+        object.__setattr__(self, "_rows", tuple(tuple(row) for row in rows))
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "GradedMap":
@@ -245,10 +255,12 @@ class GradedMap:
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         vv = self.space.check_vector(v)
-        return tuple(
-            sum((self.matrix[k][i] * vv[i] for i in self.space.indices()), ZERO)
-            for k in self.space.indices()
-        )
+        out = [ZERO] * self.space.dim
+        for x, column in zip(vv, self._columns):
+            if x:
+                for k, c in column:
+                    out[k] += c * x
+        return tuple(out)
 
     def column(self, i: int) -> Vector:
         """Image of the basis element e_i."""
@@ -260,14 +272,11 @@ class GradedMap:
         """self after other (matrix product self @ other)."""
         if self.space != other.space:
             raise DimensionError("composition of maps on different spaces")
-        n = self.space.dim
-        rows = [
-            [
-                sum((self.matrix[k][m] * other.matrix[m][i] for m in range(n)), ZERO)
-                for i in range(n)
-            ]
-            for k in range(n)
-        ]
+        rows = [[ZERO] * self.space.dim for _ in self.space.indices()]
+        for i, column in enumerate(other._columns):
+            for m, b in column:
+                for k, a in self._columns[m]:
+                    rows[k][i] += a * b
         return GradedMap(self.space, tuple(tuple(r) for r in rows), (self.parity + other.parity) % 2)
 
     def power(self, exponent: int) -> "GradedMap":
@@ -523,6 +532,30 @@ class StructureTensor:
             else:
                 rows[key[-1]][key[slot]] += c
         return tuple(tuple(r) for r in rows)
+
+    def contract(self, maps: Sequence["GradedMap"]) -> dict[tuple[int, ...], dict[int, Fraction]]:
+        """The tensor with ``maps[q]`` substituted in slot q, on every basis tuple at once.
+
+        Returns ``{t: {k: c}}``: the coefficient c of e_k in
+        [m_1(e_{t_1}), ..., m_n(e_{t_n})].  Each entry is expanded over the
+        nonzero preimages of its argument indices under each map, so the cost
+        follows the nonzeros, not dim ** arity.  Tuples absent from the result
+        have the zero image; coefficients that cancel are kept as zeros.
+        """
+        if len(maps) != self.arity:
+            raise DimensionError(f"expected {self.arity} maps, got {len(maps)}")
+        if any(m.space != self.space for m in maps):
+            raise DimensionError("maps and tensor live on different spaces")
+        out: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        for key, c in self.entries:
+            k = key[-1]
+            for combo in itertools.product(*(m._rows[a] for m, a in zip(maps, key))):
+                coeff = c
+                for _, x in combo:
+                    coeff *= x
+                image = out.setdefault(tuple(t for t, _ in combo), {})
+                image[k] = image.get(k, ZERO) + coeff
+        return out
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -305,3 +305,47 @@ def companion_rhs(space_parities, alpha, beta, entries, arity, s, r, D, parity):
             total = [a + sgn * b for a, b in zip(total, _bracket_of_vectors(ent, dim, args))]
         rhs.extend(total)
     return rhs
+
+
+def derivation_report(space_parities, alpha, beta, entries, arity, s, r, D, parity, fail_fast=False):
+    """Dense walk of the twisted Leibniz rule over every basis tuple.
+
+    Second path for ``is_derivation_2``/``is_derivation_3``; returns their
+    report fields (identity, total, [(where, residual, rule), ...]).  First
+    the columns of D m - m D for m = alpha, beta, then, unless fail-fast has
+    already failed, every basis tuple t in lexicographic order with the
+    residual D[e_t1, ..., e_tn] - sum_p sign_p [M e_t1, ..., D e_tp, ..., M e_tn]
+    and M = alpha^s beta^r.  Under fail-fast the walk stops at the first
+    failing tuple.
+    """
+    dim = len(space_parities)
+    ent = dict(entries)
+    identity = {2: "binary-twisted-derivation", 3: "ternary-twisted-derivation"}[arity]
+    violations = []
+    for name, other in (("alpha", alpha), ("beta", beta)):
+        dm, md = _compose(D, other), _compose(other, D)
+        for i in range(dim):
+            col = tuple(dm[k][i] - md[k][i] for k in range(dim))
+            if any(col):
+                violations.append(((i,), col, f"commutes-with-{name}"))
+    total = 2 * dim
+    if fail_fast and violations:
+        return identity, total, violations
+    M = [list(unit_vec(dim, k)) for k in range(dim)]
+    for _ in range(s):
+        M = _compose(alpha, M)
+    for _ in range(r):
+        M = _compose(M, beta)
+    for t in itertools.product(range(dim), repeat=arity):
+        total += 1
+        units = [unit_vec(dim, i) for i in t]
+        res = list(matvec(D, _bracket_of_vectors(ent, dim, units)))
+        for p in range(arity):
+            args = [matvec(D, u) if q == p else matvec(M, u) for q, u in enumerate(units)]
+            sgn = sign(parity * sum(space_parities[i] for i in t[:p]))
+            res = [a - sgn * b for a, b in zip(res, _bracket_of_vectors(ent, dim, args))]
+        if any(res):
+            violations.append((t, tuple(res), "leibniz"))
+            if fail_fast:
+                break
+    return identity, total, violations

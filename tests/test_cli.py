@@ -1,6 +1,9 @@
 """The command-line driver: dispatch, exit codes, formats, outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -270,6 +273,45 @@ def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
 
 
 GOLDEN_DOCS = Path(__file__).parent / "golden" / "docs"
+
+
+@pytest.mark.parametrize("command", ["derivations", "quasiderivation"])
+@pytest.mark.parametrize("option", ["--s", "--r"])
+def test_unprintable_twist_power_is_refused_before_solving(command, option, monkeypatch, capsys):
+    from bihomsuper import derivations
+
+    def never(*args):
+        raise AssertionError("the command solved before checking the exponent")
+
+    monkeypatch.setattr(derivations, "solve_derivation_space", never)
+    monkeypatch.setattr(derivations, "is_quasiderivation_3", never)
+    # twistable's twists are diagonal with entries 2, 3, 1/3 and 5, 7, 1/7:
+    # their 200000th powers have about 60,000 and 95,000 digits.
+    assert run([command, GOLDEN_DOCS / "twistable.json", option, "200000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --s/--r:") and "Traceback" not in err
+
+
+def test_twist_power_within_the_digit_limit_is_solved(capsys):
+    # 7^1000 has 846 digits, the basis entries about twice as many: all under the default 4300
+    assert run(["derivations", GOLDEN_DOCS / "twistable.json", "--r", "1000", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("document, code", [("ternary_basic.json", 0), ("bad_parity.json", 2)])
+def test_python_dash_m_runs_the_command_line(document, code):
+    import bihomsuper
+
+    src = str(Path(bihomsuper.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "bihomsuper", "verify", str(DATA / document)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert "status: pass" in done.stdout
+    else:
+        assert done.stderr.startswith("input error:")
+
 
 # The --map name each command falls back to, written out independently of the table.
 DEFAULT_MAP = {

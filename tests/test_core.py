@@ -1,5 +1,6 @@
 """Core graded linear algebra: scalars, spaces, maps, tensors, signs."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -236,6 +237,68 @@ def test_any_arity_partial_matrix_matches_bracket(kind, entries):
             assert t.bracket(*args) == tuple(m[k][free] for k in sp.indices())
     assert t.scale(2).add(t.scale(-1)) == t
     assert type(t.scale(2)) is kind
+
+
+@pytest.mark.parametrize(
+    "kind, entries",
+    [
+        (StructureTensor2, {(0, 2, 1): 2, (2, 1, 0): -1, (1, 1, 2): 3}),
+        (StructureTensor3, {(0, 1, 2, 0): 1, (1, 2, 0, 2): 3, (2, 0, 1, 0): -1}),
+        (StructureTensor, {(0, 1, 2, 1, 0): 4, (2, 2, 1, 0, 1): -1}),
+    ],
+)
+def test_contract_matches_bracket_of_map_columns(kind, entries):
+    sp = SuperSpace((0, 0, 0))
+    t = kind.from_dict(sp, entries)
+    full = GradedMap(sp, ((1, 2, 0), (0, -1, 3), (F(1, 2), 0, 1)), 0)
+    # ``cancel`` sends e_0 and e_1 to opposite multiples of e_0: two preimages of one index
+    cancel = GradedMap(sp, ((1, -1, 0), (0, 0, 0), (0, 0, 2)), 0)
+    maps = [full, GradedMap.identity(sp), cancel, GradedMap.zero(sp), full]
+    for chosen in [maps[: t.arity], maps[1 : t.arity + 1], [full] * t.arity, [cancel] * t.arity]:
+        images = t.contract(chosen)
+        for key in itertools.product(sp.indices(), repeat=t.arity):
+            direct = t.bracket(*(m.column(i) for m, i in zip(chosen, key)))
+            image = images.get(key, {})
+            assert tuple(image.get(k, 0) for k in sp.indices()) == direct, (chosen, key)
+    with pytest.raises(DimensionError):
+        t.contract(maps[: t.arity - 1])
+    with pytest.raises(DimensionError):
+        t.contract([GradedMap.identity(SuperSpace((0, 1, 0)))] * t.arity)
+
+
+def _graded_maps(space, parity):
+    """Maps of one parity with small rational entries at the allowed positions."""
+    P = space.parities
+    cells = [(k, i) for k in space.indices() for i in space.indices() if P[k] == (P[i] + parity) % 2]
+
+    def build(values):
+        rows = [[F(0)] * space.dim for _ in space.indices()]
+        for (k, i), c in zip(cells, values):
+            rows[k][i] = c
+        return GradedMap(space, tuple(map(tuple, rows)), parity)
+
+    small = st.sampled_from([F(0), F(0), F(1), F(-2), F(1, 3)])
+    return st.lists(small, min_size=len(cells), max_size=len(cells)).map(build)
+
+
+MIXED = SuperSpace((0, 1, 0, 1))
+
+
+@given(_graded_maps(MIXED, 0), _graded_maps(MIXED, 1), st.lists(rationals, min_size=4, max_size=4))
+@settings(max_examples=40)
+def test_sparse_apply_and_compose_match_dense_products(even, odd, v):
+    def dense_apply(m, x):
+        return tuple(sum((m.matrix[k][i] * x[i] for i in MIXED.indices()), F(0)) for k in MIXED.indices())
+
+    for m in (even, odd):
+        assert m.apply(v) == dense_apply(m, v)
+        for other in (even, odd):
+            product = m.compose(other)
+            assert product.parity == (m.parity + other.parity) % 2
+            for i in MIXED.indices():
+                assert product.column(i) == dense_apply(m, other.column(i))
+    with pytest.raises(ValueError):
+        even.apply(["half", 0, 0, 0])  # entries are still read through as_scalar
 
 
 def test_tensor_arity_is_read_from_keys():

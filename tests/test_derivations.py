@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bihomsuper import (
     DerivationQuery,
@@ -19,6 +21,7 @@ from bihomsuper import (
     is_derivation_3,
     is_quasiderivation_2,
     is_quasiderivation_3,
+    make_twist_2,
     solve_derivation_space,
     solve_derivation_space_2,
     supercommutator,
@@ -31,6 +34,7 @@ from oracles import (
     companion_system,
     derivation_constraint_matrix_2,
     derivation_constraint_matrix_3,
+    derivation_report,
     matvec,
     nullity,
     nullspace,
@@ -344,10 +348,33 @@ def _commuting_candidates(A, parity, rows, slots):
     return maps
 
 
+def _axb2_shear_twist():
+    """axb2 ([e1, e2] = e2) twisted by the automorphism e1 -> e1 + e2, e2 -> 2 e2.
+
+    The bracket's image is the line of e2, so the Leibniz rows leave a
+    companion free on e1; only the commutation rows tie that column to the
+    rest, since X shear e1 = X e1 + X e2.
+    """
+    ab = next(f for f in corpus.binary_fixtures() if f.name == "axb2").algebra
+    shear = GradedMap(ab.space, ((F(1), F(0)), (F(1), F(2))), 0)
+    return make_twist_2(ab, shear, shear)
+
+
+def test_companion_commutes_with_non_diagonal_twists():
+    A = _axb2_shear_twist()
+    ident = _ident(A.space)
+    assert not is_derivation_2(A, ident, 0, 0).passed
+    for s, r, scale in ((0, 0, 2), (1, 0, 3), (1, 1, 5)):
+        ok, witness = is_quasiderivation_2(A, ident, s, r)
+        assert ok
+        assert witness.commutes_with(A.alpha) and witness.commutes_with(A.beta)
+        assert witness == ident.scale(scale), (s, r, witness.matrix)
+        _assert_binary_companion(A, ident, witness, s, r)
+
+
 def test_quasiderivation_verdicts_match_dense_oracle(binary_corpus, ternary_corpus):
     verdicts = {(arity, parity): set() for arity in (2, 3) for parity in (0, 1)}
-    for fx in binary_corpus + ternary_corpus:
-        A = fx.algebra
+    for A in [fx.algebra for fx in binary_corpus + ternary_corpus] + [_axb2_shear_twist()]:
         decide = is_quasiderivation_3 if A.bracket.arity == 3 else is_quasiderivation_2
         untwisted = A.alpha.is_identity() and A.beta.is_identity()
         for parity in (0, 1):
@@ -359,15 +386,89 @@ def test_quasiderivation_verdicts_match_dense_oracle(binary_corpus, ternary_corp
                     augmented = [row + [b] for row, b in zip(rows, rhs) if b or any(row)]
                     consistent = rank(augmented) == system_rank
                     ok, witness = decide(A, D, s, r)
-                    assert ok == consistent, (fx.name, s, r, D.matrix)
+                    assert ok == consistent, (A, s, r, D.matrix)
                     if ok:
                         assert witness.parity == D.parity
                         values = [witness.matrix[k][i] for k, i in slots]
-                        assert list(matvec(rows, values)) == rhs, (fx.name, s, r, D.matrix)
+                        assert list(matvec(rows, values)) == rhs, (A, s, r, D.matrix)
                     else:
                         assert witness is None
                     verdicts[A.bracket.arity, parity].add(ok)
     assert all(seen == {False, True} for seen in verdicts.values()), verdicts
+
+
+def _perturbed(A, data):
+    """A copy of A with one structure constant added, or A itself."""
+    P, dim, arity = A.space.parities, A.space.dim, A.bracket.arity
+    args = tuple(data.draw(st.integers(0, dim - 1)) for _ in range(arity))
+    outputs = [k for k in range(dim) if P[k] == sum(P[a] for a in args) % 2]
+    if not outputs:
+        return A
+    key = args + (data.draw(st.sampled_from(outputs)),)
+    extra = type(A.bracket).from_dict(A.space, {key: data.draw(st.sampled_from([-1, 1, 2]))})
+    return type(A)(A.space, A.bracket.add(extra), A.alpha, A.beta)
+
+
+def _random_map(A, parity, data):
+    """A map of the given parity with small entries at the parity-allowed positions."""
+    dim, P = A.space.dim, A.space.parities
+    slots = [(k, i) for k in range(dim) for i in range(dim) if P[k] == (P[i] + parity) % 2]
+    values = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 2)]),
+                                min_size=len(slots), max_size=len(slots)))
+    mat = [[F(0)] * dim for _ in range(dim)]
+    for (k, i), c in zip(slots, values):
+        mat[k][i] = F(c)
+    return GradedMap(A.space, tuple(map(tuple, mat)), parity)
+
+
+def test_derivation_reports_match_dense_oracle(binary_corpus, ternary_corpus):
+    """Sparse Leibniz reports equal the dense tuple walk field for field.
+
+    Candidates: random maps, commuting maps, solved derivations and
+    derivations shifted by a random map, on corpus algebras and on copies with
+    one structure constant perturbed; (s, r) in {0, 1, 2}^2, both parities,
+    with and without fail-fast.
+    """
+    fixtures = [fx.algebra for fx in binary_corpus + ternary_corpus if fx.algebra.space.dim <= 4]
+    verdicts = {2: set(), 3: set()}
+    solved = {}
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def prop(data):
+        A = data.draw(st.sampled_from(fixtures))
+        if data.draw(st.booleans()):
+            A = _perturbed(A, data)
+        s, r = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        parity = data.draw(st.sampled_from([0, 1]))
+        kind = data.draw(st.sampled_from(["random", "commuting", "derivation", "shifted"]))
+        if kind == "random":
+            D = _random_map(A, parity, data)
+        elif kind == "commuting":
+            rows, slots = companion_system(*_oracle_args(A), parity)
+            candidates = _commuting_candidates(A, parity, rows, slots)
+            D = data.draw(st.sampled_from(candidates)) if candidates else _random_map(A, parity, data)
+        else:
+            solve = solve_derivation_space if A.bracket.arity == 3 else solve_derivation_space_2
+            key = (A, s, r, parity)
+            if key not in solved:
+                solved[key] = solve(A, DerivationQuery(s, r, parity)).basis
+            D = GradedMap.zero(A.space, parity)
+            for B in solved[key]:
+                D = D.add(B.scale(data.draw(st.integers(-2, 2))))
+            if kind == "shifted":
+                D = D.add(_random_map(A, parity, data))
+        check = is_derivation_3 if A.bracket.arity == 3 else is_derivation_2
+        for fail_fast in (False, True):
+            rep = check(A, D, s, r, fail_fast=fail_fast)
+            got = (rep.identity, rep.total, [(v.where, v.residual, v.rule) for v in rep.violations])
+            expected = derivation_report(*_oracle_args(A), s, r, D.matrix, parity, fail_fast)
+            assert got == expected, (A, s, r, D, fail_fast)
+        verdicts[A.bracket.arity].add(rep.passed)
+
+    prop()
+    assert verdicts == {2: {False, True}, 3: {False, True}}, verdicts
 
 
 def test_derivation_transfer_trivial_cases(tau_corpus):
