@@ -131,6 +131,22 @@ def _collect(identity, gen, fail_fast, notes=()):
     return VerificationReport(identity, total, tuple(violations), tuple(notes))
 
 
+def _sorted_violations(residuals: dict, rule: str, dim: int, length: int, fail_fast: bool):
+    """(violations, tuple count) of one rule evaluated on all basis tuples of ``length`` at once.
+
+    ``residuals`` maps each failing tuple to its nonzero residual.  The result
+    is what a walk over every tuple in lexicographic order would report: all
+    failing tuples and dim ** length, or under fail-fast the first failing
+    tuple and its rank plus 1.
+    """
+    failing = sorted(residuals)
+    if fail_fast and failing:
+        first = failing[0]
+        rank = sum(i * dim ** (length - 1 - q) for q, i in enumerate(first))
+        return [Violation(first, residuals[first], rule)], rank + 1
+    return [Violation(t, residuals[t], rule) for t in failing], dim ** length
+
+
 def _twisted_tensor(tensor: StructureTensor, first: GradedMap, last: GradedMap) -> StructureTensor:
     """The tensor [first(x_1), ..., first(x_{n-1}), last(x_n)], of the same kind as ``tensor``."""
     idx = tensor.space.indices()
@@ -250,37 +266,26 @@ def verify_3bihom_skewsymmetry(
 
 
 class _TwistedTables:
-    """Ternary tensors evaluated on twisted basis arguments, for the
-    five-argument identities (Jacobi and the wedge compositions).
+    """The ternary bracket evaluated on twisted basis arguments, for both
+    forms of the five-argument Jacobi identity.
 
-    ``inner[n][a][b][c]`` is w_n(b(e_a), b(e_b), a(e_c)).  ``outer_apply(n,
-    slot, u, v, w)`` evaluates w_n with ``w`` in the given slot and
-    b^2(e_u), b^2(e_v) in the other two, in order; the partial-evaluation
-    matrices behind it are built once per (tensor, slot).
+    ``inner[a][b][c]`` is [b(e_a), b(e_b), a(e_c)].  ``outer_apply(u, v, w)``
+    evaluates [b^2(e_u), b^2(e_v), w]; the partial-evaluation matrices behind
+    it are built once per call of a verifier.
     """
 
-    def __init__(self, A: ThreeBiHomLieSuperalgebra, tensors: dict[int, StructureTensor]):
-        self.idx = list(A.space.indices())
+    def __init__(self, A: ThreeBiHomLieSuperalgebra):
+        idx = A.space.indices()
         self.P = A.space.parities
         beta2 = A.beta.compose(A.beta)
-        self._b2col = [beta2.column(i) for i in self.idx]
-        self._tensors = tensors
-        self._outer: dict[tuple[int, int], list] = {}
-        self.inner = {}
-        for n, w in tensors.items():
-            T = _twisted_tensor(w, A.beta, A.alpha)
-            self.inner[n] = [
-                [[T.bracket_basis(a, b, c) for c in self.idx] for b in self.idx] for a in self.idx
-            ]
+        b2 = [beta2.column(i) for i in idx]
+        T = _twisted_tensor(A.bracket, A.beta, A.alpha)
+        self.inner = [[[T.bracket_basis(a, b, c) for c in idx] for b in idx] for a in idx]
+        self._outer = [[A.bracket.partial_matrix(2, b2[x], b2[y]) for y in idx] for x in idx]
 
-    def outer_apply(self, n: int, slot: int, u: int, v: int, w: Vector) -> Vector:
-        matrices = self._outer.get((n, slot))
-        if matrices is None:
-            tensor, b2 = self._tensors[n], self._b2col
-            matrices = [[tensor.partial_matrix(slot, b2[x], b2[y]) for y in self.idx] for x in self.idx]
-            self._outer[(n, slot)] = matrices
+    def outer_apply(self, u: int, v: int, w: Vector) -> Vector:
         support = [(t, c) for t, c in enumerate(w) if c]
-        return tuple(sum((row[t] * c for t, c in support), ZERO) for row in matrices[u][v])
+        return tuple(sum((row[t] * c for t, c in support), ZERO) for row in self._outer[u][v])
 
 
 def _jacobi_residual(tables: _TwistedTables, x, y, z, u, v) -> Vector:
@@ -291,14 +296,14 @@ def _jacobi_residual(tables: _TwistedTables, x, y, z, u, v) -> Vector:
             - (-1)^{(|z|+|v|)(|x|+|y|) + |u||v|} [b^2(z), b^2(v), [b(x), b(y), a(u)]]
             + (-1)^{(|z|+|u|)(|x|+|y|)} [b^2(z), b^2(u), [b(x), b(y), a(v)]].
     """
-    P, inner, outer = tables.P, tables.inner[0], tables.outer_apply
-    lhs = outer(0, 2, x, y, inner[z][u][v])
+    P, inner, outer = tables.P, tables.inner, tables.outer_apply
+    lhs = outer(x, y, inner[z][u][v])
     s1 = ksign((P[u] + P[v]) * (P[x] + P[y] + P[z]))
     s2 = ksign((P[z] + P[v]) * (P[x] + P[y]) + P[u] * P[v])
     s3 = ksign((P[z] + P[u]) * (P[x] + P[y]))
-    rhs = vec_scale(s1, outer(0, 2, u, v, inner[x][y][z]))
-    rhs = vec_sub(rhs, vec_scale(s2, outer(0, 2, z, v, inner[x][y][u])))
-    rhs = vec_add(rhs, vec_scale(s3, outer(0, 2, z, u, inner[x][y][v])))
+    rhs = vec_scale(s1, outer(u, v, inner[x][y][z]))
+    rhs = vec_sub(rhs, vec_scale(s2, outer(z, v, inner[x][y][u])))
+    rhs = vec_add(rhs, vec_scale(s3, outer(z, u, inner[x][y][v])))
     return vec_sub(lhs, rhs)
 
 
@@ -306,7 +311,7 @@ def verify_3bihom_jacobi(
     A: ThreeBiHomLieSuperalgebra, fail_fast: bool = False
 ) -> VerificationReport:
     """The five-argument twisted Jacobi identity over all basis 5-tuples."""
-    tables = _TwistedTables(A, {0: A.bracket})
+    tables = _TwistedTables(A)
 
     def gen():
         for t in basis_tuples(A.space, 5):
@@ -326,16 +331,16 @@ def verify_3bihom_jacobi_cyclic(
     to the outer brackets, e.g. for plainly skew brackets or invertible alpha.
     """
     P = A.space.parities
-    tables = _TwistedTables(A, {0: A.bracket})
-    inner = tables.inner[0]
+    tables = _TwistedTables(A)
+    inner = tables.inner
 
     def cyc_term(x, y, z, u, v):
         s = ksign((P[u] + P[v]) * (P[x] + P[y]) + P[z] * P[u])
-        return vec_scale(s, tables.outer_apply(0, 2, u, v, inner[x][y][z]))
+        return vec_scale(s, tables.outer_apply(u, v, inner[x][y][z]))
 
     def gen():
         for x, y, z, u, v in basis_tuples(A.space, 5):
-            lhs = tables.outer_apply(0, 2, x, y, inner[z][u][v])
+            lhs = tables.outer_apply(x, y, inner[z][u][v])
             cyc = vec_add(
                 vec_add(cyc_term(x, y, z, u, v), cyc_term(x, y, u, v, z)),
                 cyc_term(x, y, v, z, u),

@@ -138,6 +138,27 @@ def _matrix_tree(m: GradedMap) -> dict:
     return {"parity": m.parity, "matrix": [[str(c) for c in row] for row in m.matrix]}
 
 
+def _require_printable(what: str, maps) -> None:
+    """Refuse maps with an entry of more digits than ``int`` to ``str`` conversion allows.
+
+    Only the powers ``--s``/``--r`` make entries that long, so the message
+    names them.  Interpreters older than 3.10.7 have no conversion limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    bound = 10 ** limit
+    bits = bound.bit_length()  # a shorter integer is below the bound
+    for m in maps:
+        for row in m.matrix:
+            for c in row:
+                if any(n.bit_length() >= bits and abs(n) >= bound for n in (c.numerator, c.denominator)):
+                    raise ValueError(
+                        f"--s/--r: {what} has entries of more than {limit} digits, "
+                        "beyond the integer string conversion limit"
+                    )
+
+
 def _algebra3_doc(A: algebras.ThreeBiHomLieSuperalgebra, metadata: str) -> dict:
     return _doc_tree(space=A.space, bracket3=A.bracket, maps={"alpha": A.alpha, "beta": A.beta},
                      metadata=metadata, multiplicative=A.multiplicative)
@@ -199,16 +220,9 @@ class _Context:
         report could not be written after all the work was done.
         """
         s, r = self.options.get("s", 0), self.options.get("r", 0)
-        # Interpreters older than 3.10.7 have no conversion limit.
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and min(s, r) >= 0:
-            bound = 10 ** limit
+        if min(s, r) >= 0:
             M = derivations.twist_power(A.alpha, A.beta, s, r)
-            if any(abs(c.numerator) >= bound or c.denominator >= bound for row in M.matrix for c in row):
-                raise ValueError(
-                    f"--s/--r: alpha^{s} beta^{r} has entries of more than {limit} digits, "
-                    "beyond the integer string conversion limit"
-                )
+            _require_printable(f"alpha^{s} beta^{r}", [M])
         return s, r
 
     def check(self, rep: VerificationReport, mandatory: bool = True) -> None:
@@ -264,6 +278,7 @@ def _derivations(ctx: _Context) -> None:
     parity = 1 if ctx.options.get("parity", "even") == "odd" else 0
     query = derivations.DerivationQuery(*ctx.twist_powers(A3), parity)
     space = derivations.solve_derivation_space(A3, query)
+    _require_printable("the derivation basis", space.basis)
     ctx.flag("derivation-space-solved", True)
     ctx.report.derived.update(dimension=space.dimension, basis=[_matrix_tree(m) for m in space.basis])
 
@@ -274,6 +289,7 @@ def _quasiderivation(ctx: _Context) -> None:
     ctx.flag("quasiderivation-solvable", ok)
     ctx.report.derived["is_quasiderivation"] = ok
     if witness is not None:
+        _require_printable("the companion map", [witness])
         ctx.report.derived["companion"] = _matrix_tree(witness)
 
 
@@ -497,3 +513,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    # ``python -m bihomsuper.cli`` would run this file a second time, beside
+    # the copy the package has already imported; the entry point is the package.
+    print("bihomsuper.cli is not runnable; use `python -m bihomsuper ...`", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT)

@@ -35,6 +35,7 @@ from .algebras import (
     VerificationReport,
     Violation,
     _collect,
+    _sorted_violations,
 )
 from .core import (
     EVEN,
@@ -145,18 +146,13 @@ def _leibniz_residuals(A, X: GradedMap, D: GradedMap, M: GradedMap) -> dict[tupl
 def _is_derivation(A, D: GradedMap, s: int, r: int, identity: str, fail_fast: bool) -> VerificationReport:
     M = twist_power(A.alpha, A.beta, s, r)
     violations = list(_commutation_violations(D, {"alpha": A.alpha, "beta": A.beta}))
-    dim, arity = A.space.dim, A.bracket.arity
+    dim = A.space.dim
     total = 2 * dim
     if not (fail_fast and violations):
         residuals = _leibniz_residuals(A, D, D, M)
-        failing = sorted(residuals)
-        if fail_fast and failing:
-            # The walk stops at the first failing tuple in lexicographic order.
-            failing = failing[:1]
-            total += sum(i * dim ** (arity - 1 - n) for n, i in enumerate(failing[0])) + 1
-        else:
-            total += dim ** arity
-        violations.extend(Violation(t, residuals[t], "leibniz") for t in failing)
+        found, count = _sorted_violations(residuals, "leibniz", dim, A.bracket.arity, fail_fast)
+        violations += found
+        total += count
     return VerificationReport(identity, total, tuple(violations))
 
 

@@ -349,3 +349,149 @@ def derivation_report(space_parities, alpha, beta, entries, arity, s, r, D, pari
             if fail_fast:
                 break
     return identity, total, violations
+
+
+def _column(matrix, i):
+    return [row[i] for row in matrix]
+
+
+def _twisted_tables(space_parities, alpha, beta, entries):
+    """Dense tables of one ternary tensor w on twisted basis arguments.
+
+    inner[a][b][c] = w(beta e_a, beta e_b, alpha e_c); outer[slot][u][v] is the
+    matrix of the map s -> w with e_s in ``slot`` and beta^2 e_u, beta^2 e_v in
+    the other two slots, in order (column s is that bracket).
+    """
+    dim = len(space_parities)
+    ent = dict(entries)
+    beta2 = _compose(beta, beta)
+    units = [unit_vec(dim, i) for i in range(dim)]
+    inner = [[[_bracket_of_vectors(ent, dim, [_column(beta, a), _column(beta, b), _column(alpha, c)])
+               for c in range(dim)] for b in range(dim)] for a in range(dim)]
+    outer = []
+    for slot in range(3):
+        tables = []
+        for u in range(dim):
+            row = []
+            for v in range(dim):
+                columns = []
+                for s in range(dim):
+                    args = [_column(beta2, u), _column(beta2, v)]
+                    args.insert(slot, units[s])
+                    columns.append(_bracket_of_vectors(ent, dim, args))
+                row.append([[columns[s][k] for s in range(dim)] for k in range(dim)])
+            tables.append(row)
+        outer.append(tables)
+    return inner, outer
+
+
+def _wedge_compose(P, tables_i, tables_j, a, b, c, d, m):
+    """(w_i o w_j)(e_a ^ e_b, e_c ^ e_d, e_m), written out term by term:
+
+        w_i(w_j(b e_a, b e_b, a e_c), b^2 e_d, b^2 e_m)
+      + (-1)^{|c|(|a|+|b|)} w_i(b^2 e_c, w_j(b e_a, b e_b, a e_d), b^2 e_m)
+      - w_i(b^2 e_a, b^2 e_b, w_j(b e_c, b e_d, a e_m))
+      + (-1)^{(|a|+|b|)(|c|+|d|)} w_i(b^2 e_c, b^2 e_d, w_j(b e_a, b e_b, a e_m)).
+    """
+    inner = tables_j[0]
+    outer = tables_i[1]
+    pX, pY = P[a] + P[b], P[c] + P[d]
+    terms = [
+        (1, outer[0][d][m], inner[a][b][c]),
+        (sign(P[c] * pX), outer[1][c][m], inner[a][b][d]),
+        (-1, outer[2][a][b], inner[c][d][m]),
+        (sign(pX * pY), outer[2][c][d], inner[a][b][m]),
+    ]
+    out = [ZERO] * len(P)
+    for sgn, matrix, vec in terms:
+        for s, x in enumerate(vec):
+            if x:
+                out = [y + sgn * x * row[s] for y, row in zip(out, matrix)]
+    return out
+
+
+def _degree_walk(P, tables, pairs):
+    """Yield (t, sum of w_i o w_j over ``pairs`` at t) for every basis 5-tuple t in order."""
+    for t in itertools.product(range(len(P)), repeat=5):
+        acc = [ZERO] * len(P)
+        for i, j in pairs:
+            acc = [x + y for x, y in zip(acc, _wedge_compose(P, tables[i], tables[j], *t))]
+        yield t, acc
+
+
+def _walk_reports(identity, checks):
+    """(full report, fail-fast report) of one walk over ``checks``.
+
+    ``checks`` yields (where, rule, residual) items in walk order.  The
+    fail-fast report is the prefix of the walk up to and including the first
+    failing item, which is what a walk that stops there reports.
+    """
+    total, violations, stop = 0, [], None
+    for where, rule, residual in checks:
+        total += 1
+        if any(residual):
+            violations.append((tuple(where), tuple(residual), rule))
+            if stop is None:
+                stop = total
+    full = (identity, total, violations)
+    return full, full if stop is None else (identity, stop, violations[:1])
+
+
+def deformation_reports(space_parities, alpha, beta, entries, omega1, omega2):
+    """Dense walk of the quadratic deformation check over every basis tuple.
+
+    Second path for ``check_deformation``; returns its report fields
+    (identity, total, [(where, residual, rule), ...]) without and with
+    fail-fast.  The rules, in walk order: the twisted swaps of omega1 then
+    omega2 on every triple (T(x) + (-1)^{|x_p||x_{p+1}|} T(x with slots p, p+1
+    exchanged), T(x) = w(beta x_1, beta x_2, alpha x_3)), the compatibility
+    w(m x_1, m x_2, m x_3) - m w(x_1, x_2, x_3) for m = alpha, beta of omega1
+    then omega2, and the degree sums sum_{i+j=l} w_i o w_j for l = 1..4 on
+    every basis 5-tuple, w_0 being the bracket.
+    """
+    P = space_parities
+    dim = len(P)
+    ent = [dict(entries), dict(omega1), dict(omega2)]
+    units = [unit_vec(dim, i) for i in range(dim)]
+
+    def skew(w, tag):
+        def T(x, y, z):
+            return _bracket_of_vectors(w, dim, [_column(beta, x), _column(beta, y), _column(alpha, z)])
+
+        for t in itertools.product(range(dim), repeat=3):
+            base = T(*t)
+            for p in range(2):
+                s = list(t)
+                s[p], s[p + 1] = s[p + 1], s[p]
+                sgn = sign(P[t[p]] * P[t[p + 1]])
+                yield t, f"swap-{p + 1}{p + 2}-{tag}", [x + sgn * y for x, y in zip(base, T(*s))]
+
+    def compat(w, tag):
+        for t in itertools.product(range(dim), repeat=3):
+            value = _bracket_of_vectors(w, dim, [units[i] for i in t])
+            for name, m in (("alpha", alpha), ("beta", beta)):
+                moved = _bracket_of_vectors(w, dim, [_column(m, i) for i in t])
+                yield t, f"{name}-compat-{tag}", [x - y for x, y in zip(moved, matvec(m, value))]
+
+    def series():
+        tables = [_twisted_tables(P, alpha, beta, w) for w in ent]
+        for l in (1, 2, 3, 4):
+            pairs = [(i, l - i) for i in range(3) if 0 <= l - i <= 2]
+            for t, acc in _degree_walk(P, tables, pairs):
+                yield t, f"series-degree-{l}", acc
+
+    checks = itertools.chain(skew(ent[1], "omega1"), skew(ent[2], "omega2"),
+                             compat(ent[1], "omega1"), compat(ent[2], "omega2"), series())
+    return _walk_reports("second-order-deformation", checks)
+
+
+def cocycle_report(space_parities, alpha, beta, entries, omega1):
+    """Dense walk of the 2-cocycle check: w_0 o w_1 + w_1 o w_0 on every basis 5-tuple.
+
+    Second path for ``check_2cocycle``; returns (identity, total, violations)
+    like :func:`deformation_reports`.
+    """
+    P = space_parities
+    tables = [_twisted_tables(P, alpha, beta, w) for w in (entries, omega1)]
+    walk = ((t, "degree-1-sum", acc) for t, acc in _degree_walk(P, tables, [(0, 1), (1, 0)]))
+    return _walk_reports("two-cocycle", walk)[0]

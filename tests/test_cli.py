@@ -298,19 +298,39 @@ def test_twist_power_within_the_digit_limit_is_solved(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
-@pytest.mark.parametrize("document, code", [("ternary_basic.json", 0), ("bad_parity.json", 2)])
-def test_python_dash_m_runs_the_command_line(document, code):
+@pytest.mark.parametrize("command, power, what", [("derivations", 3000, "the derivation basis"),
+                                                   ("quasiderivation", 2000, "the companion map")])
+def test_unprintable_solution_is_refused(command, power, what, capsys):
+    # alpha^0 beta^r passes the exponent check (7^3000 has 2,536 digits), but
+    # the solved entries grow like its square and pass the 4300-digit limit
+    assert run([command, GOLDEN_DOCS / "twistable.json", "--r", power]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: --s/--r: {what}") and not captured.out
+
+
+def _python_dash_m(*args):
     import bihomsuper
 
     src = str(Path(bihomsuper.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "bihomsuper", "verify", str(DATA / document)],
+    return subprocess.run([sys.executable, "-m", *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("document, code", [("ternary_basic.json", 0), ("bad_parity.json", 2)])
+def test_python_dash_m_runs_the_command_line(document, code):
+    done = _python_dash_m("bihomsuper", "verify", DATA / document)
     assert done.returncode == code, done.stderr
     if code == 0:
         assert "status: pass" in done.stdout
     else:
         assert done.stderr.startswith("input error:")
+
+
+def test_python_dash_m_on_the_cli_module_points_to_the_package():
+    done = _python_dash_m("bihomsuper.cli", "verify", DATA / "ternary_basic.json")
+    assert done.returncode == 2 and not done.stdout
+    assert "use `python -m bihomsuper" in done.stderr
 
 
 # The --map name each command falls back to, written out independently of the table.

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bihomsuper import (
     DeformationPair,
@@ -31,6 +33,7 @@ from bihomsuper import (
 )
 
 import corpus
+from oracles import cocycle_report, deformation_reports
 
 
 def _ident(sp):
@@ -294,26 +297,104 @@ def test_two_cocycle_for_nondiagonal_operator():
 
 
 def test_table_path_matches_direct_composition():
-    # check_deformation evaluates compositions through the twisted tables
-    # shared with the Jacobi verifiers; they must agree with the direct wedge
-    # evaluation on every raw tuple
-    from bihomsuper.algebras import _TwistedTables
-    from bihomsuper.deformations import _compose_at
+    # check_deformation and check_2cocycle evaluate compositions by sparse
+    # contraction of the twisted tensors; each single composition must agree
+    # with the direct wedge evaluation on every raw tuple
+    from bihomsuper.deformations import _composition_sum, _twisted_contractions
 
-    fx = next(f for f in corpus.ternary_fixtures() if f.name == "t3-e1-twist-equal")
-    A = fx.algebra
-    N = GradedMap.diagonal(A.space, [2, 3, 5])
-    w1 = make_n_bracket_1(A, N)
-    tables = _TwistedTables(A, {0: A.bracket, 1: w1})
-    sp = A.space
-    for a, b, c, d, m in itertools.product(range(sp.dim), repeat=5):
+    for name in ("t3-e1-twist-equal", "induced/gl11/diag3"):
+        A = next(f for f in corpus.ternary_fixtures() if f.name == name).algebra
+        sp = A.space
+        N = GradedMap.diagonal(sp, [2, 3, 5, 7][: sp.dim])
+        tensors = (A.bracket, make_n_bracket_1(A, N))
+        factors = _twisted_contractions(A, tensors)
         for ni, nj in ((0, 1), (1, 0), (1, 1)):
-            w_i = A.bracket if ni == 0 else w1
-            w_j = A.bracket if nj == 0 else w1
-            direct = omega_compose(
-                A, w_i, w_j, WedgePair.from_basis(sp, a, b), WedgePair.from_basis(sp, c, d), m
-            )
-            assert _compose_at(tables, ni, nj, a, b, c, d, m) == direct
+            sparse = _composition_sum(A, [(factors[ni][1], factors[nj][0])])
+            for a, b, c, d, m in itertools.product(range(sp.dim), repeat=5):
+                direct = omega_compose(
+                    A, tensors[ni], tensors[nj],
+                    WedgePair.from_basis(sp, a, b), WedgePair.from_basis(sp, c, d), m,
+                )
+                assert sparse.get((a, b, c, d, m), (F(0),) * sp.dim) == direct, (name, ni, nj)
+
+
+def _perturbed(w, data):
+    """A copy of the ternary tensor w with one structure constant added."""
+    P, dim = w.space.parities, w.space.dim
+    args = tuple(data.draw(st.integers(0, dim - 1)) for _ in range(3))
+    outputs = [k for k in range(dim) if P[k] == sum(P[a] for a in args) % 2]
+    key = args + (data.draw(st.sampled_from(outputs)),)
+    return w.add(StructureTensor3.from_dict(w.space, {key: data.draw(st.sampled_from([-1, 1, 2]))}))
+
+
+def _even_operator(A, data):
+    """An even map commuting with both twists: a random diagonal, a random even
+    matrix under identity twists, or a multiple of the identity otherwise."""
+    sp = A.space
+    values = [F(data.draw(st.sampled_from([0, 1, -1, 2, 3]))) for _ in range(sp.dim)]
+    N = GradedMap.diagonal(sp, values)
+    if A.alpha.is_identity() and A.beta.is_identity() and data.draw(st.booleans()):
+        rows = [[F(data.draw(st.integers(-2, 2))) if sp.parity(k) == sp.parity(i) else F(0)
+                 for i in range(sp.dim)] for k in range(sp.dim)]
+        N = GradedMap(sp, tuple(map(tuple, rows)), 0)
+    if not (N.commutes_with(A.alpha) and N.commutes_with(A.beta)):
+        N = _ident(sp).scale(values[0])
+    return N
+
+
+def test_deformation_reports_match_dense_oracle(ternary_corpus):
+    """Sparse deformation and 2-cocycle reports equal the dense tuple walk field for field.
+
+    Pairs: the N-brackets of an even operator (Nijenhuis or not), multiples of
+    the bracket, and either of them with one structure constant perturbed; the
+    ambient bracket itself is perturbed in some draws, so that degree sums
+    fail after every pre-check has passed.  Twisted and mixed-parity fixtures
+    are included; every report is compared with and without fail-fast.
+    """
+    fixtures = [fx.algebra for fx in ternary_corpus]
+    verdicts, stops = set(), set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def prop(data):
+        A = data.draw(st.sampled_from(fixtures))
+        kind = data.draw(st.sampled_from(["n-brackets", "multiples", "top-only"]))
+        scales = [0, 1, 2, F(-1, 2)]
+        if kind == "n-brackets":
+            N = _even_operator(A, data)
+            w1, w2 = make_n_bracket_1(A, N), make_n_bracket_2(A, N)
+        else:
+            w1 = A.bracket.scale(0 if kind == "top-only" else data.draw(st.sampled_from(scales)))
+            w2 = A.bracket.scale(data.draw(st.sampled_from(scales[1:])))
+        choice = data.draw(st.sampled_from(["none", "omega1", "omega2"]))
+        if choice == "omega1":
+            w1 = _perturbed(w1, data)
+        elif choice == "omega2":
+            w2 = _perturbed(w2, data)
+        # a perturbed ambient bracket under w1 = 0 fails the degree-2 sum first
+        if kind == "top-only" or data.draw(st.booleans()):
+            A = ThreeBiHomLieSuperalgebra(A.space, _perturbed(A.bracket, data), A.alpha, A.beta)
+        args = (A.space.parities, [list(r) for r in A.alpha.matrix], [list(r) for r in A.beta.matrix],
+                A.bracket.as_dict())
+        expected = deformation_reports(*args, w1.as_dict(), w2.as_dict())
+        for fail_fast in (False, True):
+            rep = check_deformation(A, DeformationPair(w1, w2), fail_fast=fail_fast)
+            got = (rep.identity, rep.total, [(v.where, v.residual, v.rule) for v in rep.violations])
+            assert got == expected[fail_fast], (A, w1, w2, fail_fast)
+        if rep.violations:
+            stops.add(rep.violations[0].rule)
+        verdicts.add(rep.passed)
+        rep = check_2cocycle(A, w1)
+        got = (rep.identity, rep.total, [(v.where, v.residual, v.rule) for v in rep.violations])
+        assert got == cocycle_report(*args, w1.as_dict()), (A, w1)
+        verdicts.add(rep.passed)
+
+    prop()
+    assert verdicts == {False, True}
+    # fail-fast stopped both in a pre-check and in a degree sum past degree 1
+    assert any(rule.startswith("swap-") for rule in stops), stops
+    assert stops & {"series-degree-2", "series-degree-3", "series-degree-4"}, stops
 
 
 def test_space_mismatch_is_a_dimension_error():
