@@ -6,6 +6,10 @@ with the tuple that produced it.  Multilinearity makes basis-tuple validity
 equivalent to validity on all homogeneous elements, and exact arithmetic makes
 "holds" a decidable predicate.  Verifiers never trust the ``multiplicative``
 claim flag carried by an algebra; that claim has its own verifier.
+
+Skew-symmetry and multiplicativity come from sparse contractions of the
+bracket on all tuples at once; :func:`_report` gives the report a walk would.
+The Jacobi verifiers still walk every basis tuple.
 """
 
 from __future__ import annotations
@@ -22,8 +26,11 @@ from .core import (
     StructureTensor,
     SuperSpace,
     Vector,
+    add_image,
     basis_tuples,
     commute,
+    contraction_sum,
+    dense,
     ksign,
     vec_add,
     vec_is_zero,
@@ -131,33 +138,58 @@ def _collect(identity, gen, fail_fast, notes=()):
     return VerificationReport(identity, total, tuple(violations), tuple(notes))
 
 
-def _sorted_violations(residuals: dict, rule: str, dim: int, length: int, fail_fast: bool):
-    """(violations, tuple count) of one rule evaluated on all basis tuples of ``length`` at once.
+def _rules_block(length: int, rules, size: int) -> tuple:
+    """A block of ``rules``, a list of (rule, {t: {k: c}}) pairs, checked in that order on
+    every basis tuple of ``length``, with residual vectors of ``size``; see :func:`_walk_order`."""
+    found = {
+        (t, r): (dense(image, size), rule)
+        for r, (rule, images) in enumerate(rules)
+        for t, image in images.items()
+        if any(image.values())
+    }
+    return length, len(rules), found
 
-    ``residuals`` maps each failing tuple to its nonzero residual.  The result
-    is what a walk over every tuple in lexicographic order would report: all
-    failing tuples and dim ** length, or under fail-fast the first failing
-    tuple and its rank plus 1.
+
+def _walk_order(block: tuple, dim: int, fail_fast: bool):
+    """(violations, item count) that a walk over one block of rules would report.
+
+    A block is (length, width, found): the walk visits the basis tuples of
+    ``length`` in lexicographic order and checks ``width`` rules on each, in
+    order; ``found`` maps (tuple, rule position) to (nonzero residual, rule).
+    Without fail-fast that is every entry of ``found`` in walk order and
+    dim ** length * width items; with it, the first entry and its rank plus 1.
     """
-    failing = sorted(residuals)
-    if fail_fast and failing:
-        first = failing[0]
-        rank = sum(i * dim ** (length - 1 - q) for q, i in enumerate(first))
-        return [Violation(first, residuals[first], rule)], rank + 1
-    return [Violation(t, residuals[t], rule) for t in failing], dim ** length
+    length, width, found = block
+    keys = sorted(found)
+    if fail_fast and keys:
+        t, r = keys[0]
+        rank = sum(i * dim ** (length - 1 - q) for q, i in enumerate(t)) * width + r
+        return [Violation(t, *found[t, r])], rank + 1
+    return [Violation(t, *found[t, r]) for t, r in keys], dim ** length * width
+
+
+def _report(identity: str, dim: int, blocks, fail_fast: bool, notes=()) -> VerificationReport:
+    """The report of a walk over the chained ``blocks``, one after another.
+
+    Under fail-fast the walk stops in the first block that fails, so later
+    blocks (which may be a lazy iterable) are never built.
+    """
+    total, violations = 0, []
+    for block in blocks:
+        found, count = _walk_order(block, dim, fail_fast)
+        violations += found
+        total += count
+        if fail_fast and found:
+            break
+    return VerificationReport(identity, total, tuple(violations), tuple(notes))
 
 
 def _twisted_tensor(tensor: StructureTensor, first: GradedMap, last: GradedMap) -> StructureTensor:
     """The tensor [first(x_1), ..., first(x_{n-1}), last(x_n)], of the same kind as ``tensor``."""
-    idx = tensor.space.indices()
-    fcol = [first.column(i) for i in idx]
-    lcol = [last.column(i) for i in idx]
-    return type(tensor).from_images(
-        tensor.space, tensor.arity, lambda t: tensor.bracket(*(fcol[i] for i in t[:-1]), lcol[t[-1]])
-    )
+    return type(tensor).from_values(tensor.space, tensor.contract([first] * (tensor.arity - 1) + [last]))
 
 
-def _twisted_skew_residuals(A, w: StructureTensor, suffix: str = ""):
+def _skew_block(A, w: StructureTensor, suffix: str = "") -> tuple:
     """Twisted swaps of adjacent slots of ``w`` on every basis tuple.
 
     With T(x) = [beta(x_1), ..., beta(x_{n-1}), alpha(x_n)], the residual for
@@ -165,43 +197,40 @@ def _twisted_skew_residuals(A, w: StructureTensor, suffix: str = ""):
     exchanged).  Rules are named ``twisted-swap`` for n = 2 and
     ``swap-12``, ``swap-23``, ... otherwise, followed by ``suffix``.
     """
-    P = A.space.parities
-    T = _twisted_tensor(w, A.beta, A.alpha)
-    n = w.arity
-    for t in basis_tuples(A.space, n):
-        base = T.bracket_basis(*t)
-        for p in range(n - 1):
-            swapped = T.bracket_basis(*t[:p], t[p + 1], t[p], *t[p + 2 :])
-            rule = "twisted-swap" if n == 2 else f"swap-{p + 1}{p + 2}"
-            yield t, rule + suffix, vec_add(base, vec_scale(ksign(P[t[p]] * P[t[p + 1]]), swapped))
+    P, n = A.space.parities, w.arity
+    T = w.contract([A.beta] * (n - 1) + [A.alpha])
+    rules = []
+    for p in range(n - 1):
+        images: dict[tuple[int, ...], dict] = {}
+        for t, image in T.items():
+            add_image(images, t, image)
+            add_image(images, t[:p] + (t[p + 1], t[p]) + t[p + 2 :], image, ksign(P[t[p]] * P[t[p + 1]]))
+        rules.append((("twisted-swap" if n == 2 else f"swap-{p + 1}{p + 2}") + suffix, images))
+    return _rules_block(n, rules, A.dim)
 
 
-def _morphism_images(tensor: StructureTensor, maps: tuple[tuple[str, GradedMap], ...]):
-    """Yield (tuple, name, m([e_t]), [m(e_t)]) for each basis tuple, then each named map."""
-    cols = [(name, m, [m.column(i) for i in tensor.space.indices()]) for name, m in maps]
-    for t in basis_tuples(tensor.space, tensor.arity):
-        value = tensor.bracket_basis(*t)
-        for name, m, col in cols:
-            yield t, name, m.apply(value), tensor.bracket(*(col[i] for i in t))
+def _morphism_defect(w: StructureTensor, m: GradedMap, sign: int = 1):
+    """sign * (m([x_1, ..., x_n]) - [m(x_1), ..., m(x_n)]) on every basis tuple."""
+    ident = GradedMap.identity(w.space)
+    return contraction_sum([(sign, w, [ident] * w.arity, m), (-sign, w, [m] * w.arity, None)])
+
+
+def _morphism_block(A, w: StructureTensor, rule: str, sign: int = 1) -> tuple:
+    """The defect of alpha, then of beta, as a morphism of ``w``; rules ``rule.format(name)``."""
+    twists = (("alpha", A.alpha), ("beta", A.beta))
+    return _rules_block(w.arity, [(rule.format(name), _morphism_defect(w, m, sign)) for name, m in twists], A.dim)
 
 
 def _verify_multiplicativity(A, identity: str, fail_fast: bool) -> VerificationReport:
     ab = A.alpha.compose(A.beta)
     ba = A.beta.compose(A.alpha)
 
-    def gen():
-        for i in A.space.indices():
-            yield (i,), "twists-commute", vec_sub(ab.column(i), ba.column(i))
-        twists = (("alpha", A.alpha), ("beta", A.beta))
-        for t, name, image, bracket in _morphism_images(A.bracket, twists):
-            yield t, f"{name}-morphism", vec_sub(image, bracket)
+    def blocks():
+        defect = {(i,): dict(enumerate(vec_sub(ab.column(i), ba.column(i)))) for i in A.space.indices()}
+        yield _rules_block(1, [("twists-commute", defect)], A.dim)
+        yield _morphism_block(A, A.bracket, "{}-morphism")
 
-    return _collect(identity, gen(), fail_fast)
-
-
-def _is_morphism(tensor: StructureTensor, m: GradedMap) -> bool:
-    """True iff m([x_1, ..., x_n]) = [m(x_1), ..., m(x_n)] on all basis tuples."""
-    return all(image == bracket for _, _, image, bracket in _morphism_images(tensor, (("", m),)))
+    return _report(identity, A.dim, blocks(), fail_fast)
 
 
 def verify_bihom_skewsymmetry(A: BiHomLieSuperalgebra, fail_fast: bool = False) -> VerificationReport:
@@ -210,7 +239,7 @@ def verify_bihom_skewsymmetry(A: BiHomLieSuperalgebra, fail_fast: bool = False) 
     Residual per pair (i, j):
         [beta(e_i), alpha(e_j)] + (-1)^{|e_i||e_j|} [beta(e_j), alpha(e_i)].
     """
-    return _collect("binary-twisted-skewsymmetry", _twisted_skew_residuals(A, A.bracket), fail_fast)
+    return _report("binary-twisted-skewsymmetry", A.dim, [_skew_block(A, A.bracket)], fail_fast)
 
 
 def verify_bihom_jacobi(A: BiHomLieSuperalgebra, fail_fast: bool = False) -> VerificationReport:
@@ -257,12 +286,7 @@ def verify_3bihom_skewsymmetry(
         [b(x), b(y), a(z)] + (-1)^{|x||y|} [b(y), b(x), a(z)]      (swap-12)
         [b(x), b(y), a(z)] + (-1)^{|y||z|} [b(x), b(z), a(y)]      (swap-23)
     """
-    return _collect(
-        "ternary-twisted-skewsymmetry",
-        _twisted_skew_residuals(A, A.bracket),
-        fail_fast,
-        notes=(_SWAP23_NOTE,),
-    )
+    return _report("ternary-twisted-skewsymmetry", A.dim, [_skew_block(A, A.bracket)], fail_fast, (_SWAP23_NOTE,))
 
 
 class _TwistedTables:
@@ -386,7 +410,7 @@ def _twist(L, alpha, beta, what, input_name, axioms, reverify):
     if not commute(alpha, beta):
         raise TwistError("twisting maps do not commute")
     for name, m in (("alpha", alpha), ("beta", beta)):
-        if not _is_morphism(L.bracket, m):
+        if any(any(image.values()) for image in _morphism_defect(L.bracket, m).values()):
             raise TwistError(f"{name} is not a morphism of the input bracket")
     twisted = type(L)(L.space, _twisted_tensor(L.bracket, alpha, beta), alpha, beta, multiplicative=True)
     for rep in [verify(twisted) for verify in reverify]:

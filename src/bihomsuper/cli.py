@@ -494,20 +494,21 @@ def main(argv: list[str] | None = None) -> int:
         aux = {key: documents.load_document(options[key])
                for key in COMMANDS[command].aux if options[key] is not None}
         report = run_pipeline(command, doc, options, aux)
+        # Rendering prints every rational in full, so a number with more
+        # digits than int-to-str conversion allows is refused here as well.
+        machine = report.machine_text() if options["output"] or options["format"] == "machine" else None
+        text = machine if options["format"] == "machine" else report.human_text()
     except (DocumentError, DimensionError, ParityError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if options["output"]:
         try:
             with open(options["output"], "w", encoding="utf-8") as fh:
-                fh.write(report.machine_text())
+                fh.write(machine)
         except OSError as exc:
             print(f"input error: cannot write --output: {exc}", file=sys.stderr)
             return EXIT_INPUT
-    if options["format"] == "machine":
-        sys.stdout.write(report.machine_text())
-    else:
-        sys.stdout.write(report.human_text())
+    sys.stdout.write(text)
     return EXIT_PASS if report.status == "pass" else EXIT_FAIL
 
 

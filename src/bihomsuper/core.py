@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -45,12 +45,15 @@ __all__ = [
     "StructureTensor2",
     "StructureTensor3",
     "WedgePair",
+    "add_image",
     "as_scalar",
     "basis_vector",
     "commute",
+    "contraction_sum",
+    "dense",
     "ksign",
     "parity_components",
-    "signed_slot_expansion",
+    "slot_substitutions",
     "vec_add",
     "vec_is_zero",
     "vec_parity",
@@ -325,11 +328,9 @@ class GradedMap:
         inv = invert_matrix(self.matrix)
         if inv is None:
             raise PreconditionError("map is singular and has no inverse")
-        if self.parity != EVEN:
-            # An invertible odd map would swap the graded components; its
-            # inverse is odd as well, which the constructor checks.
-            return GradedMap(self.space, inv, ODD)
-        return GradedMap(self.space, inv, EVEN)
+        # An invertible odd map swaps the graded components; its inverse is
+        # odd as well, which the constructor checks.
+        return GradedMap(self.space, inv, self.parity)
 
 
 def commute(m1: GradedMap, m2: GradedMap) -> bool:
@@ -346,25 +347,15 @@ def parity_components(space: SuperSpace, rows: Iterable[Iterable[object]]) -> tu
     homogeneous maps, so mixed matrices must be decomposed first.
     """
     matrix = _freeze_matrix(space, rows)
-    even_rows = []
-    odd_rows = []
-    for k in space.indices():
-        even_rows.append(
-            tuple(
-                matrix[k][i] if (space.parity(k) - space.parity(i)) % 2 == EVEN else ZERO
-                for i in space.indices()
-            )
-        )
-        odd_rows.append(
-            tuple(
-                matrix[k][i] if (space.parity(k) - space.parity(i)) % 2 == ODD else ZERO
-                for i in space.indices()
-            )
-        )
-    return (
-        GradedMap(space, tuple(even_rows), EVEN),
-        GradedMap(space, tuple(odd_rows), ODD),
-    )
+
+    def part(parity: int) -> GradedMap:
+        kept = [
+            tuple(c if (space.parity(k) + space.parity(i)) % 2 == parity else ZERO for i, c in enumerate(row))
+            for k, row in enumerate(matrix)
+        ]
+        return GradedMap(space, tuple(kept), parity)
+
+    return part(EVEN), part(ODD)
 
 
 @dataclass(frozen=True)
@@ -466,19 +457,10 @@ class StructureTensor:
         return cls(space, tuple(dict(entries).items()))  # type: ignore[arg-type]
 
     @classmethod
-    def from_images(
-        cls, space: SuperSpace, arity: int, image: Callable[[tuple[int, ...]], Sequence[Fraction]]
-    ):
-        """The tensor whose bracket on each basis tuple t is the vector ``image(t)``.
-
-        An empty image stands for the zero vector.
-        """
-        entries = {}
-        for t in basis_tuples(space, arity):
-            for k, c in enumerate(image(t)):
-                if c != 0:
-                    entries[t + (k,)] = c
-        return cls.from_dict(space, entries)
+    def from_values(cls, space: SuperSpace, values: Mapping[tuple[int, ...], Mapping[int, object]]):
+        """The tensor with ``values[t][k]`` as the coefficient of e_k in the bracket on
+        the basis tuple t, as :meth:`contract` returns them; absent tuples bracket to zero."""
+        return cls.from_dict(space, {t + (k,): c for t, image in values.items() for k, c in image.items()})
 
     @classmethod
     def zero(cls, space: SuperSpace):
@@ -631,52 +613,55 @@ class WedgePair:
         return WedgePair(self.space, self.second, self.first)
 
 
-def signed_slot_expansion(
-    scalars: tuple[Fraction, Fraction, Fraction],
-    pair_values: tuple[Vector, Vector, Vector],
-    parities: tuple[int, int, int],
-) -> Vector:
-    """The three-term Koszul-signed expansion used by every scalar-times-bracket sum.
-
-    Given scalars (t_x, t_y, t_z) attached to the slots of a triple with
-    parities (p_x, p_y, p_z), and the bracket values (B_yz, B_xz, B_xy) of the
-    complementary pairs, returns
-
-        t_x * B_yz  -  (-1)^{p_x p_y} t_y * B_xz  +  (-1)^{p_z (p_x + p_y)} t_z * B_xy.
-
-    This single sign convention defines the induced ternary bracket and the
-    cyclic sums appearing in the derivation and Rota-Baxter transfer criteria.
-    """
-    tx, ty, tz = scalars
-    byz, bxz, bxy = pair_values
-    px, py, pz = parities
-    out = vec_scale(tx, byz)
-    out = vec_sub(out, vec_scale(ksign(px * py) * ty, bxz))
-    out = vec_add(out, vec_scale(ksign(pz * (px + py)) * tz, bxy))
-    return out
-
-
 def basis_tuples(space: SuperSpace, length: int) -> Iterable[tuple[int, ...]]:
     """All tuples of basis indices of the given length, in lexicographic order."""
     return itertools.product(space.indices(), repeat=length)
 
 
-def subset_insertions(
-    tensor: StructureTensor,
-    plain: Sequence[Vector],
-    inserted: Sequence[Vector],
-    indices: Sequence[int],
-    sizes: Iterable[int] | None = None,
-) -> Iterable[tuple[tuple[int, ...], Vector]]:
-    """Yield (I, bracket) over the nonempty slot subsets I, by size, then lexicographic.
+def slot_substitutions(n: int, inserted: GradedMap, sizes: Iterable[int] | None = None):
+    """Yield (I, slot maps) over the nonempty subsets I of n slots, by size, then lexicographic.
 
-    Slots in I receive ``plain[index]`` and the other slots ``inserted[index]``;
-    with ``plain`` the basis and ``inserted`` the columns of an operator this
-    is the enumeration behind every weighted and Nijenhuis subset sum.  When
-    ``sizes`` is given, only subsets of those sizes are bracketed.
+    The slots in I keep their argument (the identity) and the others receive
+    ``inserted``: the substitutions behind every weighted and Nijenhuis subset
+    sum.  When ``sizes`` is given, only subsets of those sizes are yielded.
     """
-    n = len(indices)
+    ident = GradedMap.identity(inserted.space)
     for size in range(1, n + 1) if sizes is None else sizes:
         for subset in itertools.combinations(range(n), size):
-            args = [plain[i] if slot in subset else inserted[i] for slot, i in enumerate(indices)]
-            yield subset, tensor.bracket(*args)
+            yield subset, [ident if q in subset else inserted for q in range(n)]
+
+
+def add_image(acc: dict, t: tuple[int, ...], image: Mapping[int, Fraction], coeff: object = ONE) -> None:
+    """acc[t] += coeff * image, for sparse images {k: c}."""
+    row = acc.setdefault(t, {})
+    for k, c in image.items():
+        row[k] = row.get(k, ZERO) + coeff * c
+
+
+def contraction_sum(terms: Iterable[tuple[object, StructureTensor, Sequence[GradedMap], GradedMap | None]]):
+    """The sum of c * m(w(m_1 x_1, ..., m_n x_n)) over the terms (c, w, (m_1, ..., m_n), m),
+    on every basis tuple at once.
+
+    Each term is one :meth:`StructureTensor.contract`, its images pushed
+    through the outer map m (None for the identity) and scaled by c; terms
+    with c = 0 are skipped.  Returns ``{t: {k: c}}`` like
+    :meth:`StructureTensor.contract`, with coefficients that cancel kept as
+    zeros.
+    """
+    acc: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for coeff, tensor, maps, outer in terms:
+        if coeff:
+            for t, image in tensor.contract(maps).items():
+                if outer is not None:
+                    pushed: dict[int, Fraction] = {}
+                    for i, x in image.items():
+                        for k, c in outer._columns[i]:
+                            pushed[k] = pushed.get(k, ZERO) + c * x
+                    image = pushed
+                add_image(acc, t, image, coeff)
+    return acc
+
+
+def dense(image: Mapping[int, Fraction], dim: int) -> Vector:
+    """The coefficient vector of a sparse image {k: c}."""
+    return tuple(image.get(k, ZERO) for k in range(dim))

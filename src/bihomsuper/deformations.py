@@ -18,26 +18,27 @@ with b~ applying beta to each wedge factor and the starred insertion
     w_j(X, .) * Y = w_j(b~(X), a(y1)) ^ b^2(y2)
                   + (-1)^{|y1||X|} b^2(y1) ^ w_j(b~(X), a(y2)).
 
-Degree-l sums are checked on all raw index tuples rather than on a wedge
-basis; this is convention-free, and for skew tensors it is equivalent.  They
-are evaluated on every basis 5-tuple at once, as sparse contractions: each
-tensor contracted against (b, b, a) is joined, over its output index, with a
-tensor contracted against b^2 in two slots and the identity in the free one,
-one join per term of the composition (:data:`_COMPOSITION_TERMS`).  The cost
-follows the nonzeros rather than dim ** 5.  Reports list the failing tuples
-in lexicographic order with dense residuals and count every tuple
-analytically, as a walk over all of them would; :func:`omega_compose`
-evaluates one composition pointwise and stays as the second path.
+Every check here, the swap and twist pre-checks included, covers all basis
+tuples at once by sparse contraction.  Degree-l sums are checked on all raw
+index tuples rather than on a wedge basis; this is convention-free, and for
+skew tensors it is equivalent.  For them, each tensor contracted against
+(b, b, a) is joined, over its output index, with a tensor contracted against
+b^2 in two slots and the identity in the free one, one join per term of the
+composition (:data:`_COMPOSITION_TERMS`).  The cost follows the nonzeros
+rather than dim ** 5.  Reports list the failing tuples in lexicographic
+order with dense residuals and count every tuple analytically, as a walk
+over all of them would; :func:`omega_compose` evaluates one composition
+pointwise and stays as the second path.
 
 Nijenhuis operators are even maps N whose deformed brackets telescope:
 [Nx, Ny, Nz] equals N applied to the second N-bracket, equivalently the
 alternating subset sum of N-powers.  They generate trivial deformations
-(w1, w2) = (first N-bracket, second N-bracket).
+(w1, w2) = (first N-bracket, second N-bracket).  Both forms are separate
+sums of contractions, so comparing them still cross-checks the encodings.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,11 +46,10 @@ from .algebras import (
     BiHomLieSuperalgebra,
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
-    _collect,
-    _morphism_images,
+    _morphism_block,
+    _report,
     _require_commuting_twists,
-    _sorted_violations,
-    _twisted_skew_residuals,
+    _skew_block,
 )
 from .core import (
     EVEN,
@@ -64,9 +64,10 @@ from .core import (
     TheoremContradictionError,
     Vector,
     WedgePair,
-    basis_tuples,
+    contraction_sum,
+    dense,
     ksign,
-    subset_insertions,
+    slot_substitutions,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -221,12 +222,6 @@ def _composition_sum(A, pairs) -> dict[tuple[int, ...], Vector]:
     return {t: tuple(res) for t, res in acc.items() if any(res)}
 
 
-def _compat_violations(A, w: StructureTensor3, tag: str):
-    twists = (("alpha", A.alpha), ("beta", A.beta))
-    for t, name, image, bracket in _morphism_images(w, twists):
-        yield t, f"{name}-compat-{tag}", vec_sub(bracket, image)
-
-
 def check_deformation(
     A: ThreeBiHomLieSuperalgebra, d: DeformationPair, fail_fast: bool = False
 ) -> VerificationReport:
@@ -240,27 +235,23 @@ def check_deformation(
     """
     if d.omega1.space != A.space:
         raise DimensionError("deformation pair lives on a different space")
-    identity = "second-order-deformation"
-    checks = itertools.chain(
-        _twisted_skew_residuals(A, d.omega1, "-omega1"),
-        _twisted_skew_residuals(A, d.omega2, "-omega2"),
-        _compat_violations(A, d.omega1, "omega1"),
-        _compat_violations(A, d.omega2, "omega2"),
-    )
-    pre = _collect(identity, checks, fail_fast)
-    if fail_fast and pre.violations:
-        return pre
-    violations, total = list(pre.violations), pre.total
-    factors = _twisted_contractions(A, (A.bracket, d.omega1, d.omega2))
-    for l in (1, 2, 3, 4):
-        pairs = [(factors[i][1], factors[l - i][0]) for i in range(3) if 0 <= l - i <= 2]
-        residuals = _composition_sum(A, pairs)
-        found, count = _sorted_violations(residuals, f"series-degree-{l}", A.space.dim, 5, fail_fast)
-        violations += found
-        total += count
-        if fail_fast and found:
-            break
-    return VerificationReport(identity, total, tuple(violations))
+
+    def blocks():
+        yield _skew_block(A, d.omega1, "-omega1")
+        yield _skew_block(A, d.omega2, "-omega2")
+        yield _morphism_block(A, d.omega1, "{}-compat-omega1", -1)
+        yield _morphism_block(A, d.omega2, "{}-compat-omega2", -1)
+        factors = _twisted_contractions(A, (A.bracket, d.omega1, d.omega2))
+        for l in (1, 2, 3, 4):
+            pairs = [(factors[i][1], factors[l - i][0]) for i in range(3) if 0 <= l - i <= 2]
+            yield _degree_block(A, pairs, f"series-degree-{l}")
+
+    return _report("second-order-deformation", A.space.dim, blocks(), fail_fast)
+
+
+def _degree_block(A, pairs, rule: str) -> tuple:
+    """The composition sum over ``pairs`` as one rule on every basis 5-tuple."""
+    return 5, 1, {(t, 0): (res, rule) for t, res in _composition_sum(A, pairs).items()}
 
 
 def check_2cocycle(A: ThreeBiHomLieSuperalgebra, w1: StructureTensor3) -> VerificationReport:
@@ -268,9 +259,8 @@ def check_2cocycle(A: ThreeBiHomLieSuperalgebra, w1: StructureTensor3) -> Verifi
     if w1.space != A.space:
         raise DimensionError("cocycle candidate lives on a different space")
     (inner0, outer0), (inner1, outer1) = _twisted_contractions(A, (A.bracket, w1))
-    residuals = _composition_sum(A, [(outer0, inner1), (outer1, inner0)])
-    violations, total = _sorted_violations(residuals, "degree-1-sum", A.space.dim, 5, False)
-    return VerificationReport("two-cocycle", total, tuple(violations))
+    block = _degree_block(A, [(outer0, inner1), (outer1, inner0)], "degree-1-sum")
+    return _report("two-cocycle", A.space.dim, [block], False)
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +270,10 @@ def check_2cocycle(A: ThreeBiHomLieSuperalgebra, w1: StructureTensor3) -> Verifi
 def _n_bracket(A, N: GradedMap, inserted: int, previous: StructureTensor) -> StructureTensor:
     """Insert N into ``inserted`` slots in every way, minus N of the ``previous`` bracket."""
     _require_even_commuting(N, A)
-    e = A.space.basis()
-    Nc = [N.column(i) for i in A.space.indices()]
-    plain = A.bracket.arity - inserted
-
-    def image(t):
-        w = vec_scale(-1, N.apply(previous.bracket_basis(*t)))
-        for _, value in subset_insertions(A.bracket, e, Nc, t, (plain,)):
-            w = vec_add(w, value)
-        return w
-
-    return type(A.bracket).from_images(A.space, A.bracket.arity, image)
+    n = A.bracket.arity
+    terms = [(-1, previous, [GradedMap.identity(A.space)] * n, N)]
+    terms += [(1, A.bracket, maps, None) for _, maps in slot_substitutions(n, N, (n - inserted,))]
+    return type(A.bracket).from_values(A.space, contraction_sum(terms))
 
 
 def make_n_bracket_1(A: ThreeBiHomLieSuperalgebra, N: GradedMap) -> StructureTensor3:
@@ -313,27 +296,27 @@ def _is_nijenhuis(A, N: GradedMap, top_bracket, identity: str, fail_fast: bool, 
     reported as a ``form-consistency`` violation.
     """
     _require_even_commuting(N, A)
-    top = top_bracket(A, N)
-    e = A.space.basis()
-    Nc = [N.column(t) for t in A.space.indices()]
-    powers = [GradedMap.identity(A.space)]
-    for _ in range(A.bracket.arity):
+    n, dim = A.bracket.arity, A.space.dim
+    ident = GradedMap.identity(A.space)
+    powers = [ident]
+    for _ in range(n):
         powers.append(powers[-1].compose(N))
-
-    def gen():
-        for t in basis_tuples(A.space, A.bracket.arity):
-            inductive = N.apply(top.bracket_basis(*t))
-            subset_form = None
-            for subset, value in subset_insertions(A.bracket, e, Nc, t):
-                term = vec_scale(ksign(len(subset) - 1), powers[len(subset)].apply(value))
-                subset_form = term if subset_form is None else vec_add(subset_form, term)
-            mismatch = vec_sub(inductive, subset_form)
-            if vec_is_zero(mismatch):
-                yield t, "nijenhuis", vec_sub(A.bracket.bracket(*(Nc[i] for i in t)), inductive)
-            else:
-                yield t, "form-consistency", mismatch
-
-    return _collect(identity, gen(), fail_fast, notes)
+    inductive = contraction_sum([(1, top_bracket(A, N), [ident] * n, N)])
+    subset_form = contraction_sum(
+        (ksign(len(I) - 1), A.bracket, maps, powers[len(I)]) for I, maps in slot_substitutions(n, N)
+    )
+    lhs = contraction_sum([(1, A.bracket, [N] * n, None)])
+    found = {}
+    for t in inductive.keys() | subset_form.keys() | lhs.keys():
+        value = dense(inductive.get(t, {}), dim)
+        mismatch = vec_sub(value, dense(subset_form.get(t, {}), dim))
+        if vec_is_zero(mismatch):
+            residual, rule = vec_sub(dense(lhs.get(t, {}), dim), value), "nijenhuis"
+        else:
+            residual, rule = mismatch, "form-consistency"
+        if not vec_is_zero(residual):
+            found[t, 0] = (residual, rule)
+    return _report(identity, dim, [(n, 1, found)], fail_fast, notes)
 
 
 def is_nijenhuis_3(A: ThreeBiHomLieSuperalgebra, N: GradedMap) -> VerificationReport:

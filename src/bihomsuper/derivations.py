@@ -17,8 +17,9 @@ of the companion map and the second, applied to D, its right-hand side.
 
 The verifiers evaluate the rule a second, independent way
 (:func:`_leibniz_residuals`): the residual on every basis tuple at once, as D
-applied to each nonzero bracket image minus, per slot, the bracket contracted
-against (M, ..., D, ..., M) (:meth:`StructureTensor.contract`).  The cost
+after the bracket minus, per slot, the bracket contracted against
+(M, ..., D, ..., M), the maps before D carrying its Koszul signs
+(:func:`bihomsuper.core.contraction_sum`).  The cost
 follows the nonzeros of the bracket and the maps rather than dim ** arity;
 reports list the failing tuples in lexicographic order with dense residuals
 and count every tuple, as a walk over all of them would.  Each solved basis
@@ -34,8 +35,9 @@ from .algebras import (
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
     Violation,
-    _collect,
-    _sorted_violations,
+    _report,
+    _rules_block,
+    _walk_order,
 )
 from .core import (
     EVEN,
@@ -49,11 +51,13 @@ from .core import (
     TheoremContradictionError,
     Vector,
     basis_tuples,
+    contraction_sum,
+    dense,
     ksign,
-    signed_slot_expansion,
     vec_is_zero,
 )
 from .linalg import kernel_basis, solve_linear
+from .tau import _tau_expansion
 
 __all__ = [
     "DerivationQuery",
@@ -124,23 +128,17 @@ def _insertion_sign(P, t: tuple[int, ...], p: int, q: int) -> int:
 def _leibniz_residuals(A, X: GradedMap, D: GradedMap, M: GradedMap) -> dict[tuple[int, ...], Vector]:
     """Nonzero residuals X([x_1, ..., x_n]) - sum_p sign_p [M x_1, ..., D x_p, ..., M x_n].
 
-    Evaluated for every basis tuple in one sparse pass: X applied to each
-    nonzero basis image of the bracket, minus, per slot p, the bracket
-    contracted against (M, ..., D in slot p, ..., M) with the Koszul sign of
-    each resulting tuple.  Tuples whose residual vanishes are left out.
+    Evaluated for every basis tuple in one sparse pass: X after the bracket,
+    minus, per slot p, the bracket contracted against (M', ..., M', D, M, ...,
+    M) with D in slot p.  M' = M S^|D|, S the parity operator e_i |-> (-1)^{|e_i|} e_i,
+    puts the Koszul sign (-1)^{|D| (|x_1| + ... + |x_{p-1}|)} into the
+    arguments D moves past.  Tuples whose residual vanishes are left out.
     """
-    P, dim, arity = A.space.parities, A.space.dim, A.bracket.arity
-    acc: dict[tuple[int, ...], list] = {}
-    for t in dict.fromkeys(key[:-1] for key, _ in A.bracket.entries):
-        acc[t] = list(X.apply(A.bracket.bracket_basis(*t)))
-    for p in range(arity):
-        inserted = A.bracket.contract([D if n == p else M for n in range(arity)])
-        for t, image in inserted.items():
-            sign = _insertion_sign(P, t, p, D.parity)
-            res = acc.setdefault(t, [ZERO] * dim)
-            for k, c in image.items():
-                res[k] -= sign * c
-    return {t: tuple(res) for t, res in acc.items() if any(res)}
+    n, dim = A.bracket.arity, A.space.dim
+    signed = M.compose(GradedMap.diagonal(A.space, [ksign(q) for q in A.space.parities])) if D.parity else M
+    terms = [(1, A.bracket, [GradedMap.identity(A.space)] * n, X)]
+    terms += [(-1, A.bracket, [signed] * p + [D] + [M] * (n - 1 - p), None) for p in range(n)]
+    return {t: dense(image, dim) for t, image in contraction_sum(terms).items() if any(image.values())}
 
 
 def _is_derivation(A, D: GradedMap, s: int, r: int, identity: str, fail_fast: bool) -> VerificationReport:
@@ -150,7 +148,8 @@ def _is_derivation(A, D: GradedMap, s: int, r: int, identity: str, fail_fast: bo
     total = 2 * dim
     if not (fail_fast and violations):
         residuals = _leibniz_residuals(A, D, D, M)
-        found, count = _sorted_violations(residuals, "leibniz", dim, A.bracket.arity, fail_fast)
+        block = (A.bracket.arity, 1, {(t, 0): (res, "leibniz") for t, res in residuals.items()})
+        found, count = _walk_order(block, dim, fail_fast)
         violations += found
         total += count
     return VerificationReport(identity, total, tuple(violations))
@@ -359,25 +358,13 @@ def _transfer_conditions(
     invariant under alpha^s beta^r.
     """
     M = twist_power(A.alpha, A.beta, s, r)
-    P = A.space.parities
+    ident = GradedMap.identity(A.space)
+    invariance = {(i,): {0: tau.apply(M.column(i)) - tau.of_basis(i)} for i in A.space.indices()}
     tD = [tau.apply(D.column(i)) for i in A.space.indices()]
-
-    def gen():
-        for i in A.space.indices():
-            yield (i,), "form-invariance", (tau.apply(M.column(i)) - tau.of_basis(i),)
-        for i, j, l in basis_tuples(A.space, 3):
-            w = signed_slot_expansion(
-                (tD[i], tD[j], tD[l]),
-                (
-                    A.bracket.bracket_basis(j, l),
-                    A.bracket.bracket_basis(i, l),
-                    A.bracket.bracket_basis(i, j),
-                ),
-                (P[i], P[j], P[l]),
-            )
-            yield (i, j, l), "signed-cyclic-sum", w
-
-    return _collect("derivation-transfer-conditions", gen(), False)
+    cyclic = _tau_expansion(A.space, A.bracket.contract([ident, ident]), tD)
+    blocks = [_rules_block(1, [("form-invariance", invariance)], 1),
+              _rules_block(3, [("signed-cyclic-sum", cyclic)], A.space.dim)]
+    return _report("derivation-transfer-conditions", A.space.dim, blocks, False)
 
 
 def check_derivation_transfer(

@@ -8,6 +8,12 @@ and the ternary one inserts R into all proper subsets of the three slots with
 weights lambda^{|untouched| - 1}.  The same subset sum defines a new ternary
 bracket [.,.,.]_R out of any weight-lambda operator.
 
+The subset sum is written once, as one (coefficient, slot maps) term per
+subset (:func:`_weighted_terms`).  The induced bracket sums those terms as
+contractions of the whole tensor, and the transfer criterion expands the
+contraction [R., R.] against tau; the weighted identity still brackets every
+basis tuple, term by term.
+
 Note on the transfer criterion: under the defining identity above (with the
 plus sign on the weight term), the exact expansion of the ternary identity on
 an induced bracket produces the factor -(R + lambda Id) in front of the signed
@@ -26,23 +32,24 @@ from .algebras import (
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
     _collect,
+    _report,
     _require_commuting_twists,
+    _rules_block,
     verify_3bihom_jacobi,
     verify_3bihom_skewsymmetry,
 )
 from .core import (
     EVEN,
+    DimensionError,
     GradedMap,
     LinearForm,
     ParityError,
     PreconditionError,
     TheoremContradictionError,
-    Vector,
     as_scalar,
     basis_tuples,
-    signed_slot_expansion,
-    subset_insertions,
-    vec_add,
+    contraction_sum,
+    slot_substitutions,
     vec_scale,
     vec_sub,
 )
@@ -73,29 +80,42 @@ class RotaBaxterOperator:
         object.__setattr__(self, "weight", as_scalar(self.weight))
 
 
-def _subset_terms(A, R: RotaBaxterOperator, e, Rcol, indices):
-    for subset, value in subset_insertions(A.bracket, e, Rcol, indices):
-        yield subset, vec_scale(R.weight ** (len(subset) - 1), value)
+def _weighted_terms(A, R: RotaBaxterOperator) -> list:
+    """The terms of [x_1, ..., x_n]_R, one per nonempty slot subset I: (I, lambda^{|I|-1},
+    slot maps keeping the argument in the slots of I and inserting R elsewhere)."""
+    return [(I, R.weight ** (len(I) - 1), maps) for I, maps in slot_substitutions(A.bracket.arity, R.map)]
 
 
-def _subset_sum(A, R: RotaBaxterOperator, e, Rcol, indices) -> Vector:
-    """[x_1, ..., x_n]_R at one basis tuple: the sum of all subset terms."""
-    acc = None
-    for _, term in _subset_terms(A, R, e, Rcol, indices):
-        acc = term if acc is None else vec_add(acc, term)
-    return acc
+def _pointwise_terms(A, R: RotaBaxterOperator):
+    """A function of one basis tuple t yielding (I, lambda^{|I|-1} [m_1 e_{t_1}, ..., m_n e_{t_n}])
+    for each weighted term, one bracket per term."""
+    idx = A.space.indices()
+    terms = [(I, c, [[m.column(i) for i in idx] for m in maps]) for I, c, maps in _weighted_terms(A, R)]
+
+    def at(t):
+        for I, c, columns in terms:
+            yield I, vec_scale(c, A.bracket.bracket(*(col[i] for col, i in zip(columns, t))))
+
+    return at
 
 
 def _is_rb(A, R: RotaBaxterOperator, identity: str, fail_fast: bool) -> VerificationReport:
-    """[R(x_1), ..., R(x_n)] = R([x_1, ..., x_n]_R) over all basis tuples."""
+    """[R(x_1), ..., R(x_n)] = R([x_1, ..., x_n]_R) over all basis tuples.
+
+    Still a walk over every basis tuple, one bracket per weighted term: on
+    contraction the operator-scale benchmark runs six to seven times as many
+    jobs, and since it keeps every report until the run ends its peak RSS
+    rises past the 10% bound (ROADMAP, open item 1).
+    """
     _require_commuting_twists(R.map, A)
-    e = A.space.basis()
     Rcol = [R.map.column(i) for i in A.space.indices()]
+    terms = _pointwise_terms(A, R)
 
     def gen():
         for t in basis_tuples(A.space, A.bracket.arity):
             lhs = A.bracket.bracket(*(Rcol[i] for i in t))
-            yield t, "weighted-identity", vec_sub(lhs, R.map.apply(_subset_sum(A, R, e, Rcol, t)))
+            subset_sum = [sum(c) for c in zip(*(term for _, term in terms(t)))]
+            yield t, "weighted-identity", vec_sub(lhs, R.map.apply(subset_sum))
 
     return _collect(identity, gen(), fail_fast)
 
@@ -148,7 +168,7 @@ def check_rb_transfer_criterion(
     running the ternary verification directly on the induced algebra; any
     disagreement raises :class:`TheoremContradictionError`.
     """
-    from .tau import check_tau_conditions, induce_tau
+    from .tau import check_tau_conditions, induce_tau, _tau_expansion
 
     base = is_rb2(A, R)
     if not base.passed:
@@ -156,30 +176,11 @@ def check_rb_transfer_criterion(
     witness = check_tau_conditions(A, tau)
     if not witness.satisfied:
         raise PreconditionError("form fails the induction conditions", details=witness)
-    P = A.space.parities
-    t = tau.coefficients
-    Rcol = [R.map.column(i) for i in A.space.indices()]
     shifted = R.map.add(GradedMap.identity(A.space).scale(R.weight))
-
-    def gen():
-        for i, j, l in basis_tuples(A.space, 3):
-            v = signed_slot_expansion(
-                (t[i], t[j], t[l]),
-                (
-                    A.bracket.bracket(Rcol[j], Rcol[l]),
-                    A.bracket.bracket(Rcol[i], Rcol[l]),
-                    A.bracket.bracket(Rcol[i], Rcol[j]),
-                ),
-                (P[i], P[j], P[l]),
-            )
-            yield (i, j, l), "kernel-membership", shifted.apply(v)
-
-    report = _collect(
-        "rota-baxter-transfer-criterion",
-        gen(),
-        False,
-        ("criterion sign fixed by the plus-lambda defining identity: ker(R + lambda Id)",),
-    )
+    pairs = contraction_sum([(1, A.bracket, [R.map, R.map], shifted)])
+    block = _rules_block(3, [("kernel-membership", _tau_expansion(A.space, pairs, tau.coefficients))], A.dim)
+    note = "criterion sign fixed by the plus-lambda defining identity: ker(R + lambda Id)"
+    report = _report("rota-baxter-transfer-criterion", A.dim, [block], False, (note,))
     induced = induce_tau(A, tau)
     direct = is_rb3(induced, R).passed
     if report.passed != direct:
@@ -195,9 +196,9 @@ def subset_deformations(A, R: RotaBaxterOperator, *indices: int):
     Yields (subset, vector) where the vector is the ambient bracket with R
     applied at every slot outside the subset, scaled by lambda^{|subset|-1}.
     """
-    e = A.space.basis()
-    Rcol = [R.map.column(t) for t in A.space.indices()]
-    return _subset_terms(A, R, e, Rcol, indices)
+    if len(indices) != A.bracket.arity:
+        raise DimensionError(f"expected {A.bracket.arity} basis indices, got {len(indices)}")
+    return _pointwise_terms(A, R)(indices)
 
 
 def make_rb_bracket(
@@ -212,9 +213,8 @@ def make_rb_bracket(
     pre = is_rb3(A, R)
     if not pre.passed:
         raise PreconditionError("operator fails the ternary weighted identity", details=pre)
-    e = A.space.basis()
-    Rcol = [R.map.column(i) for i in A.space.indices()]
-    tensor = type(A.bracket).from_images(A.space, A.bracket.arity, lambda t: _subset_sum(A, R, e, Rcol, t))
+    values = contraction_sum((c, A.bracket, maps, None) for _, c, maps in _weighted_terms(A, R))
+    tensor = type(A.bracket).from_values(A.space, values)
     return ThreeBiHomLieSuperalgebra(
         A.space, tensor, A.alpha, A.beta, multiplicative=A.multiplicative
     )

@@ -11,6 +11,8 @@ The induced algebra satisfies the ternary twisted axioms whenever tau kills
 all brackets, tau(x) tau(beta(y)) is symmetric in (x, y), and
 tau(alpha(x)) beta(y) = tau(beta(x)) alpha(y) as vectors.  Checking those
 three conditions, and constructing the tensor, both live here.
+The tensor comes from one sparse expansion over the bracket entries and the
+support of tau (:func:`_tau_expansion`), which the transfer criteria share.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ from .algebras import (
     Violation,
 )
 from .core import (
+    GradedMap,
     LinearForm,
     PreconditionError,
     StructureTensor3,
+    SuperSpace,
+    add_image,
     basis_tuples,
-    signed_slot_expansion,
+    ksign,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -116,27 +121,35 @@ def induce_tau(
             "form does not satisfy the induction conditions (pass override=True to force)",
             details=witness,
         )
-    t = tau.coefficients
-    P = A.space.parities
-
-    def image(triple):
-        i, j, l = triple
-        if t[i] == 0 and t[j] == 0 and t[l] == 0:
-            return ()
-        return signed_slot_expansion(
-            (t[i], t[j], t[l]),
-            (
-                A.bracket.bracket_basis(j, l),
-                A.bracket.bracket_basis(i, l),
-                A.bracket.bracket_basis(i, j),
-            ),
-            (P[i], P[j], P[l]),
-        )
-
+    ident = GradedMap.identity(A.space)
+    values = _tau_expansion(A.space, A.bracket.contract([ident, ident]), tau.coefficients)
     # Parity additivity of the entries is rechecked by the tensor constructor;
     # it holds automatically because tau vanishes on the odd part.
-    tensor = StructureTensor3.from_images(A.space, 3, image)
+    tensor = StructureTensor3.from_values(A.space, values)
     return ThreeBiHomLieSuperalgebra(A.space, tensor, A.alpha, A.beta, multiplicative=False)
+
+
+def _tau_expansion(space: SuperSpace, pairs: dict, scalars) -> dict:
+    """The Koszul-signed three-term sum behind the induced bracket, on every basis triple at once:
+
+        s(x) B(y, z) - (-1)^{|x||y|} s(y) B(x, z) + (-1)^{|z|(|x|+|y|)} s(z) B(x, y)
+
+    for scalars s (one per basis element) and a bilinear B given by its values
+    ``pairs`` = {(a, b): {k: c}} on basis pairs, as
+    :meth:`StructureTensor.contract` returns them.  Each value of B is placed
+    in the three slot positions of every index in the support of s, so the
+    cost follows the entries of B times that support.  The induced bracket and
+    both transfer criteria are this sum.
+    """
+    P = space.parities
+    support = [(s, c) for s, c in enumerate(scalars) if c]
+    out: dict[tuple[int, ...], dict] = {}
+    for (a, b), image in pairs.items():
+        for s, c in support:
+            add_image(out, (s, a, b), image, c)
+            add_image(out, (a, s, b), image, -ksign(P[a] * P[s]) * c)
+            add_image(out, (a, b, s), image, ksign(P[s] * (P[a] + P[b])) * c)
+    return out
 
 
 def bracket_annihilating_forms(A: BiHomLieSuperalgebra) -> list[LinearForm]:

@@ -437,6 +437,199 @@ def _walk_reports(identity, checks):
     return full, full if stop is None else (identity, stop, violations[:1])
 
 
+def _skew_walk(P, alpha, beta, w, arity, suffix=""):
+    """Twisted swaps of adjacent slots on every basis tuple, tuple by tuple.
+
+    T(x) = w(beta x_1, ..., beta x_{n-1}, alpha x_n); the residual of the
+    swap of slots p, p+1 is T(x) + (-1)^{|x_p||x_{p+1}|} T(x with them
+    exchanged).  Rules: ``twisted-swap`` for n = 2, ``swap-12``, ``swap-23``
+    for n = 3, each followed by ``suffix``.
+    """
+    dim = len(P)
+
+    def T(t):
+        return _bracket_of_vectors(w, dim, [_column(beta, i) for i in t[:-1]] + [_column(alpha, t[-1])])
+
+    for t in itertools.product(range(dim), repeat=arity):
+        base = T(t)
+        for p in range(arity - 1):
+            s = list(t)
+            s[p], s[p + 1] = s[p + 1], s[p]
+            sgn = sign(P[t[p]] * P[t[p + 1]])
+            rule = "twisted-swap" if arity == 2 else f"swap-{p + 1}{p + 2}"
+            yield t, rule + suffix, [x + sgn * y for x, y in zip(base, T(s))]
+
+
+def _morphism_walk(alpha, beta, w, arity, rule, flip=False):
+    """m(w(e_t)) - w(m e_t) for m = alpha, then beta, on every basis tuple (negated when ``flip``)."""
+    dim = len(alpha)
+    for t in itertools.product(range(dim), repeat=arity):
+        value = _bracket_of_vectors(w, dim, [unit_vec(dim, i) for i in t])
+        for name, m in (("alpha", alpha), ("beta", beta)):
+            moved = _bracket_of_vectors(w, dim, [_column(m, i) for i in t])
+            res = [x - y for x, y in zip(matvec(m, value), moved)]
+            yield t, rule.format(name), [-x for x in res] if flip else res
+
+
+def skew_reports(space_parities, alpha, beta, entries, arity):
+    """Dense walk of ``verify_bihom_skewsymmetry``/``verify_3bihom_skewsymmetry``:
+    (full report, fail-fast report), each (identity, total, violations)."""
+    identity = {2: "binary-twisted-skewsymmetry", 3: "ternary-twisted-skewsymmetry"}[arity]
+    return _walk_reports(identity, _skew_walk(space_parities, alpha, beta, dict(entries), arity))
+
+
+def multiplicativity_reports(alpha, beta, entries, arity):
+    """Dense walk of ``verify_multiplicativity2/3``: the columns of alpha beta - beta alpha
+    (``twists-commute``), then per basis tuple the alpha- and beta-morphism defects."""
+    dim = len(alpha)
+    ab, ba = _compose(alpha, beta), _compose(beta, alpha)
+    commute = (((i,), "twists-commute", [ab[k][i] - ba[k][i] for k in range(dim)]) for i in range(dim))
+    checks = itertools.chain(commute, _morphism_walk(alpha, beta, dict(entries), arity, "{}-morphism"))
+    return _walk_reports({2: "binary-multiplicativity", 3: "ternary-multiplicativity"}[arity], checks)
+
+
+def _slot_masks(arity):
+    """Every subset of the slots as a tuple of booleans."""
+    return itertools.product((False, True), repeat=arity)
+
+
+def _weighted_sum(entries, dim, R, weight, t):
+    """[e_t]_R: the sum over nonempty kept-slot sets I of weight^{|I|-1} [args], R outside I."""
+    acc = [ZERO] * dim
+    for kept in _slot_masks(len(t)):
+        if any(kept):
+            args = [unit_vec(dim, i) if keep else _column(R, i) for keep, i in zip(kept, t)]
+            c = weight ** (sum(kept) - 1)
+            acc = [a + c * b for a, b in zip(acc, _bracket_of_vectors(entries, dim, args))]
+    return acc
+
+
+def rb_reports(entries, arity, R, weight):
+    """Dense walk of ``is_rb2``/``is_rb3``: [R e_t] - R([e_t]_R) on every basis tuple,
+    as (full report, fail-fast report)."""
+    ent, dim = dict(entries), len(R)
+
+    def checks():
+        for t in itertools.product(range(dim), repeat=arity):
+            lhs = _bracket_of_vectors(ent, dim, [_column(R, i) for i in t])
+            rhs = matvec(R, _weighted_sum(ent, dim, R, weight, t))
+            yield t, "weighted-identity", [a - b for a, b in zip(lhs, rhs)]
+
+    return _walk_reports({2: "binary-rota-baxter", 3: "ternary-rota-baxter"}[arity], checks())
+
+
+def _entries_of(dim, arity, value):
+    """The nonzero structure constants of the tensor with bracket value(t) on each basis tuple."""
+    out = {}
+    for t in itertools.product(range(dim), repeat=arity):
+        for k, c in enumerate(value(t)):
+            if c:
+                out[t + (k,)] = c
+    return out
+
+
+def rb_bracket_entries(entries, arity, R, weight):
+    """Structure constants of the induced bracket [.,...,.]_R."""
+    ent = dict(entries)
+    return _entries_of(len(R), arity, lambda t: _weighted_sum(ent, len(R), R, weight, t))
+
+
+def _n_bracket_value(entries, dim, N, t, inserted):
+    """The ``inserted``-th N-bracket at e_t: the bracket with N in ``inserted`` slots, summed
+    over every choice, minus N of the previous N-bracket (the 0-th is the bracket)."""
+    units = [unit_vec(dim, i) for i in t]
+    if inserted == 0:
+        return _bracket_of_vectors(entries, dim, units)
+    acc = [-x for x in matvec(N, _n_bracket_value(entries, dim, N, t, inserted - 1))]
+    for mask in _slot_masks(len(t)):
+        if sum(mask) == inserted:
+            args = [matvec(N, u) if m else u for m, u in zip(mask, units)]
+            acc = [a + b for a, b in zip(acc, _bracket_of_vectors(entries, dim, args))]
+    return acc
+
+
+def n_bracket_entries(entries, arity, N, inserted):
+    """Structure constants of the first (``inserted`` = 1) or second N-bracket."""
+    ent = dict(entries)
+    return _entries_of(len(N), arity, lambda t: _n_bracket_value(ent, len(N), N, t, inserted))
+
+
+def nijenhuis_reports(entries, arity, N):
+    """Dense walk of ``is_nijenhuis_2``/``is_nijenhuis_3``: [N e_t] - N(w(e_t)) on every
+    basis tuple, w the (arity - 1)-th N-bracket; (full report, fail-fast report)."""
+    ent, dim = dict(entries), len(N)
+
+    def checks():
+        for t in itertools.product(range(dim), repeat=arity):
+            lhs = _bracket_of_vectors(ent, dim, [_column(N, i) for i in t])
+            rhs = matvec(N, _n_bracket_value(ent, dim, N, t, arity - 1))
+            yield t, "nijenhuis", [a - b for a, b in zip(lhs, rhs)]
+
+    return _walk_reports({2: "binary-nijenhuis", 3: "ternary-nijenhuis"}[arity], checks())
+
+
+def _tau_sum(P, scalars, pair_value, t):
+    """s(x) B(y, z) - (-1)^{|x||y|} s(y) B(x, z) + (-1)^{|z|(|x|+|y|)} s(z) B(x, y) at t = (x, y, z)."""
+    x, y, z = t
+    terms = [(scalars[x], pair_value(y, z)), (-sign(P[x] * P[y]) * scalars[y], pair_value(x, z)),
+             (sign(P[z] * (P[x] + P[y])) * scalars[z], pair_value(x, y))]
+    out = [ZERO] * len(P)
+    for c, v in terms:
+        out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
+def tau_induced_entries(space_parities, entries, tau):
+    """Structure constants of the ternary bracket induced by the form ``tau``."""
+    ent, dim = dict(entries), len(space_parities)
+
+    def pair(a, b):
+        return _bracket_of_vectors(ent, dim, [unit_vec(dim, a), unit_vec(dim, b)])
+
+    return _entries_of(dim, 3, lambda t: _tau_sum(space_parities, tau, pair, t))
+
+
+def rb_transfer_report(space_parities, entries, tau, R, weight):
+    """Dense walk of the report of ``check_rb_transfer_criterion``: (R + weight Id) applied
+    to the tau-sum of [R e_a, R e_b] on every basis triple."""
+    ent, dim = dict(entries), len(space_parities)
+
+    def pair(a, b):
+        return _bracket_of_vectors(ent, dim, [_column(R, a), _column(R, b)])
+
+    def checks():
+        for t in itertools.product(range(dim), repeat=3):
+            v = _tau_sum(space_parities, tau, pair, t)
+            yield t, "kernel-membership", [a + weight * b for a, b in zip(matvec(R, v), v)]
+
+    return _walk_reports("rota-baxter-transfer-criterion", checks())[0]
+
+
+def derivation_transfer_report(space_parities, alpha, beta, entries, tau, D, s, r):
+    """Dense walk of the report of the derivation transfer conditions: tau(M e_i) - tau(e_i)
+    per basis index (M = alpha^s beta^r), then the tau-sum with scalars tau(D e_i) of the
+    bracket on every basis triple."""
+    ent, dim = dict(entries), len(space_parities)
+    M = [list(unit_vec(dim, k)) for k in range(dim)]
+    for _ in range(s):
+        M = _compose(alpha, M)
+    for _ in range(r):
+        M = _compose(M, beta)
+
+    def form(v):
+        return sum((a * b for a, b in zip(tau, v)), ZERO)
+
+    tD = [form(_column(D, i)) for i in range(dim)]
+
+    def pair(a, b):
+        return _bracket_of_vectors(ent, dim, [unit_vec(dim, a), unit_vec(dim, b)])
+
+    invariance = (((i,), "form-invariance", [form(_column(M, i)) - tau[i]]) for i in range(dim))
+    cyclic = ((t, "signed-cyclic-sum", _tau_sum(space_parities, tD, pair, t))
+              for t in itertools.product(range(dim), repeat=3))
+    return _walk_reports("derivation-transfer-conditions", itertools.chain(invariance, cyclic))[0]
+
+
 def deformation_reports(space_parities, alpha, beta, entries, omega1, omega2):
     """Dense walk of the quadratic deformation check over every basis tuple.
 
@@ -450,28 +643,7 @@ def deformation_reports(space_parities, alpha, beta, entries, omega1, omega2):
     every basis 5-tuple, w_0 being the bracket.
     """
     P = space_parities
-    dim = len(P)
     ent = [dict(entries), dict(omega1), dict(omega2)]
-    units = [unit_vec(dim, i) for i in range(dim)]
-
-    def skew(w, tag):
-        def T(x, y, z):
-            return _bracket_of_vectors(w, dim, [_column(beta, x), _column(beta, y), _column(alpha, z)])
-
-        for t in itertools.product(range(dim), repeat=3):
-            base = T(*t)
-            for p in range(2):
-                s = list(t)
-                s[p], s[p + 1] = s[p + 1], s[p]
-                sgn = sign(P[t[p]] * P[t[p + 1]])
-                yield t, f"swap-{p + 1}{p + 2}-{tag}", [x + sgn * y for x, y in zip(base, T(*s))]
-
-    def compat(w, tag):
-        for t in itertools.product(range(dim), repeat=3):
-            value = _bracket_of_vectors(w, dim, [units[i] for i in t])
-            for name, m in (("alpha", alpha), ("beta", beta)):
-                moved = _bracket_of_vectors(w, dim, [_column(m, i) for i in t])
-                yield t, f"{name}-compat-{tag}", [x - y for x, y in zip(moved, matvec(m, value))]
 
     def series():
         tables = [_twisted_tables(P, alpha, beta, w) for w in ent]
@@ -480,8 +652,12 @@ def deformation_reports(space_parities, alpha, beta, entries, omega1, omega2):
             for t, acc in _degree_walk(P, tables, pairs):
                 yield t, f"series-degree-{l}", acc
 
-    checks = itertools.chain(skew(ent[1], "omega1"), skew(ent[2], "omega2"),
-                             compat(ent[1], "omega1"), compat(ent[2], "omega2"), series())
+    checks = itertools.chain(
+        _skew_walk(P, alpha, beta, ent[1], 3, "-omega1"), _skew_walk(P, alpha, beta, ent[2], 3, "-omega2"),
+        _morphism_walk(alpha, beta, ent[1], 3, "{}-compat-omega1", flip=True),
+        _morphism_walk(alpha, beta, ent[2], 3, "{}-compat-omega2", flip=True),
+        series(),
+    )
     return _walk_reports("second-order-deformation", checks)
 
 

@@ -244,6 +244,34 @@ def test_bad_weight_is_an_input_error(weight, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-rb", DATA / "ternary_basic.json", "--map", "N", "--weight", "1e5000"],
+    ["check-rb", DATA / "ternary_basic.json", "--map", "N", "--weight", "1e5000", "--format", "machine"],
+    ["rb-bracket", DATA / "ternary_basic.json", "--weight", "1e3000"],
+    ["rb-bracket", DATA / "ternary_basic.json", "--weight", "1e3000", "--format", "machine"],
+])
+def test_report_number_beyond_the_digit_limit_is_an_input_error(argv, tmp_path, capsys):
+    # the weight itself or its square has more digits than int-to-str conversion allows
+    target = tmp_path / "report.json"
+    for extra in ([], ["--output", target]):
+        assert run(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not target.exists()
+
+
+def test_document_scalar_beyond_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    tree = json.loads((DATA / "ternary_basic.json").read_text())
+    tree["scalars"]["lambda"] = "1e5000"
+    doc = tmp_path / "huge_lambda.json"
+    doc.write_text(json.dumps(tree))
+    for fmt in ("human", "machine"):
+        assert run(["check-rb", doc, "--map", "N", "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     target = tmp_path / "no_such_dir" / "report.json"
     assert run(["verify", DATA / "abelian.json", "--output", target]) == 2
