@@ -64,8 +64,8 @@ def _perturbed(A, data):
     return type(A)(A.space, A.bracket.add(extra), A.alpha, A.beta)
 
 
-def _even_map(space, data, values=(0, 1, -1, 2, 3), parity=0):
-    """A random matrix with small entries, even unless ``parity`` is 1."""
+def _random_map(space, data, values=(0, 1, -1, 2, 3), parity=0):
+    """A random homogeneous matrix with small entries, even unless ``parity`` is 1."""
     rows = [[F(data.draw(st.sampled_from(values))) if (space.parity(k) + space.parity(i)) % 2 == parity
              else F(0) for i in range(space.dim)] for k in range(space.dim)]
     return GradedMap(space, tuple(map(tuple, rows)), parity)
@@ -82,7 +82,7 @@ def _commuting_operator(A, data):
     values = [F(data.draw(st.sampled_from([0, 1, -1, 2, 3]))) for _ in range(sp.dim)]
     N = GradedMap.diagonal(sp, values)
     if A.alpha.is_identity() and A.beta.is_identity() and data.draw(st.booleans()):
-        N = _even_map(sp, data, (0, 0, 1, -1, 2))
+        N = _random_map(sp, data, (0, 0, 1, -1, 2))
     if not (N.commutes_with(A.alpha) and N.commutes_with(A.beta)):
         N = GradedMap.identity(sp).scale(values[0])
     return N
@@ -212,10 +212,10 @@ def test_skew_and_multiplicativity_reports_match_dense_walk(binary_corpus, terna
         A = _perturbed(data.draw(st.sampled_from(fixtures)), data)
         twists = data.draw(st.sampled_from(["keep", "equal", "beta-diagonal", "both"]))
         if twists != "keep":
-            beta = _even_map(A.space, data)
+            beta = _random_map(A.space, data)
             if twists == "beta-diagonal":  # commutes with the corpus alpha when that is the identity
                 beta = _diagonal(A.space, data, [2, 1, -1, 3])
-            alpha = {"equal": beta, "beta-diagonal": A.alpha, "both": _even_map(A.space, data)}[twists]
+            alpha = {"equal": beta, "beta-diagonal": A.alpha, "both": _random_map(A.space, data)}[twists]
             A = type(A)(A.space, A.bracket, alpha, beta)
         arity, ent = A.bracket.arity, A.bracket.as_dict()
         alpha, beta = _matrix(A.alpha), _matrix(A.beta)
@@ -274,7 +274,7 @@ def test_transfer_criterion_reports_match_dense_walk(tau_corpus):
             alpha, beta = (_diagonal(B.space, data, [1, 2, -1]) for _ in range(2))
             B = type(B)(B.space, B.bracket, alpha, beta)
             tau = _even_form(B.space, data)
-        D = _even_map(B.space, data, (0, 1, -1, 2), data.draw(st.sampled_from([0, 1])))
+        D = _random_map(B.space, data, (0, 1, -1, 2), data.draw(st.sampled_from([0, 1])))
         s, r = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
         rep = _transfer_conditions(B, tau, D, s, r)
         expected = oracles.derivation_transfer_report(B.space.parities, _matrix(B.alpha), _matrix(B.beta),
