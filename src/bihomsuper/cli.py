@@ -27,6 +27,7 @@ from .core import (
     PreconditionError,
     TheoremContradictionError,
     as_scalar,
+    int_digit_limit,
 )
 from .documents import AlgebraDocument, DocumentError
 
@@ -142,9 +143,9 @@ def _require_printable(what: str, maps) -> None:
     """Refuse maps with an entry of more digits than ``int`` to ``str`` conversion allows.
 
     Only the powers ``--s``/``--r`` make entries that long, so the message
-    names them.  Interpreters older than 3.10.7 have no conversion limit.
+    names them.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = int_digit_limit()
     if not limit:
         return
     bound = 10 ** limit
@@ -209,7 +210,10 @@ class _Context:
         """The operator on ``R_map`` (default: the operator map) at ``--weight``, else ``lambda``, else 0."""
         R_map = self.map() if R_map is None else R_map
         weight = self.options.get("weight")
-        weight = self.doc.scalars.get("lambda", Fraction(0)) if weight is None else as_scalar(weight)
+        try:
+            weight = self.doc.scalars.get("lambda", Fraction(0)) if weight is None else as_scalar(weight)
+        except ValueError as exc:
+            raise ValueError(f"--weight: {exc}") from None
         return rota_baxter.RotaBaxterOperator(R_map, weight)
 
     def twist_powers(self, A) -> tuple[int, int]:

@@ -13,6 +13,8 @@ between threads.
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Iterable, Mapping, Sequence
@@ -96,18 +98,43 @@ class TheoremContradictionError(BihomError):
     """
 
 
+def int_digit_limit() -> int:
+    """The digits ``int`` to ``str`` conversion allows; 0 (no limit) before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+_DECIMAL_EXPONENT = re.compile(  # a decimal with an exponent, as fractions.Fraction reads it
+    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
 def as_scalar(value: object) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
+    """Coerce ints, Fractions and 'p/q' strings to an exact rational.
+
+    A decimal longer than :func:`int_digit_limit` allows is refused unexpanded:
+    d significant digits at net exponent e make d + e digits when e >= 0, else
+    a denominator above 10^(-e - d), of at least 1 - e - d digits.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
+    if not isinstance(value, str):
+        raise TypeError(f"cannot interpret {type(value).__name__} as an exact scalar")
+    match, digits, limit = _DECIMAL_EXPONENT.fullmatch(value), 0, int_digit_limit()
+    try:
+        if match:
+            whole, frac, exp = (g.replace("_", "") for g in match.groups(""))
+            mantissa = str(int(whole + frac))
+            significant = mantissa.rstrip("0")
+            if not significant:
+                return ZERO
+            e = int(exp) - len(frac) + len(mantissa) - len(significant)
+            digits = len(significant) + e if e >= 0 else 1 - e - len(significant)
+        if not limit or digits <= limit:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational number: {value!r}") from exc
-    raise TypeError(f"cannot interpret {type(value).__name__} as an exact scalar")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {value!r}") from exc
+    raise ValueError(f"{value!r} has more than {limit} digits, beyond the integer string conversion limit")
 
 
 def ksign(exponent: int) -> int:

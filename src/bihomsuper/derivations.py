@@ -7,23 +7,18 @@ commutes with both structure maps and satisfies, with M = alpha^s beta^r,
                  + (-1)^{|x||D|} [M(x), D(y), M(z)]
                  + (-1)^{|D|(|x|+|y|)} [M(x), M(y), D(z)].
 
-The two-slot analogue for binary brackets drops the last insertion.  All of
-these conditions are linear in the entries of D.  The rule is linearised once
-(:func:`_leibniz_rows`): per basis tuple and component it gives the row of
-X |-> X([x_1, ..., x_n]) and the row of the signed insertions of X.  Their
-difference, with the commutation rows, is the constraint matrix whose kernel is
-the derivation space; for a quasiderivation D the first row is the system row
-of the companion map and the second, applied to D, its right-hand side.
+The two-slot analogue for binary brackets drops the last insertion.
 
-The verifiers evaluate the rule a second, independent way
-(:func:`_leibniz_residuals`): the residual on every basis tuple at once, as D
-after the bracket minus, per slot, the bracket contracted against
-(M, ..., D, ..., M), the maps before D carrying its Koszul signs
-(:func:`bihomsuper.core.contraction_sum`).  The cost
-follows the nonzeros of the bracket and the maps rather than dim ** arity;
-reports list the failing tuples in lexicographic order with dense residuals
-and count every tuple, as a walk over all of them would.  Each solved basis
-map and each companion witness is re-checked this way.
+The rule is written once, as contraction terms (:func:`_leibniz_terms`): D
+after the bracket minus, per slot, the bracket contracted against (M, ..., D,
+..., M), the maps before D carrying its Koszul signs.  Two evaluators read it.
+:func:`bihomsuper.core.contraction_sum` evaluates it on every basis tuple at
+once for the verifiers, at a cost that follows the nonzeros rather than
+dim ** arity; reports list the failing tuples in lexicographic order and count
+every tuple, as a walk over all of them would.  :func:`_linearise` reads the
+same terms with the unknown map in place of D (derivation spaces) or of the
+outer map (quasiderivation companions) and returns the solvers' sparse rows.
+Each solved basis map and each companion witness is re-checked by evaluation.
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ from .core import (
     PreconditionError,
     TheoremContradictionError,
     Vector,
-    basis_tuples,
     contraction_sum,
     dense,
     ksign,
@@ -116,29 +110,25 @@ def _commutation_violations(D: GradedMap, maps: dict[str, GradedMap]):
                 yield Violation((i,), col, f"commutes-with-{name}")
 
 
-def _insertion_sign(P, t: tuple[int, ...], p: int, q: int) -> int:
-    """Sign of the insertion of D (parity ``q``) in slot ``p`` at the basis tuple ``t``.
+def _leibniz_terms(A, X, D, M: GradedMap, parity: int) -> list:
+    """X([x_1, ..., x_n]) - sum_p sign_p [M x_1, ..., D x_p, ..., M x_n] as contraction terms.
 
-    D moves past the arguments before p, so the sign is
-    (-1)^{|D| (|x_1| + ... + |x_{p-1}|)}.
+    In slot p the bracket is contracted against (M', ..., M', D, M, ..., M):
+    M' = M S^parity, S the parity operator e_i |-> (-1)^{|e_i|} e_i, puts the
+    Koszul sign (-1)^{|D| (|x_1| + ... + |x_{p-1}|)} into the arguments D moves
+    past, so ``parity`` is |D|.  X or D may be :data:`_UNKNOWN`.
     """
-    return ksign(q * sum(P[i] for i in t[:p]))
+    n = A.bracket.arity
+    signed = M.compose(GradedMap.diagonal(A.space, [ksign(q) for q in A.space.parities])) if parity else M
+    terms = [(1, A.bracket, [GradedMap.identity(A.space)] * n, X)]
+    terms += [(-1, A.bracket, [signed] * p + [D] + [M] * (n - 1 - p), None) for p in range(n)]
+    return terms
 
 
 def _leibniz_residuals(A, X: GradedMap, D: GradedMap, M: GradedMap) -> dict[tuple[int, ...], Vector]:
-    """Nonzero residuals X([x_1, ..., x_n]) - sum_p sign_p [M x_1, ..., D x_p, ..., M x_n].
-
-    Evaluated for every basis tuple in one sparse pass: X after the bracket,
-    minus, per slot p, the bracket contracted against (M', ..., M', D, M, ...,
-    M) with D in slot p.  M' = M S^|D|, S the parity operator e_i |-> (-1)^{|e_i|} e_i,
-    puts the Koszul sign (-1)^{|D| (|x_1| + ... + |x_{p-1}|)} into the
-    arguments D moves past.  Tuples whose residual vanishes are left out.
-    """
-    n, dim = A.bracket.arity, A.space.dim
-    signed = M.compose(GradedMap.diagonal(A.space, [ksign(q) for q in A.space.parities])) if D.parity else M
-    terms = [(1, A.bracket, [GradedMap.identity(A.space)] * n, X)]
-    terms += [(-1, A.bracket, [signed] * p + [D] + [M] * (n - 1 - p), None) for p in range(n)]
-    return {t: dense(image, dim) for t, image in contraction_sum(terms).items() if any(image.values())}
+    """Nonzero residuals of the Leibniz terms on every basis tuple, in one sparse pass."""
+    residuals = contraction_sum(_leibniz_terms(A, X, D, M, D.parity))
+    return {t: dense(image, A.space.dim) for t, image in residuals.items() if any(image.values())}
 
 
 def _is_derivation(A, D: GradedMap, s: int, r: int, identity: str, fail_fast: bool) -> VerificationReport:
@@ -170,17 +160,8 @@ def is_derivation_3(
 
 
 def _slots_to_map(space, parity: int, slots: list[tuple[int, int]], values: Vector) -> GradedMap:
-    rows = [[ZERO] * space.dim for _ in range(space.dim)]
-    for (k, i), v in zip(slots, values):
-        rows[k][i] = v
-    return GradedMap(space, tuple(tuple(r) for r in rows), parity)
-
-
-def _add_coeff(row: dict[int, object], pos: int | None, coeff) -> None:
-    # Entries at forbidden-parity positions are identically zero for a
-    # homogeneous unknown, so their coefficients drop out of the row.
-    if pos is not None:
-        row[pos] = row.get(pos, ZERO) + coeff
+    entries, idx = dict(zip(slots, values)), space.indices()
+    return GradedMap(space, tuple(tuple(entries.get((k, i), ZERO) for i in idx) for k in idx), parity)
 
 
 def _commuting_system(A, parity: int):
@@ -190,82 +171,72 @@ def _commuting_system(A, parity: int):
     unknown vector, and one sparse row {position: coefficient} per entry of
     X m - m X for m = alpha, beta that involves any unknown.
     """
-    space = A.space
-    idx = space.indices()
-    slots = [(k, i) for k in idx for i in idx if space.parity(k) == (space.parity(i) + parity) % 2]
+    idx = A.space.indices()
+    slots = [(k, i) for k in idx for i in idx if A.space.parity(k) == (A.space.parity(i) + parity) % 2]
     index_of = {slot: n for n, slot in enumerate(slots)}
     rows = []
     for m in (A.alpha, A.beta):
         for k in idx:
             for i in idx:
+                # (X m - m X)[k][i] = sum_t X[k][t] m[t][i] - sum_t m[k][t] X[t][i]
                 row: dict[int, object] = {}
-                for t in idx:
-                    if m.matrix[t][i] != 0:
-                        _add_coeff(row, index_of.get((k, t)), m.matrix[t][i])
-                    if m.matrix[k][t] != 0:
-                        _add_coeff(row, index_of.get((t, i)), -m.matrix[k][t])
+                for slot, c in [((k, t), c) for t, c in m._columns[i]] + [((t, i), -c) for t, c in m._rows[k]]:
+                    if slot in index_of:  # forbidden entries of X are zero
+                        row[index_of[slot]] = row.get(index_of[slot], ZERO) + c
                 if row:
                     rows.append(row)
     return slots, index_of, rows
 
 
-def _leibniz_rows(A, M, parity, index_of):
-    """The twisted Leibniz rule linearised in the unknown map X.
+_UNKNOWN = object()  # the unknown map in a term list read by _linearise
 
-    Yields, per (basis tuple, component k), two sparse rows over the unknowns:
-    the row of X |-> X([x_1, ..., x_n])_k and the row of the signed insertions
-    X |-> sum_p sign_p [M x_1, ..., X x_p, ..., M x_n]_k.  Each insertion is the
-    column x_p of X pushed through the partial matrix with the M-images fixed
-    around slot p.
+
+def _linearise(terms, index_of: dict[tuple[int, int], int]):
+    """The terms' sum as sparse rows over the entries of the unknown map X, plus the terms without X.
+
+    ``index_of`` numbers the parity-allowed positions (k, i) of X; row (t, k)
+    holds the coefficient of e_k on the basis tuple t.  With X as outer map,
+    image component m at t lands on the unknown (k, m).  With X in slot p, the
+    term is contracted once with the identity there; its image at t' lands on
+    the unknown (t'_p, i) in the row of the tuple with i in slot p.
     """
-    idx = A.space.indices()
-    Mcol = [M.column(i) for i in idx]
-    for t in basis_tuples(A.space, A.bracket.arity):
-        bval = A.bracket.bracket_basis(*t)
-        terms = [
-            (
-                t[p],
-                _insertion_sign(A.space.parities, t, p, parity),
-                A.bracket.partial_matrix(p, *(Mcol[i] for n, i in enumerate(t) if n != p)),
-            )
-            for p in range(len(t))
-        ]
-        for k in idx:
-            bracket_row: dict[int, object] = {}
-            insertion_row: dict[int, object] = {}
-            for m in idx:
-                if bval[m] != 0:
-                    _add_coeff(bracket_row, index_of.get((k, m)), bval[m])
-                for column, sign, left in terms:
-                    if left[k][m] != 0:
-                        _add_coeff(insertion_row, index_of.get((m, column)), sign * left[k][m])
-            yield bracket_row, insertion_row
-
-
-def _dense(row: dict[int, object], ncols: int) -> list:
-    out = [ZERO] * ncols
-    for pos, coeff in row.items():
-        out[pos] = coeff
-    return out
+    by_column: dict[int, list] = {}
+    by_row: dict[int, list] = {}
+    for (k, i), pos in index_of.items():
+        by_column.setdefault(i, []).append((k, pos))
+        by_row.setdefault(k, []).append((i, pos))
+    rows: dict[tuple[tuple[int, ...], int], dict[int, object]] = {}
+    rest = []
+    for coeff, tensor, maps, outer in terms:
+        if outer is _UNKNOWN:
+            found = [(t, k, pos, c) for t, image in tensor.contract(maps).items()
+                     for m, c in image.items() for k, pos in by_column.get(m, ())]
+        elif _UNKNOWN in maps:
+            p = maps.index(_UNKNOWN)
+            slotted = tensor.contract(maps[:p] + [GradedMap.identity(tensor.space)] + maps[p + 1:])
+            found = [(t[:p] + (i,) + t[p + 1:], k, pos, c) for t, image in slotted.items()
+                     for i, pos in by_row.get(t[p], ()) for k, c in image.items()]
+        else:
+            rest.append((coeff, tensor, maps, outer))
+            continue
+        for t, k, pos, c in found:
+            row = rows.setdefault((t, k), {})
+            row[pos] = row.get(pos, ZERO) + coeff * c
+    return rows, rest
 
 
 def _solve_derivation_space(A, query: DerivationQuery, verify) -> DerivationSpace:
     """Kernel of the commutation and Leibniz rows; ``verify`` re-checks each basis map."""
     slots, index_of, rows = _commuting_system(A, query.parity)
     M = twist_power(A.alpha, A.beta, query.s, query.r)
-    for bracket_row, insertion_row in _leibniz_rows(A, M, query.parity, index_of):
-        if bracket_row or insertion_row:
-            for pos, coeff in insertion_row.items():
-                bracket_row[pos] = bracket_row.get(pos, ZERO) - coeff
-            rows.append(bracket_row)
-    basis_vectors = kernel_basis([_dense(row, len(slots)) for row in rows], len(slots))
+    leibniz, _ = _linearise(_leibniz_terms(A, _UNKNOWN, _UNKNOWN, M, query.parity), index_of)
+    rows += (leibniz[key] for key in sorted(leibniz))
+    basis_vectors = kernel_basis([dense(row, len(slots)) for row in rows], len(slots))
     basis = tuple(_slots_to_map(A.space, query.parity, slots, v) for v in basis_vectors)
     for D in basis:
         rep = verify(A, D, query.s, query.r)
         if not rep.passed:
-            raise TheoremContradictionError(
-                f"solver produced a non-derivation: {rep.summary()}"
-            )
+            raise TheoremContradictionError(f"solver produced a non-derivation: {rep.summary()}")
     return DerivationSpace(query, basis)
 
 
@@ -300,19 +271,18 @@ def supercommutator(D: GradedMap, D2: GradedMap) -> GradedMap:
 def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMap | None]:
     comm = list(_commutation_violations(D, {"alpha": A.alpha, "beta": A.beta}))
     if comm:
-        raise PreconditionError(
-            "candidate does not commute with the structure maps", details=comm
-        )
+        raise PreconditionError("candidate does not commute with the structure maps", details=comm)
     slots, index_of, rows = _commuting_system(A, D.parity)
     rhs = [ZERO] * len(rows)
     M = twist_power(A.alpha, A.beta, s, r)
-    Dvec = [D.matrix[k][i] for k, i in slots]
-    for bracket_row, insertion_row in _leibniz_rows(A, M, D.parity, index_of):
-        target = sum((c * Dvec[pos] for pos, c in insertion_row.items()), ZERO)
-        if bracket_row or target != 0:
-            rows.append(bracket_row)
-            rhs.append(target)
-    solution = solve_linear([_dense(row, len(slots)) for row in rows], rhs, len(slots))
+    leibniz, known = _linearise(_leibniz_terms(A, _UNKNOWN, D, M, D.parity), index_of)
+    # The residual vanishes: the rows in the companion equal minus the terms in D.
+    targets = contraction_sum(known)
+    nonzero = {(t, k) for t, image in targets.items() for k, c in image.items() if c}
+    for t, k in sorted(leibniz.keys() | nonzero):
+        rows.append(leibniz.get((t, k), {}))
+        rhs.append(-targets.get(t, {}).get(k, ZERO))
+    solution = solve_linear([dense(row, len(slots)) for row in rows], rhs, len(slots))
     if solution is None:
         return False, None
     witness = _slots_to_map(A.space, D.parity, slots, solution)

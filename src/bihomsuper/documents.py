@@ -30,6 +30,7 @@ from .core import (
     StructureTensor2,
     StructureTensor3,
     SuperSpace,
+    as_scalar,
 )
 
 __all__ = [
@@ -91,14 +92,12 @@ def _expect(cond: bool, message: str, path: str) -> None:
 def _parse_scalar(raw: object, path: str) -> Fraction:
     if isinstance(raw, bool):
         raise DocumentError("expected a rational, got a boolean", path)
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError(f"not a rational number: {raw!r}", path) from None
-    raise DocumentError(f"expected a rational string, got {type(raw).__name__}", path)
+    if not isinstance(raw, (int, str)):
+        raise DocumentError(f"expected a rational string, got {type(raw).__name__}", path)
+    try:
+        return as_scalar(raw)
+    except ValueError as exc:
+        raise DocumentError(str(exc), path) from None
 
 
 def _scalar_str(c: Fraction) -> str:

@@ -79,6 +79,8 @@ def check_tau_conditions(A: BiHomLieSuperalgebra, tau: LinearForm) -> TauWitness
     if tau.space != A.space:
         raise PreconditionError("form and algebra live on different spaces")
     t = tau.coefficients
+    alpha_cols, beta_cols = ([m.column(i) for i in A.space.indices()] for m in (A.alpha, A.beta))
+    ta, tb = ([tau.apply(col) for col in cols] for cols in (alpha_cols, beta_cols))  # tau o alpha, tau o beta
     kill = []
     sym = []
     prop = []
@@ -88,13 +90,10 @@ def check_tau_conditions(A: BiHomLieSuperalgebra, tau: LinearForm) -> TauWitness
         k = tau.apply(A.bracket.bracket_basis(i, j))
         if k != 0:
             kill.append(Violation((i, j), (k,), "bracket-annihilation"))
-        s = t[i] * tau.apply(A.beta.column(j)) - t[j] * tau.apply(A.beta.column(i))
+        s = t[i] * tb[j] - t[j] * tb[i]
         if s != 0:
             sym.append(Violation((i, j), (s,), "beta-symmetry"))
-        v = vec_sub(
-            vec_scale(tau.apply(A.alpha.column(i)), A.beta.column(j)),
-            vec_scale(tau.apply(A.beta.column(i)), A.alpha.column(j)),
-        )
+        v = vec_sub(vec_scale(ta[i], beta_cols[j]), vec_scale(tb[i], alpha_cols[j]))
         if not vec_is_zero(v):
             prop.append(Violation((i, j), v, "twist-proportionality"))
     return TauWitness(

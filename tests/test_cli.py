@@ -272,6 +272,31 @@ def test_document_scalar_beyond_the_digit_limit_is_an_input_error(tmp_path, caps
         assert err.startswith("input error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["1e1000000", "1e-1000000"])
+def test_huge_exponent_is_refused_before_it_is_expanded(value, tmp_path, capsys):
+    # Expanding 10^1000000 takes over a second; the refusal comes from the string alone.
+    assert run(["check-rb", DATA / "ternary_basic.json", "--map", "N", "--weight", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --weight:") and "digits" in err
+    tree = json.loads((DATA / "ternary_basic.json").read_text())
+    entry = json.loads(json.dumps(tree))
+    entry["bracket3"][0][-1] = value
+    lam = json.loads(json.dumps(tree))
+    lam["scalars"]["lambda"] = value
+    for name, doc, path in (("entry", entry, "bracket3[0]"), ("lambda", lam, "scalars.lambda")):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(doc))
+        assert run(["check-rb", p, "--map", "N"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}") and "digits" in err, err
+
+
+def test_weight_with_a_small_exponent_still_works(capsys):
+    assert run(["check-rb", DATA / "ternary_basic.json", "--map", "N", "--weight", "1e3",
+                "--format", "machine"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "fail"
+
+
 def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     target = tmp_path / "no_such_dir" / "report.json"
     assert run(["verify", DATA / "abelian.json", "--output", target]) == 2

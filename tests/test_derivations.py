@@ -108,20 +108,10 @@ def test_solver_matches_dense_oracle_on_dim2_fixtures(ternary_corpus):
     dim2 = [fx for fx in ternary_corpus if fx.algebra.space.dim == 2]
     assert dim2
     for fx in dim2:
-        A = fx.algebra
-        for s, r in ((0, 0), (1, 0), (0, 1)):
+        for s, r in itertools.product(range(3), repeat=2):
             for parity in (0, 1):
-                ours = solve_derivation_space(A, DerivationQuery(s, r, parity)).dimension
-                rows, ncols = derivation_constraint_matrix_3(
-                    A.space.parities,
-                    [list(r_) for r_ in A.alpha.matrix],
-                    [list(r_) for r_ in A.beta.matrix],
-                    A.bracket.as_dict(),
-                    s,
-                    r,
-                    parity,
-                )
-                assert ours == nullity(rows, ncols), (fx.name, s, r, parity)
+                ours = _solved_basis(fx.algebra, s, r, parity)
+                assert ours == _oracle_basis(fx.algebra, s, r, parity), (fx.name, s, r, parity)
 
 
 def test_solver_matches_dense_oracle_on_structured_fixture():
@@ -231,21 +221,11 @@ def test_binary_derivation_and_solver():
 
 
 def test_binary_solver_matches_dense_oracle(binary_corpus):
-    for fx in binary_corpus:
-        A = fx.algebra
-        for s, r in ((0, 0), (1, 0), (0, 1)):
-            for parity in (0, 1):
-                ours = solve_derivation_space_2(A, DerivationQuery(s, r, parity)).dimension
-                rows, ncols = derivation_constraint_matrix_2(
-                    A.space.parities,
-                    [list(r_) for r_ in A.alpha.matrix],
-                    [list(r_) for r_ in A.beta.matrix],
-                    A.bracket.as_dict(),
-                    s,
-                    r,
-                    parity,
-                )
-                assert ours == nullity(rows, ncols), (fx.name, s, r, parity)
+    cases = [(fx.algebra, sr) for fx in binary_corpus for sr in ((0, 0), (1, 0), (0, 1))]
+    cases += [(_axb2_shear_twist(), sr) for sr in itertools.product(range(3), repeat=2)]
+    for A, (s, r) in cases:
+        for parity in (0, 1):
+            assert _solved_basis(A, s, r, parity) == _oracle_basis(A, s, r, parity), (A, s, r, parity)
 
 
 def _binary_quasi_target(A, D, M, i, j):
@@ -311,6 +291,21 @@ def test_binary_quasiderivation_rejects_noncommuting_candidate():
     bad = GradedMap(A.space, ((F(0), F(1)), (F(0), F(0))), 0)
     with pytest.raises(PreconditionError):
         is_quasiderivation_2(A, bad, 0, 0)
+
+
+def _solved_basis(A, s, r, parity):
+    """The solver's basis as vectors over the parity-allowed entries, in row-major order."""
+    solve = solve_derivation_space if A.bracket.arity == 3 else solve_derivation_space_2
+    P = A.space.parities
+    slots = [(k, i) for k in range(len(P)) for i in range(len(P)) if P[k] == (P[i] + parity) % 2]
+    return [tuple(D.matrix[k][i] for k, i in slots) for D in solve(A, DerivationQuery(s, r, parity)).basis]
+
+
+def _oracle_basis(A, s, r, parity):
+    """The kernel basis of the dense constraint matrix; like the solver's, 1 in each free coordinate."""
+    build = derivation_constraint_matrix_3 if A.bracket.arity == 3 else derivation_constraint_matrix_2
+    P, alpha, beta, entries, _ = _oracle_args(A)
+    return nullspace(*build(P, alpha, beta, entries, s, r, parity))
 
 
 def _oracle_args(A):
@@ -469,6 +464,36 @@ def test_derivation_reports_match_dense_oracle(binary_corpus, ternary_corpus):
 
     prop()
     assert verdicts == {2: {False, True}, 3: {False, True}}, verdicts
+
+
+def test_solver_bases_match_dense_oracle_on_perturbed_algebras(binary_corpus, ternary_corpus):
+    """Solved bases equal the dense oracle's kernel entry for entry.
+
+    Corpus algebras of every dimension, both arities, the shear-twisted axb2
+    and copies with one structure constant perturbed; (s, r) in {0, 1, 2}^2 and
+    both parities.  Kernels strictly between zero and the whole commutant occur
+    for both arities, so the rows are not merely all absent or all present.
+    """
+    fixtures = [fx.algebra for fx in binary_corpus + ternary_corpus] + [_axb2_shear_twist()]
+    seen = {2: set(), 3: set()}
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def prop(data):
+        A = data.draw(st.sampled_from(fixtures))
+        if data.draw(st.booleans()):
+            A = _perturbed(A, data)
+        s, r = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        parity = data.draw(st.sampled_from([0, 1]))
+        ours = _solved_basis(A, s, r, parity)
+        assert ours == _oracle_basis(A, s, r, parity), (A, s, r, parity)
+        rows, slots = companion_system(*_oracle_args(A), parity)
+        commutant = nullity(rows[: 2 * A.space.dim ** 2], len(slots))
+        seen[A.bracket.arity].add(0 < len(ours) < commutant)
+
+    prop()
+    assert seen == {2: {False, True}, 3: {False, True}}, seen
 
 
 def test_derivation_transfer_trivial_cases(tau_corpus):
