@@ -17,6 +17,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -111,8 +112,10 @@ def as_scalar(value: object) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational.
 
     A decimal longer than :func:`int_digit_limit` allows is refused unexpanded:
-    d significant digits at net exponent e make d + e digits when e >= 0, else
-    a denominator above 10^(-e - d), of at least 1 - e - d digits.
+    d significant digits at net exponent e make d + e digits when e >= 0.  When
+    e = -k < 0 the denominator is 10^k / g, g = gcd(mantissa, 10^k); g is 1 or
+    a power of 2 or of 5, so that denominator has k + 1 - len(str(g)) digits,
+    or k + 1 when g = 1.
     """
     if isinstance(value, Fraction):
         return value
@@ -129,7 +132,11 @@ def as_scalar(value: object) -> Fraction:
             if not significant:
                 return ZERO
             e = int(exp) - len(frac) + len(mantissa) - len(significant)
-            digits = len(significant) + e if e >= 0 else 1 - e - len(significant)
+            if e >= 0:
+                digits = len(significant) + e
+            else:  # 10^min(k, 4d) holds every factor 2 or 5 of a d-digit mantissa
+                g = gcd(int(significant), 10 ** min(-e, 4 * len(significant)))
+                digits = 1 - e - (len(str(g)) if g > 1 else 0)
         if not limit or digits <= limit:
             return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:

@@ -231,7 +231,7 @@ def _solve_derivation_space(A, query: DerivationQuery, verify) -> DerivationSpac
     M = twist_power(A.alpha, A.beta, query.s, query.r)
     leibniz, _ = _linearise(_leibniz_terms(A, _UNKNOWN, _UNKNOWN, M, query.parity), index_of)
     rows += (leibniz[key] for key in sorted(leibniz))
-    basis_vectors = kernel_basis([dense(row, len(slots)) for row in rows], len(slots))
+    basis_vectors = kernel_basis(rows, len(slots))
     basis = tuple(_slots_to_map(A.space, query.parity, slots, v) for v in basis_vectors)
     for D in basis:
         rep = verify(A, D, query.s, query.r)
@@ -282,7 +282,7 @@ def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMa
     for t, k in sorted(leibniz.keys() | nonzero):
         rows.append(leibniz.get((t, k), {}))
         rhs.append(-targets.get(t, {}).get(k, ZERO))
-    solution = solve_linear([dense(row, len(slots)) for row in rows], rhs, len(slots))
+    solution = solve_linear(rows, rhs, len(slots))
     if solution is None:
         return False, None
     witness = _slots_to_map(A.space, D.parity, slots, solution)

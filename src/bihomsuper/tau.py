@@ -157,13 +157,10 @@ def bracket_annihilating_forms(A: BiHomLieSuperalgebra) -> list[LinearForm]:
     Convenience for fixture hunting: the annihilation condition is the only
     linear one among the induction conditions, so its solution space can be
     computed exactly.  The returned forms still need the other two conditions
-    checked before inducing.
+    checked before inducing.  The rows are the bracket's nonzero images on
+    basis pairs and one unit row per odd index.
     """
-    dim = A.space.dim
-    rows = []
-    for i, j in basis_tuples(A.space, 2):
-        rows.append(list(A.bracket.bracket_basis(i, j)))
-    for i in A.space.indices():
-        if A.space.parity(i) == 1:
-            rows.append([1 if m == i else 0 for m in range(dim)])
-    return [LinearForm(A.space, v) for v in kernel_basis(rows, dim)]
+    ident = GradedMap.identity(A.space)
+    rows = list(A.bracket.contract([ident, ident]).values())
+    rows += ({i: 1} for i in A.space.indices() if A.space.parity(i) == 1)
+    return [LinearForm(A.space, v) for v in kernel_basis(rows, A.space.dim)]

@@ -10,6 +10,7 @@ import pytest
 
 from bihomsuper import load_document, run_pipeline
 from bihomsuper.cli import COMMANDS, main
+from bihomsuper.core import as_scalar, int_digit_limit
 
 DATA = Path(__file__).parent / "data"
 
@@ -289,6 +290,34 @@ def test_huge_exponent_is_refused_before_it_is_expanded(value, tmp_path, capsys)
         assert run(["check-rb", p, "--map", "N"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {path}") and "digits" in err, err
+
+
+LIMIT = int_digit_limit()
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python has no integer string conversion limit")
+@pytest.mark.parametrize("value, ok", [
+    # 10^(L-1) and 2 * 10^(L-1) have L digits; 10^L has L + 1
+    (f"1e-{LIMIT - 1}", True), (f"0.5e-{LIMIT - 1}", True),
+    (f"1e-{LIMIT}", False), (f"3e-{LIMIT}", False),
+])
+def test_negative_exponent_digits_are_counted_exactly(value, ok, tmp_path, capsys):
+    if ok:
+        assert len(str(as_scalar(value).denominator)) == LIMIT
+        return
+    with pytest.raises(ValueError, match="digits"):
+        as_scalar(value)
+    # refused at parse time, naming the option or the field path
+    assert run(["check-rb", DATA / "ternary_basic.json", "--map", "N", "--weight", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --weight:") and "digits" in err, err
+    tree = json.loads((DATA / "ternary_basic.json").read_text())
+    tree["bracket3"][0][-1] = value
+    p = tmp_path / "entry.json"
+    p.write_text(json.dumps(tree))
+    assert run(["check-rb", p, "--map", "N"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: bracket3[0]") and "digits" in err, err
 
 
 def test_weight_with_a_small_exponent_still_works(capsys):

@@ -1,13 +1,14 @@
-"""Fraction-free elimination against an independent dense oracle."""
+"""Sparse fraction-free elimination against an independent dense oracle."""
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bihomsuper import invert_matrix, kernel_basis, solve_linear
 
-from oracles import matvec, nullity, nullspace, rank
+from oracles import matvec, nullity, nullspace, rank, rref
 
 
 def test_identity_matrix_has_trivial_kernel():
@@ -136,3 +137,112 @@ def test_oracle_agrees_with_itself_on_span():
     rows = [[2, 4, 0], [1, 2, 0]]
     for v in nullspace(rows, 3):
         assert matvec(rows, v) == (F(0), F(0))
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+MULTIPLES = st.sampled_from([1, 2, -1, -3, F(1, 2), F(-2, 3), F(5, 4)])
+
+
+@st.composite
+def respread(draw, base):
+    """``base`` plus duplicates, rescaled copies (negative and Fraction multiples) and zero rows, shuffled.
+
+    The row space is that of ``base``.
+    """
+    rows = [list(row) for row in base]
+    for row in base:
+        rows += [[c * x for x in row] for c in draw(st.lists(MULTIPLES, max_size=2))]
+    rows += [[0] * len(base[0])] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+def given_as(draw, row):
+    """A row as a dense list, a mapping of its nonzeros, or a mapping that keeps some zeros."""
+    kind = draw(st.sampled_from(["dense", "mapping", "mapping with zeros"]))
+    if kind == "dense":
+        return list(row)
+    return {j: c for j, c in enumerate(row) if c or (kind == "mapping with zeros" and j % 2)}
+
+
+@st.composite
+def messy_systems(draw, extra=0):
+    """Up to 4 random rows of 1..5 columns plus ``extra`` columns, respread as above."""
+    ncols = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(small_fractions, min_size=ncols + extra, max_size=ncols + extra),
+                         min_size=1, max_size=4))
+    return draw(respread(base)), ncols
+
+
+def rref_solution(rows, rhs, ncols):
+    """The zero-free-variable solution read off the RREF of [A | b]; None when inconsistent."""
+    m, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [F(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = m[r][ncols]
+    return tuple(x)
+
+
+@PROPERTY
+@given(st.data())
+def test_kernel_basis_equals_the_rref_nullspace_on_respread_rows(data):
+    rows, ncols = data.draw(messy_systems())
+    given_rows = [given_as(data.draw, row) for row in rows]
+    assert kernel_basis(given_rows, ncols) == nullspace(rows, ncols)
+
+
+def test_solve_linear_equals_the_rref_solution_on_respread_systems():
+    outcomes = set()
+
+    @PROPERTY
+    @given(st.data())
+    def prop(data):
+        # the last column is the right-hand side; a respread row keeps its equation
+        augmented, ncols = data.draw(messy_systems(extra=1))
+        rows = [given_as(data.draw, row[:ncols]) for row in augmented]
+        rhs = [row[ncols] for row in augmented]
+        expected = rref_solution([row[:ncols] for row in augmented], rhs, ncols)
+        assert solve_linear(rows, rhs, ncols) == expected
+        outcomes.add(expected is None)
+
+    prop()
+    assert outcomes == {True, False}  # both consistent and inconsistent systems were drawn
+
+
+def test_invert_matrix_equals_the_rref_inverse_including_singular_matrices():
+    outcomes = set()
+
+    @PROPERTY
+    @given(st.data())
+    def prop(data):
+        n = data.draw(st.integers(1, 4))
+        base = data.draw(st.lists(st.lists(small_fractions, min_size=n, max_size=n),
+                                  min_size=1, max_size=n))
+        # fewer than n distinct base rows make the matrix singular
+        matrix = data.draw(respread(base))[:n]
+        matrix += [[0] * n] * (n - len(matrix))
+        m, pivots = rref([row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)])
+        expected = tuple(tuple(row[n:]) for row in m) if pivots[:n] == list(range(n)) else None
+        assert invert_matrix(matrix) == expected
+        outcomes.add(expected is None)
+
+    prop()
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("column", [-1, 3, "0", 1.0])
+def test_mapping_row_outside_the_columns_is_refused(column):
+    with pytest.raises(ValueError, match="outside range"):
+        kernel_basis([{0: 1}, {column: 1}], 3)
+    # column 3 would be the right-hand side of the augmented system
+    with pytest.raises(ValueError, match="outside range"):
+        solve_linear([{column: 1}], [1], 3)
+
+
+def test_ragged_dense_row_is_refused():
+    with pytest.raises(ValueError, match="ragged"):
+        kernel_basis([[1, 0, 0], [1, 0]], 3)
+    with pytest.raises(ValueError, match="ragged"):
+        solve_linear([[1, 0, 0, 2]], [1], 3)

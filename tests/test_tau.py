@@ -19,7 +19,7 @@ from bihomsuper import (
     verify_3bihom_skewsymmetry,
 )
 
-from oracles import bracket2_of_vectors, sign, unit_vec
+from oracles import bracket2_of_vectors, nullspace, sign, unit_vec
 
 
 def _ident(sp):
@@ -137,3 +137,13 @@ def test_bracket_annihilating_forms_solve_the_linear_condition(binary_corpus):
     # on sl2 the derived subalgebra is everything, so only the zero form remains
     sl2 = next(f for f in binary_corpus if f.name == "sl2").algebra
     assert bracket_annihilating_forms(sl2) == []
+
+
+def test_bracket_annihilating_forms_equal_the_dense_nullspace(binary_corpus, tau_corpus):
+    # rows: the bracket on every basis pair, then a unit row per odd index
+    for A in [fx.algebra for fx in binary_corpus] + [fx.algebra for fx in tau_corpus]:
+        dim, P = A.space.dim, A.space.parities
+        rows = [A.bracket.bracket_basis(i, j) for i, j in itertools.product(range(dim), repeat=2)]
+        rows += [unit_vec(dim, i) for i in range(dim) if P[i]]
+        expected = nullspace(rows, dim)
+        assert [f.coefficients for f in bracket_annihilating_forms(A)] == expected
