@@ -9,7 +9,9 @@ claim flag carried by an algebra; that claim has its own verifier.
 
 Skew-symmetry and multiplicativity come from sparse contractions of the
 bracket on all tuples at once; :func:`_report` gives the report a walk would.
-The Jacobi verifiers still walk every basis tuple.
+The binary Jacobi identity, the cyclic ternary form and the deformation
+sums are tables of nested brackets [b^2(.), ..., [b(.), ..., a(.)], ...] for
+one sparse join (:func:`_composition_sum`); only the direct ternary form walks.
 """
 
 from __future__ import annotations
@@ -104,6 +106,9 @@ class _TwistedAlgebra:
     def __post_init__(self) -> None:
         if self.bracket.space != self.space:
             raise DimensionError("bracket is defined on a different space")
+        if self.bracket.arity != self._arity:
+            raise DimensionError(f"{type(self).__name__} needs a bracket of arity {self._arity}, "
+                                 f"got {self.bracket.arity}")
         for name, m in (("alpha", self.alpha), ("beta", self.beta)):
             if m.space != self.space:
                 raise DimensionError(f"{name} is defined on a different space")
@@ -120,10 +125,14 @@ class BiHomLieSuperalgebra(_TwistedAlgebra):
     and two even twisting maps; :func:`verify_multiplicativity2` checks the
     ``multiplicative`` claim."""
 
+    _arity = 2
+
 
 class ThreeBiHomLieSuperalgebra(_TwistedAlgebra):
     """Ternary analogue of :class:`BiHomLieSuperalgebra`, with a
     :class:`StructureTensor3` bracket."""
+
+    _arity = 3
 
 
 def _collect(identity, gen, fail_fast, notes=()):
@@ -189,6 +198,72 @@ def _twisted_tensor(tensor: StructureTensor, first: GradedMap, last: GradedMap) 
     return type(tensor).from_values(tensor.space, tensor.contract([first] * (tensor.arity - 1) + [last]))
 
 
+def _twisted_contractions(A, tensors, terms):
+    """Each tensor w on twisted basis arguments, as the inner and the outer factor of a nested bracket.
+
+    Per tensor, ``inner`` is {t: {s: c}} for w(b e_t1, ..., b e_t(n-1), a e_tn),
+    and ``outer[slot]``, for each free slot that a row of ``terms`` names, is
+    indexed by the basis index s in that slot: {s: [(u, {k: c})]} for w with
+    e_s in the slot and b^2 e_u1, ..., b^2 e_u(n-1) in the others, in order.
+    Coefficients that cancel are dropped.
+    """
+    n = A.bracket.arity
+    beta2 = A.beta.compose(A.beta)
+    ident = GradedMap.identity(A.space)
+
+    def nonzero(images):
+        for t, image in images.items():
+            image = {k: c for k, c in image.items() if c}
+            if image:
+                yield t, image
+
+    factors = []
+    for w in tensors:
+        inner = dict(nonzero(w.contract([A.beta] * (n - 1) + [A.alpha])))
+        outer = {}
+        for slot in {slot for slot, _, _ in terms}:
+            by_free = outer[slot] = {}
+            for t, image in nonzero(w.contract([ident if q == slot else beta2 for q in range(n)])):
+                by_free.setdefault(t[slot], []).append((t[:slot] + t[slot + 1 :], image))
+        factors.append((inner, outer))
+    return factors
+
+
+def _composition_sum(A, pairs, terms) -> dict[tuple[int, ...], Vector]:
+    """Nonzero values of the signed nested brackets of ``terms``, summed over (outer, inner) ``pairs``.
+
+    A row of ``terms`` is (free slot, order, exponent): the outer factor's
+    value with the inner factor's output in the free slot, at the basis tuple
+    t of length 2n - 1 with t[q] = (inner indices + outer indices)[order[q]],
+    signed by (-1) ** exponent(parities, *t).  Every tuple is covered at once:
+    each row joins the inner entries with the outer entries whose free index
+    is one of their output indices.
+    """
+    P, dim = A.space.parities, A.space.dim
+    acc: dict[tuple[int, ...], list] = {}
+    for outer, inner in pairs:
+        for slot, order, exponent in terms:
+            by_free = outer[slot]
+            for xyz, image in inner.items():
+                for s, c in image.items():
+                    for uv, out in by_free.get(s, ()):
+                        joined = xyz + uv
+                        t = tuple(joined[q] for q in order)
+                        coeff = ksign(exponent(P, *t)) * c
+                        res = acc.get(t)
+                        if res is None:
+                            res = acc[t] = [ZERO] * dim
+                        for k, v in out.items():
+                            res[k] += coeff * v
+    return {t: tuple(res) for t, res in acc.items() if any(res)}
+
+
+def _composition_block(A, pairs, terms, rule: str) -> tuple:
+    """The nested sum of ``terms`` over ``pairs`` as one rule on every basis tuple of length 2n - 1."""
+    found = {(t, 0): (res, rule) for t, res in _composition_sum(A, pairs, terms).items()}
+    return 2 * A.bracket.arity - 1, 1, found
+
+
 def _skew_block(A, w: StructureTensor, suffix: str = "") -> tuple:
     """Twisted swaps of adjacent slots of ``w`` on every basis tuple.
 
@@ -242,28 +317,23 @@ def verify_bihom_skewsymmetry(A: BiHomLieSuperalgebra, fail_fast: bool = False) 
     return _report("binary-twisted-skewsymmetry", A.dim, [_skew_block(A, A.bracket)], fail_fast)
 
 
+# sum_cyc (-1)^{|x||z|} [b^2(x), [b(y), a(z)]] at t = (x, y, z), rows read by _composition_sum
+_BINARY_JACOBI_TERMS = (
+    (1, (2, 0, 1), lambda P, x, y, z: P[x] * P[z]),  # [b^2(x), [b(y), a(z)]]
+    (1, (1, 2, 0), lambda P, x, y, z: P[x] * P[y]),  # [b^2(y), [b(z), a(x)]]
+    (1, (0, 1, 2), lambda P, x, y, z: P[y] * P[z]),  # [b^2(z), [b(x), a(y)]]
+)
+
+
 def verify_bihom_jacobi(A: BiHomLieSuperalgebra, fail_fast: bool = False) -> VerificationReport:
     """Twisted super-Jacobi identity of the binary bracket.
 
     Residual per triple (x, y, z), summing over cyclic shifts of the slots:
         sum_cyc (-1)^{|x||z|} [beta^2(x), [beta(y), alpha(z)]].
     """
-    P = A.space.parities
-    acol = [A.alpha.column(i) for i in A.space.indices()]
-    bcol = [A.beta.column(i) for i in A.space.indices()]
-    beta2 = A.beta.compose(A.beta)
-    b2col = [beta2.column(i) for i in A.space.indices()]
-    br = A.bracket.bracket
-
-    def term(x, y, z):
-        return vec_scale(ksign(P[x] * P[z]), br(b2col[x], br(bcol[y], acol[z])))
-
-    def gen():
-        for i, j, k in basis_tuples(A.space, 3):
-            res = vec_add(vec_add(term(i, j, k), term(j, k, i)), term(k, i, j))
-            yield (i, j, k), "twisted-jacobi", res
-
-    return _collect("binary-twisted-jacobi", gen(), fail_fast)
+    (inner, outer), = _twisted_contractions(A, [A.bracket], _BINARY_JACOBI_TERMS)
+    block = _composition_block(A, [(outer, inner)], _BINARY_JACOBI_TERMS, "twisted-jacobi")
+    return _report("binary-twisted-jacobi", A.dim, [block], fail_fast)
 
 
 def verify_multiplicativity2(A: BiHomLieSuperalgebra, fail_fast: bool = False) -> VerificationReport:
@@ -290,8 +360,8 @@ def verify_3bihom_skewsymmetry(
 
 
 class _TwistedTables:
-    """The ternary bracket evaluated on twisted basis arguments, for both
-    forms of the five-argument Jacobi identity.
+    """The ternary bracket evaluated on twisted basis arguments, for the
+    direct form of the five-argument Jacobi identity.
 
     ``inner[a][b][c]`` is [b(e_a), b(e_b), a(e_c)].  ``outer_apply(u, v, w)``
     evaluates [b^2(e_u), b^2(e_v), w]; the partial-evaluation matrices behind
@@ -344,6 +414,18 @@ def verify_3bihom_jacobi(
     return _collect("ternary-twisted-jacobi", gen(), fail_fast)
 
 
+# The cyclic form at t = (x, y, z, u, v), rows read by _composition_sum
+_CYCLIC_JACOBI_TERMS = (
+    (2, (3, 4, 0, 1, 2), lambda P, x, y, z, u, v: 0),  # [b^2(x), b^2(y), [b(z), b(u), a(v)]]
+    (2, (0, 1, 2, 3, 4),  # [b^2(u), b^2(v), [b(x), b(y), a(z)]]
+     lambda P, x, y, z, u, v: 1 + P[z] * P[v] + (P[u] + P[v]) * (P[x] + P[y]) + P[z] * P[u]),
+    (2, (0, 1, 4, 2, 3),  # [b^2(v), b^2(z), [b(x), b(y), a(u)]]
+     lambda P, x, y, z, u, v: 1 + P[z] * P[v] + (P[v] + P[z]) * (P[x] + P[y]) + P[u] * P[v]),
+    (2, (0, 1, 3, 4, 2),  # [b^2(z), b^2(u), [b(x), b(y), a(v)]]
+     lambda P, x, y, z, u, v: 1 + (P[z] + P[u]) * (P[x] + P[y])),
+)
+
+
 def verify_3bihom_jacobi_cyclic(
     A: ThreeBiHomLieSuperalgebra, fail_fast: bool = False
 ) -> VerificationReport:
@@ -353,26 +435,11 @@ def verify_3bihom_jacobi_cyclic(
     (u, v, z) of (-1)^{(|u|+|v|)(|x|+|y|) + |z||u|} [b^2(u), b^2(v), [...a(z)]].
     Equivalent to the direct form whenever first-two-slot skew-symmetry applies
     to the outer brackets, e.g. for plainly skew brackets or invertible alpha.
+    Its own term table, so it still cross-checks the direct walk.
     """
-    P = A.space.parities
-    tables = _TwistedTables(A)
-    inner = tables.inner
-
-    def cyc_term(x, y, z, u, v):
-        s = ksign((P[u] + P[v]) * (P[x] + P[y]) + P[z] * P[u])
-        return vec_scale(s, tables.outer_apply(u, v, inner[x][y][z]))
-
-    def gen():
-        for x, y, z, u, v in basis_tuples(A.space, 5):
-            lhs = tables.outer_apply(x, y, inner[z][u][v])
-            cyc = vec_add(
-                vec_add(cyc_term(x, y, z, u, v), cyc_term(x, y, u, v, z)),
-                cyc_term(x, y, v, z, u),
-            )
-            res = vec_sub(lhs, vec_scale(ksign(P[z] * P[v]), cyc))
-            yield (x, y, z, u, v), "cyclic-form", res
-
-    return _collect("ternary-twisted-jacobi-cyclic-form", gen(), fail_fast)
+    (inner, outer), = _twisted_contractions(A, [A.bracket], _CYCLIC_JACOBI_TERMS)
+    block = _composition_block(A, [(outer, inner)], _CYCLIC_JACOBI_TERMS, "cyclic-form")
+    return _report("ternary-twisted-jacobi-cyclic-form", A.dim, [block], fail_fast)
 
 
 def verify_multiplicativity3(

@@ -179,6 +179,7 @@ class _Context:
     options: dict
     aux: dict[str, AlgebraDocument]
     report: RunReport
+    weight: tuple[str, Fraction] | None = None  # (source, value) once the operator's weight is read
 
     @property
     def fail_fast(self) -> bool:
@@ -214,7 +215,18 @@ class _Context:
             weight = self.doc.scalars.get("lambda", Fraction(0)) if weight is None else as_scalar(weight)
         except ValueError as exc:
             raise ValueError(f"--weight: {exc}") from None
+        self.weight = ("scalars.lambda" if self.options.get("weight") is None else "--weight", weight)
         return rota_baxter.RotaBaxterOperator(R_map, weight)
+
+    def unprintable(self) -> str:
+        """The input error for a report holding a number too long to print, naming its source:
+        the weight (``--weight`` or ``scalars.lambda``) if it has over half the limit's digits,
+        since the weighted sums multiply it with itself, else the document."""
+        limit, (source, weight) = int_digit_limit(), self.weight or ("document", 0)
+        if max(abs(weight.numerator), weight.denominator) < 10 ** (limit // 2):
+            source = "document"
+        return (f"{source}: the report holds a number of more than {limit} digits, "
+                "beyond the integer string conversion limit")
 
     def twist_powers(self, A) -> tuple[int, int]:
         """``--s`` and ``--r``, refused before solving when alpha^s beta^r is too long to print.
@@ -439,6 +451,12 @@ def run_pipeline(command: str, doc: AlgebraDocument, options: dict | None = None
     failures are encoded in the report status, with theorem-contradiction
     diagnostics converted into failing checks.
     """
+    return _run(command, doc, options, aux).report
+
+
+def _run(command: str, doc: AlgebraDocument, options: dict | None,
+         aux: dict[str, AlgebraDocument] | None) -> _Context:
+    """:func:`run_pipeline`, returning the context the command ran in."""
     row = COMMANDS.get(command)
     if row is None:
         raise DocumentError(f"unknown command {command!r}")
@@ -457,7 +475,7 @@ def run_pipeline(command: str, doc: AlgebraDocument, options: dict | None = None
             ctx.check(details)
     except TheoremContradictionError as exc:
         ctx.flag("internal-consistency", False, str(exc))
-    return report
+    return ctx
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -497,11 +515,15 @@ def main(argv: list[str] | None = None) -> int:
         doc = documents.load_document(options["document"])
         aux = {key: documents.load_document(options[key])
                for key in COMMANDS[command].aux if options[key] is not None}
-        report = run_pipeline(command, doc, options, aux)
+        ctx = _run(command, doc, options, aux)
+        report = ctx.report
         # Rendering prints every rational in full, so a number with more
         # digits than int-to-str conversion allows is refused here as well.
-        machine = report.machine_text() if options["output"] or options["format"] == "machine" else None
-        text = machine if options["format"] == "machine" else report.human_text()
+        try:
+            machine = report.machine_text() if options["output"] or options["format"] == "machine" else None
+            text = machine if options["format"] == "machine" else report.human_text()
+        except ValueError:
+            raise ValueError(ctx.unprintable()) from None
     except (DocumentError, DimensionError, ParityError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

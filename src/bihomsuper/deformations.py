@@ -24,11 +24,11 @@ index tuples rather than on a wedge basis; this is convention-free, and for
 skew tensors it is equivalent.  For them, each tensor contracted against
 (b, b, a) is joined, over its output index, with a tensor contracted against
 b^2 in two slots and the identity in the free one, one join per term of the
-composition (:data:`_COMPOSITION_TERMS`).  The cost follows the nonzeros
-rather than dim ** 5.  Reports list the failing tuples in lexicographic
-order with dense residuals and count every tuple analytically, as a walk
-over all of them would; :func:`omega_compose` evaluates one composition
-pointwise and stays as the second path.
+composition (:data:`_COMPOSITION_TERMS`), by the nested-bracket kernel in
+:mod:`bihomsuper.algebras`; the cost follows the nonzeros, not dim ** 5.
+Reports list the failing tuples in lexicographic order with dense residuals
+and count every tuple analytically, as a walk over all of them would;
+:func:`omega_compose` evaluates one composition pointwise, the second path.
 
 Nijenhuis operators are even maps N whose deformed brackets telescope:
 [Nx, Ny, Nz] equals N applied to the second N-bracket, equivalently the
@@ -46,14 +46,15 @@ from .algebras import (
     BiHomLieSuperalgebra,
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
+    _composition_block,
     _morphism_block,
     _report,
     _require_commuting_twists,
     _skew_block,
+    _twisted_contractions,
 )
 from .core import (
     EVEN,
-    ZERO,
     DimensionError,
     GradedMap,
     LinearForm,
@@ -153,7 +154,7 @@ def omega_compose(
 # The four terms of (w_i o w_j)(e_a ^ e_b, e_c ^ e_d, e_m), one row each: the
 # free slot of the outer w_i, the basis 5-tuple (a, b, c, d, m) read off the
 # inner indices (x, y, z) followed by the outer ones (u, v), and the Koszul
-# exponent at that tuple.
+# exponent at that tuple; ``algebras._composition_sum`` evaluates the table.
 _COMPOSITION_TERMS = (
     # + w_i(w_j(b e_a, b e_b, a e_c), b^2 e_d, b^2 e_m)
     (0, (0, 1, 2, 3, 4), lambda P, a, b, c, d, m: 0),
@@ -164,62 +165,6 @@ _COMPOSITION_TERMS = (
     # + (-1)^{(|a|+|b|)(|c|+|d|)} w_i(b^2 e_c, b^2 e_d, w_j(b e_a, b e_b, a e_m))
     (2, (0, 1, 3, 4, 2), lambda P, a, b, c, d, m: (P[a] + P[b]) * (P[c] + P[d])),
 )
-
-
-def _twisted_contractions(A, tensors):
-    """Each tensor w on twisted basis arguments, as the inner and the outer factor of a composition.
-
-    Per tensor, ``inner`` is {(x, y, z): {s: c}} for w(b e_x, b e_y, a e_z),
-    and ``outer[slot]`` is indexed by the basis index s in that free slot:
-    {s: [((u, v), {k: c})]} for w with e_s in the slot and b^2 e_u, b^2 e_v in
-    the other two, in order.  Coefficients that cancel are dropped.
-    """
-    beta2 = A.beta.compose(A.beta)
-    ident = GradedMap.identity(A.space)
-
-    def nonzero(images):
-        for t, image in images.items():
-            image = {k: c for k, c in image.items() if c}
-            if image:
-                yield t, image
-
-    factors = []
-    for w in tensors:
-        inner = dict(nonzero(w.contract([A.beta, A.beta, A.alpha])))
-        outer = []
-        for slot in range(3):
-            by_free: dict[int, list] = {}
-            for t, image in nonzero(w.contract([ident if q == slot else beta2 for q in range(3)])):
-                by_free.setdefault(t[slot], []).append((t[:slot] + t[slot + 1 :], image))
-            outer.append(by_free)
-        factors.append((inner, outer))
-    return factors
-
-
-def _composition_sum(A, pairs) -> dict[tuple[int, ...], Vector]:
-    """Nonzero values of sum over (outer w_i, inner w_j) in ``pairs`` of w_i o w_j.
-
-    Every basis 5-tuple (a, b, c, d, m) is covered at once: each term of
-    :data:`_COMPOSITION_TERMS` joins the inner entries with the outer entries
-    whose free index is one of their output indices.
-    """
-    P, dim = A.space.parities, A.space.dim
-    acc: dict[tuple[int, ...], list] = {}
-    for outer, inner in pairs:
-        for slot, order, exponent in _COMPOSITION_TERMS:
-            by_free = outer[slot]
-            for xyz, image in inner.items():
-                for s, c in image.items():
-                    for uv, out in by_free.get(s, ()):
-                        joined = xyz + uv
-                        t = tuple(joined[q] for q in order)
-                        coeff = ksign(exponent(P, *t)) * c
-                        res = acc.get(t)
-                        if res is None:
-                            res = acc[t] = [ZERO] * dim
-                        for k, v in out.items():
-                            res[k] += coeff * v
-    return {t: tuple(res) for t, res in acc.items() if any(res)}
 
 
 def check_deformation(
@@ -241,25 +186,20 @@ def check_deformation(
         yield _skew_block(A, d.omega2, "-omega2")
         yield _morphism_block(A, d.omega1, "{}-compat-omega1", -1)
         yield _morphism_block(A, d.omega2, "{}-compat-omega2", -1)
-        factors = _twisted_contractions(A, (A.bracket, d.omega1, d.omega2))
+        factors = _twisted_contractions(A, (A.bracket, d.omega1, d.omega2), _COMPOSITION_TERMS)
         for l in (1, 2, 3, 4):
             pairs = [(factors[i][1], factors[l - i][0]) for i in range(3) if 0 <= l - i <= 2]
-            yield _degree_block(A, pairs, f"series-degree-{l}")
+            yield _composition_block(A, pairs, _COMPOSITION_TERMS, f"series-degree-{l}")
 
     return _report("second-order-deformation", A.space.dim, blocks(), fail_fast)
-
-
-def _degree_block(A, pairs, rule: str) -> tuple:
-    """The composition sum over ``pairs`` as one rule on every basis 5-tuple."""
-    return 5, 1, {(t, 0): (res, rule) for t, res in _composition_sum(A, pairs).items()}
 
 
 def check_2cocycle(A: ThreeBiHomLieSuperalgebra, w1: StructureTensor3) -> VerificationReport:
     """The degree-1 composition sum alone: w0 o w1 + w1 o w0 = 0 on raw tuples."""
     if w1.space != A.space:
         raise DimensionError("cocycle candidate lives on a different space")
-    (inner0, outer0), (inner1, outer1) = _twisted_contractions(A, (A.bracket, w1))
-    block = _degree_block(A, [(outer0, inner1), (outer1, inner0)], "degree-1-sum")
+    (inner0, outer0), (inner1, outer1) = _twisted_contractions(A, (A.bracket, w1), _COMPOSITION_TERMS)
+    block = _composition_block(A, [(outer0, inner1), (outer1, inner0)], _COMPOSITION_TERMS, "degree-1-sum")
     return _report("two-cocycle", A.space.dim, [block], False)
 
 

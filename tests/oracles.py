@@ -410,6 +410,97 @@ def _wedge_compose(P, tables_i, tables_j, a, b, c, d, m):
     return out
 
 
+def _apply(matrix, vec):
+    """matrix @ vec, skipping the zero entries of vec."""
+    out = [ZERO] * len(matrix)
+    for s, x in enumerate(vec):
+        if x:
+            out = [y + x * row[s] for y, row in zip(out, matrix)]
+    return out
+
+
+def binary_jacobi_reports(space_parities, alpha, beta, entries):
+    """Dense walk of ``verify_bihom_jacobi``: on every basis triple (x, y, z),
+
+        sum over the cyclic shifts (a, b, c) of (x, y, z) of
+        (-1)^{|a||c|} [beta^2 e_a, [beta e_b, alpha e_c]],
+
+    as (full report, fail-fast report)."""
+    P, ent, dim = space_parities, dict(entries), len(space_parities)
+    beta2 = _compose(beta, beta)
+
+    def term(a, b, c):
+        inner = _bracket_of_vectors(ent, dim, [_column(beta, b), _column(alpha, c)])
+        return [sign(P[a] * P[c]) * v for v in _bracket_of_vectors(ent, dim, [_column(beta2, a), inner])]
+
+    def checks():
+        for x, y, z in itertools.product(range(dim), repeat=3):
+            terms = [term(x, y, z), term(y, z, x), term(z, x, y)]
+            yield (x, y, z), "twisted-jacobi", [sum(col, ZERO) for col in zip(*terms)]
+
+    return _walk_reports("binary-twisted-jacobi", checks())
+
+
+def _ternary_jacobi_walk(space_parities, alpha, beta, entries, rule, residual):
+    """Yield (t, rule, residual(P, inner, outer, *t)) on every basis 5-tuple t, with
+    inner[a][b][c] = [beta e_a, beta e_b, alpha e_c] and outer(u, v, w) = [beta^2 e_u, beta^2 e_v, w]."""
+    P = space_parities
+    inner, outer_tables = _twisted_tables(P, alpha, beta, entries)
+
+    def outer(u, v, w):
+        return _apply(outer_tables[2][u][v], w)
+
+    for t in itertools.product(range(len(P)), repeat=5):
+        yield t, rule, residual(P, inner, outer, *t)
+
+
+def _combine(*terms):
+    """The sum of c * v over the (c, v) ``terms``."""
+    out = [ZERO] * len(terms[0][1])
+    for c, v in terms:
+        if any(v):
+            out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
+def ternary_jacobi_reports(space_parities, alpha, beta, entries):
+    """Dense walk of ``verify_3bihom_jacobi``: on every basis 5-tuple (x, y, z, u, v),
+
+        [b^2 x, b^2 y, [b z, b u, a v]]
+          - (-1)^{(|u|+|v|)(|x|+|y|+|z|)} [b^2 u, b^2 v, [b x, b y, a z]]
+          + (-1)^{(|z|+|v|)(|x|+|y|) + |u||v|} [b^2 z, b^2 v, [b x, b y, a u]]
+          - (-1)^{(|z|+|u|)(|x|+|y|)} [b^2 z, b^2 u, [b x, b y, a v]],
+
+    as (full report, fail-fast report)."""
+    def residual(P, inner, outer, x, y, z, u, v):
+        return _combine(
+            (1, outer(x, y, inner[z][u][v])),
+            (-sign((P[u] + P[v]) * (P[x] + P[y] + P[z])), outer(u, v, inner[x][y][z])),
+            (sign((P[z] + P[v]) * (P[x] + P[y]) + P[u] * P[v]), outer(z, v, inner[x][y][u])),
+            (-sign((P[z] + P[u]) * (P[x] + P[y])), outer(z, u, inner[x][y][v])),
+        )
+
+    walk = _ternary_jacobi_walk(space_parities, alpha, beta, dict(entries), "twisted-jacobi", residual)
+    return _walk_reports("ternary-twisted-jacobi", walk)
+
+
+def cyclic_jacobi_reports(space_parities, alpha, beta, entries):
+    """Dense walk of ``verify_3bihom_jacobi_cyclic``: on every basis 5-tuple (x, y, z, u, v),
+
+        [b^2 x, b^2 y, [b z, b u, a v]] - (-1)^{|z||v|} sum over the cyclic shifts (p, q, r)
+        of (z, u, v) of (-1)^{(|q|+|r|)(|x|+|y|) + |p||q|} [b^2 q, b^2 r, [b x, b y, a p]],
+
+    as (full report, fail-fast report)."""
+    def residual(P, inner, outer, x, y, z, u, v):
+        shifts = [(z, u, v), (u, v, z), (v, z, u)]
+        terms = [(-sign(P[z] * P[v] + (P[q] + P[r]) * (P[x] + P[y]) + P[p] * P[q]), outer(q, r, inner[x][y][p]))
+                 for p, q, r in shifts]
+        return _combine((1, outer(x, y, inner[z][u][v])), *terms)
+
+    walk = _ternary_jacobi_walk(space_parities, alpha, beta, dict(entries), "cyclic-form", residual)
+    return _walk_reports("ternary-twisted-jacobi-cyclic-form", walk)
+
+
 def _degree_walk(P, tables, pairs):
     """Yield (t, sum of w_i o w_j over ``pairs`` at t) for every basis 5-tuple t in order."""
     for t in itertools.product(range(len(P)), repeat=5):

@@ -7,6 +7,7 @@ import pytest
 
 from bihomsuper import (
     BiHomLieSuperalgebra,
+    DimensionError,
     GradedMap,
     StructureTensor2,
     StructureTensor3,
@@ -38,6 +39,15 @@ def test_zero_bracket_passes_everything():
     assert verify_bihom_skewsymmetry(A).passed
     assert verify_bihom_jacobi(A).passed
     assert verify_multiplicativity2(A).passed
+
+
+def test_algebras_refuse_a_bracket_of_the_other_arity():
+    # a binary algebra with a ternary bracket would be checked against the wrong identities
+    sp = SuperSpace((0, 1))
+    with pytest.raises(DimensionError, match="BiHomLieSuperalgebra needs a bracket of arity 2, got 3"):
+        BiHomLieSuperalgebra(sp, StructureTensor3.zero(sp), _ident(sp), _ident(sp))
+    with pytest.raises(DimensionError, match="ThreeBiHomLieSuperalgebra needs a bracket of arity 3, got 2"):
+        ThreeBiHomLieSuperalgebra(sp, StructureTensor2.zero(sp), _ident(sp), _ident(sp))
 
 
 def test_classical_super_skew_reduces(binary_corpus):

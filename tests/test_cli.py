@@ -320,6 +320,31 @@ def test_negative_exponent_digits_are_counted_exactly(value, ok, tmp_path, capsy
     assert err.startswith("input error: bracket3[0]") and "digits" in err, err
 
 
+@pytest.mark.skipif(not LIMIT, reason="this Python has no integer string conversion limit")
+@pytest.mark.parametrize("command", ["check-rb", "rb-bracket"])
+@pytest.mark.parametrize("source", ["--weight", "scalars.lambda"])
+def test_unprintable_report_names_the_weight_and_the_limit(command, source, tmp_path, capsys):
+    # a weight of 10^-(L-1) is read (its denominator has exactly L digits), but
+    # the weighted sums multiply it with itself, past the limit
+    value = f"1e-{LIMIT - 1}"
+    argv = [command, DATA / "ternary_basic.json", "--map", "N", "--weight", value]
+    if source == "scalars.lambda":
+        tree = json.loads((DATA / "ternary_basic.json").read_text())
+        tree["scalars"]["lambda"] = value
+        argv[1] = tmp_path / "lambda.json"
+        argv[1].write_text(json.dumps(tree))
+        del argv[-2:]
+    target = tmp_path / "report.json"
+    for fmt in ("human", "machine"):
+        for extra in ([], ["--output", target]):
+            assert run(argv + ["--format", fmt] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (f"input error: {source}: the report holds a number of more than {LIMIT} "
+                                    "digits, beyond the integer string conversion limit\n")
+            assert captured.out == ""
+            assert not target.exists()
+
+
 def test_weight_with_a_small_exponent_still_works(capsys):
     assert run(["check-rb", DATA / "ternary_basic.json", "--map", "N", "--weight", "1e3",
                 "--format", "machine"]) == 1

@@ -300,16 +300,17 @@ def test_table_path_matches_direct_composition():
     # check_deformation and check_2cocycle evaluate compositions by sparse
     # contraction of the twisted tensors; each single composition must agree
     # with the direct wedge evaluation on every raw tuple
-    from bihomsuper.deformations import _composition_sum, _twisted_contractions
+    from bihomsuper.algebras import _composition_sum, _twisted_contractions
+    from bihomsuper.deformations import _COMPOSITION_TERMS
 
     for name in ("t3-e1-twist-equal", "induced/gl11/diag3"):
         A = next(f for f in corpus.ternary_fixtures() if f.name == name).algebra
         sp = A.space
         N = GradedMap.diagonal(sp, [2, 3, 5, 7][: sp.dim])
         tensors = (A.bracket, make_n_bracket_1(A, N))
-        factors = _twisted_contractions(A, tensors)
+        factors = _twisted_contractions(A, tensors, _COMPOSITION_TERMS)
         for ni, nj in ((0, 1), (1, 0), (1, 1)):
-            sparse = _composition_sum(A, [(factors[ni][1], factors[nj][0])])
+            sparse = _composition_sum(A, [(factors[ni][1], factors[nj][0])], _COMPOSITION_TERMS)
             for a, b, c, d, m in itertools.product(range(sp.dim), repeat=5):
                 direct = omega_compose(
                     A, tensors[ni], tensors[nj],

@@ -29,7 +29,10 @@ from bihomsuper import (
     make_n_bracket_1,
     make_n_bracket_2,
     make_rb_bracket,
+    verify_3bihom_jacobi,
+    verify_3bihom_jacobi_cyclic,
     verify_3bihom_skewsymmetry,
+    verify_bihom_jacobi,
     verify_bihom_skewsymmetry,
     verify_multiplicativity2,
     verify_multiplicativity3,
@@ -235,6 +238,40 @@ def test_skew_and_multiplicativity_reports_match_dense_walk(binary_corpus, terna
     prop()
     assert verdicts == {"skew": {False, True}, "mult": {False, True}}, verdicts
     assert {"swap-23", "twists-commute", "beta-morphism"} <= stops, stops
+
+
+def test_jacobi_reports_match_dense_walk(binary_corpus, ternary_corpus):
+    """``verify_bihom_jacobi``, ``verify_3bihom_jacobi`` and ``verify_3bihom_jacobi_cyclic``
+    reports, with and without fail-fast.
+
+    Draws the binary and ternary corpora (twisted and mixed-parity fixtures
+    included, every ternary one of dim at most 4) and copies with one
+    structure constant perturbed.  Catches: a flipped sign in any row of the
+    binary or cyclic term table, two swapped entries in one ``order``, a
+    fail-fast total without its +1.
+    """
+    fixtures = [fx.algebra for fx in binary_corpus + ternary_corpus]
+    assert max(A.space.dim for A in fixtures if A.bracket.arity == 3) <= 4
+    verdicts = {"binary": set(), "ternary": set(), "cyclic": set()}
+
+    @PROPERTY
+    @given(st.data())
+    def prop(data):
+        A = _perturbed(data.draw(st.sampled_from(fixtures)), data)
+        args = (A.space.parities, _matrix(A.alpha), _matrix(A.beta), A.bracket.as_dict())
+        if A.bracket.arity == 2:
+            checks = [("binary", verify_bihom_jacobi, oracles.binary_jacobi_reports(*args))]
+        else:
+            checks = [("ternary", verify_3bihom_jacobi, oracles.ternary_jacobi_reports(*args)),
+                      ("cyclic", verify_3bihom_jacobi_cyclic, oracles.cyclic_jacobi_reports(*args))]
+        for name, verify, expected in checks:
+            for fail_fast in (False, True):
+                rep = verify(A, fail_fast=fail_fast)
+                assert _fields(rep) == expected[fail_fast], (name, A, fail_fast)
+            verdicts[name].add(rep.passed)
+
+    prop()
+    assert verdicts == {"binary": {False, True}, "ternary": {False, True}, "cyclic": {False, True}}, verdicts
 
 
 def test_transfer_criterion_reports_match_dense_walk(tau_corpus):
