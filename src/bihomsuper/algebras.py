@@ -7,11 +7,14 @@ equivalent to validity on all homogeneous elements, and exact arithmetic makes
 "holds" a decidable predicate.  Verifiers never trust the ``multiplicative``
 claim flag carried by an algebra; that claim has its own verifier.
 
-Skew-symmetry and multiplicativity come from sparse contractions of the
-bracket on all tuples at once; :func:`_report` gives the report a walk would.
-The binary Jacobi identity, the cyclic ternary form and the deformation
-sums are tables of nested brackets [b^2(.), ..., [b(.), ..., a(.)], ...] for
-one sparse join (:func:`_composition_sum`); only the direct ternary form walks.
+Skew-symmetry and the morphism rules come from sparse contractions of the
+bracket on all tuples at once, twist commutation from
+:func:`bihomsuper.core.commutator`; :func:`_report` gives the report a walk
+would, here and for every check of the other modules but the weighted
+identity.  The binary Jacobi identity, the cyclic ternary form and the
+deformation sums are tables of nested brackets [b^2(.), ..., [b(.), ...,
+a(.)], ...] for one sparse join (:func:`_composition_sum`); of the verifiers
+here, only the direct ternary form walks.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .core import (
     Vector,
     add_image,
     basis_tuples,
+    commutator,
     commute,
     contraction_sum,
     dense,
@@ -297,12 +301,8 @@ def _morphism_block(A, w: StructureTensor, rule: str, sign: int = 1) -> tuple:
 
 
 def _verify_multiplicativity(A, identity: str, fail_fast: bool) -> VerificationReport:
-    ab = A.alpha.compose(A.beta)
-    ba = A.beta.compose(A.alpha)
-
     def blocks():
-        defect = {(i,): dict(enumerate(vec_sub(ab.column(i), ba.column(i)))) for i in A.space.indices()}
-        yield _rules_block(1, [("twists-commute", defect)], A.dim)
+        yield _rules_block(1, [("twists-commute", commutator(A.alpha, A.beta))], A.dim)
         yield _morphism_block(A, A.bracket, "{}-morphism")
 
     return _report(identity, A.dim, blocks(), fail_fast)

@@ -118,7 +118,7 @@ class RunReport:
 
 def _doc_tree(**fields) -> dict:
     """The canonical JSON tree of the document with these fields."""
-    return json.loads(documents.serialize_document(AlgebraDocument(**fields)))
+    return documents._document_tree(AlgebraDocument(**fields))
 
 
 def _binary_algebra(doc: AlgebraDocument) -> algebras.BiHomLieSuperalgebra:

@@ -51,6 +51,8 @@ __all__ = [
     "add_image",
     "as_scalar",
     "basis_vector",
+    "commutator",
+    "commutator_terms",
     "commute",
     "contraction_sum",
     "dense",
@@ -367,11 +369,33 @@ class GradedMap:
         return GradedMap(self.space, inv, self.parity)
 
 
+def commutator_terms(m: GradedMap, r: int, c: int) -> list[tuple[tuple[int, int], Fraction]]:
+    """X m - m X for a map X, written once: the entries ((k, i), a) that X[r][c] adds a * X[r][c] to.
+
+    X[r][c] m[c][i] goes into (r, i) for the nonzero m[c][i], and
+    -m[k][r] X[r][c] into (k, c) for the nonzero m[k][r].  :func:`commutator`
+    evaluates it; the derivation solvers read it as linear rows in the
+    unknown entries of X.
+    """
+    return [((r, i), a) for i, a in m._rows[c]] + [((k, c), -a) for k, a in m._columns[r]]
+
+
+def commutator(X: GradedMap, m: GradedMap) -> dict[tuple[int], dict[int, Fraction]]:
+    """The columns of X m - m X that are not zero, {(i,): {k: c}}, as a one-slot contraction."""
+    if X.space != m.space:
+        raise DimensionError("maps on different spaces never commute")
+    acc: dict[tuple[int], dict[int, Fraction]] = {}
+    for c, column in enumerate(X._columns):
+        for r, x in column:
+            for (k, i), a in commutator_terms(m, r, c):
+                image = acc.setdefault((i,), {})
+                image[k] = image.get(k, ZERO) + a * x
+    return {i: image for i, image in acc.items() if any(image.values())}
+
+
 def commute(m1: GradedMap, m2: GradedMap) -> bool:
     """True iff the two maps commute as matrices (m1 m2 = m2 m1)."""
-    if m1.space != m2.space:
-        raise DimensionError("maps on different spaces never commute")
-    return m1.compose(m2).matrix == m2.compose(m1).matrix
+    return not commutator(m1, m2)
 
 
 def parity_components(space: SuperSpace, rows: Iterable[Iterable[object]]) -> tuple[GradedMap, GradedMap]:
@@ -416,6 +440,8 @@ class LinearForm:
         return sum((c * x for c, x in zip(self.coefficients, vv)), ZERO)
 
     def of_basis(self, i: int) -> Fraction:
+        if not 0 <= i < self.space.dim:
+            raise DimensionError(f"basis index {i} out of range for dimension {self.space.dim}")
         return self.coefficients[i]
 
     def compose(self, m: GradedMap) -> "LinearForm":

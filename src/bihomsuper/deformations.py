@@ -65,6 +65,7 @@ from .core import (
     TheoremContradictionError,
     Vector,
     WedgePair,
+    commute,
     contraction_sum,
     dense,
     ksign,
@@ -74,6 +75,9 @@ from .core import (
     vec_scale,
     vec_sub,
 )
+from .derivations import is_derivation_3
+from .rota_baxter import RotaBaxterOperator, is_rb3, make_rb_bracket
+from .tau import check_tau_conditions, induce_tau
 
 __all__ = [
     "DeformationPair",
@@ -290,8 +294,6 @@ def check_nijenhuis_transfer(
     Preconditions are verified; a failure of the conclusion would contradict
     the supporting theory and raises :class:`TheoremContradictionError`.
     """
-    from .tau import check_tau_conditions, induce_tau
-
     base = is_nijenhuis_2(A, N)
     if not base.passed:
         raise PreconditionError("operator is not binary Nijenhuis", details=base)
@@ -311,9 +313,6 @@ def check_nijenhuis_rb_compatibility(
 ) -> bool:
     """A Nijenhuis operator commuting with a weighted Baxter operator survives
     the subset-induced bracket."""
-    from .core import commute
-    from .rota_baxter import RotaBaxterOperator, is_rb3, make_rb_bracket
-
     if not isinstance(R, RotaBaxterOperator):
         raise PreconditionError("expected a weighted operator")
     base_n = is_nijenhuis_3(A, N)
@@ -340,9 +339,6 @@ def check_derivation_nijenhuis_rb_equivalence(
     Computes both predicates independently; disagreement raises
     :class:`TheoremContradictionError`, otherwise the common value is returned.
     """
-    from .rota_baxter import RotaBaxterOperator, is_rb3
-    from .derivations import is_derivation_3
-
     base = is_derivation_3(A, N, 0, 0)
     if not base.passed:
         raise PreconditionError("operator is not an even derivation", details=base)

@@ -18,7 +18,10 @@ dim ** arity; reports list the failing tuples in lexicographic order and count
 every tuple, as a walk over all of them would.  :func:`_linearise` reads the
 same terms with the unknown map in place of D (derivation spaces) or of the
 outer map (quasiderivation companions) and returns the solvers' sparse rows.
-Each solved basis map and each companion witness is re-checked by evaluation.
+Commutation with the twists is read from :func:`bihomsuper.core.commutator_terms`
+the same way: evaluated for the verifiers' ``commutes-with-*`` rules and
+linearised into the solvers' first rows.  Each solved basis map and each
+companion witness is re-checked by evaluation.
 """
 
 from __future__ import annotations
@@ -29,10 +32,8 @@ from .algebras import (
     BiHomLieSuperalgebra,
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
-    Violation,
     _report,
     _rules_block,
-    _walk_order,
 )
 from .core import (
     EVEN,
@@ -45,13 +46,13 @@ from .core import (
     PreconditionError,
     TheoremContradictionError,
     Vector,
+    commutator,
+    commutator_terms,
     contraction_sum,
-    dense,
     ksign,
-    vec_is_zero,
 )
 from .linalg import kernel_basis, solve_linear
-from .tau import _tau_expansion
+from .tau import _tau_expansion, check_tau_conditions, induce_tau
 
 __all__ = [
     "DerivationQuery",
@@ -101,13 +102,10 @@ def twist_power(alpha: GradedMap, beta: GradedMap, s: int, r: int) -> GradedMap:
     return alpha.power(s).compose(beta.power(r))
 
 
-def _commutation_violations(D: GradedMap, maps: dict[str, GradedMap]):
-    for name, m in maps.items():
-        delta = D.compose(m).sub(m.compose(D))
-        for i in m.space.indices():
-            col = delta.column(i)
-            if not vec_is_zero(col):
-                yield Violation((i,), col, f"commutes-with-{name}")
+def _commutation_blocks(A, D: GradedMap) -> list:
+    """The columns of D m - m D for m = alpha, then beta, as two one-slot report blocks."""
+    return [_rules_block(1, [(f"commutes-with-{name}", commutator(D, m))], A.space.dim)
+            for name, m in (("alpha", A.alpha), ("beta", A.beta))]
 
 
 def _leibniz_terms(A, X, D, M: GradedMap, parity: int) -> list:
@@ -125,24 +123,16 @@ def _leibniz_terms(A, X, D, M: GradedMap, parity: int) -> list:
     return terms
 
 
-def _leibniz_residuals(A, X: GradedMap, D: GradedMap, M: GradedMap) -> dict[tuple[int, ...], Vector]:
-    """Nonzero residuals of the Leibniz terms on every basis tuple, in one sparse pass."""
-    residuals = contraction_sum(_leibniz_terms(A, X, D, M, D.parity))
-    return {t: dense(image, A.space.dim) for t, image in residuals.items() if any(image.values())}
-
-
 def _is_derivation(A, D: GradedMap, s: int, r: int, identity: str, fail_fast: bool) -> VerificationReport:
+    """Commutation with the twists, then the Leibniz rule; under fail-fast a failing
+    commutation is reported whole and ends the report."""
+    blocks = _commutation_blocks(A, D)
+    if fail_fast and any(found for _, _, found in blocks):
+        return _report(identity, A.space.dim, blocks, False)
     M = twist_power(A.alpha, A.beta, s, r)
-    violations = list(_commutation_violations(D, {"alpha": A.alpha, "beta": A.beta}))
-    dim = A.space.dim
-    total = 2 * dim
-    if not (fail_fast and violations):
-        residuals = _leibniz_residuals(A, D, D, M)
-        block = (A.bracket.arity, 1, {(t, 0): (res, "leibniz") for t, res in residuals.items()})
-        found, count = _walk_order(block, dim, fail_fast)
-        violations += found
-        total += count
-    return VerificationReport(identity, total, tuple(violations))
+    leibniz = contraction_sum(_leibniz_terms(A, D, D, M, D.parity))
+    blocks.append(_rules_block(A.bracket.arity, [("leibniz", leibniz)], A.space.dim))
+    return _report(identity, A.space.dim, blocks, fail_fast)
 
 
 def is_derivation_2(
@@ -176,15 +166,12 @@ def _commuting_system(A, parity: int):
     index_of = {slot: n for n, slot in enumerate(slots)}
     rows = []
     for m in (A.alpha, A.beta):
-        for k in idx:
-            for i in idx:
-                # (X m - m X)[k][i] = sum_t X[k][t] m[t][i] - sum_t m[k][t] X[t][i]
-                row: dict[int, object] = {}
-                for slot, c in [((k, t), c) for t, c in m._columns[i]] + [((t, i), -c) for t, c in m._rows[k]]:
-                    if slot in index_of:  # forbidden entries of X are zero
-                        row[index_of[slot]] = row.get(index_of[slot], ZERO) + c
-                if row:
-                    rows.append(row)
+        by_entry: dict[tuple[int, int], dict[int, object]] = {}
+        for slot, pos in index_of.items():  # forbidden entries of X are zero
+            for entry, a in commutator_terms(m, *slot):
+                row = by_entry.setdefault(entry, {})
+                row[pos] = row.get(pos, ZERO) + a
+        rows += (by_entry[entry] for entry in sorted(by_entry))
     return slots, index_of, rows
 
 
@@ -269,9 +256,9 @@ def supercommutator(D: GradedMap, D2: GradedMap) -> GradedMap:
 
 
 def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMap | None]:
-    comm = list(_commutation_violations(D, {"alpha": A.alpha, "beta": A.beta}))
+    comm = _report("twist-commutation", A.space.dim, _commutation_blocks(A, D), False).violations
     if comm:
-        raise PreconditionError("candidate does not commute with the structure maps", details=comm)
+        raise PreconditionError("candidate does not commute with the structure maps", details=list(comm))
     slots, index_of, rows = _commuting_system(A, D.parity)
     rhs = [ZERO] * len(rows)
     M = twist_power(A.alpha, A.beta, s, r)
@@ -287,7 +274,8 @@ def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMa
         return False, None
     witness = _slots_to_map(A.space, D.parity, slots, solution)
     # Cross-check by substitution against the contraction-based Leibniz residual.
-    if _leibniz_residuals(A, witness, D, M):
+    residuals = contraction_sum(_leibniz_terms(A, witness, D, M, D.parity))
+    if any(any(image.values()) for image in residuals.values()):
         raise TheoremContradictionError("quasiderivation witness failed substitution")
     return True, witness
 
@@ -348,8 +336,6 @@ def check_derivation_transfer(
     induced algebra; a failure there would contradict the supporting theory
     and raises :class:`TheoremContradictionError`.
     """
-    from .tau import check_tau_conditions, induce_tau
-
     base = is_derivation_2(A, D, s, r)
     if not base.passed:
         raise PreconditionError("map is not a binary twisted derivation", details=base)
@@ -377,8 +363,6 @@ def check_quasiderivation_transfer(
     empirically by running the exact solver rather than assumed; the report
     notes record this.
     """
-    from .tau import check_tau_conditions, induce_tau
-
     ok, _ = is_quasiderivation_2(A, D, s, r)
     if not ok:
         raise PreconditionError("map is not a binary twisted quasiderivation")

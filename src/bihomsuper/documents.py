@@ -225,8 +225,8 @@ def parse_document(text: str) -> AlgebraDocument:
     )
 
 
-def serialize_document(doc: AlgebraDocument) -> str:
-    """Canonical text form; stable under parse -> serialize round trips."""
+def _document_tree(doc: AlgebraDocument) -> dict:
+    """The JSON tree of the canonical form, as :func:`serialize_document` dumps it."""
     tree: dict[str, object] = {
         "format": FORMAT_VERSION,
         "space": {"dim": doc.space.dim, "parities": list(doc.space.parities)},
@@ -254,7 +254,12 @@ def serialize_document(doc: AlgebraDocument) -> str:
         tree["scalars"] = {name: _scalar_str(c) for name, c in sorted(doc.scalars.items())}
     if doc.metadata:
         tree["metadata"] = doc.metadata
-    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+    return tree
+
+
+def serialize_document(doc: AlgebraDocument) -> str:
+    """Canonical text form; stable under parse -> serialize round trips."""
+    return json.dumps(_document_tree(doc), indent=2, sort_keys=True) + "\n"
 
 
 def load_document(path: str) -> AlgebraDocument:

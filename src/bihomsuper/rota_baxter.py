@@ -54,6 +54,7 @@ from .core import (
     vec_sub,
 )
 from .derivations import is_derivation_3
+from .tau import _tau_expansion, check_tau_conditions, induce_tau
 
 __all__ = [
     "RotaBaxterOperator",
@@ -168,8 +169,6 @@ def check_rb_transfer_criterion(
     running the ternary verification directly on the induced algebra; any
     disagreement raises :class:`TheoremContradictionError`.
     """
-    from .tau import check_tau_conditions, induce_tau, _tau_expansion
-
     base = is_rb2(A, R)
     if not base.passed:
         raise PreconditionError("operator fails the binary weighted identity", details=base)
@@ -198,6 +197,7 @@ def subset_deformations(A, R: RotaBaxterOperator, *indices: int):
     """
     if len(indices) != A.bracket.arity:
         raise DimensionError(f"expected {A.bracket.arity} basis indices, got {len(indices)}")
+    A.bracket.bracket_basis(*indices)  # raises DimensionError on an index out of range
     return _pointwise_terms(A, R)(indices)
 
 

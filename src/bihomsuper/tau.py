@@ -10,20 +10,24 @@ vanishes on the odd part, the induced ternary bracket is
 The induced algebra satisfies the ternary twisted axioms whenever tau kills
 all brackets, tau(x) tau(beta(y)) is symmetric in (x, y), and
 tau(alpha(x)) beta(y) = tau(beta(x)) alpha(y) as vectors.  Checking those
-three conditions, and constructing the tensor, both live here.
+three conditions, and constructing the tensor, both live here, on sparse
+data: annihilation is tau on the bracket's contraction, the other two come
+from the supports of tau, tau o alpha and tau o beta and the twist columns.
 The tensor comes from one sparse expansion over the bracket entries and the
 support of tau (:func:`_tau_expansion`), which the transfer criteria share.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebras import (
     BiHomLieSuperalgebra,
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
-    Violation,
+    _report,
+    _rules_block,
 )
 from .core import (
     GradedMap,
@@ -32,11 +36,8 @@ from .core import (
     StructureTensor3,
     SuperSpace,
     add_image,
-    basis_tuples,
+    dense,
     ksign,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
 )
 from .linalg import kernel_basis
 
@@ -59,11 +60,7 @@ class TauWitness:
 
     @property
     def satisfied(self) -> bool:
-        return (
-            self.bracket_annihilation.passed
-            and self.beta_symmetry.passed
-            and self.twist_proportionality.passed
-        )
+        return all(rep.passed for rep in self.reports())
 
     def reports(self) -> tuple[VerificationReport, ...]:
         return (self.bracket_annihilation, self.beta_symmetry, self.twist_proportionality)
@@ -78,30 +75,22 @@ def check_tau_conditions(A: BiHomLieSuperalgebra, tau: LinearForm) -> TauWitness
     """
     if tau.space != A.space:
         raise PreconditionError("form and algebra live on different spaces")
-    t = tau.coefficients
-    alpha_cols, beta_cols = ([m.column(i) for i in A.space.indices()] for m in (A.alpha, A.beta))
-    ta, tb = ([tau.apply(col) for col in cols] for cols in (alpha_cols, beta_cols))  # tau o alpha, tau o beta
-    kill = []
-    sym = []
-    prop = []
-    n_pairs = 0
-    for i, j in basis_tuples(A.space, 2):
-        n_pairs += 1
-        k = tau.apply(A.bracket.bracket_basis(i, j))
-        if k != 0:
-            kill.append(Violation((i, j), (k,), "bracket-annihilation"))
-        s = t[i] * tb[j] - t[j] * tb[i]
-        if s != 0:
-            sym.append(Violation((i, j), (s,), "beta-symmetry"))
-        v = vec_sub(vec_scale(ta[i], beta_cols[j]), vec_scale(tb[i], alpha_cols[j]))
-        if not vec_is_zero(v):
-            prop.append(Violation((i, j), v, "twist-proportionality"))
-    return TauWitness(
-        tau,
-        VerificationReport("tau-annihilates-brackets", n_pairs, tuple(kill)),
-        VerificationReport("tau-beta-symmetry", n_pairs, tuple(sym)),
-        VerificationReport("tau-twist-proportionality", n_pairs, tuple(prop)),
-    )
+    ident = GradedMap.identity(A.space)
+    kill = {pair: {0: tau.apply(dense(image, A.dim))} for pair, image in A.bracket.contract([ident] * 2).items()}
+    forms = (tau, tau.compose(A.alpha), tau.compose(A.beta))
+    t, ta, tb = ([(i, c) for i, c in enumerate(f.coefficients) if c] for f in forms)  # their supports
+    sym, prop = {}, {}
+    for (i, a), (j, b) in itertools.product(t, tb):
+        add_image(sym, (i, j), {0: a * b})
+        add_image(sym, (j, i), {0: a * b}, -1)
+    for form, m, sign in ((ta, A.beta, 1), (tb, A.alpha, -1)):
+        for (i, c), (j, column) in itertools.product(form, enumerate(m._columns)):
+            add_image(prop, (i, j), dict(column), sign * c)
+    conditions = (("tau-annihilates-brackets", "bracket-annihilation", kill, 1),
+                  ("tau-beta-symmetry", "beta-symmetry", sym, 1),
+                  ("tau-twist-proportionality", "twist-proportionality", prop, A.dim))
+    return TauWitness(tau, *(_report(identity, A.dim, [_rules_block(2, [(rule, images)], size)], False)
+                             for identity, rule, images, size in conditions))
 
 
 def induce_tau(

@@ -680,6 +680,41 @@ def tau_induced_entries(space_parities, entries, tau):
     return _entries_of(dim, 3, lambda t: _tau_sum(space_parities, tau, pair, t))
 
 
+def tau_condition_reports(alpha, beta, entries, tau):
+    """Dense walk of ``check_tau_conditions``: its three reports, each (identity, total,
+    violations) over every basis pair (i, j) in order, with the residuals
+
+        tau([e_i, e_j])                                         (bracket-annihilation)
+        tau(e_i) tau(beta e_j) - tau(e_j) tau(beta e_i)         (beta-symmetry)
+        tau(alpha e_i) beta(e_j) - tau(beta e_i) alpha(e_j)     (twist-proportionality)
+    """
+    ent, dim = dict(entries), len(tau)
+
+    def form(v):
+        return sum((c * x for c, x in zip(tau, v)), ZERO)
+
+    ta, tb = ([form(_column(m, i)) for i in range(dim)] for m in (alpha, beta))
+    checks = {"bracket-annihilation": [], "beta-symmetry": [], "twist-proportionality": []}
+    for i, j in itertools.product(range(dim), repeat=2):
+        residuals = {
+            "bracket-annihilation": (form(bracket2_of_vectors(ent, dim, unit_vec(dim, i), unit_vec(dim, j))),),
+            "beta-symmetry": (tau[i] * tb[j] - tau[j] * tb[i],),
+            "twist-proportionality": tuple(ta[i] * b - tb[i] * a
+                                           for a, b in zip(_column(alpha, j), _column(beta, j))),
+        }
+        for rule, res in residuals.items():
+            if any(res):
+                checks[rule].append(((i, j), res, rule))
+    identities = ("tau-annihilates-brackets", "tau-beta-symmetry", "tau-twist-proportionality")
+    return [(identity, dim * dim, found) for identity, found in zip(identities, checks.values())]
+
+
+def commutator_columns(X, m):
+    """The columns of X m - m X from dense products, as ((i,), column) pairs in order."""
+    xm, mx = _compose(X, m), _compose(m, X)
+    return [((i,), tuple(a[i] - b[i] for a, b in zip(xm, mx))) for i in range(len(X))]
+
+
 def rb_transfer_report(space_parities, entries, tau, R, weight):
     """Dense walk of the report of ``check_rb_transfer_criterion``: (R + weight Id) applied
     to the tau-sum of [R e_a, R e_b] on every basis triple."""

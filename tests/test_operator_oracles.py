@@ -9,19 +9,26 @@ occurred.  The docstrings name the seeded defects of ``src/`` each property
 was checked to catch.
 """
 
+import itertools
 from fractions import Fraction as F
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bihomsuper import (
+    BiHomLieSuperalgebra,
     GradedMap,
     LinearForm,
     PreconditionError,
     RotaBaxterOperator,
+    StructureTensor2,
+    SuperSpace,
     check_rb_transfer_criterion,
     check_tau_conditions,
+    commute,
     induce_tau,
+    is_derivation_2,
+    is_derivation_3,
     is_nijenhuis_2,
     is_nijenhuis_3,
     is_rb2,
@@ -29,6 +36,7 @@ from bihomsuper import (
     make_n_bracket_1,
     make_n_bracket_2,
     make_rb_bracket,
+    make_twist_2,
     verify_3bihom_jacobi,
     verify_3bihom_jacobi_cyclic,
     verify_3bihom_skewsymmetry,
@@ -323,3 +331,119 @@ def test_transfer_criterion_reports_match_dense_walk(tau_corpus):
     prop()
     assert verdicts == {"rb": {False, True}, "derivation": {False, True}}, verdicts
     assert ("form-invariance", "signed-cyclic-sum") in rules, rules
+
+
+def _gl21(alpha_diagonal, beta_diagonal):
+    """gl(2|1) twisted by Ad(diag(alpha_diagonal)) and Ad(diag(beta_diagonal)), and its supertrace.
+
+    Basis E_ij at index 3 i + j, |E_ij| = p(i) + p(j) with p = (0, 0, 1), and
+    [E_ij, E_kl] = delta_jk E_il - (-1)^{|E_ij||E_kl|} delta_li E_kj; the
+    twisted bracket is [Ad(D1) x, Ad(D2) y], and Ad(D) E_ij = (d_i / d_j) E_ij.
+    """
+    p = (0, 0, 1)
+    space = SuperSpace(tuple((p[i] + p[j]) % 2 for i in range(3) for j in range(3)))
+    entries = {}
+    for (i, j), (k, l) in itertools.product(itertools.product(range(3), repeat=2), repeat=2):
+        x, y = 3 * i + j, 3 * k + l
+        if j == k:
+            entries[x, y, 3 * i + l] = entries.get((x, y, 3 * i + l), 0) + 1
+        if l == i:
+            sign = oracles.sign(space.parity(x) * space.parity(y))
+            entries[x, y, 3 * k + j] = entries.get((x, y, 3 * k + j), 0) - sign
+    ident = GradedMap.identity(space)
+    lie = BiHomLieSuperalgebra(space, StructureTensor2.from_dict(space, entries), ident, ident)
+    alpha, beta = (GradedMap.diagonal(space, [F(d[i], d[j]) for i in range(3) for j in range(3)])
+                   for d in (alpha_diagonal, beta_diagonal))
+    supertrace = LinearForm(space, tuple(F(oracles.sign(p[i])) if i == j else F(0)
+                                         for i in range(3) for j in range(3)))
+    return make_twist_2(lie, alpha, beta), supertrace
+
+
+def test_tau_condition_reports_match_dense_walk(binary_corpus, tau_corpus):
+    """The three reports of ``check_tau_conditions``.
+
+    Draws the tau corpus with its forms, the binary corpus with random even
+    forms, copies with one structure constant perturbed or with random even
+    twists, and gl(2|1) with its supertrace under Ad-twists alpha = beta
+    (passes) and alpha != beta (fails only twist-proportionality, on 18 of
+    81 pairs).  Catches: a wrong sign in the symmetry or proportionality
+    residual, tau o alpha and tau o beta exchanged, a pair written (j, i).
+    """
+    equal, supertrace = _gl21((1, 2, 3), (1, 2, 3))
+    unequal, _ = _gl21((1, 2, 3), (1, 5, 7))
+    assert check_tau_conditions(equal, supertrace).satisfied
+    witness = check_tau_conditions(unequal, supertrace)
+    assert [(r.passed, r.total, len(r.violations)) for r in witness.reports()] == [
+        (True, 81, 0), (True, 81, 0), (False, 81, 18)]
+    pairs = [(fx.algebra, fx.tau) for fx in tau_corpus] + [(fx.algebra, None) for fx in binary_corpus]
+    pairs += [(equal, supertrace), (unequal, supertrace)]
+    verdicts = {}
+
+    @PROPERTY
+    @given(st.data())
+    def prop(data):
+        A, tau = data.draw(st.sampled_from(pairs))
+        if tau is None or data.draw(st.booleans()):
+            tau = _even_form(A.space, data)
+        A = _perturbed(A, data)
+        if data.draw(st.booleans()):
+            A = type(A)(A.space, A.bracket, _random_map(A.space, data), _random_map(A.space, data))
+        reports = check_tau_conditions(A, tau).reports()
+        expected = oracles.tau_condition_reports(_matrix(A.alpha), _matrix(A.beta), A.bracket.as_dict(),
+                                                 tau.coefficients)
+        assert [_fields(rep) for rep in reports] == expected, (A, tau)
+        for rep in reports:
+            verdicts.setdefault(rep.identity, set()).add(rep.passed)
+
+    prop()
+    assert list(verdicts.values()) == [{False, True}] * 3, verdicts
+
+
+def test_commutation_matches_dense_products(binary_corpus, ternary_corpus):
+    """``commute``, the ``twists-commute`` residuals of multiplicativity and the
+    ``commutes-with-*`` residuals of the derivation verifiers, with and without
+    fail-fast, against dense matrix products.
+
+    Maps: random even and odd candidates, or ones commuting with the twists,
+    beside the corpus twists or random even twists that need not commute.
+    Under fail-fast a failing commutation is reported whole, over 2 dim
+    columns, and ends the report.  Catches: the minus sign of X m - m X
+    dropped, the entry fed in X m written (i, r), the rows and columns of m
+    exchanged.
+    """
+    fixtures = [fx.algebra for fx in binary_corpus + ternary_corpus]
+    verdicts = {"twists": set(), "derivation": set()}
+
+    @PROPERTY
+    @given(st.data())
+    def prop(data):
+        A = _perturbed(data.draw(st.sampled_from(fixtures)), data)
+        if data.draw(st.booleans()):
+            A = type(A)(A.space, A.bracket, _random_map(A.space, data), _random_map(A.space, data))
+        if data.draw(st.booleans()):
+            D = _commuting_operator(A, data)
+        else:
+            D = _random_map(A.space, data, (0, 1, -1, 2), data.draw(st.sampled_from([0, 1])))
+        alpha, beta = _matrix(A.alpha), _matrix(A.beta)
+
+        def failing(rule, X, m):
+            return [(where, col, rule) for where, col in oracles.commutator_columns(X, m) if any(col)]
+
+        twists = failing("twists-commute", alpha, beta)
+        assert commute(A.alpha, A.beta) == (not twists)
+        mult = verify_multiplicativity3 if A.bracket.arity == 3 else verify_multiplicativity2
+        assert [f for f in _fields(mult(A))[2] if f[2] == "twists-commute"] == twists
+        expected = [f for name, m in (("alpha", alpha), ("beta", beta))
+                    for f in failing(f"commutes-with-{name}", _matrix(D), m)]
+        assert (D.commutes_with(A.alpha) and D.commutes_with(A.beta)) == (not expected)
+        is_derivation = is_derivation_3 if A.bracket.arity == 3 else is_derivation_2
+        for fail_fast in (False, True):
+            identity, total, found = _fields(is_derivation(A, D, 0, 0, fail_fast=fail_fast))
+            assert [f for f in found if f[2].startswith("commutes-with-")] == expected
+            if fail_fast and expected:
+                assert (total, found) == (2 * A.dim, expected)
+        verdicts["twists"].add(not twists)
+        verdicts["derivation"].add(not expected)
+
+    prop()
+    assert verdicts == {"twists": {False, True}, "derivation": {False, True}}, verdicts

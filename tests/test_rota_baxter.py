@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from bihomsuper import (
+    DimensionError,
     GradedMap,
+    LinearForm,
     PreconditionError,
     RotaBaxterOperator,
     StructureTensor3,
@@ -235,6 +237,18 @@ def test_subset_enumeration_order_is_canonical():
     op = RotaBaxterOperator(GradedMap.zero(A.space), F(1))
     subsets = [s for s, _ in subset_deformations(A, op, 0, 1, 2)]
     assert subsets == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+@pytest.mark.parametrize("where", ["first", "past"])
+def test_basis_indices_out_of_range_are_refused(where):
+    """-1 must not wrap to the last basis element, and dim must not surface as an IndexError."""
+    A = _t3e1()
+    bad = -1 if where == "first" else A.dim
+    op = RotaBaxterOperator(_ident(A.space), F(1))
+    with pytest.raises(DimensionError):
+        subset_deformations(A, op, bad, 0, 0)
+    with pytest.raises(DimensionError):
+        LinearForm.zero(A.space).of_basis(bad)
 
 
 def test_transfer_criterion_vacuous_for_zero_form():
