@@ -12,6 +12,7 @@ documents are listed once, in :data:`COMMANDS` at the end of this module.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -283,7 +284,7 @@ def _induce_tau(ctx: _Context) -> None:
     for rep in witness.reports():
         ctx.check(rep, mandatory=not override)
     if witness.satisfied or override:
-        induced = tau.induce_tau(A, form, override=override)
+        induced = tau._induced_algebra(A, form)
         ctx.report.derived["induced"] = _algebra3_doc(induced, metadata="tau-induced ternary algebra")
         if override and not witness.satisfied:
             ctx.report.notes.append("conditions overridden; the induced tensor is unverified")
@@ -478,9 +479,12 @@ def _run(command: str, doc: AlgebraDocument, options: dict | None,
     return ctx
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Every command takes the same options, so they live on one parent parser;
-    # ``dest`` names them as the option keys of ``run_pipeline``.
+    # ``dest`` names them as the option keys of ``run_pipeline``.  The tree is
+    # built on the first ``main`` call and reused: ``parse_args`` fills a fresh
+    # namespace each time, so calls do not see each other's options.
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("document", help="algebra-description file")
     shared.add_argument("--weight", help="rational weight, e.g. -1 or 1/2")

@@ -77,7 +77,7 @@ from .core import (
 )
 from .derivations import is_derivation_3
 from .rota_baxter import RotaBaxterOperator, is_rb3, make_rb_bracket
-from .tau import check_tau_conditions, induce_tau
+from .tau import _induced_algebra, check_tau_conditions
 
 __all__ = [
     "DeformationPair",
@@ -300,7 +300,7 @@ def check_nijenhuis_transfer(
     witness = check_tau_conditions(A, tau)
     if not witness.satisfied:
         raise PreconditionError("form fails the induction conditions", details=witness)
-    rep = is_nijenhuis_3(induce_tau(A, tau), N)
+    rep = is_nijenhuis_3(_induced_algebra(A, tau), N)
     if not rep.passed:
         raise TheoremContradictionError(
             f"binary Nijenhuis operator failed on the induced algebra: {rep.summary()}"

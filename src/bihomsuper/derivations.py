@@ -52,7 +52,7 @@ from .core import (
     ksign,
 )
 from .linalg import kernel_basis, solve_linear
-from .tau import _tau_expansion, check_tau_conditions, induce_tau
+from .tau import _induced_algebra, _tau_expansion, check_tau_conditions
 
 __all__ = [
     "DerivationQuery",
@@ -256,9 +256,9 @@ def supercommutator(D: GradedMap, D2: GradedMap) -> GradedMap:
 
 
 def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMap | None]:
-    comm = _report("twist-commutation", A.space.dim, _commutation_blocks(A, D), False).violations
-    if comm:
-        raise PreconditionError("candidate does not commute with the structure maps", details=list(comm))
+    comm = _report("twist-commutation", A.space.dim, _commutation_blocks(A, D), False)
+    if not comm.passed:
+        raise PreconditionError("candidate does not commute with the structure maps", details=comm)
     slots, index_of, rows = _commuting_system(A, D.parity)
     rhs = [ZERO] * len(rows)
     M = twist_power(A.alpha, A.beta, s, r)
@@ -285,8 +285,10 @@ def is_quasiderivation_3(
 ) -> tuple[bool, GradedMap | None]:
     """Decide whether D is an (s, r)-quasiderivation; return a companion map.
 
-    D must commute with the structure maps.  The companion D' (also commuting
-    with the structure maps, same parity as D) must satisfy
+    D must commute with the structure maps, else :class:`PreconditionError`
+    is raised with the failing ``commutes-with-*`` columns as a
+    :class:`VerificationReport` in ``details``.  The companion D' (also
+    commuting with the structure maps, same parity as D) must satisfy
 
         D'([x, y, z]) = [D(x), M(y), M(z)] + signed insertions of D in the
                         remaining slots,
@@ -345,7 +347,7 @@ def check_derivation_transfer(
     conditions = _transfer_conditions(A, tau, D, s, r)
     if not conditions.passed:
         return False, conditions
-    induced = induce_tau(A, tau)
+    induced = _induced_algebra(A, tau)
     rep = is_derivation_3(induced, D, s, r)
     if not rep.passed:
         raise TheoremContradictionError(
@@ -379,7 +381,7 @@ def check_quasiderivation_transfer(
     )
     if not conditions.passed:
         return False, conditions
-    induced = induce_tau(A, tau)
+    induced = _induced_algebra(A, tau)
     ok3, _ = is_quasiderivation_3(induced, D, s, r)
     if not ok3:
         raise TheoremContradictionError(

@@ -54,7 +54,7 @@ from .core import (
     vec_sub,
 )
 from .derivations import is_derivation_3
-from .tau import _tau_expansion, check_tau_conditions, induce_tau
+from .tau import _induced_algebra, _tau_expansion, check_tau_conditions
 
 __all__ = [
     "RotaBaxterOperator",
@@ -180,7 +180,7 @@ def check_rb_transfer_criterion(
     block = _rules_block(3, [("kernel-membership", _tau_expansion(A.space, pairs, tau.coefficients))], A.dim)
     note = "criterion sign fixed by the plus-lambda defining identity: ker(R + lambda Id)"
     report = _report("rota-baxter-transfer-criterion", A.dim, [block], False, (note,))
-    induced = induce_tau(A, tau)
+    induced = _induced_algebra(A, tau)
     direct = is_rb3(induced, R).passed
     if report.passed != direct:
         raise TheoremContradictionError(

@@ -15,6 +15,9 @@ data: annihilation is tau on the bracket's contraction, the other two come
 from the supports of tau, tau o alpha and tau o beta and the twist columns.
 The tensor comes from one sparse expansion over the bracket entries and the
 support of tau (:func:`_tau_expansion`), which the transfer criteria share.
+:func:`induce_tau` checks the conditions and then builds the tensor
+(:func:`_induced_algebra`); a caller that has just checked them builds it
+directly, so each check runs the conditions once.
 """
 
 from __future__ import annotations
@@ -109,6 +112,15 @@ def induce_tau(
             "form does not satisfy the induction conditions (pass override=True to force)",
             details=witness,
         )
+    return _induced_algebra(A, tau)
+
+
+def _induced_algebra(A: BiHomLieSuperalgebra, tau: LinearForm) -> ThreeBiHomLieSuperalgebra:
+    """The induced algebra of :func:`induce_tau`, built without checking the conditions.
+
+    For callers that already hold a satisfied :class:`TauWitness` for ``tau``,
+    or that build an unverified tensor on purpose.
+    """
     ident = GradedMap.identity(A.space)
     values = _tau_expansion(A.space, A.bracket.contract([ident, ident]), tau.coefficients)
     # Parity additivity of the entries is rechecked by the tensor constructor;

@@ -1,5 +1,6 @@
 """The command-line driver: dispatch, exit codes, formats, outputs."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from bihomsuper import load_document, run_pipeline
+from bihomsuper import (
+    PreconditionError,
+    ThreeBiHomLieSuperalgebra,
+    VerificationReport,
+    cli,
+    is_derivation_3,
+    is_quasiderivation_3,
+    load_document,
+    run_pipeline,
+)
 from bihomsuper.cli import COMMANDS, main
 from bihomsuper.core import as_scalar, int_digit_limit
 
@@ -501,3 +511,76 @@ def test_library_callers_get_the_cli_defaults(command, monkeypatch, capsys):
         "nijenhuis-transfer": {("form", "tau")},
     }.get(command, set())
     assert set(lib_names) == expected
+
+
+def test_quasiderivation_commutation_failure_reports_its_columns(tmp_path, capsys):
+    """A candidate that does not commute with the twists is refused with the failing
+    ``commutes-with-*`` columns, the same ones the derivation verifier lists."""
+    doc = json.loads((GOLDEN_DOCS / "twistable.json").read_text())
+    doc["maps"]["X"] = {"parity": 0, "matrix": [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]]}
+    path = tmp_path / "twistable_x.json"
+    path.write_text(json.dumps(doc))
+    parsed = load_document(str(path))
+    A = ThreeBiHomLieSuperalgebra(parsed.space, parsed.bracket3, *parsed.structure_maps())
+    X = parsed.map_named("X")
+    commutation = [v for v in is_derivation_3(A, X, 0, 0).violations if v.rule.startswith("commutes-with-")]
+    assert {v.rule for v in commutation} == {"commutes-with-alpha", "commutes-with-beta"}
+    with pytest.raises(PreconditionError) as refused:
+        is_quasiderivation_3(A, X, 0, 0)
+    assert isinstance(refused.value.details, VerificationReport)
+    assert refused.value.details.violations == tuple(commutation)
+
+    assert run(["quasiderivation", path, "--map", "X", "--format", "machine"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert [(v["where"], v["rule"], v["residual"]) for v in checks["twist-commutation"]["violations"]] == [
+        ([i + 1 for i in v.where], v.rule, [str(c) for c in v.residual]) for v in commutation]
+
+
+def test_reused_parser_keeps_calls_independent(tmp_path, monkeypatch, capsys):
+    """``main`` builds its parser on the first call and reuses it: a sequence of calls
+    and the same sequence reversed give every call the same exit code and output."""
+    ternary, w1, w2 = DATA / "ternary_basic.json", DATA / "ternary_basic_w1.json", DATA / "ternary_basic_w2.json"
+    report = tmp_path / "report.json"
+    calls = [
+        ["check-rb", ternary, "--map", "N", "--weight", "0", "--fail-fast"],
+        ["check-rb", ternary, "--map", "N", "--weight", "0"],
+        ["verify", ternary, "--format", "machine"],
+        ["verify", ternary],
+        ["derivations", ternary, "--output", report, "--s", "1", "--r", "1"],
+        ["derivations", ternary],
+        ["deformation-check", ternary, "--omega1", w1, "--omega2", w2, "--format", "machine"],
+        ["verify", ternary, "--no-such-option"],
+        ["quasiderivation", ternary, "--format", "machine"],
+        ["rb-transfer", "--help"],
+    ]
+
+    def call(argv):
+        report.unlink(missing_ok=True)
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, report.read_text() if report.exists() else None
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    forward = [call(argv) for argv in calls[:1]]
+    assert built  # the first call builds the parser
+    first_build = len(built)
+    forward += [call(argv) for argv in calls[1:]]
+    backward = [call(argv) for argv in reversed(calls)][::-1]
+    assert len(built) == first_build
+    assert forward == backward
+    codes = [result[0] for result in forward]
+    assert codes == [1, 1, 0, 0, 0, 0, 0, 2, 0, 0]
+    assert forward[4][3] is not None and forward[5][3] is None  # --output wrote only where given
+    assert "unrecognized arguments: --no-such-option" in forward[7][2]
+    assert forward[9][1].startswith("usage: bihomsuper rb-transfer")

@@ -1,7 +1,10 @@
 """Induction conditions and the induced ternary bracket."""
 
 import itertools
+import json
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,14 +13,21 @@ from bihomsuper import (
     GradedMap,
     LinearForm,
     PreconditionError,
+    RotaBaxterOperator,
     StructureTensor2,
     SuperSpace,
     bracket_annihilating_forms,
+    check_derivation_transfer,
+    check_nijenhuis_transfer,
+    check_quasiderivation_transfer,
+    check_rb_transfer_criterion,
     check_tau_conditions,
     induce_tau,
     verify_3bihom_jacobi,
     verify_3bihom_skewsymmetry,
 )
+from bihomsuper import tau as tau_module
+from bihomsuper.cli import main
 
 from oracles import bracket2_of_vectors, nullspace, sign, unit_vec
 
@@ -147,3 +157,63 @@ def test_bracket_annihilating_forms_equal_the_dense_nullspace(binary_corpus, tau
         rows += [unit_vec(dim, i) for i in range(dim) if P[i]]
         expected = nullspace(rows, dim)
         assert [f.coefficients for f in bracket_annihilating_forms(A)] == expected
+
+
+def _count_tau_checks(monkeypatch) -> list:
+    """Count ``check_tau_conditions`` calls: rebind it in every package module that holds it."""
+    original, calls = tau_module.check_tau_conditions, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bihomsuper" or name.startswith("bihomsuper."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def _derivation_transfer(fixtures):
+    fx = fixtures["axb3/id"]
+    return check_derivation_transfer(fx.algebra, fx.tau, GradedMap.diagonal(fx.algebra.space, [0, 1, 0]), 0, 0)
+
+
+def _quasiderivation_transfer(fixtures):
+    fx = fixtures["axb3/id"]
+    return check_quasiderivation_transfer(fx.algebra, fx.tau, GradedMap.diagonal(fx.algebra.space, [0, 1, 0]), 0, 0)
+
+
+def _rb_transfer(fixtures):
+    fx = fixtures["heis4/id"]
+    op = RotaBaxterOperator(GradedMap.diagonal(fx.algebra.space, [1, -1, 5, -1]), F(1))
+    return check_rb_transfer_criterion(fx.algebra, fx.tau, op)
+
+
+def _nijenhuis_transfer(fixtures):
+    fx = fixtures["heis4/id"]
+    return check_nijenhuis_transfer(fx.algebra, fx.tau, GradedMap.diagonal(fx.algebra.space, [1, 1, 2, 1]))
+
+
+@pytest.mark.parametrize("transfer", [_derivation_transfer, _quasiderivation_transfer, _rb_transfer,
+                                      _nijenhuis_transfer])
+def test_each_transfer_check_reads_the_tau_conditions_once(transfer, tau_corpus, monkeypatch):
+    calls = _count_tau_checks(monkeypatch)
+    result = transfer({fx.name: fx for fx in tau_corpus})
+    assert result is True or result[0] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad_form, extra, code",
+                         [(False, [], 0), (True, ["--override-tau-conditions"], 0), (True, [], 1)])
+def test_induce_tau_command_reads_the_tau_conditions_once(bad_form, extra, code, tmp_path, monkeypatch, capsys):
+    doc = json.loads((Path(__file__).parent / "data" / "line_action.json").read_text())
+    if bad_form:  # a form hitting the bracket image fails the conditions
+        doc["maps"]["tau"] = {"row": ["0", "1", "0"]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    calls = _count_tau_checks(monkeypatch)
+    assert main(["induce-tau", str(path), "--format", "machine", *extra]) == code
+    assert ("induced" in json.loads(capsys.readouterr().out)["derived"]) == (code == 0)
+    assert len(calls) == 1
