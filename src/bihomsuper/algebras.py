@@ -15,6 +15,11 @@ identity.  The binary Jacobi identity, the cyclic ternary form and the
 deformation sums are tables of nested brackets [b^2(.), ..., [b(.), ...,
 a(.)], ...] for one sparse join (:func:`_composition_sum`); of the verifiers
 here, only the direct ternary form walks.
+
+Every module refuses through :func:`_require`, which puts the failing report
+in ``details``, and cross-checks through :func:`_confirm` and :func:`_agree`;
+an operator that does not commute with the twists is refused with its
+``twist-commutation`` report, and twisting maps with their multiplicativity.
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ from .core import (
     PreconditionError,
     StructureTensor,
     SuperSpace,
+    TheoremContradictionError,
     Vector,
     add_image,
     basis_tuples,
     commutator,
-    commute,
     contraction_sum,
     dense,
     ksign,
@@ -449,40 +454,65 @@ def verify_multiplicativity3(
     return _verify_multiplicativity(A, "ternary-multiplicativity", fail_fast)
 
 
-def _require_commuting_twists(R: GradedMap, A) -> None:
-    """Raise unless the operator R commutes with both structure maps of A."""
-    for name, m in (("alpha", A.alpha), ("beta", A.beta)):
-        if not R.commutes_with(m):
-            raise PreconditionError(f"operator does not commute with {name}")
+def _require(report: VerificationReport, message: str, error: type = PreconditionError) -> None:
+    """Refuse with ``error(message, details=report)`` unless ``report`` passed."""
+    if not report.passed:
+        raise error(message, details=report)
 
 
-def _require_identity_twists(alpha: GradedMap, beta: GradedMap, what: str) -> None:
-    if not (alpha.is_identity() and beta.is_identity()):
-        raise TwistError(f"{what} expects an untwisted input (identity structure maps)")
+def _confirm(report: VerificationReport, message: str) -> None:
+    """Raise a TheoremContradictionError naming ``report`` unless it passed: the cross-check of a
+    conclusion that the hypotheses already guarantee."""
+    if not report.passed:
+        raise TheoremContradictionError(f"{message}: {report.summary()}")
+
+
+def _agree(first: tuple[str, bool], second: tuple[str, bool]) -> bool:
+    """The common value of two independently computed (label, value) sides of an equivalence;
+    a TheoremContradictionError names both when they differ."""
+    (label, value), (other_label, other) = first, second
+    if value != other:
+        raise TheoremContradictionError(f"{label} ({value}) disagrees with {other_label} ({other})")
+    return value
+
+
+def _commutation_blocks(A, X: GradedMap) -> list:
+    """The columns of X m - m X for m = alpha, then beta, as two one-slot report blocks."""
+    return [_rules_block(1, [(f"commutes-with-{name}", commutator(X, m))], A.space.dim)
+            for name, m in (("alpha", A.alpha), ("beta", A.beta))]
+
+
+def _require_commuting_twists(X: GradedMap, A, message: str = "operator does not commute with {}") -> None:
+    """Refuse unless X commutes with both structure maps of A, with the ``twist-commutation`` report
+    of the failing ``commutes-with-*`` columns; ``message`` is formatted with the first failing map."""
+    rep = _report("twist-commutation", A.space.dim, _commutation_blocks(A, X), False)
+    failing = rep.violations[0].rule.removeprefix("commutes-with-") if rep.violations else ""
+    _require(rep, message.format(failing))
 
 
 def _twist(L, alpha, beta, what, input_name, axioms, reverify):
     """[x_1, ..., x_n]' = [alpha(x_1), ..., alpha(x_{n-1}), beta(x_n)] on a verified input.
 
     Preconditions: identity twists on an input passing ``axioms``, and
-    commuting even bracket morphisms alpha, beta.  The result is checked
-    against ``reverify``; a failing report is raised as a TwistError.
+    commuting even bracket morphisms alpha, beta, checked as the
+    multiplicativity report of (bracket, alpha, beta).  The result is checked
+    against ``reverify``.  Every refusal is a TwistError carrying its report.
     """
-    _require_identity_twists(L.alpha, L.beta, what)
-    for rep in [verify(L) for verify in axioms]:
-        if not rep.passed:
-            raise TwistError(f"input is not {input_name}", details=rep)
+    if not (L.alpha.is_identity() and L.beta.is_identity()):
+        raise TwistError(f"{what} expects an untwisted input (identity structure maps)")
+    for verify in axioms:
+        _require(verify(L), f"input is not {input_name}", TwistError)
     if alpha.parity != EVEN or beta.parity != EVEN:
         raise ParityError("twisting maps must be even")
-    if not commute(alpha, beta):
-        raise TwistError("twisting maps do not commute")
-    for name, m in (("alpha", alpha), ("beta", beta)):
-        if any(any(image.values()) for image in _morphism_defect(L.bracket, m).values()):
-            raise TwistError(f"{name} is not a morphism of the input bracket")
+    identity = "binary-multiplicativity" if L.bracket.arity == 2 else "ternary-multiplicativity"
+    morphisms = _verify_multiplicativity(type(L)(L.space, L.bracket, alpha, beta), identity, False)
+    failing = {v.rule for v in morphisms.violations}
+    message = ("twisting maps do not commute" if "twists-commute" in failing else
+               f"{'alpha' if 'alpha-morphism' in failing else 'beta'} is not a morphism of the input bracket")
+    _require(morphisms, message, TwistError)
     twisted = type(L)(L.space, _twisted_tensor(L.bracket, alpha, beta), alpha, beta, multiplicative=True)
-    for rep in [verify(twisted) for verify in reverify]:
-        if not rep.passed:
-            raise TwistError("twisted bracket failed verification", details=rep)
+    for verify in reverify:
+        _require(verify(twisted), "twisted bracket failed verification", TwistError)
     return twisted
 
 

@@ -122,24 +122,6 @@ def _doc_tree(**fields) -> dict:
     return documents._document_tree(AlgebraDocument(**fields))
 
 
-def _binary_algebra(doc: AlgebraDocument) -> algebras.BiHomLieSuperalgebra:
-    if doc.bracket2 is None:
-        raise DocumentError("command needs a binary tensor", "bracket2")
-    alpha, beta = doc.structure_maps()
-    return algebras.BiHomLieSuperalgebra(doc.space, doc.bracket2, alpha, beta, doc.multiplicative)
-
-
-def _ternary_algebra(doc: AlgebraDocument) -> algebras.ThreeBiHomLieSuperalgebra:
-    if doc.bracket3 is None:
-        raise DocumentError("command needs a ternary tensor", "bracket3")
-    alpha, beta = doc.structure_maps()
-    return algebras.ThreeBiHomLieSuperalgebra(doc.space, doc.bracket3, alpha, beta, doc.multiplicative)
-
-
-def _matrix_tree(m: GradedMap) -> dict:
-    return {"parity": m.parity, "matrix": [[str(c) for c in row] for row in m.matrix]}
-
-
 def _require_printable(what: str, maps) -> None:
     """Refuse maps with an entry of more digits than ``int`` to ``str`` conversion allows.
 
@@ -187,10 +169,18 @@ class _Context:
         return self.options.get("fail_fast", False)
 
     def binary(self) -> algebras.BiHomLieSuperalgebra:
-        return _binary_algebra(self.doc)
+        doc = self.doc
+        if doc.bracket2 is None:
+            raise DocumentError("command needs a binary tensor", "bracket2")
+        alpha, beta = doc.structure_maps()
+        return algebras.BiHomLieSuperalgebra(doc.space, doc.bracket2, alpha, beta, doc.multiplicative)
 
     def ternary(self) -> algebras.ThreeBiHomLieSuperalgebra:
-        return _ternary_algebra(self.doc)
+        doc = self.doc
+        if doc.bracket3 is None:
+            raise DocumentError("command needs a ternary tensor", "bracket3")
+        alpha, beta = doc.structure_maps()
+        return algebras.ThreeBiHomLieSuperalgebra(doc.space, doc.bracket3, alpha, beta, doc.multiplicative)
 
     def each_algebra(self, required: bool = True):
         """Yield the binary, then the ternary algebra, for each tensor the document carries."""
@@ -297,7 +287,7 @@ def _derivations(ctx: _Context) -> None:
     space = derivations.solve_derivation_space(A3, query)
     _require_printable("the derivation basis", space.basis)
     ctx.flag("derivation-space-solved", True)
-    ctx.report.derived.update(dimension=space.dimension, basis=[_matrix_tree(m) for m in space.basis])
+    ctx.report.derived.update(dimension=space.dimension, basis=[documents._map_tree(m) for m in space.basis])
 
 
 def _quasiderivation(ctx: _Context) -> None:
@@ -307,7 +297,7 @@ def _quasiderivation(ctx: _Context) -> None:
     ctx.report.derived["is_quasiderivation"] = ok
     if witness is not None:
         _require_printable("the companion map", [witness])
-        ctx.report.derived["companion"] = _matrix_tree(witness)
+        ctx.report.derived["companion"] = documents._map_tree(witness)
 
 
 def _check_rb(ctx: _Context) -> None:
@@ -471,9 +461,9 @@ def _run(command: str, doc: AlgebraDocument, options: dict | None,
         row.body(ctx)
     except PreconditionError as exc:
         ctx.flag("preconditions", False, str(exc))
-        details = getattr(exc, "details", None)
-        if isinstance(details, VerificationReport):
-            ctx.check(details)
+        for rep in exc.details.reports() if isinstance(exc.details, tau.TauWitness) else [exc.details]:
+            if isinstance(rep, VerificationReport):
+                ctx.check(rep)
     except TheoremContradictionError as exc:
         ctx.flag("internal-consistency", False, str(exc))
     return ctx

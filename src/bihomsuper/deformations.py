@@ -35,6 +35,9 @@ Nijenhuis operators are even maps N whose deformed brackets telescope:
 alternating subset sum of N-powers.  They generate trivial deformations
 (w1, w2) = (first N-bracket, second N-bracket).  Both forms are separate
 sums of contractions, so comparing them still cross-checks the encodings.
+Each refusal carries its report: an operator's ``twist-commutation``, a
+failing base check's, a failing form's :class:`TauWitness`, or the
+``operator-commutation`` columns of N R - R N.
 """
 
 from __future__ import annotations
@@ -46,10 +49,14 @@ from .algebras import (
     BiHomLieSuperalgebra,
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
+    _agree,
     _composition_block,
+    _confirm,
     _morphism_block,
     _report,
+    _require,
     _require_commuting_twists,
+    _rules_block,
     _skew_block,
     _twisted_contractions,
 )
@@ -62,10 +69,9 @@ from .core import (
     PreconditionError,
     StructureTensor,
     StructureTensor3,
-    TheoremContradictionError,
     Vector,
     WedgePair,
-    commute,
+    commutator,
     contraction_sum,
     dense,
     ksign,
@@ -77,7 +83,7 @@ from .core import (
 )
 from .derivations import is_derivation_3
 from .rota_baxter import RotaBaxterOperator, is_rb3, make_rb_bracket
-from .tau import _induced_algebra, check_tau_conditions
+from .tau import _induced_algebra, _require_tau_conditions
 
 __all__ = [
     "DeformationPair",
@@ -294,17 +300,10 @@ def check_nijenhuis_transfer(
     Preconditions are verified; a failure of the conclusion would contradict
     the supporting theory and raises :class:`TheoremContradictionError`.
     """
-    base = is_nijenhuis_2(A, N)
-    if not base.passed:
-        raise PreconditionError("operator is not binary Nijenhuis", details=base)
-    witness = check_tau_conditions(A, tau)
-    if not witness.satisfied:
-        raise PreconditionError("form fails the induction conditions", details=witness)
+    _require(is_nijenhuis_2(A, N), "operator is not binary Nijenhuis")
+    _require_tau_conditions(A, tau)
     rep = is_nijenhuis_3(_induced_algebra(A, tau), N)
-    if not rep.passed:
-        raise TheoremContradictionError(
-            f"binary Nijenhuis operator failed on the induced algebra: {rep.summary()}"
-        )
+    _confirm(rep, "binary Nijenhuis operator failed on the induced algebra")
     return True
 
 
@@ -315,19 +314,11 @@ def check_nijenhuis_rb_compatibility(
     the subset-induced bracket."""
     if not isinstance(R, RotaBaxterOperator):
         raise PreconditionError("expected a weighted operator")
-    base_n = is_nijenhuis_3(A, N)
-    if not base_n.passed:
-        raise PreconditionError("operator is not ternary Nijenhuis", details=base_n)
-    base_r = is_rb3(A, R)
-    if not base_r.passed:
-        raise PreconditionError("operator fails the ternary weighted identity", details=base_r)
-    if not commute(N, R.map):
-        raise PreconditionError("the two operators do not commute")
-    rep = is_nijenhuis_3(make_rb_bracket(A, R), N)
-    if not rep.passed:
-        raise TheoremContradictionError(
-            f"Nijenhuis operator failed on the induced bracket: {rep.summary()}"
-        )
+    _require(is_nijenhuis_3(A, N), "operator is not ternary Nijenhuis")
+    _require(is_rb3(A, R), "operator fails the ternary weighted identity")
+    block = _rules_block(1, [("commutes-with-R", commutator(N, R.map))], A.space.dim)
+    _require(_report("operator-commutation", A.space.dim, [block], False), "the two operators do not commute")
+    _confirm(is_nijenhuis_3(make_rb_bracket(A, R), N), "Nijenhuis operator failed on the induced bracket")
     return True
 
 
@@ -339,16 +330,9 @@ def check_derivation_nijenhuis_rb_equivalence(
     Computes both predicates independently; disagreement raises
     :class:`TheoremContradictionError`, otherwise the common value is returned.
     """
-    base = is_derivation_3(A, N, 0, 0)
-    if not base.passed:
-        raise PreconditionError("operator is not an even derivation", details=base)
-    nij = is_nijenhuis_3(A, N).passed
-    rb0 = is_rb3(A, RotaBaxterOperator(N, Fraction(0))).passed
-    if nij != rb0:
-        raise TheoremContradictionError(
-            f"Nijenhuis check ({nij}) disagrees with the weight-0 check ({rb0})"
-        )
-    return nij
+    _require(is_derivation_3(A, N, 0, 0), "operator is not an even derivation")
+    return _agree(("Nijenhuis check", is_nijenhuis_3(A, N).passed),
+                  ("the weight-0 check", is_rb3(A, RotaBaxterOperator(N, Fraction(0))).passed))
 
 
 def build_trivial_deformation(
@@ -360,7 +344,5 @@ def build_trivial_deformation(
     N(w2) = [Nx, Ny, Nz] is exactly the ``nijenhuis`` rule that
     :func:`is_nijenhuis_3` requires on every triple first.
     """
-    base = is_nijenhuis_3(A, N)
-    if not base.passed:
-        raise PreconditionError("operator is not ternary Nijenhuis", details=base)
+    _require(is_nijenhuis_3(A, N), "operator is not ternary Nijenhuis")
     return DeformationPair(make_n_bracket_1(A, N), make_n_bracket_2(A, N))

@@ -21,7 +21,9 @@ outer map (quasiderivation companions) and returns the solvers' sparse rows.
 Commutation with the twists is read from :func:`bihomsuper.core.commutator_terms`
 the same way: evaluated for the verifiers' ``commutes-with-*`` rules and
 linearised into the solvers' first rows.  Each solved basis map and each
-companion witness is re-checked by evaluation.
+companion witness is re-checked by evaluation.  Each refusal carries its
+report: a candidate's ``twist-commutation``, a failing base derivation's, or
+a failing form's :class:`TauWitness`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,11 @@ from .algebras import (
     BiHomLieSuperalgebra,
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
+    _commutation_blocks,
+    _confirm,
     _report,
+    _require,
+    _require_commuting_twists,
     _rules_block,
 )
 from .core import (
@@ -46,13 +52,12 @@ from .core import (
     PreconditionError,
     TheoremContradictionError,
     Vector,
-    commutator,
     commutator_terms,
     contraction_sum,
     ksign,
 )
 from .linalg import kernel_basis, solve_linear
-from .tau import _induced_algebra, _tau_expansion, check_tau_conditions
+from .tau import _induced_algebra, _require_tau_conditions, _tau_expansion
 
 __all__ = [
     "DerivationQuery",
@@ -100,12 +105,6 @@ class DerivationSpace:
 def twist_power(alpha: GradedMap, beta: GradedMap, s: int, r: int) -> GradedMap:
     """The composite alpha^s beta^r (an even map when alpha and beta are even)."""
     return alpha.power(s).compose(beta.power(r))
-
-
-def _commutation_blocks(A, D: GradedMap) -> list:
-    """The columns of D m - m D for m = alpha, then beta, as two one-slot report blocks."""
-    return [_rules_block(1, [(f"commutes-with-{name}", commutator(D, m))], A.space.dim)
-            for name, m in (("alpha", A.alpha), ("beta", A.beta))]
 
 
 def _leibniz_terms(A, X, D, M: GradedMap, parity: int) -> list:
@@ -221,9 +220,7 @@ def _solve_derivation_space(A, query: DerivationQuery, verify) -> DerivationSpac
     basis_vectors = kernel_basis(rows, len(slots))
     basis = tuple(_slots_to_map(A.space, query.parity, slots, v) for v in basis_vectors)
     for D in basis:
-        rep = verify(A, D, query.s, query.r)
-        if not rep.passed:
-            raise TheoremContradictionError(f"solver produced a non-derivation: {rep.summary()}")
+        _confirm(verify(A, D, query.s, query.r), "solver produced a non-derivation")
     return DerivationSpace(query, basis)
 
 
@@ -256,9 +253,7 @@ def supercommutator(D: GradedMap, D2: GradedMap) -> GradedMap:
 
 
 def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMap | None]:
-    comm = _report("twist-commutation", A.space.dim, _commutation_blocks(A, D), False)
-    if not comm.passed:
-        raise PreconditionError("candidate does not commute with the structure maps", details=comm)
+    _require_commuting_twists(D, A, "candidate does not commute with the structure maps")
     slots, index_of, rows = _commuting_system(A, D.parity)
     rhs = [ZERO] * len(rows)
     M = twist_power(A.alpha, A.beta, s, r)
@@ -338,21 +333,13 @@ def check_derivation_transfer(
     induced algebra; a failure there would contradict the supporting theory
     and raises :class:`TheoremContradictionError`.
     """
-    base = is_derivation_2(A, D, s, r)
-    if not base.passed:
-        raise PreconditionError("map is not a binary twisted derivation", details=base)
-    witness = check_tau_conditions(A, tau)
-    if not witness.satisfied:
-        raise PreconditionError("form fails the induction conditions", details=witness)
+    _require(is_derivation_2(A, D, s, r), "map is not a binary twisted derivation")
+    _require_tau_conditions(A, tau)
     conditions = _transfer_conditions(A, tau, D, s, r)
     if not conditions.passed:
         return False, conditions
     induced = _induced_algebra(A, tau)
-    rep = is_derivation_3(induced, D, s, r)
-    if not rep.passed:
-        raise TheoremContradictionError(
-            f"transfer conditions held but induced check failed: {rep.summary()}"
-        )
+    _confirm(is_derivation_3(induced, D, s, r), "transfer conditions held but induced check failed")
     return True, conditions
 
 
@@ -368,9 +355,7 @@ def check_quasiderivation_transfer(
     ok, _ = is_quasiderivation_2(A, D, s, r)
     if not ok:
         raise PreconditionError("map is not a binary twisted quasiderivation")
-    witness = check_tau_conditions(A, tau)
-    if not witness.satisfied:
-        raise PreconditionError("form fails the induction conditions", details=witness)
+    _require_tau_conditions(A, tau)
     conditions = _transfer_conditions(A, tau, D, s, r)
     note = (
         "conclusion verified empirically by solving for a companion map on the "

@@ -100,10 +100,6 @@ def _parse_scalar(raw: object, path: str) -> Fraction:
         raise DocumentError(str(exc), path) from None
 
 
-def _scalar_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _is_int(raw: object) -> bool:
     """JSON integers only: booleans are ints to Python but not here."""
     return isinstance(raw, int) and not isinstance(raw, bool)
@@ -145,7 +141,12 @@ def _parse_tensor(node: object, space: SuperSpace, section: str, kind: type[Stru
 
 
 def _tensor_tree(tensor: StructureTensor) -> list:
-    return [[*(t + 1 for t in key), _scalar_str(c)] for key, c in sorted(tensor.entries)]
+    return [[*(t + 1 for t in key), str(c)] for key, c in sorted(tensor.entries)]
+
+
+def _map_tree(m: GradedMap) -> dict:
+    """The ``{"parity", "matrix"}`` node of one map, in documents and in reports."""
+    return {"parity": m.parity, "matrix": [[str(c) for c in row] for row in m.matrix]}
 
 
 def _parse_maps(node: object, space: SuperSpace) -> tuple[dict[str, GradedMap], dict[str, LinearForm]]:
@@ -237,21 +238,15 @@ def _document_tree(doc: AlgebraDocument) -> dict:
         tree["bracket2"] = _tensor_tree(doc.bracket2)
     if doc.bracket3 is not None:
         tree["bracket3"] = _tensor_tree(doc.bracket3)
-    maps_node: dict[str, object] = {}
-    for name in sorted(doc.maps):
-        m = doc.maps[name]
-        maps_node[name] = {
-            "parity": m.parity,
-            "matrix": [[_scalar_str(c) for c in row] for row in m.matrix],
-        }
+    maps_node: dict[str, object] = {name: _map_tree(doc.maps[name]) for name in sorted(doc.maps)}
     for name in sorted(doc.forms):
         if name in maps_node:
             raise DocumentError(f"name {name!r} used for both a matrix and a row", "maps")
-        maps_node[name] = {"row": [_scalar_str(c) for c in doc.forms[name].coefficients]}
+        maps_node[name] = {"row": [str(c) for c in doc.forms[name].coefficients]}
     if maps_node:
         tree["maps"] = maps_node
     if doc.scalars:
-        tree["scalars"] = {name: _scalar_str(c) for name, c in sorted(doc.scalars.items())}
+        tree["scalars"] = {name: str(c) for name, c in sorted(doc.scalars.items())}
     if doc.metadata:
         tree["metadata"] = doc.metadata
     return tree

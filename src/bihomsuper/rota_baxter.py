@@ -20,6 +20,8 @@ an induced bracket produces the factor -(R + lambda Id) in front of the signed
 cyclic sums, so membership in ker(R + lambda Id) is the criterion checked
 here.  The two-sided cross-check against the direct ternary verification is
 always performed.
+Each refusal carries its report: an operator's ``twist-commutation``, a
+failing weighted identity's, or a failing form's :class:`TauWitness`.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ from .algebras import (
     BiHomLieSuperalgebra,
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
+    _agree,
     _collect,
+    _confirm,
     _report,
+    _require,
     _require_commuting_twists,
     _rules_block,
     verify_3bihom_jacobi,
@@ -45,7 +50,6 @@ from .core import (
     LinearForm,
     ParityError,
     PreconditionError,
-    TheoremContradictionError,
     as_scalar,
     basis_tuples,
     contraction_sum,
@@ -54,7 +58,7 @@ from .core import (
     vec_sub,
 )
 from .derivations import is_derivation_3
-from .tau import _induced_algebra, _tau_expansion, check_tau_conditions
+from .tau import _induced_algebra, _require_tau_conditions, _tau_expansion
 
 __all__ = [
     "RotaBaxterOperator",
@@ -146,13 +150,8 @@ def check_inverse_derivation_equivalence(
         raise ParityError("equivalence is stated for even maps")
     Rinv = R.inverse()  # raises PreconditionError when singular
     _require_commuting_twists(R, A)
-    rb_side = is_rb3(A, RotaBaxterOperator(R, Fraction(0))).passed
-    der_side = is_derivation_3(A, Rinv, 0, 0).passed
-    if rb_side != der_side:
-        raise TheoremContradictionError(
-            f"weight-0 check ({rb_side}) disagrees with inverse-derivation check ({der_side})"
-        )
-    return rb_side
+    return _agree(("weight-0 check", is_rb3(A, RotaBaxterOperator(R, Fraction(0))).passed),
+                  ("inverse-derivation check", is_derivation_3(A, Rinv, 0, 0).passed))
 
 
 def check_rb_transfer_criterion(
@@ -169,24 +168,15 @@ def check_rb_transfer_criterion(
     running the ternary verification directly on the induced algebra; any
     disagreement raises :class:`TheoremContradictionError`.
     """
-    base = is_rb2(A, R)
-    if not base.passed:
-        raise PreconditionError("operator fails the binary weighted identity", details=base)
-    witness = check_tau_conditions(A, tau)
-    if not witness.satisfied:
-        raise PreconditionError("form fails the induction conditions", details=witness)
+    _require(is_rb2(A, R), "operator fails the binary weighted identity")
+    _require_tau_conditions(A, tau)
     shifted = R.map.add(GradedMap.identity(A.space).scale(R.weight))
     pairs = contraction_sum([(1, A.bracket, [R.map, R.map], shifted)])
     block = _rules_block(3, [("kernel-membership", _tau_expansion(A.space, pairs, tau.coefficients))], A.dim)
     note = "criterion sign fixed by the plus-lambda defining identity: ker(R + lambda Id)"
     report = _report("rota-baxter-transfer-criterion", A.dim, [block], False, (note,))
-    induced = _induced_algebra(A, tau)
-    direct = is_rb3(induced, R).passed
-    if report.passed != direct:
-        raise TheoremContradictionError(
-            f"kernel criterion ({report.passed}) disagrees with the direct induced check ({direct})"
-        )
-    return report.passed, report
+    direct = is_rb3(_induced_algebra(A, tau), R).passed
+    return _agree(("kernel criterion", report.passed), ("the direct induced check", direct)), report
 
 
 def subset_deformations(A, R: RotaBaxterOperator, *indices: int):
@@ -210,9 +200,7 @@ def make_rb_bracket(
     lambda^{|I|-1} [args], where slots in I keep their argument and slots
     outside I receive R.  The structure maps are unchanged.
     """
-    pre = is_rb3(A, R)
-    if not pre.passed:
-        raise PreconditionError("operator fails the ternary weighted identity", details=pre)
+    _require(is_rb3(A, R), "operator fails the ternary weighted identity")
     values = contraction_sum((c, A.bracket, maps, None) for _, c, maps in _weighted_terms(A, R))
     tensor = type(A.bracket).from_values(A.space, values)
     return ThreeBiHomLieSuperalgebra(
@@ -240,9 +228,6 @@ def make_projection_twisted_algebra(
         A.beta.compose(R.map),
         multiplicative=False,
     )
-    for rep in (verify_3bihom_skewsymmetry(result), verify_3bihom_jacobi(result)):
-        if not rep.passed:
-            raise TheoremContradictionError(
-                f"projection-twisted algebra failed verification: {rep.summary()}"
-            )
+    for verify in (verify_3bihom_skewsymmetry, verify_3bihom_jacobi):
+        _confirm(verify(result), "projection-twisted algebra failed verification")
     return result

@@ -17,7 +17,9 @@ The tensor comes from one sparse expansion over the bracket entries and the
 support of tau (:func:`_tau_expansion`), which the transfer criteria share.
 :func:`induce_tau` checks the conditions and then builds the tensor
 (:func:`_induced_algebra`); a caller that has just checked them builds it
-directly, so each check runs the conditions once.
+directly, so each check runs the conditions once, in
+:func:`_require_tau_conditions`: a failing form is refused with its
+:class:`TauWitness`, whose reports list every failing basis pair.
 """
 
 from __future__ import annotations
@@ -106,13 +108,20 @@ def induce_tau(
     guaranteed about the result.  The induced algebra is returned with the
     ``multiplicative`` claim unset.
     """
-    witness = check_tau_conditions(A, tau)
-    if not witness.satisfied and not override:
-        raise PreconditionError(
-            "form does not satisfy the induction conditions (pass override=True to force)",
-            details=witness,
-        )
+    message = "form does not satisfy the induction conditions (pass override=True to force)"
+    _require_tau_conditions(A, tau, message, override)
     return _induced_algebra(A, tau)
+
+
+def _require_tau_conditions(
+    A: BiHomLieSuperalgebra, tau: LinearForm, message: str = "form fails the induction conditions",
+    override: bool = False,
+) -> None:
+    """Check the three induction conditions once; unless they hold or ``override`` is set,
+    refuse with a PreconditionError carrying the :class:`TauWitness` and its three reports."""
+    witness = check_tau_conditions(A, tau)
+    if not (witness.satisfied or override):
+        raise PreconditionError(message, details=witness)
 
 
 def _induced_algebra(A: BiHomLieSuperalgebra, tau: LinearForm) -> ThreeBiHomLieSuperalgebra:

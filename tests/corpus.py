@@ -106,6 +106,13 @@ def skew_fill_3(space: SuperSpace, value_of: dict[tuple[int, int, int], list]) -
 # binary algebras
 # ---------------------------------------------------------------------------
 
+def document_algebra(doc, arity: int):
+    """The algebra of a document's binary (arity 2) or ternary tensor and its structure maps,
+    as the command line builds it."""
+    cls, bracket = (BiHomLieSuperalgebra, doc.bracket2) if arity == 2 else (ThreeBiHomLieSuperalgebra, doc.bracket3)
+    return cls(doc.space, bracket, *doc.structure_maps(), doc.multiplicative)
+
+
 def _lie(space, entries, alpha=None, beta=None, multiplicative=True):
     ident = GradedMap.identity(space)
     return BiHomLieSuperalgebra(

@@ -325,11 +325,10 @@ def test_criterion_8_io_roundtrip_and_cli(binary_corpus, tau_corpus, ternary_cor
             ok = False
 
     # five scripted pipelines: exit codes must equal the library verdicts
-    from bihomsuper.cli import _binary_algebra, _ternary_algebra
     from bihomsuper import check_tau_conditions
 
     doc1 = load_document(str(DATA / "line_action.json"))
-    A1 = _binary_algebra(doc1)
+    A1 = corpus.document_algebra(doc1, 2)
     pipelines = []
     pipelines.append((
         ["verify", str(DATA / "line_action.json")],
@@ -344,13 +343,13 @@ def test_criterion_8_io_roundtrip_and_cli(binary_corpus, tau_corpus, ternary_cor
         is_rb2(A1, RotaBaxterOperator(doc1.maps["R"], doc1.scalars["lambda"])).passed,
     ))
     doc2 = load_document(str(DATA / "central_pair.json"))
-    A2 = _binary_algebra(doc2)
+    A2 = corpus.document_algebra(doc2, 2)
     crit, _ = check_rb_transfer_criterion(
         A2, doc2.forms["tau"], RotaBaxterOperator(doc2.maps["R"], doc2.scalars["lambda"])
     )
     pipelines.append((["rb-transfer", str(DATA / "central_pair.json")], crit))
     doc3 = load_document(str(DATA / "ternary_basic.json"))
-    A3 = _ternary_algebra(doc3)
+    A3 = corpus.document_algebra(doc3, 3)
     pipelines.append((
         ["check-nijenhuis", str(DATA / "ternary_basic.json")],
         is_nijenhuis_3(A3, doc3.maps["N"]).passed,

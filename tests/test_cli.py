@@ -9,15 +9,20 @@ from pathlib import Path
 
 import pytest
 
+import corpus
 from bihomsuper import (
+    GradedMap,
     PreconditionError,
     ThreeBiHomLieSuperalgebra,
+    TwistError,
     VerificationReport,
     cli,
     is_derivation_3,
     is_quasiderivation_3,
     load_document,
+    make_twist_3,
     run_pipeline,
+    verify_multiplicativity3,
 )
 from bihomsuper.cli import COMMANDS, main
 from bihomsuper.core import as_scalar, int_digit_limit
@@ -103,11 +108,10 @@ def test_exit_codes_match_library_verdicts_on_scripted_pipelines(capsys):
         verify_bihom_jacobi,
         verify_bihom_skewsymmetry,
     )
-    from bihomsuper.cli import _binary_algebra, _ternary_algebra
 
     # 1. verify on the binary fixture
     doc = load_document(str(DATA / "line_action.json"))
-    A = _binary_algebra(doc)
+    A = corpus.document_algebra(doc, 2)
     expect = verify_bihom_skewsymmetry(A).passed and verify_bihom_jacobi(A).passed
     assert (run(["verify", DATA / "line_action.json"]) == 0) is expect
 
@@ -121,14 +125,14 @@ def test_exit_codes_match_library_verdicts_on_scripted_pipelines(capsys):
 
     # 4. rb-transfer criterion on the central-extension fixture
     doc2 = load_document(str(DATA / "central_pair.json"))
-    A2 = _binary_algebra(doc2)
+    A2 = corpus.document_algebra(doc2, 2)
     op2 = RotaBaxterOperator(doc2.maps["R"], doc2.scalars["lambda"])
     ok, _ = check_rb_transfer_criterion(A2, doc2.forms["tau"], op2)
     assert (run(["rb-transfer", DATA / "central_pair.json"]) == 0) is ok
 
     # 5. check-nijenhuis on the ternary fixture
     doc3 = load_document(str(DATA / "ternary_basic.json"))
-    A3 = _ternary_algebra(doc3)
+    A3 = corpus.document_algebra(doc3, 3)
     expect3 = is_nijenhuis_3(A3, doc3.maps["N"]).passed
     assert (run(["check-nijenhuis", DATA / "ternary_basic.json"]) == 0) is expect3
     capsys.readouterr()
@@ -584,3 +588,94 @@ def test_reused_parser_keeps_calls_independent(tmp_path, monkeypatch, capsys):
     assert forward[4][3] is not None and forward[5][3] is None  # --output wrote only where given
     assert "unrecognized arguments: --no-such-option" in forward[7][2]
     assert forward[9][1].startswith("usage: bihomsuper rb-transfer")
+
+
+def _write_doc(tmp_path, source, name, maps):
+    """``source`` with the even maps ``{name: matrix rows}`` added or replaced, written to ``name``."""
+    doc = json.loads(source.read_text())
+    doc["maps"].update({key: {"parity": 0, "matrix": [[str(c) for c in row] for row in rows]}
+                        for key, rows in maps.items()})
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _machine_checks(argv, code, capsys):
+    assert run([*argv, "--format", "machine"]) == code
+    return {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+
+
+def _witnesses(check):
+    return [(v["where"], v["rule"], v["residual"]) for v in check["violations"]]
+
+
+def _violation_trees(violations):
+    return [([i + 1 for i in v.where], v.rule, [str(c) for c in v.residual]) for v in violations]
+
+
+@pytest.mark.parametrize("command", ["rb-transfer", "nijenhuis-transfer"])
+def test_transfer_refusal_lists_the_failing_tau_pairs(command, tmp_path, capsys):
+    """A form failing the induction conditions is refused with its three condition reports,
+    the same checks ``induce-tau`` lists on the document."""
+    doc = json.loads((DATA / "central_pair.json").read_text())
+    doc["maps"]["tau"] = {"row": ["0", "0", "0", "1"]}
+    doc["maps"]["N"] = doc["maps"]["alpha"]  # the identity is Nijenhuis
+    path = tmp_path / "central_pair_tau4.json"
+    path.write_text(json.dumps(doc))
+    checks = _machine_checks([command, path], 1, capsys)
+    assert checks["preconditions"]["notes"] == ["form fails the induction conditions"]
+    assert [(v["where"], v["rule"]) for v in checks["tau-annihilates-brackets"]["violations"]] == [
+        ([2, 3], "bracket-annihilation"), ([3, 2], "bracket-annihilation")]
+    induced = _machine_checks(["induce-tau", path], 1, capsys)
+    assert list(checks) == ["preconditions", *induced]
+    assert all(checks[name] == check for name, check in induced.items())
+
+
+@pytest.mark.parametrize("command", ["check-rb", "check-nijenhuis"])
+def test_operator_refusal_lists_the_columns_that_do_not_commute_with_a_twist(command, tmp_path, capsys):
+    path = _write_doc(tmp_path, GOLDEN_DOCS / "twistable.json", "twistable_x.json",
+                      {"X": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]})
+    parsed = load_document(str(path))
+    A = corpus.document_algebra(parsed, 3)
+    expected = [v for v in is_derivation_3(A, parsed.maps["X"], 0, 0).violations
+                if v.rule.startswith("commutes-with-")]
+    assert {v.rule for v in expected} == {"commutes-with-alpha", "commutes-with-beta"}
+    checks = _machine_checks([command, path, "--map", "X", "--weight", "0"], 1, capsys)
+    assert checks["preconditions"]["notes"] == ["operator does not commute with alpha"]
+    assert _witnesses(checks["twist-commutation"]) == _violation_trees(expected)
+
+
+@pytest.mark.parametrize("maps, message, rules", [
+    ({"alpha": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}, "twisting maps do not commute", {"twists-commute"}),
+    ({"alpha": [[2, 0, 0], [0, 2, 0], [0, 0, 2]], "beta": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     "alpha is not a morphism of the input bracket", {"alpha-morphism"}),
+    ({"beta": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}, "beta is not a morphism of the input bracket", {"beta-morphism"}),
+    ({"alpha": [[2, 0, 0], [0, 2, 0], [0, 0, 2]], "beta": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]},
+     "alpha is not a morphism of the input bracket", {"alpha-morphism", "beta-morphism"}),
+], ids=["twists-commute", "alpha-morphism", "beta-morphism", "both-morphisms"])
+def test_twist_refusal_lists_the_failing_multiplicativity_rule(maps, message, rules, tmp_path, capsys):
+    """The twisting maps are checked as the multiplicativity report of (bracket, alpha, beta);
+    the refusal names the first failing condition and carries the report."""
+    path = _write_doc(tmp_path, GOLDEN_DOCS / "twistable.json", "twistable_bad.json", maps)
+    parsed = load_document(str(path))
+    ident = GradedMap.identity(parsed.space)
+    seed = ThreeBiHomLieSuperalgebra(parsed.space, parsed.bracket3, ident, ident)
+    alpha, beta = parsed.structure_maps()
+    with pytest.raises(TwistError, match=message) as refused:
+        make_twist_3(seed, alpha, beta)
+    report = refused.value.details
+    assert report == verify_multiplicativity3(ThreeBiHomLieSuperalgebra(parsed.space, parsed.bracket3, alpha, beta))
+    assert {v.rule for v in report.violations} == rules
+    checks = _machine_checks(["twist3", path], 1, capsys)
+    assert checks["preconditions"]["notes"] == [message]
+    assert _witnesses(checks["ternary-multiplicativity"]) == _violation_trees(report.violations)
+
+
+def test_nijenhuis_rb_refusal_lists_the_columns_where_the_operators_do_not_commute(tmp_path, capsys):
+    """N = E_33 is Nijenhuis and R = E_32 passes the weight-0 identity on the ternary fixture,
+    but N R - R N = E_32: the refusal lists its second column."""
+    path = _write_doc(tmp_path, DATA / "ternary_basic.json", "ternary_nr.json",
+                      {"N": [[0, 0, 0], [0, 0, 0], [0, 0, 1]], "R": [[0, 0, 0], [0, 0, 0], [0, 1, 0]]})
+    checks = _machine_checks(["nijenhuis-rb-compat", path, "--weight", "0"], 1, capsys)
+    assert checks["preconditions"]["notes"] == ["the two operators do not commute"]
+    assert _witnesses(checks["operator-commutation"]) == [([2], "commutes-with-R", ["0", "0", "1"])]
