@@ -25,6 +25,7 @@ an operator that does not commute with the twists is refused with its
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     EVEN,
@@ -127,6 +128,10 @@ class _TwistedAlgebra:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @cached_property
+    def _powers(self) -> dict[tuple[int, int, int], GradedMap]:
+        return {}  # alpha^s beta^r and its signed form by (s, r, parity), built by derivations._twist
 
 
 class BiHomLieSuperalgebra(_TwistedAlgebra):

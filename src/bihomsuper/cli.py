@@ -220,16 +220,17 @@ class _Context:
                 "beyond the integer string conversion limit")
 
     def twist_powers(self, A) -> tuple[int, int]:
-        """``--s`` and ``--r``, refused before solving when alpha^s beta^r is too long to print.
+        """``--s`` and ``--r``, refused before solving when negative or alpha^s beta^r is too long to print.
 
         Solved maps are built from the entries of alpha^s beta^r; when one of
         those has more digits than ``int`` to ``str`` conversion allows, the
         report could not be written after all the work was done.
         """
         s, r = self.options.get("s", 0), self.options.get("r", 0)
-        if min(s, r) >= 0:
-            M = derivations.twist_power(A.alpha, A.beta, s, r)
-            _require_printable(f"alpha^{s} beta^{r}", [M])
+        for option, power in (("--s", s), ("--r", r)):
+            if power < 0:
+                raise ValueError(f"{option}: twist powers must be non-negative, got {power}")
+        _require_printable(f"alpha^{s} beta^{r}", [derivations._twist(A, s, r)])
         return s, r
 
     def check(self, rep: VerificationReport, mandatory: bool = True) -> None:

@@ -16,6 +16,7 @@ import itertools
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import ClassVar, Iterable, Mapping, Sequence
@@ -211,6 +212,10 @@ class SuperSpace:
     def indices(self) -> range:
         return range(self.dim)
 
+    @cached_property
+    def _identity(self) -> "GradedMap":  # shared by GradedMap.identity
+        return GradedMap(self, tuple(tuple(ONE if k == i else ZERO for i in self.indices()) for k in self.indices()))
+
     def check_vector(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.dim:
             raise DimensionError(f"vector of length {len(v)} in a dim-{self.dim} space")
@@ -275,8 +280,8 @@ class GradedMap:
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "GradedMap":
-        rows = [[ONE if k == i else ZERO for i in space.indices()] for k in space.indices()]
-        return cls(space, tuple(tuple(r) for r in rows), EVEN)
+        """The identity of ``space``: one map per space instance, shared, as maps are immutable."""
+        return space._identity
 
     @classmethod
     def zero(cls, space: SuperSpace, parity: int = EVEN) -> "GradedMap":
@@ -321,14 +326,14 @@ class GradedMap:
     def power(self, exponent: int) -> "GradedMap":
         if exponent < 0:
             raise ValueError("negative powers are not defined here; use inverse() first")
-        result, square = GradedMap.identity(self.space), self
+        result, square = None, self
         while exponent:
             if exponent & 1:
-                result = result.compose(square)
+                result = square if result is None else result.compose(square)
             exponent >>= 1
             if exponent:
                 square = square.compose(square)
-        return result
+        return GradedMap.identity(self.space) if result is None else result
 
     def scale(self, c: Fraction | int) -> "GradedMap":
         cc = as_scalar(c)

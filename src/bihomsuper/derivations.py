@@ -107,16 +107,24 @@ def twist_power(alpha: GradedMap, beta: GradedMap, s: int, r: int) -> GradedMap:
     return alpha.power(s).compose(beta.power(r))
 
 
-def _leibniz_terms(A, X, D, M: GradedMap, parity: int) -> list:
+def _twist(A, s: int, r: int, parity: int = EVEN) -> GradedMap:
+    """alpha^s beta^r, times S when ``parity`` is odd (:func:`_leibniz_terms`); built once per algebra."""
+    if (s, r, parity) not in A._powers:
+        A._powers[s, r, parity] = (_twist(A, s, r).compose(GradedMap.diagonal(A.space, map(ksign, A.space.parities)))
+                                   if parity else twist_power(A.alpha, A.beta, s, r))
+    return A._powers[s, r, parity]
+
+
+def _leibniz_terms(A, X, D, s: int, r: int, parity: int) -> list:
     """X([x_1, ..., x_n]) - sum_p sign_p [M x_1, ..., D x_p, ..., M x_n] as contraction terms.
 
     In slot p the bracket is contracted against (M', ..., M', D, M, ..., M):
-    M' = M S^parity, S the parity operator e_i |-> (-1)^{|e_i|} e_i, puts the
-    Koszul sign (-1)^{|D| (|x_1| + ... + |x_{p-1}|)} into the arguments D moves
-    past, so ``parity`` is |D|.  X or D may be :data:`_UNKNOWN`.
+    M = alpha^s beta^r, and M' = M S^parity, S the parity operator e_i |-> (-1)^{|e_i|} e_i,
+    puts the Koszul sign (-1)^{|D| (|x_1| + ... + |x_{p-1}|)} into the arguments
+    D moves past, so ``parity`` is |D|.  X or D may be :data:`_UNKNOWN`.
     """
     n = A.bracket.arity
-    signed = M.compose(GradedMap.diagonal(A.space, [ksign(q) for q in A.space.parities])) if parity else M
+    M, signed = _twist(A, s, r), _twist(A, s, r, parity)
     terms = [(1, A.bracket, [GradedMap.identity(A.space)] * n, X)]
     terms += [(-1, A.bracket, [signed] * p + [D] + [M] * (n - 1 - p), None) for p in range(n)]
     return terms
@@ -128,8 +136,7 @@ def _is_derivation(A, D: GradedMap, s: int, r: int, identity: str, fail_fast: bo
     blocks = _commutation_blocks(A, D)
     if fail_fast and any(found for _, _, found in blocks):
         return _report(identity, A.space.dim, blocks, False)
-    M = twist_power(A.alpha, A.beta, s, r)
-    leibniz = contraction_sum(_leibniz_terms(A, D, D, M, D.parity))
+    leibniz = contraction_sum(_leibniz_terms(A, D, D, s, r, D.parity))
     blocks.append(_rules_block(A.bracket.arity, [("leibniz", leibniz)], A.space.dim))
     return _report(identity, A.space.dim, blocks, fail_fast)
 
@@ -214,8 +221,7 @@ def _linearise(terms, index_of: dict[tuple[int, int], int]):
 def _solve_derivation_space(A, query: DerivationQuery, verify) -> DerivationSpace:
     """Kernel of the commutation and Leibniz rows; ``verify`` re-checks each basis map."""
     slots, index_of, rows = _commuting_system(A, query.parity)
-    M = twist_power(A.alpha, A.beta, query.s, query.r)
-    leibniz, _ = _linearise(_leibniz_terms(A, _UNKNOWN, _UNKNOWN, M, query.parity), index_of)
+    leibniz, _ = _linearise(_leibniz_terms(A, _UNKNOWN, _UNKNOWN, query.s, query.r, query.parity), index_of)
     rows += (leibniz[key] for key in sorted(leibniz))
     basis_vectors = kernel_basis(rows, len(slots))
     basis = tuple(_slots_to_map(A.space, query.parity, slots, v) for v in basis_vectors)
@@ -256,8 +262,7 @@ def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMa
     _require_commuting_twists(D, A, "candidate does not commute with the structure maps")
     slots, index_of, rows = _commuting_system(A, D.parity)
     rhs = [ZERO] * len(rows)
-    M = twist_power(A.alpha, A.beta, s, r)
-    leibniz, known = _linearise(_leibniz_terms(A, _UNKNOWN, D, M, D.parity), index_of)
+    leibniz, known = _linearise(_leibniz_terms(A, _UNKNOWN, D, s, r, D.parity), index_of)
     # The residual vanishes: the rows in the companion equal minus the terms in D.
     targets = contraction_sum(known)
     nonzero = {(t, k) for t, image in targets.items() for k, c in image.items() if c}
@@ -269,7 +274,7 @@ def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMa
         return False, None
     witness = _slots_to_map(A.space, D.parity, slots, solution)
     # Cross-check by substitution against the contraction-based Leibniz residual.
-    residuals = contraction_sum(_leibniz_terms(A, witness, D, M, D.parity))
+    residuals = contraction_sum(_leibniz_terms(A, witness, D, s, r, D.parity))
     if any(any(image.values()) for image in residuals.values()):
         raise TheoremContradictionError("quasiderivation witness failed substitution")
     return True, witness
@@ -312,7 +317,7 @@ def _transfer_conditions(
     the bracket of the remaining pair must vanish; additionally tau must be
     invariant under alpha^s beta^r.
     """
-    M = twist_power(A.alpha, A.beta, s, r)
+    M = _twist(A, s, r)
     ident = GradedMap.identity(A.space)
     invariance = {(i,): {0: tau.apply(M.column(i)) - tau.of_basis(i)} for i in A.space.indices()}
     tD = [tau.apply(D.column(i)) for i in A.space.indices()]

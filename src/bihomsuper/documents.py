@@ -80,8 +80,7 @@ class AlgebraDocument:
 
     def structure_maps(self) -> tuple[GradedMap, GradedMap]:
         """alpha and beta, defaulting to the identity when absent."""
-        ident = GradedMap.identity(self.space)
-        return self.maps.get("alpha", ident), self.maps.get("beta", ident)
+        return tuple(self.maps.get(name, GradedMap.identity(self.space)) for name in ("alpha", "beta"))
 
 
 def _expect(cond: bool, message: str, path: str) -> None:

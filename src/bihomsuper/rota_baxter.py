@@ -107,10 +107,10 @@ def _pointwise_terms(A, R: RotaBaxterOperator):
 def _is_rb(A, R: RotaBaxterOperator, identity: str, fail_fast: bool) -> VerificationReport:
     """[R(x_1), ..., R(x_n)] = R([x_1, ..., x_n]_R) over all basis tuples.
 
-    Still a walk over every basis tuple, one bracket per weighted term: on
-    contraction the operator-scale benchmark runs six to seven times as many
-    jobs, and since it keeps every report until the run ends its peak RSS
-    rises past the 10% bound (ROADMAP, open item 1).
+    Still a walk over every basis tuple, one bracket per weighted term.  The
+    contraction form waits for ROADMAP open item 1: the benchmark keeps every
+    report until the run ends, so its peak RSS grows with the faster form's
+    throughput and rises past the 10% bound.
     """
     _require_commuting_twists(R.map, A)
     Rcol = [R.map.column(i) for i in A.space.indices()]

@@ -47,6 +47,12 @@ VARIANTS = [
     ("quasiderivation__mixed_parity__map-Q", ["quasiderivation", "golden/docs/mixed_parity.json", "--map", "Q"]),
     ("quasiderivation__mixed_parity__map-N_s1", ["quasiderivation", "golden/docs/mixed_parity.json", "--map", "N", "--s", "1"]),
     ("quasiderivation__ternary_basic__map-R", ["quasiderivation", "data/ternary_basic.json", "--map", "R"]),
+    ("derivations__twistable__s2_r1", ["derivations", "golden/docs/twistable.json", "--s", "2", "--r", "1"]),
+    ("derivations__twistable__s1_r2", ["derivations", "golden/docs/twistable.json", "--s", "1", "--r", "2"]),
+    ("quasiderivation__twistable__map-alpha_s2_r1",
+     ["quasiderivation", "golden/docs/twistable.json", "--map", "alpha", "--s", "2", "--r", "1"]),
+    ("quasiderivation__twistable__map-alpha_s1_r2",
+     ["quasiderivation", "golden/docs/twistable.json", "--map", "alpha", "--s", "1", "--r", "2"]),
     ("check-rb__mixed_parity__map-N_weight-1", ["check-rb", "golden/docs/mixed_parity.json", "--map", "N", "--weight", "1"]),
     ("check-rb__mixed_parity__fail-fast", ["check-rb", "golden/docs/mixed_parity.json", "--fail-fast"]),
     ("rb-bracket__ternary_basic__weight-0", ["rb-bracket", "data/ternary_basic.json", "--weight", "0"]),

@@ -429,6 +429,43 @@ def test_unprintable_solution_is_refused(command, power, what, capsys):
     assert captured.err.startswith(f"input error: --s/--r: {what}") and not captured.out
 
 
+@pytest.mark.parametrize("command", ["derivations", "quasiderivation"])
+@pytest.mark.parametrize("option", ["--s", "--r"])
+def test_negative_twist_power_names_its_option(command, option, capsys):
+    assert run([command, GOLDEN_DOCS / "twistable.json", option, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {option}: twist powers must be non-negative, got -1\n"
+    assert not captured.out
+
+
+@pytest.mark.parametrize("command", ["derivations", "quasiderivation"])
+def test_one_job_builds_each_twist_power_and_identity_once(command, monkeypatch, capsys):
+    """alpha^1 beta^1 is built once, for the digit check, and read again by the
+    solve and by every re-check; each space has one identity map."""
+    doc = load_document(GOLDEN_DOCS / "twistable.json")
+    powered, identities = [], {}
+    power, post_init = GradedMap.power, GradedMap.__post_init__
+
+    def counted_power(self, exponent):
+        powered.append((self.matrix, exponent))
+        return power(self, exponent)
+
+    def counted_post_init(self):
+        post_init(self)
+        if self.matrix == tuple(tuple(int(k == i) for i in self.space.indices()) for k in self.space.indices()):
+            identities[id(self.space)] = identities.get(id(self.space), 0) + 1
+
+    monkeypatch.setattr(GradedMap, "power", counted_power)
+    monkeypatch.setattr(GradedMap, "__post_init__", counted_post_init)
+    assert run([command, GOLDEN_DOCS / "twistable.json", "--s", "1", "--r", "1", "--format", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    if command == "derivations":
+        assert report["derived"]["dimension"] == 2  # two re-checks, one alpha^1 beta^1
+    assert powered == [(doc.map_named("alpha").matrix, 1), (doc.map_named("beta").matrix, 1)]
+    assert list(identities.values()) == [1]
+
+
 def _python_dash_m(*args):
     import bihomsuper
 

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +14,7 @@ from bihomsuper import (
     PreconditionError,
     StructureTensor3,
     SuperSpace,
+    TheoremContradictionError,
     ThreeBiHomLieSuperalgebra,
     check_derivation_transfer,
     check_quasiderivation_transfer,
@@ -21,11 +23,13 @@ from bihomsuper import (
     is_derivation_3,
     is_quasiderivation_2,
     is_quasiderivation_3,
+    load_document,
     make_twist_2,
     solve_derivation_space,
     solve_derivation_space_2,
     supercommutator,
 )
+from bihomsuper import derivations
 
 import corpus
 from oracles import (
@@ -548,3 +552,61 @@ def test_mixed_parity_candidate_must_be_decomposed():
     A = ThreeBiHomLieSuperalgebra(sp, StructureTensor3.zero(sp), _ident(sp), _ident(sp))
     assert is_derivation_3(A, even, 0, 0).passed
     assert is_derivation_3(A, odd, 0, 0).passed
+
+
+def _twistable():
+    """The ternary algebra of golden/docs/twistable.json: alpha = diag(2, 3, 1/3), beta = diag(5, 7, 1/7)."""
+    doc = load_document(Path(__file__).parent / "golden" / "docs" / "twistable.json")
+    return doc, ThreeBiHomLieSuperalgebra(doc.space, doc.bracket3, *doc.structure_maps())
+
+
+def test_interleaved_twist_powers_on_one_algebra_match_dense_oracle():
+    """alpha^s beta^r is kept on the algebra between calls; with alpha != beta,
+    (1, 2) and (2, 1) differ, and each report still equals the dense walk."""
+    _, A = _twistable()
+    candidates = {sr: solve_derivation_space(A, DerivationQuery(*sr)).basis for sr in ((1, 2), (2, 1))}
+    verdicts = set()
+    for s, r in ((1, 2), (2, 1), (1, 2)):
+        for D in candidates[1, 2] + candidates[2, 1]:
+            rep = is_derivation_3(A, D, s, r)
+            got = (rep.identity, rep.total, [(v.where, v.residual, v.rule) for v in rep.violations])
+            assert got == derivation_report(*_oracle_args(A), s, r, D.matrix, D.parity), (s, r, D)
+            verdicts.add(rep.passed)
+    assert verdicts == {False, True}
+
+
+def _binary_with_derivations():
+    return next(f for f in corpus.binary_fixtures() if f.name == "axb3-trivline").algebra
+
+
+@pytest.mark.parametrize("solve, algebra", [(solve_derivation_space, lambda: _twistable()[1]),
+                                            (solve_derivation_space_2, _binary_with_derivations)])
+def test_solver_recheck_refuses_a_perturbed_basis(solve, algebra, monkeypatch):
+    """Each solved basis map is re-checked by evaluation, not trusted from the kernel."""
+    real = derivations.kernel_basis
+
+    def perturbed(rows, n):
+        basis = real(rows, n)
+        assert basis, "the test needs a nonzero derivation space"
+        # adds E_33 (e_3 -> e_3), which lies outside both derivation spaces
+        basis[-1] = tuple(basis[-1][:-1]) + (basis[-1][-1] + 1,)
+        return basis
+
+    monkeypatch.setattr(derivations, "kernel_basis", perturbed)
+    with pytest.raises(TheoremContradictionError, match="solver produced a non-derivation"):
+        solve(algebra(), DerivationQuery(1, 1))
+
+
+def test_quasiderivation_witness_is_checked_by_substitution(monkeypatch):
+    doc, A = _twistable()
+    assert is_quasiderivation_3(A, doc.map_named("alpha"), 1, 1)[0]
+    real = derivations.solve_linear
+
+    def perturbed(rows, rhs, n):
+        solution = list(real(rows, rhs, n))
+        solution[0] += 1
+        return solution
+
+    monkeypatch.setattr(derivations, "solve_linear", perturbed)
+    with pytest.raises(TheoremContradictionError, match="quasiderivation witness failed substitution"):
+        is_quasiderivation_3(A, doc.map_named("alpha"), 1, 1)
