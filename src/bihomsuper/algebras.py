@@ -13,8 +13,8 @@ bracket on all tuples at once, twist commutation from
 would, here and for every check of the other modules but the weighted
 identity.  The binary Jacobi identity, the cyclic ternary form and the
 deformation sums are tables of nested brackets [b^2(.), ..., [b(.), ...,
-a(.)], ...] for one sparse join (:func:`_composition_sum`); of the verifiers
-here, only the direct ternary form walks.
+a(.)], ...] for one sparse join (:func:`_composition_sum`), which sums ints and
+reports Fractions; of the verifiers here, only the direct ternary form walks.
 
 Every module refuses through :func:`_require`, which puts the failing report
 in ``details``, and cross-checks through :func:`_confirm` and :func:`_agree`;
@@ -25,7 +25,9 @@ an operator that does not commute with the twists is refused with its
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .core import (
     EVEN,
@@ -219,27 +221,26 @@ def _twisted_contractions(A, tensors, terms):
     and ``outer[slot]``, for each free slot that a row of ``terms`` names, is
     indexed by the basis index s in that slot: {s: [(u, {k: c})]} for w with
     e_s in the slot and b^2 e_u1, ..., b^2 e_u(n-1) in the others, in order.
-    Coefficients that cancel are dropped.
+    Each factor is (d, values), ints over d; coefficients that cancel are dropped.
     """
     n = A.bracket.arity
     beta2 = A.beta.compose(A.beta)
     ident = GradedMap.identity(A.space)
 
-    def nonzero(images):
-        for t, image in images.items():
-            image = {k: c for k, c in image.items() if c}
-            if image:
-                yield t, image
+    def nonzero(w, maps):
+        d, images = w._contract_int(maps)
+        return d, {t: kept for t, image in images.items() if (kept := {k: c for k, c in image.items() if c})}
 
     factors = []
     for w in tensors:
-        inner = dict(nonzero(w.contract([A.beta] * (n - 1) + [A.alpha])))
+        d, inner = nonzero(w, [A.beta] * (n - 1) + [A.alpha])
         outer = {}
         for slot in {slot for slot, _, _ in terms}:
             by_free = outer[slot] = {}
-            for t, image in nonzero(w.contract([ident if q == slot else beta2 for q in range(n)])):
+            d_out, images = nonzero(w, [ident if q == slot else beta2 for q in range(n)])
+            for t, image in images.items():
                 by_free.setdefault(t[slot], []).append((t[:slot] + t[slot + 1 :], image))
-        factors.append((inner, outer))
+        factors.append(((d, inner), (d_out, outer)))
     return factors
 
 
@@ -251,11 +252,13 @@ def _composition_sum(A, pairs, terms) -> dict[tuple[int, ...], Vector]:
     t of length 2n - 1 with t[q] = (inner indices + outer indices)[order[q]],
     signed by (-1) ** exponent(parities, *t).  Every tuple is covered at once:
     each row joins the inner entries with the outer entries whose free index
-    is one of their output indices.
+    is one of their output indices, in ints over the lcm of the pairs' denominators.
     """
     P, dim = A.space.parities, A.space.dim
+    common = lcm(*(d_out * d_in for (d_out, _), (d_in, _) in pairs))
     acc: dict[tuple[int, ...], list] = {}
-    for outer, inner in pairs:
+    for (d_out, outer), (d_in, inner) in pairs:
+        scale = common // (d_out * d_in)
         for slot, order, exponent in terms:
             by_free = outer[slot]
             for xyz, image in inner.items():
@@ -263,13 +266,13 @@ def _composition_sum(A, pairs, terms) -> dict[tuple[int, ...], Vector]:
                     for uv, out in by_free.get(s, ()):
                         joined = xyz + uv
                         t = tuple(joined[q] for q in order)
-                        coeff = ksign(exponent(P, *t)) * c
+                        coeff = ksign(exponent(P, *t)) * scale * c
                         res = acc.get(t)
                         if res is None:
-                            res = acc[t] = [ZERO] * dim
+                            res = acc[t] = [0] * dim
                         for k, v in out.items():
                             res[k] += coeff * v
-    return {t: tuple(res) for t, res in acc.items() if any(res)}
+    return {t: tuple(Fraction(v, common) for v in res) for t, res in acc.items() if any(res)}
 
 
 def _composition_block(A, pairs, terms, rule: str) -> tuple:

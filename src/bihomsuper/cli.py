@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 from fractions import Fraction
+from math import factorial, log10
 
 from . import algebras, deformations, derivations, documents, rota_baxter, tau
 from .algebras import VerificationReport
@@ -122,12 +123,12 @@ def _doc_tree(**fields) -> dict:
     return documents._document_tree(AlgebraDocument(**fields))
 
 
-def _require_printable(what: str, maps) -> None:
-    """Refuse maps with an entry of more digits than ``int`` to ``str`` conversion allows.
+# Only the powers --s/--r make entries that long, so the refusal names them.
+_UNPRINTABLE_POWERS = "--s/--r: {} has entries of more than {} digits, beyond the integer string conversion limit"
 
-    Only the powers ``--s``/``--r`` make entries that long, so the message
-    names them.
-    """
+
+def _require_printable(what: str, maps) -> None:
+    """Refuse maps with an entry of more digits than ``int`` to ``str`` conversion allows."""
     limit = int_digit_limit()
     if not limit:
         return
@@ -137,10 +138,18 @@ def _require_printable(what: str, maps) -> None:
         for row in m.matrix:
             for c in row:
                 if any(n.bit_length() >= bits and abs(n) >= bound for n in (c.numerator, c.denominator)):
-                    raise ValueError(
-                        f"--s/--r: {what} has entries of more than {limit} digits, "
-                        "beyond the integer string conversion limit"
-                    )
+                    raise ValueError(_UNPRINTABLE_POWERS.format(what, limit))
+
+
+def _abs_det(matrix) -> Fraction:
+    """|det matrix|, by exact elimination; a first column without a nonzero entry makes it 0."""
+    rows, det = matrix, Fraction(1)
+    while rows and det:
+        pivot = next((row for row in rows if row[0]), rows[0])
+        det *= abs(pivot[0])
+        rows = [[x - row[0] / pivot[0] * y for x, y in zip(row[1:], pivot[1:])] if row[0] else row[1:]
+                for row in rows if row is not pivot]
+    return det
 
 
 def _algebra3_doc(A: algebras.ThreeBiHomLieSuperalgebra, metadata: str) -> dict:
@@ -222,15 +231,26 @@ class _Context:
     def twist_powers(self, A) -> tuple[int, int]:
         """``--s`` and ``--r``, refused before solving when negative or alpha^s beta^r is too long to print.
 
-        Solved maps are built from the entries of alpha^s beta^r; when one of
-        those has more digits than ``int`` to ``str`` conversion allows, the
-        report could not be written after all the work was done.
+        Solved maps are built from the entries of alpha^s beta^r; when one of those has more
+        digits than ``int`` to ``str`` conversion allows, the report could not be written after
+        all the work was done.  With n x n entries of numerators and denominators below 10^L, a
+        determinant is below n! 10^(n(n+1)L) and, unless 0, above 10^(-n^2 L); so
+        det(alpha)^s det(beta)^r, compared with a margin beyond any rounding of its logarithm,
+        refuses most such powers unbuilt.
         """
         s, r = self.options.get("s", 0), self.options.get("r", 0)
         for option, power in (("--s", s), ("--r", r)):
             if power < 0:
                 raise ValueError(f"{option}: twist powers must be non-negative, got {power}")
-        _require_printable(f"alpha^{s} beta^{r}", [derivations._twist(A, s, r)])
+        what, limit, n = f"alpha^{s} beta^{r}", int_digit_limit(), A.dim
+        dets = [(power, _abs_det(m.matrix)) for power, m in ((s, A.alpha), (r, A.beta)) if power]
+        if limit and all(d for _, d in dets):  # a singular twist decides nothing
+            exact = Fraction if max(s, r) >> 1000 else float  # a float times a power past 2^1000 overflows
+            logs = [(p * exact(log10(d.numerator)), p * exact(log10(d.denominator))) for p, d in dets]
+            log_det, margin = sum(a - b for a, b in logs), 1 + sum(a + b for a, b in logs) / 2 ** 40
+            if log_det + margin <= -n * n * limit or log_det - margin >= n * (n + 1) * limit + log10(factorial(n)):
+                raise ValueError(_UNPRINTABLE_POWERS.format(what, limit))
+        _require_printable(what, [derivations._twist(A, s, r)])
         return s, r
 
     def check(self, rep: VerificationReport, mandatory: bool = True) -> None:

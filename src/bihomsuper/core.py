@@ -1,10 +1,10 @@
 """Exact Z2-graded linear algebra: spaces, homogeneous maps, sparse brackets.
 
-Everything is computed over the rationals with :class:`fractions.Fraction`,
-so every identity check in this package is an exact yes/no question with no
-tolerances.  Basis elements carry a parity (0 = even, 1 = odd); all sign
-bookkeeping uses the Koszul convention, where transposing two odd symbols
-introduces a factor -1.
+Scalars are :class:`fractions.Fraction` at every boundary, so every identity
+check is an exact yes/no question with no tolerances; the contraction kernels
+sum ints over one common denominator.  Basis elements carry a parity (0 =
+even, 1 = odd); all sign bookkeeping uses the Koszul convention, where
+transposing two odd symbols introduces a factor -1.
 
 All container types here are immutable after construction and safe to share
 between threads.
@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -278,6 +278,13 @@ class GradedMap:
         object.__setattr__(self, "_columns", tuple(tuple(col) for col in columns))
         object.__setattr__(self, "_rows", tuple(tuple(row) for row in rows))
 
+    @cached_property
+    def _integral(self) -> tuple[int, tuple, tuple]:
+        """(d, rows, columns): ``_rows`` and ``_columns`` as ints over d, the lcm of the denominators."""
+        d = lcm(*(c.denominator for row in self._rows for _, c in row))
+        return d, *(tuple(tuple((i, c.numerator * (d // c.denominator)) for i, c in line) for line in lines)
+                    for lines in (self._rows, self._columns))
+
     @classmethod
     def identity(cls, space: SuperSpace) -> "GradedMap":
         """The identity of ``space``: one map per space instance, shared, as maps are immutable."""
@@ -517,6 +524,12 @@ class StructureTensor:
             images.setdefault(tuple(args), [ZERO] * self.space.dim)[k] += c
         object.__setattr__(self, "_images", {a: tuple(v) for a, v in images.items()})
 
+    @cached_property
+    def _integral(self) -> tuple[int, tuple]:
+        """(d, entries): the structure constants as ints over d, the lcm of their denominators."""
+        d = lcm(*(c.denominator for _, c in self.entries))
+        return d, tuple((key, c.numerator * (d // c.denominator)) for key, c in self.entries)
+
     @classmethod
     def from_dict(cls, space: SuperSpace, entries: Mapping[tuple[int, ...], object]):
         return cls(space, tuple(dict(entries).items()))  # type: ignore[arg-type]
@@ -589,20 +602,25 @@ class StructureTensor:
         follows the nonzeros, not dim ** arity.  Tuples absent from the result
         have the zero image; coefficients that cancel are kept as zeros.
         """
+        d, images = self._contract_int(maps)
+        return {t: {k: Fraction(c, d) for k, c in image.items()} for t, image in images.items()}
+
+    def _contract_int(self, maps: Sequence["GradedMap"]) -> tuple[int, dict[tuple[int, ...], dict[int, int]]]:
+        """(d, images): :meth:`contract` summed in ints over d, the integer forms' denominators multiplied."""
         if len(maps) != self.arity:
             raise DimensionError(f"expected {self.arity} maps, got {len(maps)}")
         if any(m.space != self.space for m in maps):
             raise DimensionError("maps and tensor live on different spaces")
-        out: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for key, c in self.entries:
+        out: dict[tuple[int, ...], dict[int, int]] = {}
+        for key, c in self._integral[1]:
             k = key[-1]
-            for combo in itertools.product(*(m._rows[a] for m, a in zip(maps, key))):
+            for combo in itertools.product(*(m._integral[1][a] for m, a in zip(maps, key))):
                 coeff = c
                 for _, x in combo:
                     coeff *= x
                 image = out.setdefault(tuple(t for t, _ in combo), {})
-                image[k] = image.get(k, ZERO) + coeff
-        return out
+                image[k] = image.get(k, 0) + coeff
+        return prod(f._integral[0] for f in (self, *maps)), out
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -707,24 +725,23 @@ def contraction_sum(terms: Iterable[tuple[object, StructureTensor, Sequence[Grad
     """The sum of c * m(w(m_1 x_1, ..., m_n x_n)) over the terms (c, w, (m_1, ..., m_n), m),
     on every basis tuple at once.
 
-    Each term is one :meth:`StructureTensor.contract`, its images pushed
-    through the outer map m (None for the identity) and scaled by c; terms
-    with c = 0 are skipped.  Returns ``{t: {k: c}}`` like
-    :meth:`StructureTensor.contract`, with coefficients that cancel kept as
-    zeros.
+    Each term is one integer contraction, its images pushed through the outer
+    map m (None for the identity) and brought to the lcm of the terms'
+    denominators; terms with c = 0 are skipped.  Returns ``{t: {k: c}}`` like
+    :meth:`StructureTensor.contract`, with coefficients that cancel kept as zeros.
     """
-    acc: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for coeff, tensor, maps, outer in terms:
-        if coeff:
-            for t, image in tensor.contract(maps).items():
-                if outer is not None:
-                    pushed: dict[int, Fraction] = {}
-                    for i, x in image.items():
-                        for k, c in outer._columns[i]:
-                            pushed[k] = pushed.get(k, ZERO) + c * x
-                    image = pushed
-                add_image(acc, t, image, coeff)
-    return acc
+    terms = [(as_scalar(c), w, maps, GradedMap.identity(w.space) if m is None else m) for c, w, maps, m in terms if c]
+    dens = [c.denominator * prod(f._integral[0] for f in (w, *maps, m)) for c, w, maps, m in terms]
+    common, acc = lcm(*dens), {}
+    for (c, w, maps, outer), d in zip(terms, dens):
+        scale, columns = c.numerator * (common // d), outer._integral[2]
+        for t, image in w._contract_int(maps)[1].items():
+            row = acc.setdefault(t, {})
+            for i, x in image.items():
+                x *= scale
+                for k, y in columns[i]:
+                    row[k] = row.get(k, 0) + x * y
+    return {t: {k: Fraction(c, common) for k, c in row.items()} for t, row in acc.items()}
 
 
 def dense(image: Mapping[int, Fraction], dim: int) -> Vector:

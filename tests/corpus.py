@@ -275,6 +275,49 @@ def tau_fixtures() -> list[TauFixture]:
     return out
 
 
+def _gl21(alpha_diagonal, beta_diagonal) -> tuple[BiHomLieSuperalgebra, LinearForm]:
+    """gl(2|1) twisted by Ad(diag(alpha_diagonal)) and Ad(diag(beta_diagonal)), and its supertrace.
+
+    Basis E_ij at index 3 i + j, |E_ij| = p(i) + p(j) with p = (0, 0, 1), and
+    [E_ij, E_kl] = delta_jk E_il - (-1)^{|E_ij||E_kl|} delta_li E_kj; the
+    twisted bracket is [Ad(D1) x, Ad(D2) y], and Ad(D) E_ij = (d_i / d_j) E_ij.
+    The supertrace is tau(E_ii) = (-1)^{p(i)}.
+    """
+    p = (0, 0, 1)
+    space = SuperSpace(tuple((p[i] + p[j]) % 2 for i in range(3) for j in range(3)))
+    entries = {}
+    for (i, j), (k, l) in itertools.product(itertools.product(range(3), repeat=2), repeat=2):
+        x, y = 3 * i + j, 3 * k + l
+        if j == k:
+            entries[x, y, 3 * i + l] = entries.get((x, y, 3 * i + l), 0) + 1
+        if l == i:
+            entries[x, y, 3 * k + j] = entries.get((x, y, 3 * k + j), 0) - ksign(space.parity(x) * space.parity(y))
+    alpha, beta = (GradedMap.diagonal(space, [F(d[i], d[j]) for i in range(3) for j in range(3)])
+                   for d in (alpha_diagonal, beta_diagonal))
+    supertrace = LinearForm(space, tuple(F(ksign(p[i])) if i == j else F(0) for i in range(3) for j in range(3)))
+    return make_twist_2(_lie(space, entries), alpha, beta), supertrace
+
+
+@lru_cache(maxsize=None)
+def gl21_fixtures() -> list[TauFixture]:
+    """gl(2|1) with its supertrace under Ad-twists, two BiHom-Lie superalgebras of dim 9.
+
+    ``gl21/equal``: alpha = beta = Ad(diag(1, 2, 3)), whose entries have
+    denominators 2 and 3; all three induction conditions hold.
+    ``gl21/unequal``: alpha = Ad(diag(1, 2, 3)), beta = Ad(diag(1, 5, 7)); only
+    tau-twist-proportionality fails, on 18 of the 81 pairs.  Kept out of
+    :func:`tau_fixtures`, whose induced algebras every ternary dense walk runs on.
+    """
+    out = []
+    for name, beta_diagonal in (("gl21/equal", (1, 2, 3)), ("gl21/unequal", (1, 5, 7))):
+        A, supertrace = _gl21((1, 2, 3), beta_diagonal)
+        out.append(TauFixture(name, A, supertrace))
+    reports = [[(r.passed, r.total, len(r.violations)) for r in check_tau_conditions(f.algebra, f.tau).reports()]
+               for f in out]
+    assert reports == [[(True, 81, 0)] * 3, [(True, 81, 0), (True, 81, 0), (False, 81, 18)]], reports
+    return out
+
+
 # ---------------------------------------------------------------------------
 # ternary algebras
 # ---------------------------------------------------------------------------

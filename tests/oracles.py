@@ -428,14 +428,15 @@ def binary_jacobi_reports(space_parities, alpha, beta, entries):
     as (full report, fail-fast report)."""
     P, ent, dim = space_parities, dict(entries), len(space_parities)
     beta2 = _compose(beta, beta)
-
-    def term(a, b, c):
-        inner = _bracket_of_vectors(ent, dim, [_column(beta, b), _column(alpha, c)])
-        return [sign(P[a] * P[c]) * v for v in _bracket_of_vectors(ent, dim, [_column(beta2, a), inner])]
+    inner = {(b, c): _bracket_of_vectors(ent, dim, [_column(beta, b), _column(alpha, c)])
+             for b, c in itertools.product(range(dim), repeat=2)}
+    # each triple's term is read by all three of its cyclic shifts, so it is computed once
+    term = {(a, b, c): [sign(P[a] * P[c]) * v for v in _bracket_of_vectors(ent, dim, [_column(beta2, a), inner[b, c]])]
+            for a, b, c in itertools.product(range(dim), repeat=3)}
 
     def checks():
         for x, y, z in itertools.product(range(dim), repeat=3):
-            terms = [term(x, y, z), term(y, z, x), term(z, x, y)]
+            terms = [term[x, y, z], term[y, z, x], term[z, x, y]]
             yield (x, y, z), "twisted-jacobi", [sum(col, ZERO) for col in zip(*terms)]
 
     return _walk_reports("binary-twisted-jacobi", checks())

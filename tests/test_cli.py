@@ -2,9 +2,11 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -411,6 +413,53 @@ def test_unprintable_twist_power_is_refused_before_solving(command, option, monk
     assert run([command, GOLDEN_DOCS / "twistable.json", option, "200000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: --s/--r:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["derivations", "quasiderivation"])
+@pytest.mark.parametrize("option", ["--s", "--r"])
+def test_twist_power_refused_by_its_determinant_is_never_built(command, option, capsys):
+    # det alpha = 2 and det beta = 5: 10^8 log10 2 is far above 3 * 4 * L + log10 3!, the most
+    # digits a determinant of 3 x 3 entries below 10^L can have; building the power takes minutes
+    start = time.perf_counter()
+    assert run([command, GOLDEN_DOCS / "twistable.json", option, "100000000"]) == 2
+    assert time.perf_counter() - start < 2
+    power = "alpha^100000000 beta^0" if option == "--s" else "alpha^0 beta^100000000"
+    assert capsys.readouterr().err == (f"input error: --s/--r: {power} has entries of more than "
+                                       f"{int_digit_limit()} digits, beyond the integer string conversion limit\n")
+
+
+def _below(bound):  # the largest power s with s log10 2 below ``bound``
+    return int(bound / math.log10(2))
+
+
+@pytest.mark.parametrize("alpha, power, built, code", [
+    # det 1/2: a printable power keeps log10 |det| = -s log10 2 above -n^2 L = -9 L
+    (["1/2", "1/3", "3"], lambda L: 10 ** 8, False, 2),  # far beyond: refused unbuilt
+    (["1/2", "1/3", "3"], lambda L: _below(9 * L + 2) + 1, False, 2),  # two decades beyond, past the margin
+    (["1/2", "1/3", "3"], lambda L: _below(9 * L - 0.5), True, 2),  # half a decade inside: built, then refused
+    (["1/2", "1/3", "3"], lambda L: 30, True, 0),  # the built power decides, and prints
+    (["3", "1/3", "1"], lambda L: 10 ** 5, True, 2),  # det 1 decides nothing: 3^s is built and refused
+    (["0", "1", "1"], lambda L: 10 ** 8, True, 0),  # a singular twist decides nothing: built, and it prints
+])
+def test_determinant_refuses_only_what_it_proves_unprintable(alpha, power, built, code, tmp_path, monkeypatch,
+                                                             capsys):
+    from bihomsuper import derivations
+
+    doc = json.loads((GOLDEN_DOCS / "twistable.json").read_text())
+    doc["maps"]["alpha"]["matrix"] = [[c if i == k else "0" for i, c in enumerate(alpha)] for k in range(3)]
+    path = tmp_path / "twists.json"
+    path.write_text(json.dumps(doc))
+    powered, twist = [], derivations._twist
+    monkeypatch.setattr(derivations, "_twist", lambda *args: powered.append(args[1:]) or twist(*args))
+    assert run(["derivations", path, "--s", str(power(int_digit_limit()))]) == code
+    assert bool(powered) == built
+    assert ("--s/--r: alpha^" in capsys.readouterr().err) == (code == 2)
+
+
+def test_twist_power_of_identity_twists_is_solved(capsys):
+    # the identity's determinant is 1, and its powers print at any exponent
+    assert run(["derivations", DATA / "ternary_basic.json", "--s", "1000000000", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 def test_twist_power_within_the_digit_limit_is_solved(capsys):

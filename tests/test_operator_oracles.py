@@ -9,20 +9,16 @@ occurred.  The docstrings name the seeded defects of ``src/`` each property
 was checked to catch.
 """
 
-import itertools
 from fractions import Fraction as F
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bihomsuper import (
-    BiHomLieSuperalgebra,
     GradedMap,
     LinearForm,
     PreconditionError,
     RotaBaxterOperator,
-    StructureTensor2,
-    SuperSpace,
     check_rb_transfer_criterion,
     check_tau_conditions,
     commute,
@@ -36,7 +32,6 @@ from bihomsuper import (
     make_n_bracket_1,
     make_n_bracket_2,
     make_rb_bracket,
-    make_twist_2,
     verify_3bihom_jacobi,
     verify_3bihom_jacobi_cyclic,
     verify_3bihom_skewsymmetry,
@@ -208,12 +203,12 @@ def test_skew_and_multiplicativity_reports_match_dense_walk(binary_corpus, terna
 
     Twists are kept, or replaced by random even maps (equal, a diagonal beta
     beside the corpus alpha, or two independent ones) that need not commute
-    or be morphisms.  Fail-fast must stop at the same tuple
-    and rule as the walk, including the second rule of a tuple (``swap-23``,
-    ``beta-morphism``).  Catches: a swapped rule order inside one tuple, a
+    or be morphisms; the corpus includes both gl(2|1) fixtures.  Fail-fast
+    must stop at the same tuple and rule as the walk, including the second
+    rule of a tuple (``swap-23``, ``beta-morphism``).  Catches: a swapped rule order inside one tuple, a
     fail-fast rank without its +1, a dropped twists-commute block.
     """
-    fixtures = [fx.algebra for fx in binary_corpus + ternary_corpus]
+    fixtures = [fx.algebra for fx in binary_corpus + ternary_corpus + corpus.gl21_fixtures()]
     verdicts = {"skew": set(), "mult": set()}
     stops = set()
 
@@ -253,12 +248,12 @@ def test_jacobi_reports_match_dense_walk(binary_corpus, ternary_corpus):
     reports, with and without fail-fast.
 
     Draws the binary and ternary corpora (twisted and mixed-parity fixtures
-    included, every ternary one of dim at most 4) and copies with one
-    structure constant perturbed.  Catches: a flipped sign in any row of the
+    included, every ternary one of dim at most 4), both gl(2|1) fixtures, and
+    copies with one structure constant perturbed.  Catches: a flipped sign in any row of the
     binary or cyclic term table, two swapped entries in one ``order``, a
     fail-fast total without its +1.
     """
-    fixtures = [fx.algebra for fx in binary_corpus + ternary_corpus]
+    fixtures = [fx.algebra for fx in binary_corpus + ternary_corpus + corpus.gl21_fixtures()]
     assert max(A.space.dim for A in fixtures if A.bracket.arity == 3) <= 4
     verdicts = {"binary": set(), "ternary": set(), "cyclic": set()}
 
@@ -333,32 +328,6 @@ def test_transfer_criterion_reports_match_dense_walk(tau_corpus):
     assert ("form-invariance", "signed-cyclic-sum") in rules, rules
 
 
-def _gl21(alpha_diagonal, beta_diagonal):
-    """gl(2|1) twisted by Ad(diag(alpha_diagonal)) and Ad(diag(beta_diagonal)), and its supertrace.
-
-    Basis E_ij at index 3 i + j, |E_ij| = p(i) + p(j) with p = (0, 0, 1), and
-    [E_ij, E_kl] = delta_jk E_il - (-1)^{|E_ij||E_kl|} delta_li E_kj; the
-    twisted bracket is [Ad(D1) x, Ad(D2) y], and Ad(D) E_ij = (d_i / d_j) E_ij.
-    """
-    p = (0, 0, 1)
-    space = SuperSpace(tuple((p[i] + p[j]) % 2 for i in range(3) for j in range(3)))
-    entries = {}
-    for (i, j), (k, l) in itertools.product(itertools.product(range(3), repeat=2), repeat=2):
-        x, y = 3 * i + j, 3 * k + l
-        if j == k:
-            entries[x, y, 3 * i + l] = entries.get((x, y, 3 * i + l), 0) + 1
-        if l == i:
-            sign = oracles.sign(space.parity(x) * space.parity(y))
-            entries[x, y, 3 * k + j] = entries.get((x, y, 3 * k + j), 0) - sign
-    ident = GradedMap.identity(space)
-    lie = BiHomLieSuperalgebra(space, StructureTensor2.from_dict(space, entries), ident, ident)
-    alpha, beta = (GradedMap.diagonal(space, [F(d[i], d[j]) for i in range(3) for j in range(3)])
-                   for d in (alpha_diagonal, beta_diagonal))
-    supertrace = LinearForm(space, tuple(F(oracles.sign(p[i])) if i == j else F(0)
-                                         for i in range(3) for j in range(3)))
-    return make_twist_2(lie, alpha, beta), supertrace
-
-
 def test_tau_condition_reports_match_dense_walk(binary_corpus, tau_corpus):
     """The three reports of ``check_tau_conditions``.
 
@@ -369,14 +338,8 @@ def test_tau_condition_reports_match_dense_walk(binary_corpus, tau_corpus):
     81 pairs).  Catches: a wrong sign in the symmetry or proportionality
     residual, tau o alpha and tau o beta exchanged, a pair written (j, i).
     """
-    equal, supertrace = _gl21((1, 2, 3), (1, 2, 3))
-    unequal, _ = _gl21((1, 2, 3), (1, 5, 7))
-    assert check_tau_conditions(equal, supertrace).satisfied
-    witness = check_tau_conditions(unequal, supertrace)
-    assert [(r.passed, r.total, len(r.violations)) for r in witness.reports()] == [
-        (True, 81, 0), (True, 81, 0), (False, 81, 18)]
     pairs = [(fx.algebra, fx.tau) for fx in tau_corpus] + [(fx.algebra, None) for fx in binary_corpus]
-    pairs += [(equal, supertrace), (unequal, supertrace)]
+    pairs += [(fx.algebra, fx.tau) for fx in corpus.gl21_fixtures()]
     verdicts = {}
 
     @PROPERTY
