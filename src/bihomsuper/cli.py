@@ -333,7 +333,7 @@ def _rb_bracket(ctx: _Context) -> None:
     rep = rota_baxter.is_rb3(A3, op)
     ctx.check(rep)
     if rep.passed:
-        induced = rota_baxter.make_rb_bracket(A3, op)
+        induced = rota_baxter._rb_bracket(A3, op)
         ctx.report.derived["induced"] = _algebra3_doc(induced, metadata="subset-induced ternary bracket")
 
 
@@ -351,9 +351,9 @@ def _rb_transfer(ctx: _Context) -> None:
 
 
 def _rb_projection_twist(ctx: _Context) -> None:
-    result = rota_baxter.make_projection_twisted_algebra(ctx.ternary(), ctx.operator())
-    ctx.check(algebras.verify_3bihom_skewsymmetry(result))
-    ctx.check(algebras.verify_3bihom_jacobi(result))
+    result, reports = rota_baxter._projection_twist(ctx.ternary(), ctx.operator())
+    for rep in reports:
+        ctx.check(rep)
     ctx.report.notes.append(
         "result validated against the nonmultiplicative axiom set; no morphism "
         "claim is made for the composed structure maps"
@@ -370,8 +370,7 @@ def _check_nijenhuis(ctx: _Context) -> None:
 
 def _n_brackets(ctx: _Context) -> None:
     A3, N = ctx.ternary(), ctx.map()
-    nb1 = deformations.make_n_bracket_1(A3, N)
-    nb2 = deformations.make_n_bracket_2(A3, N)
+    nb1, nb2 = deformations._n_brackets(A3, N, 2)
     ctx.flag("n-brackets-built", True)
     ctx.report.derived.update(first=_doc_tree(space=A3.space, bracket3=nb1),
                               second=_doc_tree(space=A3.space, bracket3=nb2))

@@ -35,6 +35,8 @@ Nijenhuis operators are even maps N whose deformed brackets telescope:
 alternating subset sum of N-powers.  They generate trivial deformations
 (w1, w2) = (first N-bracket, second N-bracket).  Both forms are separate
 sums of contractions, so comparing them still cross-checks the encodings.
+Each hypothesis is checked once: :func:`_n_brackets` checks N as it builds the
+chain, and callers that have just checked N reuse that chain.
 Each refusal carries its report: an operator's ``twist-commutation``, a
 failing base check's, a failing form's :class:`TauWitness`, or the
 ``operator-commutation`` columns of N R - R N.
@@ -111,12 +113,6 @@ class DeformationPair:
     def __post_init__(self) -> None:
         if self.omega1.space != self.omega2.space:
             raise DimensionError("deformation tensors live on different spaces")
-
-
-def _require_even_commuting(N: GradedMap, A) -> None:
-    if N.parity != EVEN:
-        raise ParityError("operator must be even")
-    _require_commuting_twists(N, A)
 
 
 # ---------------------------------------------------------------------------
@@ -217,27 +213,34 @@ def check_2cocycle(A: ThreeBiHomLieSuperalgebra, w1: StructureTensor3) -> Verifi
 # N-brackets and Nijenhuis operators
 # ---------------------------------------------------------------------------
 
-def _n_bracket(A, N: GradedMap, inserted: int, previous: StructureTensor) -> StructureTensor:
-    """Insert N into ``inserted`` slots in every way, minus N of the ``previous`` bracket."""
-    _require_even_commuting(N, A)
+def _n_brackets(A, N: GradedMap, count: int) -> list[StructureTensor]:
+    """The first ``count`` N-brackets of an even N commuting with the twists, which is checked
+    here: bracket k inserts N into k slots in every way, minus N of bracket k - 1."""
+    if N.parity != EVEN:
+        raise ParityError("operator must be even")
+    _require_commuting_twists(N, A)
     n = A.bracket.arity
-    terms = [(-1, previous, [GradedMap.identity(A.space)] * n, N)]
-    terms += [(1, A.bracket, maps, None) for _, maps in slot_substitutions(n, N, (n - inserted,))]
-    return type(A.bracket).from_values(A.space, contraction_sum(terms))
+    brackets = [A.bracket]
+    for inserted in range(1, count + 1):
+        terms = [(-1, brackets[-1], [GradedMap.identity(A.space)] * n, N)]
+        terms += [(1, A.bracket, maps, None) for _, maps in slot_substitutions(n, N, (n - inserted,))]
+        brackets.append(type(A.bracket).from_values(A.space, contraction_sum(terms)))
+    return brackets[1:]
 
 
 def make_n_bracket_1(A: ThreeBiHomLieSuperalgebra, N: GradedMap) -> StructureTensor3:
     """First deformed bracket: insert N once in each slot, subtract N of the bracket."""
-    return _n_bracket(A, N, 1, A.bracket)
+    return _n_brackets(A, N, 1)[0]
 
 
 def make_n_bracket_2(A: ThreeBiHomLieSuperalgebra, N: GradedMap) -> StructureTensor3:
     """Second deformed bracket: pairwise N insertions minus N of the first bracket."""
-    return _n_bracket(A, N, 2, make_n_bracket_1(A, N))
+    return _n_brackets(A, N, 2)[1]
 
 
-def _is_nijenhuis(A, N: GradedMap, top_bracket, identity: str, fail_fast: bool, notes=()) -> VerificationReport:
-    """[N(x_1), ..., N(x_n)] = N(w) on every basis tuple, w the (n-1)-th N-bracket.
+def _is_nijenhuis(A, N: GradedMap, identity: str, fail_fast: bool, notes=()) -> tuple[VerificationReport, list]:
+    """[N(x_1), ..., N(x_n)] = N(w) on every basis tuple, w the (n-1)-th N-bracket: the report,
+    and the N-brackets built for it.
 
     The inductive form N(w) is compared with the alternating subset sum over
     nonempty slot subsets I of (-1)^{|I|-1} N^{|I|} [args], where slots in I
@@ -245,13 +248,13 @@ def _is_nijenhuis(A, N: GradedMap, top_bracket, identity: str, fail_fast: bool, 
     identically; a mismatch would indicate an implementation defect and is
     reported as a ``form-consistency`` violation.
     """
-    _require_even_commuting(N, A)
     n, dim = A.bracket.arity, A.space.dim
+    brackets = _n_brackets(A, N, n - 1)
     ident = GradedMap.identity(A.space)
     powers = [ident]
     for _ in range(n):
         powers.append(powers[-1].compose(N))
-    inductive = contraction_sum([(1, top_bracket(A, N), [ident] * n, N)])
+    inductive = contraction_sum([(1, brackets[-1], [ident] * n, N)])
     subset_form = contraction_sum(
         (ksign(len(I) - 1), A.bracket, maps, powers[len(I)]) for I, maps in slot_substitutions(n, N)
     )
@@ -266,7 +269,10 @@ def _is_nijenhuis(A, N: GradedMap, top_bracket, identity: str, fail_fast: bool, 
             residual, rule = mismatch, "form-consistency"
         if not vec_is_zero(residual):
             found[t, 0] = (residual, rule)
-    return _report(identity, dim, [(n, 1, found)], fail_fast, notes)
+    return _report(identity, dim, [(n, 1, found)], fail_fast, notes), brackets
+
+
+_CROSS_CHECKED = ("inductive and subset forms are cross-checked on every triple",)
 
 
 def is_nijenhuis_3(A: ThreeBiHomLieSuperalgebra, N: GradedMap) -> VerificationReport:
@@ -277,10 +283,7 @@ def is_nijenhuis_3(A: ThreeBiHomLieSuperalgebra, N: GradedMap) -> VerificationRe
     indicate an implementation defect, reported as an internal-consistency
     violation.
     """
-    return _is_nijenhuis(
-        A, N, make_n_bracket_2, "ternary-nijenhuis", False,
-        ("inductive and subset forms are cross-checked on every triple",),
-    )
+    return _is_nijenhuis(A, N, "ternary-nijenhuis", False, _CROSS_CHECKED)[0]
 
 
 def is_nijenhuis_2(A: BiHomLieSuperalgebra, N: GradedMap, fail_fast: bool = False) -> VerificationReport:
@@ -289,7 +292,7 @@ def is_nijenhuis_2(A: BiHomLieSuperalgebra, N: GradedMap, fail_fast: bool = Fals
     The alternating subset form N[Nx, y] + N[x, Ny] - N^2[x, y] is compared
     with it on every pair, as in :func:`is_nijenhuis_3`.
     """
-    return _is_nijenhuis(A, N, make_n_bracket_1, "binary-nijenhuis", fail_fast)
+    return _is_nijenhuis(A, N, "binary-nijenhuis", fail_fast)[0]
 
 
 def check_nijenhuis_transfer(
@@ -315,10 +318,10 @@ def check_nijenhuis_rb_compatibility(
     if not isinstance(R, RotaBaxterOperator):
         raise PreconditionError("expected a weighted operator")
     _require(is_nijenhuis_3(A, N), "operator is not ternary Nijenhuis")
-    _require(is_rb3(A, R), "operator fails the ternary weighted identity")
+    induced = make_rb_bracket(A, R)
     block = _rules_block(1, [("commutes-with-R", commutator(N, R.map))], A.space.dim)
     _require(_report("operator-commutation", A.space.dim, [block], False), "the two operators do not commute")
-    _confirm(is_nijenhuis_3(make_rb_bracket(A, R), N), "Nijenhuis operator failed on the induced bracket")
+    _confirm(is_nijenhuis_3(induced, N), "Nijenhuis operator failed on the induced bracket")
     return True
 
 
@@ -344,5 +347,6 @@ def build_trivial_deformation(
     N(w2) = [Nx, Ny, Nz] is exactly the ``nijenhuis`` rule that
     :func:`is_nijenhuis_3` requires on every triple first.
     """
-    _require(is_nijenhuis_3(A, N), "operator is not ternary Nijenhuis")
-    return DeformationPair(make_n_bracket_1(A, N), make_n_bracket_2(A, N))
+    report, brackets = _is_nijenhuis(A, N, "ternary-nijenhuis", False, _CROSS_CHECKED)
+    _require(report, "operator is not ternary Nijenhuis")
+    return DeformationPair(*brackets)

@@ -309,7 +309,7 @@ def is_quasiderivation_2(
 
 
 def _transfer_conditions(
-    A: BiHomLieSuperalgebra, tau: LinearForm, D: GradedMap, s: int, r: int
+    A: BiHomLieSuperalgebra, tau: LinearForm, D: GradedMap, s: int, r: int, notes=()
 ) -> VerificationReport:
     """The two conditions under which a binary derivation survives induction.
 
@@ -324,7 +324,7 @@ def _transfer_conditions(
     cyclic = _tau_expansion(A.space, A.bracket.contract([ident, ident]), tD)
     blocks = [_rules_block(1, [("form-invariance", invariance)], 1),
               _rules_block(3, [("signed-cyclic-sum", cyclic)], A.space.dim)]
-    return _report("derivation-transfer-conditions", A.space.dim, blocks, False)
+    return _report("derivation-transfer-conditions", A.space.dim, blocks, False, notes)
 
 
 def check_derivation_transfer(
@@ -361,14 +361,8 @@ def check_quasiderivation_transfer(
     if not ok:
         raise PreconditionError("map is not a binary twisted quasiderivation")
     _require_tau_conditions(A, tau)
-    conditions = _transfer_conditions(A, tau, D, s, r)
-    note = (
-        "conclusion verified empirically by solving for a companion map on the "
-        "induced algebra",
-    )
-    conditions = VerificationReport(
-        conditions.identity, conditions.total, conditions.violations, note
-    )
+    note = "conclusion verified empirically by solving for a companion map on the induced algebra"
+    conditions = _transfer_conditions(A, tau, D, s, r, (note,))
     if not conditions.passed:
         return False, conditions
     induced = _induced_algebra(A, tau)

@@ -12,7 +12,9 @@ The subset sum is written once, as one (coefficient, slot maps) term per
 subset (:func:`_weighted_terms`).  The induced bracket sums those terms as
 contractions of the whole tensor, and the transfer criterion expands the
 contraction [R., R.] against tau; the weighted identity still brackets every
-basis tuple, term by term.
+basis tuple, term by term.  Each hypothesis is checked once: make_rb_bracket
+checks the weighted identity and then builds (:func:`_rb_bracket`); callers
+that have just checked it build directly.
 
 Note on the transfer criterion: under the defining identity above (with the
 plus sign on the weight term), the exact expansion of the ternary identity on
@@ -142,14 +144,13 @@ def check_inverse_derivation_equivalence(
 ) -> bool:
     """For invertible even R: weight-0 operator iff R^{-1} is an even derivation.
 
-    Computes both predicates independently and raises
-    :class:`TheoremContradictionError` if they ever disagree; otherwise
-    returns their common value.
+    Computes both predicates independently, the weighted identity first, which refuses an R
+    not commuting with the twists; raises :class:`TheoremContradictionError` if they ever
+    disagree, otherwise returns their common value.
     """
     if R.parity != EVEN:
         raise ParityError("equivalence is stated for even maps")
     Rinv = R.inverse()  # raises PreconditionError when singular
-    _require_commuting_twists(R, A)
     return _agree(("weight-0 check", is_rb3(A, RotaBaxterOperator(R, Fraction(0))).passed),
                   ("inverse-derivation check", is_derivation_3(A, Rinv, 0, 0).passed))
 
@@ -191,9 +192,7 @@ def subset_deformations(A, R: RotaBaxterOperator, *indices: int):
     return _pointwise_terms(A, R)(indices)
 
 
-def make_rb_bracket(
-    A: ThreeBiHomLieSuperalgebra, R: RotaBaxterOperator
-) -> ThreeBiHomLieSuperalgebra:
+def make_rb_bracket(A: ThreeBiHomLieSuperalgebra, R: RotaBaxterOperator) -> ThreeBiHomLieSuperalgebra:
     """The induced ternary bracket [.,.,.]_R of a verified weight-lambda operator.
 
     Entry at (x1, x2, x3): sum over nonempty subsets I of the slots of
@@ -201,16 +200,18 @@ def make_rb_bracket(
     outside I receive R.  The structure maps are unchanged.
     """
     _require(is_rb3(A, R), "operator fails the ternary weighted identity")
+    return _rb_bracket(A, R)
+
+
+def _rb_bracket(A, R: RotaBaxterOperator) -> ThreeBiHomLieSuperalgebra:
+    """:func:`make_rb_bracket` for an operator whose weighted identity the caller has just checked."""
     values = contraction_sum((c, A.bracket, maps, None) for _, c, maps in _weighted_terms(A, R))
     tensor = type(A.bracket).from_values(A.space, values)
-    return ThreeBiHomLieSuperalgebra(
-        A.space, tensor, A.alpha, A.beta, multiplicative=A.multiplicative
-    )
+    return ThreeBiHomLieSuperalgebra(A.space, tensor, A.alpha, A.beta, multiplicative=A.multiplicative)
 
 
-def make_projection_twisted_algebra(
-    A: ThreeBiHomLieSuperalgebra, R: RotaBaxterOperator
-) -> ThreeBiHomLieSuperalgebra:
+def make_projection_twisted_algebra(A: ThreeBiHomLieSuperalgebra,
+                                    R: RotaBaxterOperator) -> ThreeBiHomLieSuperalgebra:
     """For idempotent R: the induced bracket with structure maps alpha R, beta R.
 
     Requires R^2 = R exactly and the ternary weighted identity.  The result is
@@ -218,16 +219,17 @@ def make_projection_twisted_algebra(
     the five-argument identity); no morphism claim is made for the composed
     structure maps.
     """
+    return _projection_twist(A, R)[0]
+
+
+def _projection_twist(A, R: RotaBaxterOperator) -> tuple[ThreeBiHomLieSuperalgebra, list[VerificationReport]]:
+    """:func:`make_projection_twisted_algebra`, with the skew and Jacobi reports confirming it."""
     if R.map.compose(R.map) != R.map:
         raise PreconditionError("operator is not idempotent")
-    induced = make_rb_bracket(A, R)
-    result = ThreeBiHomLieSuperalgebra(
-        A.space,
-        induced.bracket,
-        A.alpha.compose(R.map),
-        A.beta.compose(R.map),
-        multiplicative=False,
-    )
-    for verify in (verify_3bihom_skewsymmetry, verify_3bihom_jacobi):
-        _confirm(verify(result), "projection-twisted algebra failed verification")
-    return result
+    bracket = make_rb_bracket(A, R).bracket
+    result = ThreeBiHomLieSuperalgebra(A.space, bracket, A.alpha.compose(R.map), A.beta.compose(R.map),
+                                       multiplicative=False)
+    reports = [verify(result) for verify in (verify_3bihom_skewsymmetry, verify_3bihom_jacobi)]
+    for rep in reports:
+        _confirm(rep, "projection-twisted algebra failed verification")
+    return result, reports

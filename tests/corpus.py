@@ -9,6 +9,7 @@ structure maps, and both zero and nonzero induced tensors.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction as F
@@ -111,6 +112,25 @@ def document_algebra(doc, arity: int):
     as the command line builds it."""
     cls, bracket = (BiHomLieSuperalgebra, doc.bracket2) if arity == 2 else (ThreeBiHomLieSuperalgebra, doc.bracket3)
     return cls(doc.space, bracket, *doc.structure_maps(), doc.multiplicative)
+
+
+def count_calls(monkeypatch, function) -> list:
+    """Count calls of ``function``: rebind it in every ``bihomsuper`` module that holds it.
+
+    Returns the list of each call's positional arguments, appended as the calls happen.
+    """
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bihomsuper" or name.startswith("bihomsuper."):
+            for key, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
 
 
 def _lie(space, entries, alpha=None, beta=None, multiplicative=True):

@@ -26,6 +26,7 @@ from bihomsuper import (
     run_pipeline,
     verify_multiplicativity3,
 )
+from bihomsuper import algebras, rota_baxter
 from bihomsuper.cli import COMMANDS, main
 from bihomsuper.core import as_scalar, int_digit_limit
 
@@ -765,3 +766,26 @@ def test_nijenhuis_rb_refusal_lists_the_columns_where_the_operators_do_not_commu
     checks = _machine_checks(["nijenhuis-rb-compat", path, "--weight", "0"], 1, capsys)
     assert checks["preconditions"]["notes"] == ["the two operators do not commute"]
     assert _witnesses(checks["operator-commutation"]) == [([2], "commutes-with-R", ["0", "0", "1"])]
+
+
+@pytest.mark.parametrize("command, name, code, counts", [
+    ("rb-bracket", "R", 0, (1, 0, 0, 1)),
+    ("rb-bracket", "N", 1, (1, 0, 0, 1)),
+    ("nijenhuis-rb-compat", "N", 0, (1, 0, 0, 2)),
+    ("rb-projection-twist", "P", 0, (1, 1, 1, 1)),
+    ("check-nijenhuis", "N", 0, (0, 0, 0, 1)),
+    ("n-brackets", "N", 0, (0, 0, 0, 1)),
+    ("trivial-deformation", "N", 0, (0, 0, 0, 1)),
+    ("rb-inverse-derivation", "R", 0, (1, 0, 0, 1)),
+])
+def test_each_hypothesis_is_checked_once_per_job(command, name, code, counts, monkeypatch, capsys):
+    """One job runs each check once, in the caller that reports it: the weighted identity, the
+    skew-symmetry and Jacobi walks, and the ``--map`` operator's commutation with the twists,
+    which ``nijenhuis-rb-compat`` checks on the algebra and on the induced bracket."""
+    operator = load_document(str(DATA / "ternary_basic.json")).maps[name]
+    *walks, twists = [corpus.count_calls(monkeypatch, function) for function in (
+        rota_baxter.is_rb3, algebras.verify_3bihom_skewsymmetry, algebras.verify_3bihom_jacobi,
+        algebras._require_commuting_twists)]
+    assert run([command, DATA / "ternary_basic.json", "--map", name, "--weight", "0"]) == code
+    capsys.readouterr()
+    assert (*map(len, walks), sum(args[0] == operator for args in twists)) == counts

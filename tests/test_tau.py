@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from bihomsuper import (
 from bihomsuper import tau as tau_module
 from bihomsuper.cli import main
 
+from corpus import count_calls
 from oracles import bracket2_of_vectors, nullspace, sign, unit_vec
 
 
@@ -159,22 +159,6 @@ def test_bracket_annihilating_forms_equal_the_dense_nullspace(binary_corpus, tau
         assert [f.coefficients for f in bracket_annihilating_forms(A)] == expected
 
 
-def _count_tau_checks(monkeypatch) -> list:
-    """Count ``check_tau_conditions`` calls: rebind it in every package module that holds it."""
-    original, calls = tau_module.check_tau_conditions, []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name == "bihomsuper" or name.startswith("bihomsuper."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
-    return calls
-
-
 def _derivation_transfer(fixtures):
     fx = fixtures["axb3/id"]
     return check_derivation_transfer(fx.algebra, fx.tau, GradedMap.diagonal(fx.algebra.space, [0, 1, 0]), 0, 0)
@@ -199,7 +183,7 @@ def _nijenhuis_transfer(fixtures):
 @pytest.mark.parametrize("transfer", [_derivation_transfer, _quasiderivation_transfer, _rb_transfer,
                                       _nijenhuis_transfer])
 def test_each_transfer_check_reads_the_tau_conditions_once(transfer, tau_corpus, monkeypatch):
-    calls = _count_tau_checks(monkeypatch)
+    calls = count_calls(monkeypatch, tau_module.check_tau_conditions)
     result = transfer({fx.name: fx for fx in tau_corpus})
     assert result is True or result[0] is True
     assert len(calls) == 1
@@ -213,7 +197,7 @@ def test_induce_tau_command_reads_the_tau_conditions_once(bad_form, extra, code,
         doc["maps"]["tau"] = {"row": ["0", "1", "0"]}
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    calls = _count_tau_checks(monkeypatch)
+    calls = count_calls(monkeypatch, tau_module.check_tau_conditions)
     assert main(["induce-tau", str(path), "--format", "machine", *extra]) == code
     assert ("induced" in json.loads(capsys.readouterr().out)["derived"]) == (code == 0)
     assert len(calls) == 1
