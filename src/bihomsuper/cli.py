@@ -135,6 +135,9 @@ def _require_printable(what: str, maps) -> None:
     bound = 10 ** limit
     bits = bound.bit_length()  # a shorter integer is below the bound
     for m in maps:
+        d, rows, _ = m._integral  # each reduced numerator divides its numerator over d, each denominator d
+        if d.bit_length() < bits and all(n.bit_length() < bits for row in rows for _, n in row):
+            continue
         for row in m.matrix:
             for c in row:
                 if any(n.bit_length() >= bits and abs(n) >= bound for n in (c.numerator, c.denominator)):
@@ -145,10 +148,11 @@ def _abs_det(matrix) -> Fraction:
     """|det matrix|, by exact elimination; a first column without a nonzero entry makes it 0."""
     rows, det = matrix, Fraction(1)
     while rows and det:
-        pivot = next((row for row in rows if row[0]), rows[0])
+        p = next((p for p, row in enumerate(rows) if row[0]), 0)
+        pivot = rows[p]
         det *= abs(pivot[0])
         rows = [[x - row[0] / pivot[0] * y for x, y in zip(row[1:], pivot[1:])] if row[0] else row[1:]
-                for row in rows if row is not pivot]
+                for q, row in enumerate(rows) if q != p]
     return det
 
 

@@ -236,7 +236,7 @@ def vec_parity(space: SuperSpace, v: Vector) -> int | None:
 
 
 def _freeze_matrix(space: SuperSpace, rows: Iterable[Iterable[object]]) -> Matrix:
-    frozen = tuple(tuple(as_scalar(c) for c in row) for row in rows)
+    frozen = tuple(tuple(c if type(c) is Fraction else as_scalar(c) for c in row) for row in rows)
     if len(frozen) != space.dim or any(len(r) != space.dim for r in frozen):
         raise DimensionError(f"expected a {space.dim}x{space.dim} matrix")
     return frozen
@@ -259,15 +259,13 @@ class GradedMap:
         if self.parity not in (EVEN, ODD):
             raise ParityError(f"map parity must be 0 or 1, got {self.parity}")
         object.__setattr__(self, "matrix", _freeze_matrix(self.space, self.matrix))
-        idx = self.space.indices()
-        columns: list[list[tuple[int, Fraction]]] = [[] for _ in idx]
-        rows: list[list[tuple[int, Fraction]]] = [[] for _ in idx]
-        for k in idx:
-            for i in idx:
-                c = self.matrix[k][i]
-                if c != 0:
-                    expected = (self.space.parity(i) + self.parity) % 2
-                    if self.space.parity(k) != expected:
+        parities = self.space.parities
+        columns: list[list[tuple[int, Fraction]]] = [[] for _ in parities]
+        rows: list[list[tuple[int, Fraction]]] = [[] for _ in parities]
+        for k, row in enumerate(self.matrix):
+            for i, c in enumerate(row):
+                if c:
+                    if parities[k] != (parities[i] + self.parity) % 2:
                         raise ParityError(
                             f"entry ({k},{i}) violates the grading of a parity-{self.parity} map"
                         )
@@ -483,14 +481,14 @@ def _canonical_entries(
             )
         if any(not 0 <= t < space.dim for t in raw_key):
             raise DimensionError(f"entry key {raw_key} out of range for dim {space.dim}")
-        c = as_scalar(raw)
+        c = raw if type(raw) is Fraction else as_scalar(raw)
         if c == 0:
             continue
         key = tuple(int(t) for t in raw_key)
         *args, k = key
-        if space.parity(k) != sum(space.parity(a) for a in args) % 2:
+        if space.parities[k] != sum(space.parities[a] for a in args) % 2:
             raise ParityError(f"structure constant at {key} violates parity additivity")
-        out[key] = out.get(key, ZERO) + c
+        out[key] = out[key] + c if key in out else c
     return tuple(sorted((k, c) for k, c in out.items() if c != 0))
 
 
@@ -521,7 +519,7 @@ class StructureTensor:
         object.__setattr__(self, "entries", entries)
         images: dict[tuple[int, ...], list[Fraction]] = {}
         for (*args, k), c in entries:
-            images.setdefault(tuple(args), [ZERO] * self.space.dim)[k] += c
+            images.setdefault(tuple(args), [ZERO] * self.space.dim)[k] = c  # keys are unique
         object.__setattr__(self, "_images", {a: tuple(v) for a, v in images.items()})
 
     @cached_property

@@ -10,12 +10,17 @@ Serialization is canonical: rationals are reduced "p/q" strings ("p" when the
 denominator is 1), tensor entries are sorted, keys are sorted, and the dump is
 deterministic, so two documents with the same semantic content serialize to
 identical bytes and parse -> serialize -> parse is the identity.
+
+Plain integers and "p/q" strings are read directly; :func:`as_scalar` is the
+one parser for every other scalar, and the constructors coerce only values
+that are not already Fractions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -83,20 +88,30 @@ class AlgebraDocument:
         return tuple(self.maps.get(name, GradedMap.identity(self.space)) for name in ("alpha", "beta"))
 
 
-def _expect(cond: bool, message: str, path: str) -> None:
+def _expect(cond: bool, message: str, path: str, *index: int) -> None:
+    """Refuse at the field ``path[index[0]][index[1]]...`` unless ``cond``; the path is formatted only then."""
     if not cond:
-        raise DocumentError(message, path)
+        raise DocumentError(message, path + "".join(f"[{i}]" for i in index))
 
 
-def _parse_scalar(raw: object, path: str) -> Fraction:
-    if isinstance(raw, bool):
-        raise DocumentError("expected a rational, got a boolean", path)
-    if not isinstance(raw, (int, str)):
-        raise DocumentError(f"expected a rational string, got {type(raw).__name__}", path)
+# Plain integers and p/q, far shorter than any int_digit_limit() (640 digits at least).
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]{1,600})(?:/([0-9]{1,600}))?")
+
+
+def _parse_scalar(raw: object, path: str, *index: int) -> Fraction:
+    """The rational ``raw`` at the field that ``path`` and ``index`` name, as for :func:`_expect`."""
+    if type(raw) is int:
+        return Fraction(raw)
+    match = _PLAIN_RATIONAL.fullmatch(raw) if type(raw) is str else None
+    if match and (denominator := int(match[2] or 1)):  # as_scalar words the refusal of a zero one
+        return Fraction(int(match[1]), denominator)
+    _expect(not isinstance(raw, bool), "expected a rational, got a boolean", path, *index)
+    _expect(isinstance(raw, (int, str)), f"expected a rational string, got {type(raw).__name__}", path, *index)
     try:
         return as_scalar(raw)
     except ValueError as exc:
-        raise DocumentError(str(exc), path) from None
+        message = str(exc)
+    _expect(False, message, path, *index)
 
 
 def _is_int(raw: object) -> bool:
@@ -119,20 +134,20 @@ def _parse_space(node: object) -> SuperSpace:
 def _parse_tensor(node: object, space: SuperSpace, section: str, kind: type[StructureTensor]) -> StructureTensor:
     """Entries ``[i_1, ..., i_n, k, c]`` with 1-based indices, for a tensor of the given kind."""
     names = ("i", "j", "l")[: kind.arity] + ("k",)
-    shape = "[" + ", ".join(names + ("c",)) + "]"
+    malformed = "entry must be [" + ", ".join(names + ("c",)) + "]"
     _expect(isinstance(node, list), f"{section} must be a list of entries", section)
     entries: dict[tuple[int, ...], Fraction] = {}
+    dim, parities = space.dim, space.parities
     for n, item in enumerate(node):
-        path = f"{section}[{n}]"
-        _expect(isinstance(item, list) and len(item) == len(names) + 1, f"entry must be {shape}", path)
+        _expect(isinstance(item, list) and len(item) == len(names) + 1, malformed, section, n)
         for t, name in zip(item, names):
-            _expect(_is_int(t) and 1 <= t <= space.dim, f"index {name} must be in 1..{space.dim}", path)
-        c = _parse_scalar(item[-1], path)
-        *args, k = (t - 1 for t in item[:-1])
-        if c != 0 and space.parities[k] != sum(space.parities[a] for a in args) % 2:
-            raise DocumentError("entry violates parity additivity", path)
-        key = (*args, k)
-        entries[key] = entries.get(key, Fraction(0)) + c
+            if not (type(t) is int and 1 <= t <= dim):
+                _expect(False, f"index {name} must be in 1..{dim}", section, n)
+        c = _parse_scalar(item[-1], section, n)
+        if c:
+            *args, k = key = tuple(t - 1 for t in item[:-1])
+            _expect(parities[k] == sum(parities[a] for a in args) % 2, "entry violates parity additivity", section, n)
+            entries[key] = entries[key] + c if key in entries else c
     try:
         return kind.from_dict(space, entries)
     except ParityError as exc:  # pragma: no cover - caught entrywise above
@@ -156,31 +171,27 @@ def _parse_maps(node: object, space: SuperSpace) -> tuple[dict[str, GradedMap], 
         path = f"maps.{name}"
         _expect(isinstance(spec, dict), "map entry must be an object", path)
         if "row" in spec:
-            row = spec["row"]
-            _expect(isinstance(row, list) and len(row) == space.dim,
-                    f"row must have {space.dim} entries", f"{path}.row")
-            coeffs = [_parse_scalar(c, f"{path}.row[{n}]") for n, c in enumerate(row)]
+            row, where = spec["row"], f"{path}.row"
+            _expect(isinstance(row, list) and len(row) == space.dim, f"row must have {space.dim} entries", where)
+            coeffs = [_parse_scalar(c, where, n) for n, c in enumerate(row)]
             try:
                 forms[name] = LinearForm(space, tuple(coeffs))
             except ParityError as exc:
-                raise DocumentError(str(exc), f"{path}.row") from exc
+                raise DocumentError(str(exc), where) from exc
             continue
         parity = spec.get("parity", EVEN)
         _expect(_is_int(parity) and parity in (EVEN, ODD), "parity must be 0 or 1", f"{path}.parity")
-        matrix = spec.get("matrix")
-        _expect(isinstance(matrix, list) and len(matrix) == space.dim,
-                f"matrix must have {space.dim} rows", f"{path}.matrix")
+        matrix, where = spec.get("matrix"), f"{path}.matrix"
+        _expect(isinstance(matrix, list) and len(matrix) == space.dim, f"matrix must have {space.dim} rows", where)
         rows = []
         for rnum, row in enumerate(matrix):
             _expect(isinstance(row, list) and len(row) == space.dim,
-                    f"matrix rows must have {space.dim} entries", f"{path}.matrix[{rnum}]")
-            rows.append(tuple(
-                _parse_scalar(c, f"{path}.matrix[{rnum}][{cnum}]") for cnum, c in enumerate(row)
-            ))
+                    f"matrix rows must have {space.dim} entries", where, rnum)
+            rows.append(tuple(_parse_scalar(c, where, rnum, cnum) for cnum, c in enumerate(row)))
         try:
             maps[name] = GradedMap(space, tuple(rows), parity)
         except ParityError as exc:
-            raise DocumentError(str(exc), f"{path}.matrix") from exc
+            raise DocumentError(str(exc), where) from exc
     return maps, forms
 
 

@@ -31,16 +31,18 @@ Row = Union[Sequence[object], Mapping[int, object]]
 _Echelon = list[tuple[int, dict[int, int]]]  # (pivot column, integer row) by pivot column
 
 
-def _entries(row: Row, ncols: int) -> list[tuple[int, Fraction]]:
-    """The (column, coefficient) pairs of a dense or mapping row over ``ncols`` columns."""
+def _entries(row: Row, ncols: int) -> list[tuple[int, Fraction | int]]:
+    """The (column, coefficient) pairs of a dense or mapping row over ``ncols`` columns, exact values as given."""
     if isinstance(row, Mapping):
         for j in row:
             if not (isinstance(j, int) and 0 <= j < ncols):
                 raise ValueError(f"column {j!r} outside range({ncols})")
-        return [(j, as_scalar(c)) for j, c in row.items()]
-    if len(row) != ncols:
+        pairs = row.items()
+    elif len(row) != ncols:
         raise ValueError(f"ragged row of length {len(row)}, expected {ncols}")
-    return [(j, as_scalar(c)) for j, c in enumerate(row)]
+    else:
+        pairs = enumerate(row)
+    return [(j, c if type(c) in (Fraction, int) else as_scalar(c)) for j, c in pairs]
 
 
 def _primitive(pairs) -> tuple[tuple[int, int], ...]:

@@ -80,7 +80,8 @@ def bracket2_of_vectors(entries, dim, u, v):
 
 
 def matvec(matrix, v):
-    return tuple(sum((row[i] * v[i] for i in range(len(v))), ZERO) for row in matrix)
+    support = [(i, x) for i, x in enumerate(v) if x]  # a zero factor adds nothing
+    return tuple(sum((row[i] * x for i, x in support), ZERO) for row in matrix)
 
 
 def unit_vec(dim, i):
@@ -235,8 +236,11 @@ def _bracket_of_vectors(entries, dim, vectors):
     for key, coeff in entries.items():
         term = coeff
         for a, v in zip(key, vectors):
+            if not v[a]:
+                break  # a zero factor makes the term zero
             term *= v[a]
-        out[key[-1]] += term
+        else:
+            out[key[-1]] += term
     return out
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -789,3 +790,20 @@ def test_each_hypothesis_is_checked_once_per_job(command, name, code, counts, mo
     assert run([command, DATA / "ternary_basic.json", "--map", name, "--weight", "0"]) == code
     capsys.readouterr()
     assert (*map(len, walks), sum(args[0] == operator for args in twists)) == counts
+
+
+def test_abs_det_pivots_by_position():
+    # rows that are one tuple object are still two rows: (r, r) is singular
+    r = (F(1), F(0))
+    assert cli._abs_det((r, r)) == 0
+    assert cli._abs_det(((F(3), F(0), F(0)), (F(0), F(1, 3), F(0)), (F(0), F(0), F(1)))) == 1
+
+
+def test_document_scalars_and_built_objects_are_not_coerced_again(monkeypatch, capsys):
+    """A derivations job reads each document scalar into a Fraction once, and builds its maps,
+    tensors and solver rows without coercing them again: no Fraction and no string reaches
+    ``as_scalar``.  The int term coefficients of ``contraction_sum`` still pass through it."""
+    calls = corpus.count_calls(monkeypatch, as_scalar)
+    assert run(["derivations", GOLDEN_DOCS / "twistable.json", "--r", "2"]) == 0
+    capsys.readouterr()
+    assert calls and not [args for args in calls if isinstance(args[0], (F, str))]

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bihomsuper import (
     AlgebraDocument,
@@ -15,7 +17,7 @@ from bihomsuper import (
     parse_document,
     serialize_document,
 )
-
+from bihomsuper.core import as_scalar, int_digit_limit
 
 
 MINIMAL = """
@@ -183,3 +185,53 @@ def test_ternary_tensor_roundtrip_and_entry_shape():
     with pytest.raises(DocumentError) as err:
         parse_document(json.dumps(bad))
     assert "[i, j, l, k, c]" in str(err.value) and err.value.path == "bracket3[0]"
+
+
+def _holding(raw, path):
+    """A dim-3 even document with ``raw`` at ``maps.alpha.matrix[2][1]`` or at ``bracket3[4]``."""
+    matrix = [["1" if i == k else "0" for i in range(3)] for k in range(3)]
+    bracket = [[1, 1, 1, 1, "1"], [1, 1, 2, 1, "2"], [1, 2, 1, 3, "-1"], [3, 3, 3, 2, "1/2"], [2, 3, 1, 3, "1"]]
+    if path.startswith("maps"):
+        matrix[2][1] = raw
+    else:
+        bracket[4][4] = raw
+    return json.dumps({"format": "bihom-algebra/1", "space": {"dim": 3, "parities": [0, 0, 0]},
+                       "bracket3": bracket, "maps": {"alpha": {"matrix": matrix}}})
+
+
+def _agrees_with_as_scalar(raw):
+    """A document reads ``raw`` as :func:`as_scalar` does: the same Fraction, or the same
+    refusal text at the entry's field path, in a map and in a tensor."""
+    try:
+        expected, message = as_scalar(raw), None
+    except ValueError as exc:
+        expected, message = None, str(exc)
+    for path in ("maps.alpha.matrix[2][1]", "bracket3[4]"):
+        if message is not None:
+            with pytest.raises(DocumentError) as err:
+                parse_document(_holding(raw, path))
+            assert (str(err.value), err.value.path) == (f"{path}: {message}", path)
+            continue
+        doc = parse_document(_holding(raw, path))
+        entries = doc.bracket3.as_dict()  # a zero entry is dropped
+        read = doc.maps["alpha"].matrix[2][1] if path.startswith("maps") else entries.get((1, 2, 0, 2), F(0))
+        assert read == expected and type(read) is F
+
+
+@pytest.mark.parametrize("raw", [
+    "1/0", "1/00", "-0", "007/3", "+3", " 3 ", "1_000", "\u0663", "3/-4", "2 / 3", "1e5", "1e-4300",
+    "-12/8", "0/5", "-0/07", "", "-", "/3", "3/", "--3", 0, -7, 2 ** 70,
+    "9" * 600, "9" * 601, "1/" + "0" * 599 + "7", "1/" + "0" * 600 + "7",
+    "9" * int_digit_limit(), "9" * (int_digit_limit() + 1), "-1/" + "7" * (int_digit_limit() + 1),
+])
+def test_scalar_edge_cases_read_as_as_scalar_reads_them(raw):
+    _agrees_with_as_scalar(raw)
+
+
+@given(st.one_of(
+    st.integers(),
+    st.from_regex(r"-?[0-9]{1,8}(/[0-9]{1,8})?", fullmatch=True),
+    st.text(alphabet="-+/ 0123456789_e.\u0663", max_size=10),
+))
+def test_scalars_read_as_as_scalar_reads_them(raw):
+    _agrees_with_as_scalar(raw)
