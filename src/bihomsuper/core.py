@@ -118,7 +118,8 @@ def as_scalar(value: object) -> Fraction:
     d significant digits at net exponent e make d + e digits when e >= 0.  When
     e = -k < 0 the denominator is 10^k / g, g = gcd(mantissa, 10^k); g is 1 or
     a power of 2 or of 5, so that denominator has k + 1 - len(str(g)) digits,
-    or k + 1 when g = 1.
+    or k + 1 when g = 1.  Any value with a longer run of digits is refused the
+    same way, as ``int`` refuses that run.
     """
     if isinstance(value, Fraction):
         return value
@@ -143,7 +144,8 @@ def as_scalar(value: object) -> Fraction:
         if not limit or digits <= limit:
             return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {value!r}") from exc
+        if not limit or all(len(run) <= limit for run in re.findall(r"\d+", value.replace("_", ""))):
+            raise ValueError(f"not a rational number: {value!r}") from exc
     raise ValueError(f"{value!r} has more than {limit} digits, beyond the integer string conversion limit")
 
 
@@ -219,7 +221,7 @@ class SuperSpace:
     def check_vector(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.dim:
             raise DimensionError(f"vector of length {len(v)} in a dim-{self.dim} space")
-        return tuple(as_scalar(c) for c in v)
+        return tuple(c if type(c) is Fraction else as_scalar(c) for c in v)
 
 
 def vec_parity(space: SuperSpace, v: Vector) -> int | None:

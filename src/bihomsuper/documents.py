@@ -36,6 +36,7 @@ from .core import (
     StructureTensor3,
     SuperSpace,
     as_scalar,
+    int_digit_limit,
 )
 
 __all__ = [
@@ -197,12 +198,17 @@ def _parse_maps(node: object, space: SuperSpace) -> tuple[dict[str, GradedMap], 
 
 def parse_document(text: str) -> AlgebraDocument:
     """Parse and validate one document; raises DocumentError with a field path."""
-    try:
-        tree = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except RecursionError as exc:
-        raise DocumentError("JSON nesting is too deep") from exc
+    # An integer past int_digit_limit() fails the first reading; the second keeps its digits for its field to refuse.
+    for parse_int in (None, lambda s: s if len(s.lstrip("-")) > int_digit_limit() else int(s)):
+        try:
+            tree = json.loads(text, parse_int=parse_int)
+            break
+        except json.JSONDecodeError as exc:
+            raise DocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        except RecursionError as exc:
+            raise DocumentError("JSON nesting is too deep") from exc
+        except ValueError:
+            continue
     _expect(isinstance(tree, dict), "document must be a JSON object", "")
     fmt = tree.get("format")
     _expect(fmt == FORMAT_VERSION, f"unsupported format {fmt!r}", "format")

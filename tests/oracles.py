@@ -3,7 +3,10 @@
 Nothing here may call into the package's solvers or verifiers; these are
 deliberately plain re-implementations (dense Fraction Gauss-Jordan, explicit
 loop expansions of the defining identities) so that agreement between the two
-paths is meaningful.
+paths is meaningful.  Every oracle walks every basis tuple, and each shared
+piece of an identity is written once: the twist power M = alpha^s beta^r, the
+bracket of vectors, the commutator X m - m X, the Leibniz insertion sum and
+the stacking of a residual over the unit maps E_{k,i}.
 """
 
 import itertools
@@ -60,28 +63,8 @@ def nullity(rows, ncols):
     return len(nullspace(rows, ncols))
 
 
-def bracket3_of_vectors(entries, dim, u, v, w):
-    """Trilinear expansion straight from a sparse entry dict."""
-    out = [ZERO] * dim
-    for (a, b, c, k), coeff in entries.items():
-        term = coeff * u[a] * v[b] * w[c]
-        if term != 0:
-            out[k] += term
-    return tuple(out)
-
-
-def bracket2_of_vectors(entries, dim, u, v):
-    out = [ZERO] * dim
-    for (a, b, k), coeff in entries.items():
-        term = coeff * u[a] * v[b]
-        if term != 0:
-            out[k] += term
-    return tuple(out)
-
-
-def matvec(matrix, v):
-    support = [(i, x) for i, x in enumerate(v) if x]  # a zero factor adds nothing
-    return tuple(sum((row[i] * x for i, x in support), ZERO) for row in matrix)
+def rank(rows):
+    return len(rref(rows)[1]) if rows else 0
 
 
 def unit_vec(dim, i):
@@ -92,135 +75,21 @@ def sign(exponent):
     return -1 if exponent % 2 else 1
 
 
-def derivation_constraint_matrix_3(space_parities, alpha, beta, entries, s, r, parity):
-    """Dense constraint matrix for the ternary twisted-derivation space.
-
-    Second assembly path: each column is the full residual stack evaluated at
-    a unit matrix E_{k,i}, using only local expansions.  Unknowns run over the
-    parity-allowed positions in row-major order, matching the solver's layout.
-    """
-    dim = len(space_parities)
-    ent = dict(entries)
-
-    def compose(mat1, mat2):
-        return [
-            [sum((mat1[k][t] * mat2[t][i] for t in range(dim)), ZERO) for i in range(dim)]
-            for k in range(dim)
-        ]
-
-    M = [[ONE if i == k else ZERO for i in range(dim)] for k in range(dim)]
-    for _ in range(s):
-        M = compose(alpha, M)
-    for _ in range(r):
-        M = compose(beta, M)
-
-    slots = [
-        (k, i)
-        for k in range(dim)
-        for i in range(dim)
-        if space_parities[k] == (space_parities[i] + parity) % 2
-    ]
-
-    def residual_stack(D):
-        out = []
-        for other in (alpha, beta):
-            dm = compose(D, other)
-            md = compose(other, D)
-            for k in range(dim):
-                for i in range(dim):
-                    out.append(dm[k][i] - md[k][i])
-        for i in range(dim):
-            for j in range(dim):
-                for l in range(dim):
-                    ei, ej, el = unit_vec(dim, i), unit_vec(dim, j), unit_vec(dim, l)
-                    Dei = matvec(D, ei)
-                    Dej = matvec(D, ej)
-                    Del = matvec(D, el)
-                    Mei = matvec(M, ei)
-                    Mej = matvec(M, ej)
-                    Mel = matvec(M, el)
-                    res = list(matvec(D, bracket3_of_vectors(ent, dim, ei, ej, el)))
-                    t1 = bracket3_of_vectors(ent, dim, Dei, Mej, Mel)
-                    t2 = bracket3_of_vectors(ent, dim, Mei, Dej, Mel)
-                    t3 = bracket3_of_vectors(ent, dim, Mei, Mej, Del)
-                    s2 = sign(space_parities[i] * parity)
-                    s3 = sign(parity * (space_parities[i] + space_parities[j]))
-                    for k in range(dim):
-                        res[k] -= t1[k] + s2 * t2[k] + s3 * t3[k]
-                    out.extend(res)
-        return out
-
-    columns = []
-    for (k, i) in slots:
-        E = [[ONE if (a, b) == (k, i) else ZERO for b in range(dim)] for a in range(dim)]
-        columns.append(residual_stack(E))
-    # transpose columns into rows
-    nrows = len(columns[0]) if columns else 0
-    return [[columns[c][r_] for c in range(len(slots))] for r_ in range(nrows)], len(slots)
+def matvec(matrix, v):
+    out = [ZERO] * len(matrix)
+    for i, x in enumerate(v):
+        if x:  # a zero factor adds nothing
+            out = [y + row[i] * x for y, row in zip(out, matrix)]
+    return tuple(out)
 
 
-def derivation_constraint_matrix_2(space_parities, alpha, beta, entries, s, r, parity):
-    """Dense constraint matrix for the binary twisted-derivation space.
-
-    Same second assembly path as :func:`derivation_constraint_matrix_3`, with
-    the two-slot Leibniz rule D[x, y] = [Dx, My] + (-1)^{|x||D|} [Mx, Dy].
-    """
-    dim = len(space_parities)
-    ent = dict(entries)
-
-    def compose(mat1, mat2):
-        return [
-            [sum((mat1[k][t] * mat2[t][i] for t in range(dim)), ZERO) for i in range(dim)]
-            for k in range(dim)
-        ]
-
-    M = [[ONE if i == k else ZERO for i in range(dim)] for k in range(dim)]
-    for _ in range(s):
-        M = compose(alpha, M)
-    for _ in range(r):
-        M = compose(beta, M)
-
-    slots = [
-        (k, i)
-        for k in range(dim)
-        for i in range(dim)
-        if space_parities[k] == (space_parities[i] + parity) % 2
-    ]
-
-    def residual_stack(D):
-        out = []
-        for other in (alpha, beta):
-            dm = compose(D, other)
-            md = compose(other, D)
-            for k in range(dim):
-                for i in range(dim):
-                    out.append(dm[k][i] - md[k][i])
-        for i in range(dim):
-            for j in range(dim):
-                ei, ej = unit_vec(dim, i), unit_vec(dim, j)
-                Dei = matvec(D, ei)
-                Dej = matvec(D, ej)
-                Mei = matvec(M, ei)
-                Mej = matvec(M, ej)
-                res = list(matvec(D, bracket2_of_vectors(ent, dim, ei, ej)))
-                t1 = bracket2_of_vectors(ent, dim, Dei, Mej)
-                t2 = bracket2_of_vectors(ent, dim, Mei, Dej)
-                s2 = sign(space_parities[i] * parity)
-                for k in range(dim):
-                    res[k] -= t1[k] + s2 * t2[k]
-                out.extend(res)
-        return out
-
-    columns = []
-    for (k, i) in slots:
-        E = [[ONE if (a, b) == (k, i) else ZERO for b in range(dim)] for a in range(dim)]
-        columns.append(residual_stack(E))
-    nrows = len(columns[0]) if columns else 0
-    return [[columns[c][r_] for c in range(len(slots))] for r_ in range(nrows)], len(slots)
+def _column(matrix, i):
+    return [row[i] for row in matrix]
 
 
-def rank(rows):
-    return len(rref(rows)[1]) if rows else 0
+def _columns(matrix):
+    """The images of the basis vectors under ``matrix``."""
+    return [_column(matrix, i) for i in range(len(matrix))]
 
 
 def _compose(mat1, mat2):
@@ -231,7 +100,25 @@ def _compose(mat1, mat2):
     ]
 
 
+def _twist_power(alpha, beta, s, r):
+    """M = alpha^s beta^r, the twist of the Leibniz rule (``derivations.twist_power``)."""
+    M = [list(unit_vec(len(alpha), k)) for k in range(len(alpha))]
+    for m in [alpha] * s + [beta] * r:
+        M = _compose(M, m)
+    return M
+
+
+def _combine(*terms):
+    """The sum of c * v over the (c, v) ``terms``."""
+    out = [ZERO] * len(terms[0][1])
+    for c, v in terms:
+        if any(v):
+            out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
 def _bracket_of_vectors(entries, dim, vectors):
+    """[v_1, ..., v_n] expanded multilinearly from a sparse entry dict."""
     out = [ZERO] * dim
     for key, coeff in entries.items():
         term = coeff
@@ -244,6 +131,101 @@ def _bracket_of_vectors(entries, dim, vectors):
     return out
 
 
+def bracket3_of_vectors(entries, dim, u, v, w):
+    """Trilinear expansion straight from a sparse entry dict."""
+    return tuple(_bracket_of_vectors(entries, dim, (u, v, w)))
+
+
+def bracket2_of_vectors(entries, dim, u, v):
+    return tuple(_bracket_of_vectors(entries, dim, (u, v)))
+
+
+def _basis_bracket(entries, dim, t):
+    """[e_t1, ..., e_tn]."""
+    return _bracket_of_vectors(entries, dim, [unit_vec(dim, i) for i in t])
+
+
+def _basis_images(entries, dim, arity):
+    """(t, [e_t1, ..., e_tn]) for every basis tuple t in lexicographic order."""
+    return ((t, _basis_bracket(entries, dim, t)) for t in itertools.product(range(dim), repeat=arity))
+
+
+def _commutator(X, m):
+    """X m - m X."""
+    return [[a - b for a, b in zip(p, q)] for p, q in zip(_compose(X, m), _compose(m, X))]
+
+
+def commutator_columns(X, m):
+    """The columns of X m - m X from dense products, as ((i,), column) pairs in order."""
+    return [((i,), column) for i, column in enumerate(zip(*_commutator(X, m)))]
+
+
+def _commutation_block(X, alpha, beta):
+    """The entries of X alpha - alpha X, then of X beta - beta X, row by row."""
+    return [c for m in (alpha, beta) for row in _commutator(X, m) for c in row]
+
+
+def _insertion_sum(P, entries, M_cols, D_cols, parity, t):
+    """sum_p (-1)^{|D|(|e_t1| + ... + |e_t(p-1)|)} [M e_t1, ..., D e_tp, ..., M e_tn], from the columns of M and D."""
+    return _combine(*[
+        (sign(parity * sum(P[i] for i in t[:p])),
+         _bracket_of_vectors(entries, len(P), [D_cols[i] if q == p else M_cols[i] for q, i in enumerate(t)]))
+        for p in range(len(t))
+    ])
+
+
+def _leibniz_residuals(P, entries, images, M, D, parity):
+    """(t, D[e_t1, ..., e_tn] - the insertion sum at t) for each (t, [e_t]) of ``images``."""
+    M_cols, D_cols = _columns(M), _columns(D)
+    for t, image in images:
+        yield t, [a - b for a, b in zip(matvec(D, image), _insertion_sum(P, entries, M_cols, D_cols, parity, t))]
+
+
+def _slots(P, parity):
+    """The positions (k, i) that a map of the given parity may fill, in row-major order."""
+    return [(k, i) for k in range(len(P)) for i in range(len(P)) if P[k] == (P[i] + parity) % 2]
+
+
+def _unit_map_rows(dim, slots, stack):
+    """The rows of the linear map X -> stack(X) on maps supported on ``slots``: column c is
+    stack(E_{k,i}) for (k, i) = slots[c]."""
+    columns = [stack([[ONE if (a, b) == slot else ZERO for b in range(dim)] for a in range(dim)]) for slot in slots]
+    return [list(row) for row in zip(*columns)]
+
+
+def _derivation_constraint_matrix(space_parities, alpha, beta, entries, arity, s, r, parity):
+    """Dense constraint matrix for the twisted-derivation space of a bracket of any arity.
+
+    Second assembly path: each column is the residual stack at a unit matrix
+    E_{k,i}, using only local expansions: the entries of E alpha - alpha E and
+    E beta - beta E, then on every basis tuple the Leibniz residual
+    E[e_t1, ..., e_tn] - sum_p sign_p [M e_t1, ..., E e_tp, ..., M e_tn].
+    Unknowns run over the parity-allowed positions in row-major order,
+    matching the solver's layout.
+    """
+    P, ent, M = space_parities, dict(entries), _twist_power(alpha, beta, s, r)
+    images = list(_basis_images(ent, len(P), arity))
+
+    def stack(D):
+        return _commutation_block(D, alpha, beta) + [
+            c for _, res in _leibniz_residuals(P, ent, images, M, D, parity) for c in res]
+
+    slots = _slots(P, parity)
+    return _unit_map_rows(len(P), slots, stack), len(slots)
+
+
+def derivation_constraint_matrix_3(space_parities, alpha, beta, entries, s, r, parity):
+    """Dense constraint matrix for the ternary twisted-derivation space (see
+    :func:`_derivation_constraint_matrix`)."""
+    return _derivation_constraint_matrix(space_parities, alpha, beta, entries, 3, s, r, parity)
+
+
+def derivation_constraint_matrix_2(space_parities, alpha, beta, entries, s, r, parity):
+    """Dense constraint matrix for the binary twisted-derivation space, with the
+    two-slot Leibniz rule D[x, y] = [Dx, My] + (-1)^{|x||D|} [Mx, Dy]."""
+    return _derivation_constraint_matrix(space_parities, alpha, beta, entries, 2, s, r, parity)
+
+
 def companion_system(space_parities, alpha, beta, entries, arity, parity):
     """Dense coefficient rows of the companion map X of a quasiderivation.
 
@@ -254,34 +236,14 @@ def companion_system(space_parities, alpha, beta, entries, arity, parity):
     lexicographic order.  Returns (rows, slots).
     """
     dim = len(space_parities)
-    ent = dict(entries)
-    images = [
-        _bracket_of_vectors(ent, dim, [unit_vec(dim, i) for i in t])
-        for t in itertools.product(range(dim), repeat=arity)
-    ]
-    slots = [
-        (k, i)
-        for k in range(dim)
-        for i in range(dim)
-        if space_parities[k] == (space_parities[i] + parity) % 2
-    ]
+    images = [image for _, image in _basis_images(dict(entries), dim, arity)]
 
-    def residual_stack(X):
-        out = []
-        for other in (alpha, beta):
-            xm = _compose(X, other)
-            mx = _compose(other, X)
-            out.extend(xm[k][i] - mx[k][i] for k in range(dim) for i in range(dim))
-        for image in images:
-            out.extend(matvec(X, image))
-        return out
+    def stack(X):
+        return _commutation_block(X, alpha, beta) + [c for image in images for c in matvec(X, image)]
 
-    columns = []
-    for (k, i) in slots:
-        E = [[ONE if (a, b) == (k, i) else ZERO for b in range(dim)] for a in range(dim)]
-        columns.append(residual_stack(E))
-    nrows = 2 * dim * dim + len(images) * dim
-    return [[columns[c][r_] for c in range(len(slots))] for r_ in range(nrows)], slots
+    slots = _slots(space_parities, parity)
+    # with no slot, X = 0 still owes every residual: one empty row each
+    return _unit_map_rows(dim, slots, stack) or [[] for _ in range(2 * dim * dim + len(images) * dim)], slots
 
 
 def companion_rhs(space_parities, alpha, beta, entries, arity, s, r, D, parity):
@@ -291,23 +253,11 @@ def companion_rhs(space_parities, alpha, beta, entries, arity, s, r, D, parity):
     sum_p (-1)^{|D|(|e_t1| + ... + |e_t(p-1)|)} [M e_t1, ..., D e_tp, ..., M e_tn]
     with M = alpha^s beta^r.
     """
-    dim = len(space_parities)
-    ent = dict(entries)
-    M = [[ONE if i == k else ZERO for i in range(dim)] for k in range(dim)]
-    for _ in range(s):
-        M = _compose(alpha, M)
-    for _ in range(r):
-        M = _compose(beta, M)
-    Dcol = [[D[k][i] for k in range(dim)] for i in range(dim)]
-    Mcol = [[M[k][i] for k in range(dim)] for i in range(dim)]
+    dim, ent = len(space_parities), dict(entries)
+    M_cols, D_cols = _columns(_twist_power(alpha, beta, s, r)), _columns(D)
     rhs = [ZERO] * (2 * dim * dim)
     for t in itertools.product(range(dim), repeat=arity):
-        total = [ZERO] * dim
-        for p in range(arity):
-            args = [Dcol[i] if q == p else Mcol[i] for q, i in enumerate(t)]
-            sgn = sign(parity * sum(space_parities[i] for i in t[:p]))
-            total = [a + sgn * b for a, b in zip(total, _bracket_of_vectors(ent, dim, args))]
-        rhs.extend(total)
+        rhs.extend(_insertion_sum(space_parities, ent, M_cols, D_cols, parity, t))
     return rhs
 
 
@@ -322,41 +272,21 @@ def derivation_report(space_parities, alpha, beta, entries, arity, s, r, D, pari
     and M = alpha^s beta^r.  Under fail-fast the walk stops at the first
     failing tuple.
     """
-    dim = len(space_parities)
-    ent = dict(entries)
+    dim, ent = len(space_parities), dict(entries)
     identity = {2: "binary-twisted-derivation", 3: "ternary-twisted-derivation"}[arity]
-    violations = []
-    for name, other in (("alpha", alpha), ("beta", beta)):
-        dm, md = _compose(D, other), _compose(other, D)
-        for i in range(dim):
-            col = tuple(dm[k][i] - md[k][i] for k in range(dim))
-            if any(col):
-                violations.append(((i,), col, f"commutes-with-{name}"))
+    violations = [(where, col, f"commutes-with-{name}") for name, m in (("alpha", alpha), ("beta", beta))
+                  for where, col in commutator_columns(D, m) if any(col)]
     total = 2 * dim
     if fail_fast and violations:
         return identity, total, violations
-    M = [list(unit_vec(dim, k)) for k in range(dim)]
-    for _ in range(s):
-        M = _compose(alpha, M)
-    for _ in range(r):
-        M = _compose(M, beta)
-    for t in itertools.product(range(dim), repeat=arity):
+    M = _twist_power(alpha, beta, s, r)
+    for t, res in _leibniz_residuals(space_parities, ent, _basis_images(ent, dim, arity), M, D, parity):
         total += 1
-        units = [unit_vec(dim, i) for i in t]
-        res = list(matvec(D, _bracket_of_vectors(ent, dim, units)))
-        for p in range(arity):
-            args = [matvec(D, u) if q == p else matvec(M, u) for q, u in enumerate(units)]
-            sgn = sign(parity * sum(space_parities[i] for i in t[:p]))
-            res = [a - sgn * b for a, b in zip(res, _bracket_of_vectors(ent, dim, args))]
         if any(res):
             violations.append((t, tuple(res), "leibniz"))
             if fail_fast:
                 break
     return identity, total, violations
-
-
-def _column(matrix, i):
-    return [row[i] for row in matrix]
 
 
 def _twisted_tables(space_parities, alpha, beta, entries):
@@ -368,24 +298,20 @@ def _twisted_tables(space_parities, alpha, beta, entries):
     """
     dim = len(space_parities)
     ent = dict(entries)
-    beta2 = _compose(beta, beta)
     units = [unit_vec(dim, i) for i in range(dim)]
-    inner = [[[_bracket_of_vectors(ent, dim, [_column(beta, a), _column(beta, b), _column(alpha, c)])
-               for c in range(dim)] for b in range(dim)] for a in range(dim)]
-    outer = []
-    for slot in range(3):
-        tables = []
-        for u in range(dim):
-            row = []
-            for v in range(dim):
-                columns = []
-                for s in range(dim):
-                    args = [_column(beta2, u), _column(beta2, v)]
-                    args.insert(slot, units[s])
-                    columns.append(_bracket_of_vectors(ent, dim, args))
-                row.append([[columns[s][k] for s in range(dim)] for k in range(dim)])
-            tables.append(row)
-        outer.append(tables)
+    a1, b1, b2 = _columns(alpha), _columns(beta), _columns(_compose(beta, beta))
+    inner = [[[_bracket_of_vectors(ent, dim, [b1[a], b1[b], a1[c]]) for c in range(dim)]
+              for b in range(dim)] for a in range(dim)]
+
+    def matrix(slot, u, v):
+        columns = []
+        for s in range(dim):
+            args = [b2[u], b2[v]]
+            args.insert(slot, units[s])
+            columns.append(_bracket_of_vectors(ent, dim, args))
+        return [list(row) for row in zip(*columns)]
+
+    outer = [[[matrix(slot, u, v) for v in range(dim)] for u in range(dim)] for slot in range(3)]
     return inner, outer
 
 
@@ -400,27 +326,12 @@ def _wedge_compose(P, tables_i, tables_j, a, b, c, d, m):
     inner = tables_j[0]
     outer = tables_i[1]
     pX, pY = P[a] + P[b], P[c] + P[d]
-    terms = [
-        (1, outer[0][d][m], inner[a][b][c]),
-        (sign(P[c] * pX), outer[1][c][m], inner[a][b][d]),
-        (-1, outer[2][a][b], inner[c][d][m]),
-        (sign(pX * pY), outer[2][c][d], inner[a][b][m]),
-    ]
-    out = [ZERO] * len(P)
-    for sgn, matrix, vec in terms:
-        for s, x in enumerate(vec):
-            if x:
-                out = [y + sgn * x * row[s] for y, row in zip(out, matrix)]
-    return out
-
-
-def _apply(matrix, vec):
-    """matrix @ vec, skipping the zero entries of vec."""
-    out = [ZERO] * len(matrix)
-    for s, x in enumerate(vec):
-        if x:
-            out = [y + x * row[s] for y, row in zip(out, matrix)]
-    return out
+    return _combine(
+        (1, matvec(outer[0][d][m], inner[a][b][c])),
+        (sign(P[c] * pX), matvec(outer[1][c][m], inner[a][b][d])),
+        (-1, matvec(outer[2][a][b], inner[c][d][m])),
+        (sign(pX * pY), matvec(outer[2][c][d], inner[a][b][m])),
+    )
 
 
 def binary_jacobi_reports(space_parities, alpha, beta, entries):
@@ -431,11 +342,10 @@ def binary_jacobi_reports(space_parities, alpha, beta, entries):
 
     as (full report, fail-fast report)."""
     P, ent, dim = space_parities, dict(entries), len(space_parities)
-    beta2 = _compose(beta, beta)
-    inner = {(b, c): _bracket_of_vectors(ent, dim, [_column(beta, b), _column(alpha, c)])
-             for b, c in itertools.product(range(dim), repeat=2)}
+    a1, b1, b2 = _columns(alpha), _columns(beta), _columns(_compose(beta, beta))
+    inner = {(b, c): _bracket_of_vectors(ent, dim, [b1[b], a1[c]]) for b, c in itertools.product(range(dim), repeat=2)}
     # each triple's term is read by all three of its cyclic shifts, so it is computed once
-    term = {(a, b, c): [sign(P[a] * P[c]) * v for v in _bracket_of_vectors(ent, dim, [_column(beta2, a), inner[b, c]])]
+    term = {(a, b, c): [sign(P[a] * P[c]) * v for v in _bracket_of_vectors(ent, dim, [b2[a], inner[b, c]])]
             for a, b, c in itertools.product(range(dim), repeat=3)}
 
     def checks():
@@ -453,19 +363,10 @@ def _ternary_jacobi_walk(space_parities, alpha, beta, entries, rule, residual):
     inner, outer_tables = _twisted_tables(P, alpha, beta, entries)
 
     def outer(u, v, w):
-        return _apply(outer_tables[2][u][v], w)
+        return matvec(outer_tables[2][u][v], w)
 
     for t in itertools.product(range(len(P)), repeat=5):
         yield t, rule, residual(P, inner, outer, *t)
-
-
-def _combine(*terms):
-    """The sum of c * v over the (c, v) ``terms``."""
-    out = [ZERO] * len(terms[0][1])
-    for c, v in terms:
-        if any(v):
-            out = [a + c * b for a, b in zip(out, v)]
-    return out
 
 
 def ternary_jacobi_reports(space_parities, alpha, beta, entries):
@@ -509,10 +410,7 @@ def cyclic_jacobi_reports(space_parities, alpha, beta, entries):
 def _degree_walk(P, tables, pairs):
     """Yield (t, sum of w_i o w_j over ``pairs`` at t) for every basis 5-tuple t in order."""
     for t in itertools.product(range(len(P)), repeat=5):
-        acc = [ZERO] * len(P)
-        for i, j in pairs:
-            acc = [x + y for x, y in zip(acc, _wedge_compose(P, tables[i], tables[j], *t))]
-        yield t, acc
+        yield t, _combine(*[(1, _wedge_compose(P, tables[i], tables[j], *t)) for i, j in pairs])
 
 
 def _walk_reports(identity, checks):
@@ -536,33 +434,30 @@ def _walk_reports(identity, checks):
 def _skew_walk(P, alpha, beta, w, arity, suffix=""):
     """Twisted swaps of adjacent slots on every basis tuple, tuple by tuple.
 
-    T(x) = w(beta x_1, ..., beta x_{n-1}, alpha x_n); the residual of the
-    swap of slots p, p+1 is T(x) + (-1)^{|x_p||x_{p+1}|} T(x with them
-    exchanged).  Rules: ``twisted-swap`` for n = 2, ``swap-12``, ``swap-23``
-    for n = 3, each followed by ``suffix``.
+    T(x) = w(beta x_1, ..., beta x_{n-1}, alpha x_n), tabulated once per tuple;
+    the residual of the swap of slots p, p+1 is T(x) + (-1)^{|x_p||x_{p+1}|} T(x
+    with them exchanged).  Rules: ``twisted-swap`` for n = 2, ``swap-12``,
+    ``swap-23`` for n = 3, each followed by ``suffix``.
     """
     dim = len(P)
-
-    def T(t):
-        return _bracket_of_vectors(w, dim, [_column(beta, i) for i in t[:-1]] + [_column(alpha, t[-1])])
-
-    for t in itertools.product(range(dim), repeat=arity):
-        base = T(t)
+    a1, b1 = _columns(alpha), _columns(beta)
+    tuples = list(itertools.product(range(dim), repeat=arity))
+    T = {t: _bracket_of_vectors(w, dim, [b1[i] for i in t[:-1]] + [a1[t[-1]]]) for t in tuples}
+    for t in tuples:
         for p in range(arity - 1):
-            s = list(t)
-            s[p], s[p + 1] = s[p + 1], s[p]
+            swapped = t[:p] + (t[p + 1], t[p]) + t[p + 2:]
             sgn = sign(P[t[p]] * P[t[p + 1]])
             rule = "twisted-swap" if arity == 2 else f"swap-{p + 1}{p + 2}"
-            yield t, rule + suffix, [x + sgn * y for x, y in zip(base, T(s))]
+            yield t, rule + suffix, [x + sgn * y for x, y in zip(T[t], T[swapped])]
 
 
 def _morphism_walk(alpha, beta, w, arity, rule, flip=False):
     """m(w(e_t)) - w(m e_t) for m = alpha, then beta, on every basis tuple (negated when ``flip``)."""
     dim = len(alpha)
-    for t in itertools.product(range(dim), repeat=arity):
-        value = _bracket_of_vectors(w, dim, [unit_vec(dim, i) for i in t])
-        for name, m in (("alpha", alpha), ("beta", beta)):
-            moved = _bracket_of_vectors(w, dim, [_column(m, i) for i in t])
+    twists = [(name, m, _columns(m)) for name, m in (("alpha", alpha), ("beta", beta))]
+    for t, value in _basis_images(w, dim, arity):
+        for name, m, cols in twists:
+            moved = _bracket_of_vectors(w, dim, [cols[i] for i in t])
             res = [x - y for x, y in zip(matvec(m, value), moved)]
             yield t, rule.format(name), [-x for x in res] if flip else res
 
@@ -577,9 +472,7 @@ def skew_reports(space_parities, alpha, beta, entries, arity):
 def multiplicativity_reports(alpha, beta, entries, arity):
     """Dense walk of ``verify_multiplicativity2/3``: the columns of alpha beta - beta alpha
     (``twists-commute``), then per basis tuple the alpha- and beta-morphism defects."""
-    dim = len(alpha)
-    ab, ba = _compose(alpha, beta), _compose(beta, alpha)
-    commute = (((i,), "twists-commute", [ab[k][i] - ba[k][i] for k in range(dim)]) for i in range(dim))
+    commute = ((where, "twists-commute", col) for where, col in commutator_columns(alpha, beta))
     checks = itertools.chain(commute, _morphism_walk(alpha, beta, dict(entries), arity, "{}-morphism"))
     return _walk_reports({2: "binary-multiplicativity", 3: "ternary-multiplicativity"}[arity], checks)
 
@@ -589,26 +482,25 @@ def _slot_masks(arity):
     return itertools.product((False, True), repeat=arity)
 
 
-def _weighted_sum(entries, dim, R, weight, t):
-    """[e_t]_R: the sum over nonempty kept-slot sets I of weight^{|I|-1} [args], R outside I."""
-    acc = [ZERO] * dim
-    for kept in _slot_masks(len(t)):
-        if any(kept):
-            args = [unit_vec(dim, i) if keep else _column(R, i) for keep, i in zip(kept, t)]
-            c = weight ** (sum(kept) - 1)
-            acc = [a + c * b for a, b in zip(acc, _bracket_of_vectors(entries, dim, args))]
-    return acc
+def _weighted_sum(entries, dim, R_cols, weight, t):
+    """[e_t]_R: the sum over nonempty kept-slot sets I of weight^{|I|-1} [args], R outside I;
+    ``R_cols`` are the columns of R."""
+    return _combine(*[
+        (weight ** (sum(kept) - 1),
+         _bracket_of_vectors(entries, dim, [unit_vec(dim, i) if keep else R_cols[i] for keep, i in zip(kept, t)]))
+        for kept in _slot_masks(len(t)) if any(kept)
+    ])
 
 
 def rb_reports(entries, arity, R, weight):
     """Dense walk of ``is_rb2``/``is_rb3``: [R e_t] - R([e_t]_R) on every basis tuple,
     as (full report, fail-fast report)."""
-    ent, dim = dict(entries), len(R)
+    ent, dim, R_cols = dict(entries), len(R), _columns(R)
 
     def checks():
         for t in itertools.product(range(dim), repeat=arity):
-            lhs = _bracket_of_vectors(ent, dim, [_column(R, i) for i in t])
-            rhs = matvec(R, _weighted_sum(ent, dim, R, weight, t))
+            lhs = _bracket_of_vectors(ent, dim, [R_cols[i] for i in t])
+            rhs = matvec(R, _weighted_sum(ent, dim, R_cols, weight, t))
             yield t, "weighted-identity", [a - b for a, b in zip(lhs, rhs)]
 
     return _walk_reports({2: "binary-rota-baxter", 3: "ternary-rota-baxter"}[arity], checks())
@@ -626,53 +518,52 @@ def _entries_of(dim, arity, value):
 
 def rb_bracket_entries(entries, arity, R, weight):
     """Structure constants of the induced bracket [.,...,.]_R."""
-    ent = dict(entries)
-    return _entries_of(len(R), arity, lambda t: _weighted_sum(ent, len(R), R, weight, t))
+    ent, R_cols = dict(entries), _columns(R)
+    return _entries_of(len(R), arity, lambda t: _weighted_sum(ent, len(R), R_cols, weight, t))
 
 
-def _n_bracket_value(entries, dim, N, t, inserted):
+def _n_bracket_value(entries, N, N_cols, t, inserted):
     """The ``inserted``-th N-bracket at e_t: the bracket with N in ``inserted`` slots, summed
-    over every choice, minus N of the previous N-bracket (the 0-th is the bracket)."""
-    units = [unit_vec(dim, i) for i in t]
+    over every choice, minus N of the previous N-bracket (the 0-th is the bracket);
+    ``N_cols`` are the columns of N."""
+    dim = len(N)
     if inserted == 0:
-        return _bracket_of_vectors(entries, dim, units)
-    acc = [-x for x in matvec(N, _n_bracket_value(entries, dim, N, t, inserted - 1))]
-    for mask in _slot_masks(len(t)):
-        if sum(mask) == inserted:
-            args = [matvec(N, u) if m else u for m, u in zip(mask, units)]
-            acc = [a + b for a, b in zip(acc, _bracket_of_vectors(entries, dim, args))]
-    return acc
+        return _basis_bracket(entries, dim, t)
+    brackets = [(1, _bracket_of_vectors(entries, dim, [N_cols[i] if m else unit_vec(dim, i) for m, i in zip(mask, t)]))
+                for mask in _slot_masks(len(t)) if sum(mask) == inserted]
+    return _combine((-1, matvec(N, _n_bracket_value(entries, N, N_cols, t, inserted - 1))), *brackets)
 
 
 def n_bracket_entries(entries, arity, N, inserted):
     """Structure constants of the first (``inserted`` = 1) or second N-bracket."""
-    ent = dict(entries)
-    return _entries_of(len(N), arity, lambda t: _n_bracket_value(ent, len(N), N, t, inserted))
+    ent, N_cols = dict(entries), _columns(N)
+    return _entries_of(len(N), arity, lambda t: _n_bracket_value(ent, N, N_cols, t, inserted))
 
 
 def nijenhuis_reports(entries, arity, N):
     """Dense walk of ``is_nijenhuis_2``/``is_nijenhuis_3``: [N e_t] - N(w(e_t)) on every
     basis tuple, w the (arity - 1)-th N-bracket; (full report, fail-fast report)."""
-    ent, dim = dict(entries), len(N)
+    ent, dim, N_cols = dict(entries), len(N), _columns(N)
 
     def checks():
         for t in itertools.product(range(dim), repeat=arity):
-            lhs = _bracket_of_vectors(ent, dim, [_column(N, i) for i in t])
-            rhs = matvec(N, _n_bracket_value(ent, dim, N, t, arity - 1))
+            lhs = _bracket_of_vectors(ent, dim, [N_cols[i] for i in t])
+            rhs = matvec(N, _n_bracket_value(ent, N, N_cols, t, arity - 1))
             yield t, "nijenhuis", [a - b for a, b in zip(lhs, rhs)]
 
     return _walk_reports({2: "binary-nijenhuis", 3: "ternary-nijenhuis"}[arity], checks())
 
 
+def _form(tau, v):
+    """tau(v) for the coefficient row ``tau``."""
+    return sum((c * x for c, x in zip(tau, v)), ZERO)
+
+
 def _tau_sum(P, scalars, pair_value, t):
     """s(x) B(y, z) - (-1)^{|x||y|} s(y) B(x, z) + (-1)^{|z|(|x|+|y|)} s(z) B(x, y) at t = (x, y, z)."""
     x, y, z = t
-    terms = [(scalars[x], pair_value(y, z)), (-sign(P[x] * P[y]) * scalars[y], pair_value(x, z)),
-             (sign(P[z] * (P[x] + P[y])) * scalars[z], pair_value(x, y))]
-    out = [ZERO] * len(P)
-    for c, v in terms:
-        out = [a + c * b for a, b in zip(out, v)]
-    return out
+    return _combine((scalars[x], pair_value(y, z)), (-sign(P[x] * P[y]) * scalars[y], pair_value(x, z)),
+                    (sign(P[z] * (P[x] + P[y])) * scalars[z], pair_value(x, y)))
 
 
 def tau_induced_entries(space_parities, entries, tau):
@@ -680,7 +571,7 @@ def tau_induced_entries(space_parities, entries, tau):
     ent, dim = dict(entries), len(space_parities)
 
     def pair(a, b):
-        return _bracket_of_vectors(ent, dim, [unit_vec(dim, a), unit_vec(dim, b)])
+        return _basis_bracket(ent, dim, (a, b))
 
     return _entries_of(dim, 3, lambda t: _tau_sum(space_parities, tau, pair, t))
 
@@ -694,15 +585,11 @@ def tau_condition_reports(alpha, beta, entries, tau):
         tau(alpha e_i) beta(e_j) - tau(beta e_i) alpha(e_j)     (twist-proportionality)
     """
     ent, dim = dict(entries), len(tau)
-
-    def form(v):
-        return sum((c * x for c, x in zip(tau, v)), ZERO)
-
-    ta, tb = ([form(_column(m, i)) for i in range(dim)] for m in (alpha, beta))
+    ta, tb = ([_form(tau, col) for col in _columns(m)] for m in (alpha, beta))
     checks = {"bracket-annihilation": [], "beta-symmetry": [], "twist-proportionality": []}
     for i, j in itertools.product(range(dim), repeat=2):
         residuals = {
-            "bracket-annihilation": (form(bracket2_of_vectors(ent, dim, unit_vec(dim, i), unit_vec(dim, j))),),
+            "bracket-annihilation": (_form(tau, _basis_bracket(ent, dim, (i, j))),),
             "beta-symmetry": (tau[i] * tb[j] - tau[j] * tb[i],),
             "twist-proportionality": tuple(ta[i] * b - tb[i] * a
                                            for a, b in zip(_column(alpha, j), _column(beta, j))),
@@ -714,19 +601,13 @@ def tau_condition_reports(alpha, beta, entries, tau):
     return [(identity, dim * dim, found) for identity, found in zip(identities, checks.values())]
 
 
-def commutator_columns(X, m):
-    """The columns of X m - m X from dense products, as ((i,), column) pairs in order."""
-    xm, mx = _compose(X, m), _compose(m, X)
-    return [((i,), tuple(a[i] - b[i] for a, b in zip(xm, mx))) for i in range(len(X))]
-
-
 def rb_transfer_report(space_parities, entries, tau, R, weight):
     """Dense walk of the report of ``check_rb_transfer_criterion``: (R + weight Id) applied
     to the tau-sum of [R e_a, R e_b] on every basis triple."""
-    ent, dim = dict(entries), len(space_parities)
+    ent, dim, R_cols = dict(entries), len(space_parities), _columns(R)
 
     def pair(a, b):
-        return _bracket_of_vectors(ent, dim, [_column(R, a), _column(R, b)])
+        return _bracket_of_vectors(ent, dim, [R_cols[a], R_cols[b]])
 
     def checks():
         for t in itertools.product(range(dim), repeat=3):
@@ -741,22 +622,10 @@ def derivation_transfer_report(space_parities, alpha, beta, entries, tau, D, s, 
     per basis index (M = alpha^s beta^r), then the tau-sum with scalars tau(D e_i) of the
     bracket on every basis triple."""
     ent, dim = dict(entries), len(space_parities)
-    M = [list(unit_vec(dim, k)) for k in range(dim)]
-    for _ in range(s):
-        M = _compose(alpha, M)
-    for _ in range(r):
-        M = _compose(M, beta)
-
-    def form(v):
-        return sum((a * b for a, b in zip(tau, v)), ZERO)
-
-    tD = [form(_column(D, i)) for i in range(dim)]
-
-    def pair(a, b):
-        return _bracket_of_vectors(ent, dim, [unit_vec(dim, a), unit_vec(dim, b)])
-
-    invariance = (((i,), "form-invariance", [form(_column(M, i)) - tau[i]]) for i in range(dim))
-    cyclic = ((t, "signed-cyclic-sum", _tau_sum(space_parities, tD, pair, t))
+    tM = [_form(tau, col) for col in _columns(_twist_power(alpha, beta, s, r))]
+    tD = [_form(tau, col) for col in _columns(D)]
+    invariance = (((i,), "form-invariance", [tM[i] - tau[i]]) for i in range(dim))
+    cyclic = ((t, "signed-cyclic-sum", _tau_sum(space_parities, tD, lambda a, b: _basis_bracket(ent, dim, (a, b)), t))
               for t in itertools.product(range(dim), repeat=3))
     return _walk_reports("derivation-transfer-conditions", itertools.chain(invariance, cyclic))[0]
 

@@ -14,6 +14,7 @@ import pytest
 
 import corpus
 from bihomsuper import (
+    DocumentError,
     GradedMap,
     PreconditionError,
     ThreeBiHomLieSuperalgebra,
@@ -24,6 +25,7 @@ from bihomsuper import (
     is_quasiderivation_3,
     load_document,
     make_twist_3,
+    parse_document,
     run_pipeline,
     verify_multiplicativity3,
 )
@@ -336,6 +338,52 @@ def test_negative_exponent_digits_are_counted_exactly(value, ok, tmp_path, capsy
     assert run(["check-rb", p, "--map", "N"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: bracket3[0]") and "digits" in err, err
+
+
+_LONG_FIELDS = {  # where each field of ternary_basic.json sits in its JSON tree
+    "scalars.lambda": ("scalars", "lambda"),
+    "space.dim": ("space", "dim"),
+    "bracket3[0]": ("bracket3", 0, -1),
+    "maps.alpha.matrix[0][0]": ("maps", "alpha", "matrix", 0, 0),
+}
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python has no integer string conversion limit")
+@pytest.mark.parametrize("path", list(_LONG_FIELDS))
+def test_json_integer_past_the_digit_limit_is_refused_at_its_field(path, tmp_path, capsys):
+    tree = json.loads((DATA / "ternary_basic.json").read_text())
+    *keys, last = _LONG_FIELDS[path]
+    node = tree
+    for key in keys:
+        node = node[key]
+    node[last] = 987654321  # no other integer of the document, so the text has it once
+    text = json.dumps(tree).replace("987654321", "7" * (LIMIT + 1))
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert err.value.path == path
+    doc = tmp_path / "long.json"
+    doc.write_text(text)
+    assert run(["verify", doc]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {path}: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python has no integer string conversion limit")
+@pytest.mark.parametrize("value", ["9" * (LIMIT + 1), "-1/" + "7" * (LIMIT + 1), "1" * (LIMIT + 1) + "e0"],
+                         ids=["integer", "p/q", "decimal"])
+def test_value_past_the_digit_limit_gets_the_digits_message(value, capsys):
+    """Python's own conversion refuses these; the refusal still names the limit, not a malformed number."""
+    message = f"{value!r} has more than {LIMIT} digits, beyond the integer string conversion limit"
+    with pytest.raises(ValueError) as exc:
+        as_scalar(value)
+    assert str(exc.value) == message
+    tree = json.loads((DATA / "ternary_basic.json").read_text())
+    tree["scalars"]["lambda"] = value
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(tree))
+    assert (err.value.path, str(err.value)) == ("scalars.lambda", f"scalars.lambda: {message}")
+    assert run(["check-rb", DATA / "ternary_basic.json", "--map", "N", f"--weight={value}"]) == 2
+    assert capsys.readouterr().err == f"input error: --weight: {message}\n"
 
 
 @pytest.mark.skipif(not LIMIT, reason="this Python has no integer string conversion limit")
@@ -807,3 +855,12 @@ def test_document_scalars_and_built_objects_are_not_coerced_again(monkeypatch, c
     assert run(["derivations", GOLDEN_DOCS / "twistable.json", "--r", "2"]) == 0
     capsys.readouterr()
     assert calls and not [args for args in calls if isinstance(args[0], (F, str))]
+
+
+def test_verify_walks_pass_fractions_through_check_vector(monkeypatch, capsys):
+    """The per-tuple walks hand Fractions to ``SuperSpace.check_vector``, which keeps them as
+    they are: no call of ``as_scalar`` on a verify job receives a Fraction."""
+    calls = corpus.count_calls(monkeypatch, as_scalar)
+    assert run(["verify", GOLDEN_DOCS / "twistable.json"]) == 1  # twisted skew-symmetry and Jacobi fail
+    capsys.readouterr()
+    assert not [args for args in calls if isinstance(args[0], F)]

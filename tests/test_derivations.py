@@ -132,6 +132,27 @@ def test_solver_matches_dense_oracle_on_structured_fixture():
     assert ours == nullity(rows, ncols) == 6
 
 
+@pytest.mark.parametrize("arity", [2, 3])
+def test_constraint_columns_are_the_dense_walk_at_each_unit_map(arity):
+    """alpha beta != beta alpha, so M = alpha^s beta^r differs from beta^r alpha^s: the constraint
+    matrix's column at each unit map E_{k,i} is the residual stack that derivation_report walks for it."""
+    P, dim = (0, 0), 2
+    alpha, beta = [[F(1), F(1)], [F(0), F(1)]], [[F(2), F(0)], [F(0), F(1)]]
+    entries = {key: F(sum(key) + 1) for key in itertools.product(range(dim), repeat=arity + 1)}
+    build = derivation_constraint_matrix_3 if arity == 3 else derivation_constraint_matrix_2
+    rows, ncols = build(P, alpha, beta, entries, 1, 1, 0)
+    assert ncols == dim * dim
+    for c, (k, i) in enumerate(itertools.product(range(dim), repeat=2)):
+        E = [[F(int((a, b) == (k, i))) for b in range(dim)] for a in range(dim)]
+        _, _, violations = derivation_report(P, alpha, beta, entries, arity, 1, 1, E, 0)
+        found = {(where, rule): res for where, res, rule in violations}
+        zero = (F(0),) * dim
+        walked = [found.get(((b,), f"commutes-with-{name}"), zero)[a]
+                  for name in ("alpha", "beta") for a in range(dim) for b in range(dim)]
+        walked += [x for t in itertools.product(range(dim), repeat=arity) for x in found.get((t, "leibniz"), zero)]
+        assert [row[c] for row in rows] == walked, (k, i)
+
+
 def test_supercommutator_basics():
     sp = SuperSpace((0, 1))
     ident = _ident(sp)
