@@ -118,8 +118,8 @@ def as_scalar(value: object) -> Fraction:
     d significant digits at net exponent e make d + e digits when e >= 0.  When
     e = -k < 0 the denominator is 10^k / g, g = gcd(mantissa, 10^k); g is 1 or
     a power of 2 or of 5, so that denominator has k + 1 - len(str(g)) digits,
-    or k + 1 when g = 1.  Any value with a longer run of digits is refused the
-    same way, as ``int`` refuses that run.
+    or k + 1 when g = 1.  Any other value that is well-formed apart from its
+    length, which Python's own conversion then refuses, is refused the same way.
     """
     if isinstance(value, Fraction):
         return value
@@ -143,8 +143,12 @@ def as_scalar(value: object) -> Fraction:
                 digits = 1 - e - (len(str(g)) if g > 1 else 0)
         if not limit or digits <= limit:
             return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        if not limit or all(len(run) <= limit for run in re.findall(r"\d+", value.replace("_", ""))):
+    except ZeroDivisionError as exc:
+        raise ValueError(f"not a rational number: {value!r}") from exc
+    except ValueError as exc:
+        try:  # a value that reads with each run of digits cut to one digit was refused for its length
+            Fraction(re.sub(r"\d+", "1", value))
+        except ValueError:
             raise ValueError(f"not a rational number: {value!r}") from exc
     raise ValueError(f"{value!r} has more than {limit} digits, beyond the integer string conversion limit")
 
@@ -263,7 +267,6 @@ class GradedMap:
         object.__setattr__(self, "matrix", _freeze_matrix(self.space, self.matrix))
         parities = self.space.parities
         columns: list[list[tuple[int, Fraction]]] = [[] for _ in parities]
-        rows: list[list[tuple[int, Fraction]]] = [[] for _ in parities]
         for k, row in enumerate(self.matrix):
             for i, c in enumerate(row):
                 if c:
@@ -272,18 +275,16 @@ class GradedMap:
                             f"entry ({k},{i}) violates the grading of a parity-{self.parity} map"
                         )
                     columns[i].append((k, c))
-                    rows[k].append((i, c))
-        # Nonzero supports: _columns[i] lists (k, c) with c = matrix[k][i] != 0,
-        # _rows[k] lists (i, c) likewise; every product below walks only these.
+        # _columns[i] lists the nonzero (k, c = matrix[k][i]); every product below walks only these.
         object.__setattr__(self, "_columns", tuple(tuple(col) for col in columns))
-        object.__setattr__(self, "_rows", tuple(tuple(row) for row in rows))
 
     @cached_property
     def _integral(self) -> tuple[int, tuple, tuple]:
-        """(d, rows, columns): ``_rows`` and ``_columns`` as ints over d, the lcm of the denominators."""
-        d = lcm(*(c.denominator for row in self._rows for _, c in row))
-        return d, *(tuple(tuple((i, c.numerator * (d // c.denominator)) for i, c in line) for line in lines)
-                    for lines in (self._rows, self._columns))
+        """(d, rows, columns): the nonzero entries by row and by column, as ints over d, their denominators' lcm."""
+        d = lcm(*(c.denominator for column in self._columns for _, c in column))
+        cols = tuple(tuple((k, c.numerator * (d // c.denominator)) for k, c in col) for col in self._columns)
+        rows = tuple(tuple((i, n) for i, col in enumerate(cols) for k, n in col if k == r) for r in range(len(cols)))
+        return d, rows, cols
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "GradedMap":
@@ -381,28 +382,28 @@ class GradedMap:
         return GradedMap(self.space, inv, self.parity)
 
 
-def commutator_terms(m: GradedMap, r: int, c: int) -> list[tuple[tuple[int, int], Fraction]]:
-    """X m - m X for a map X, written once: the entries ((k, i), a) that X[r][c] adds a * X[r][c] to.
+def commutator_terms(m: GradedMap, r: int, c: int) -> list[tuple[tuple[int, int], int]]:
+    """X m - m X for a map X, written once: the entries ((k, i), a) that X[r][c] adds a * X[r][c] / d_m to.
 
-    X[r][c] m[c][i] goes into (r, i) for the nonzero m[c][i], and
-    -m[k][r] X[r][c] into (k, c) for the nonzero m[k][r].  :func:`commutator`
-    evaluates it; the derivation solvers read it as linear rows in the
-    unknown entries of X.
+    a is an int and d_m the denominator of m's integer form.  X[r][c] m[c][i] goes into (r, i) for
+    the nonzero m[c][i], and -m[k][r] X[r][c] into (k, c) for the nonzero m[k][r].  :func:`commutator`
+    evaluates it; the derivation solvers read it, scaled by d_m, as linear rows in the entries of X.
     """
-    return [((r, i), a) for i, a in m._rows[c]] + [((k, c), -a) for k, a in m._columns[r]]
+    return [((r, i), a) for i, a in m._integral[1][c]] + [((k, c), -a) for k, a in m._integral[2][r]]
 
 
 def commutator(X: GradedMap, m: GradedMap) -> dict[tuple[int], dict[int, Fraction]]:
-    """The columns of X m - m X that are not zero, {(i,): {k: c}}, as a one-slot contraction."""
+    """The columns of X m - m X that are not zero, {(i,): {k: c}}, as a one-slot contraction: ints
+    summed over d_X d_m, one Fraction per coefficient, entries that cancel in such a column kept as zeros."""
     if X.space != m.space:
         raise DimensionError("maps on different spaces never commute")
-    acc: dict[tuple[int], dict[int, Fraction]] = {}
-    for c, column in enumerate(X._columns):
+    d, acc = X._integral[0] * m._integral[0], {}
+    for c, column in enumerate(X._integral[2]):
         for r, x in column:
             for (k, i), a in commutator_terms(m, r, c):
                 image = acc.setdefault((i,), {})
-                image[k] = image.get(k, ZERO) + a * x
-    return {i: image for i, image in acc.items() if any(image.values())}
+                image[k] = image.get(k, 0) + a * x
+    return {i: {k: Fraction(c, d) for k, c in image.items()} for i, image in acc.items() if any(image.values())}
 
 
 def commute(m1: GradedMap, m2: GradedMap) -> bool:

@@ -83,7 +83,7 @@ from .core import (
     vec_scale,
     vec_sub,
 )
-from .derivations import is_derivation_3
+from .derivations import _twist, is_derivation_3
 from .rota_baxter import RotaBaxterOperator, is_rb3, make_rb_bracket
 from .tau import _induced_algebra, _require_tau_conditions
 
@@ -134,8 +134,7 @@ def omega_compose(
     """
     if X.space != A.space or Y.space != A.space:
         raise DimensionError("wedge arguments live on a different space")
-    beta = A.beta
-    beta2 = beta.compose(beta)
+    beta, beta2 = A.beta, _twist(A, 0, 2)
     az = A.alpha.column(z)
     bx1, bx2 = beta.apply(X.first), beta.apply(X.second)
     by1, by2 = beta.apply(Y.first), beta.apply(Y.second)

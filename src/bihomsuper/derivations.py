@@ -164,19 +164,19 @@ def _commuting_system(A, parity: int):
     """The unknowns of a homogeneous map X of the given parity commuting with the twists.
 
     Returns the parity-allowed matrix positions (k, i), their positions in the
-    unknown vector, and one sparse row {position: coefficient} per entry of
-    X m - m X for m = alpha, beta that involves any unknown.
+    unknown vector, and one sparse row {position: int} per entry of X m - m X
+    for m = alpha, beta that involves any unknown, scaled by m's denominator.
     """
     idx = A.space.indices()
     slots = [(k, i) for k in idx for i in idx if A.space.parity(k) == (A.space.parity(i) + parity) % 2]
     index_of = {slot: n for n, slot in enumerate(slots)}
     rows = []
     for m in (A.alpha, A.beta):
-        by_entry: dict[tuple[int, int], dict[int, object]] = {}
+        by_entry: dict[tuple[int, int], dict[int, int]] = {}
         for slot, pos in index_of.items():  # forbidden entries of X are zero
             for entry, a in commutator_terms(m, *slot):
                 row = by_entry.setdefault(entry, {})
-                row[pos] = row.get(pos, ZERO) + a
+                row[pos] = row.get(pos, 0) + a
         rows += (by_entry[entry] for entry in sorted(by_entry))
     return slots, index_of, rows
 

@@ -284,8 +284,8 @@ def test_criterion_7_composition_sanity(ternary_corpus):
     for fx in skew_fixtures:
         A = fx.algebra
         sp = A.space
-        if any(any(omega_compose(A, A.bracket, A.bracket,
-                                 WedgePair.from_basis(sp, a, b), WedgePair.from_basis(sp, c, d), m))
+        wedges = {(a, b): WedgePair.from_basis(sp, a, b) for a, b in itertools.product(range(sp.dim), repeat=2)}
+        if any(any(omega_compose(A, A.bracket, A.bracket, wedges[a, b], wedges[c, d], m))
                for a, b, c, d, m in itertools.product(range(sp.dim), repeat=5)):
             failing.append(fx.name)
     _report(

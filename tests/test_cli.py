@@ -387,6 +387,28 @@ def test_value_past_the_digit_limit_gets_the_digits_message(value, capsys):
 
 
 @pytest.mark.skipif(not LIMIT, reason="this Python has no integer string conversion limit")
+@pytest.mark.parametrize("value", ["x" + "1" * (LIMIT + 1), "1" * (LIMIT + 1) + "x", "1/2/" + "3" * (LIMIT + 1)],
+                         ids=["letter-first", "letter-last", "two-slashes"])
+def test_malformed_value_with_a_long_digit_run_is_not_a_rational_number(value, tmp_path, capsys):
+    """Shortening the digits would not make these numbers, so the refusal does not blame their length."""
+    message = f"not a rational number: {value!r}"
+    with pytest.raises(ValueError) as exc:
+        as_scalar(value)
+    assert str(exc.value) == message
+    assert run(["check-rb", DATA / "ternary_basic.json", "--map", "N", f"--weight={value}"]) == 2
+    assert capsys.readouterr().err == f"input error: --weight: {message}\n"
+    tree = json.loads((DATA / "ternary_basic.json").read_text())
+    tree["bracket3"][0][-1] = value
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(tree))
+    assert (err.value.path, str(err.value)) == ("bracket3[0]", f"bracket3[0]: {message}")
+    doc = tmp_path / "entry.json"
+    doc.write_text(json.dumps(tree))
+    assert run(["check-rb", doc, "--map", "N"]) == 2
+    assert capsys.readouterr().err == f"input error: bracket3[0]: {message}\n"
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python has no integer string conversion limit")
 @pytest.mark.parametrize("command", ["check-rb", "rb-bracket"])
 @pytest.mark.parametrize("source", ["--weight", "scalars.lambda"])
 def test_unprintable_report_names_the_weight_and_the_limit(command, source, tmp_path, capsys):

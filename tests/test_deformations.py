@@ -46,8 +46,9 @@ def _t3e1():
 
 def _all_compositions_vanish(A, wi, wj):
     sp = A.space
+    wedges = {(a, b): WedgePair.from_basis(sp, a, b) for a, b in itertools.product(range(sp.dim), repeat=2)}
     for a, b, c, d, m in itertools.product(range(sp.dim), repeat=5):
-        v = omega_compose(A, wi, wj, WedgePair.from_basis(sp, a, b), WedgePair.from_basis(sp, c, d), m)
+        v = omega_compose(A, wi, wj, wedges[a, b], wedges[c, d], m)
         if any(x != 0 for x in v):
             return False
     return True

@@ -1,15 +1,17 @@
 """The integer kernels against the dense oracles, on data with mixed denominators.
 
-``StructureTensor.contract``, ``core.contraction_sum`` and the nested-bracket
-join ``algebras._composition_sum`` sum ints over one common denominator and
-make one Fraction per reported coefficient.  These properties draw tensors
-whose entries have denominators 1, 2, 3 and 7, slot, outer and twisting maps
-with denominators 4, 5 and 9, and term coefficients 1/2 and -2/3, so that the
-terms of one sum have different denominators and the first is seldom their
-lcm.  Each property asserts that both verdicts occur.  In a copy of the
-source they catch: the rescale to the common denominator dropped, the outer
-map's denominator ignored, and the first term's denominator used for every
-term.
+``StructureTensor.contract``, ``core.contraction_sum``, the nested-bracket
+join ``algebras._composition_sum`` and the twist commutator ``core.commutator``
+sum ints over one common denominator and make one Fraction per reported
+coefficient; the derivation solvers read ``core.commutator_terms`` as int rows,
+one denominator per twist.  These properties draw tensors whose entries have
+denominators 1, 2, 3 and 7, slot, outer and twisting maps with denominators 4,
+5 and 9, and term coefficients 1/2 and -2/3, so that the terms of one sum have
+different denominators and the first is seldom their lcm.  Each asserts that
+both verdicts occur.  In a copy of the source they catch: the rescale to the
+common denominator dropped, the outer map's denominator ignored, the first
+term's denominator used for every term, and in the commutator either map's
+denominator dropped, one map's used for both and the sign of m X flipped.
 """
 
 import itertools
@@ -28,10 +30,13 @@ from bihomsuper import (
     SuperSpace,
     check_2cocycle,
     check_deformation,
+    commute,
     is_derivation_2,
     is_derivation_3,
     is_nijenhuis_2,
     is_nijenhuis_3,
+    is_quasiderivation_2,
+    is_quasiderivation_3,
     make_n_bracket_1,
     make_n_bracket_2,
     make_twist_2,
@@ -40,8 +45,10 @@ from bihomsuper import (
     solve_derivation_space_2,
     verify_3bihom_jacobi_cyclic,
     verify_bihom_jacobi,
+    verify_multiplicativity2,
+    verify_multiplicativity3,
 )
-from bihomsuper.core import contraction_sum, dense
+from bihomsuper.core import commutator, contraction_sum, dense
 from bihomsuper.rota_baxter import _weighted_terms
 
 import corpus
@@ -255,3 +262,110 @@ def test_composition_sums_match_dense_oracles(binary_corpus, ternary_corpus):
 
     prop()
     assert verdicts == {"jacobi": {False, True}, "deformation": {False, True}}, verdicts
+
+
+def _polynomial(m, data):
+    """c0 + c1 m + c2 m^2 with coefficients drawn from MAP_VALUES: a map that commutes with m."""
+    c0, c1, c2 = (data.draw(st.sampled_from(MAP_VALUES)) for _ in range(3))
+    return GradedMap.identity(m.space).scale(c0).add(m.scale(c1)).add(m.compose(m).scale(c2))
+
+
+def test_commutation_matches_dense_products_with_denominators(binary_corpus, ternary_corpus):
+    """``commutator``, ``commute``, the ``twists-commute`` residuals of multiplicativity and the
+    ``commutes-with-*`` residuals of the derivation verifiers, against dense products.
+
+    The twists are a random even map alpha and either another one or a
+    polynomial in alpha, so that they do and do not commute; the candidates
+    are random maps of either parity or polynomials in alpha.  Every entry is
+    drawn from MAP_VALUES (denominators 4, 5 and 9), so d_X and d_m differ.
+    Under fail-fast a failing commutation is reported whole, over 2 dim
+    columns, and ends the report.
+    """
+    fixtures = _fixtures(binary_corpus, ternary_corpus)
+    verdicts = {"twists": set(), "derivation": set()}
+
+    @PROPERTY
+    @given(st.data())
+    def prop(data):
+        A = data.draw(st.sampled_from(fixtures))
+        alpha = _map(A.space, data)
+        beta = _polynomial(alpha, data) if data.draw(st.booleans()) else _map(A.space, data)
+        A = type(A)(A.space, A.bracket, alpha, beta)
+        parity = data.draw(st.sampled_from([0, 1]))
+        D = _polynomial(alpha, data) if parity == 0 and data.draw(st.booleans()) else _map(A.space, data, parity)
+
+        def failing(rule, X, m):
+            return [(where, col, rule) for where, col in oracles.commutator_columns(_matrix(X), _matrix(m)) if any(col)]
+
+        for X, m in ((alpha, beta), (D, alpha), (D, beta)):
+            got = [(where, dense(image, A.space.dim), "") for where, image in sorted(commutator(X, m).items())]
+            assert got == failing("", X, m), (X, m)
+            assert commute(X, m) == X.commutes_with(m) == (not got), (X, m)
+        twists = failing("twists-commute", alpha, beta)
+        mult = verify_multiplicativity3 if A.bracket.arity == 3 else verify_multiplicativity2
+        assert [f for f in _fields(mult(A))[2] if f[2] == "twists-commute"] == twists, A
+        expected = failing("commutes-with-alpha", D, alpha) + failing("commutes-with-beta", D, beta)
+        check = is_derivation_3 if A.bracket.arity == 3 else is_derivation_2
+        for fail_fast in (False, True):
+            _, total, found = _fields(check(A, D, 0, 0, fail_fast=fail_fast))
+            assert [f for f in found if f[2].startswith("commutes-with-")] == expected, (A, D)
+            if fail_fast and expected:
+                assert (total, found) == (2 * A.dim, expected), (A, D)
+        verdicts["twists"].add(not twists)
+        verdicts["derivation"].add(not expected)
+
+    prop()
+    assert verdicts == {"twists": {False, True}, "derivation": {False, True}}, verdicts
+
+
+def _shear_twists():
+    """axb2 ([e1, e2] = e2) under the commuting automorphisms S: e1 -> e1 + 16/45 e2, e2 -> 5/9 e2 and
+    T: e1 -> e1 + 3/5 e2, e2 -> 1/4 e2, as (alpha, beta) = (S, T), (S, Id) and (Id, T): non-diagonal
+    twists, whose commutation rows mix entries of X, and pairs where one twist's rows alone allow more."""
+    ab = next(f for f in corpus.binary_fixtures() if f.name == "axb2").algebra
+    S = GradedMap(ab.space, ((F(1), F(0)), (F(16, 45), F(5, 9))), 0)
+    T = GradedMap(ab.space, ((F(1), F(0)), (F(3, 5), F(1, 4))), 0)
+    ident = GradedMap.identity(ab.space)
+    return [make_twist_2(ab, alpha, beta) for alpha, beta in ((S, T), (S, ident), (ident, T))]
+
+
+def test_solver_rows_match_dense_oracles_with_denominators():
+    """Solved derivation bases against the kernel of the dense constraint matrix, and quasiderivation
+    verdicts and witnesses against the dense companion system.
+
+    The algebras are the two with diagonal twists of denominators 4, 5 and 9
+    and axb2 under non-diagonal ones; (s, r) runs over {0, 1, 2}^2 and both
+    parities.  The candidates commute with the twists: kernel vectors of the
+    dense commutation block, their sum and, for even maps, 5/9 times the
+    identity.  Kernels strictly between zero and the whole commutant occur,
+    and so do both quasiderivation verdicts.
+    """
+    seen, verdicts = set(), set()
+    for A in _twisted_fixtures() + _shear_twists():
+        arity, dim = A.bracket.arity, A.space.dim
+        args = (A.space.parities, _matrix(A.alpha), _matrix(A.beta), A.bracket.as_dict())
+        build = oracles.derivation_constraint_matrix_3 if arity == 3 else oracles.derivation_constraint_matrix_2
+        solve = solve_derivation_space if arity == 3 else solve_derivation_space_2
+        decide = is_quasiderivation_3 if arity == 3 else is_quasiderivation_2
+        for parity in (0, 1):
+            rows, slots = oracles.companion_system(*args, arity, parity)
+            commutant = oracles.nullspace(rows[: 2 * dim * dim], len(slots))
+            vectors = commutant[:2] + [tuple(map(sum, zip(*commutant)))] if commutant else []
+            candidates = [GradedMap(A.space, tuple(tuple(dict(zip(slots, v)).get((k, i), F(0)) for i in range(dim))
+                                                   for k in range(dim)), parity) for v in vectors]
+            candidates += [GradedMap.identity(A.space).scale(F(5, 9))] if parity == 0 else []
+            for s, r in itertools.product(range(3), repeat=2):
+                basis = solve(A, DerivationQuery(s, r, parity)).basis
+                ours = [tuple(D.matrix[k][i] for k, i in slots) for D in basis]
+                assert ours == oracles.nullspace(*build(*args, s, r, parity)), (A, s, r, parity)
+                seen.add(0 < len(ours) < len(commutant))
+                for D in candidates:
+                    rhs = oracles.companion_rhs(*args, arity, s, r, _matrix(D), parity)
+                    consistent = oracles.rank([row + [b] for row, b in zip(rows, rhs)]) == oracles.rank(rows)
+                    ok, witness = decide(A, D, s, r)
+                    assert ok == consistent, (A, s, r, D)
+                    if ok:
+                        values = [witness.matrix[k][i] for k, i in slots]
+                        assert (witness.parity, list(oracles.matvec(rows, values))) == (parity, rhs), (A, s, r, D)
+                    verdicts.add(ok)
+    assert seen == {False, True} and verdicts == {False, True}, (seen, verdicts)
