@@ -107,8 +107,8 @@ def int_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-_DECIMAL_EXPONENT = re.compile(  # a decimal with an exponent, as fractions.Fraction reads it
-    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*")
+_DECIMAL_EXPONENT = re.compile(  # a decimal, its exponent optional, as fractions.Fraction reads it
+    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*")
 
 
 def as_scalar(value: object) -> Fraction:
@@ -135,7 +135,7 @@ def as_scalar(value: object) -> Fraction:
             significant = mantissa.rstrip("0")
             if not significant:
                 return ZERO
-            e = int(exp) - len(frac) + len(mantissa) - len(significant)
+            e = int(exp or 0) - len(frac) + len(mantissa) - len(significant)
             if e >= 0:
                 digits = len(significant) + e
             else:  # 10^min(k, 4d) holds every factor 2 or 5 of a d-digit mantissa

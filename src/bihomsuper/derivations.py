@@ -16,11 +16,11 @@ after the bracket minus, per slot, the bracket contracted against (M, ..., D,
 once for the verifiers, at a cost that follows the nonzeros rather than
 dim ** arity; reports list the failing tuples in lexicographic order and count
 every tuple, as a walk over all of them would.  :func:`_linearise` reads the
-same terms with the unknown map in place of D (derivation spaces) or of the
-outer map (quasiderivation companions) and returns the solvers' sparse rows.
+same terms in ints, with the unknown map in place of D (derivation spaces) or
+of the outer map (companions): the solvers' int rows, one denominator a system.
 Commutation with the twists is read from :func:`bihomsuper.core.commutator_terms`
 the same way: evaluated for the verifiers' ``commutes-with-*`` rules and
-linearised into the solvers' first rows.  Each solved basis map and each
+linearised into the solvers' first int rows.  Each solved basis map and each
 companion witness is re-checked by evaluation.  Each refusal carries its
 report: a candidate's ``twist-commutation``, a failing base derivation's, or
 a failing form's :class:`TauWitness`.
@@ -29,6 +29,8 @@ a failing form's :class:`TauWitness`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .algebras import (
     BiHomLieSuperalgebra,
@@ -185,43 +187,49 @@ _UNKNOWN = object()  # the unknown map in a term list read by _linearise
 
 
 def _linearise(terms, index_of: dict[tuple[int, int], int]):
-    """The terms' sum as sparse rows over the entries of the unknown map X, plus the terms without X.
+    """The terms' sum as int rows over the entries of the unknown map X, their denominator d, and the terms without X.
 
     ``index_of`` numbers the parity-allowed positions (k, i) of X; row (t, k)
-    holds the coefficient of e_k on the basis tuple t.  With X as outer map,
-    image component m at t lands on the unknown (k, m).  With X in slot p, the
-    term is contracted once with the identity there; its image at t' lands on
-    the unknown (t'_p, i) in the row of the tuple with i in slot p.
+    holds d times the coefficient of e_k on the basis tuple t, d the lcm of the
+    denominators of coeff / d_term over the terms with X (d_term from ``_contract_int``).
+    With X as outer map, image component m at t lands on the unknown (k, m).
+    With X in slot p, the term is contracted once with the identity there; its
+    image at t' lands on the unknown (t'_p, i) in the row of the tuple with i in slot p.
     """
     by_column: dict[int, list] = {}
     by_row: dict[int, list] = {}
     for (k, i), pos in index_of.items():
         by_column.setdefault(i, []).append((k, pos))
         by_row.setdefault(k, []).append((i, pos))
-    rows: dict[tuple[tuple[int, ...], int], dict[int, object]] = {}
-    rest = []
+    linear, rest = [], []
     for coeff, tensor, maps, outer in terms:
         if outer is _UNKNOWN:
-            found = [(t, k, pos, c) for t, image in tensor.contract(maps).items()
+            d_term, images = tensor._contract_int(maps)
+            found = [(t, k, pos, c) for t, image in images.items()
                      for m, c in image.items() for k, pos in by_column.get(m, ())]
         elif _UNKNOWN in maps:
             p = maps.index(_UNKNOWN)
-            slotted = tensor.contract(maps[:p] + [GradedMap.identity(tensor.space)] + maps[p + 1:])
-            found = [(t[:p] + (i,) + t[p + 1:], k, pos, c) for t, image in slotted.items()
+            d_term, images = tensor._contract_int(maps[:p] + [GradedMap.identity(tensor.space)] + maps[p + 1:])
+            found = [(t[:p] + (i,) + t[p + 1:], k, pos, c) for t, image in images.items()
                      for i, pos in by_row.get(t[p], ()) for k, c in image.items()]
         else:
             rest.append((coeff, tensor, maps, outer))
             continue
+        linear.append((Fraction(coeff, d_term), found))
+    d = lcm(*(f.denominator for f, _ in linear))
+    rows: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+    for f, found in linear:
+        scale = f.numerator * (d // f.denominator)
         for t, k, pos, c in found:
             row = rows.setdefault((t, k), {})
-            row[pos] = row.get(pos, ZERO) + coeff * c
-    return rows, rest
+            row[pos] = row.get(pos, 0) + scale * c
+    return rows, d, rest
 
 
 def _solve_derivation_space(A, query: DerivationQuery, verify) -> DerivationSpace:
     """Kernel of the commutation and Leibniz rows; ``verify`` re-checks each basis map."""
     slots, index_of, rows = _commuting_system(A, query.parity)
-    leibniz, _ = _linearise(_leibniz_terms(A, _UNKNOWN, _UNKNOWN, query.s, query.r, query.parity), index_of)
+    leibniz, _, _ = _linearise(_leibniz_terms(A, _UNKNOWN, _UNKNOWN, query.s, query.r, query.parity), index_of)
     rows += (leibniz[key] for key in sorted(leibniz))
     basis_vectors = kernel_basis(rows, len(slots))
     basis = tuple(_slots_to_map(A.space, query.parity, slots, v) for v in basis_vectors)
@@ -262,13 +270,13 @@ def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMa
     _require_commuting_twists(D, A, "candidate does not commute with the structure maps")
     slots, index_of, rows = _commuting_system(A, D.parity)
     rhs = [ZERO] * len(rows)
-    leibniz, known = _linearise(_leibniz_terms(A, _UNKNOWN, D, s, r, D.parity), index_of)
-    # The residual vanishes: the rows in the companion equal minus the terms in D.
+    leibniz, d, known = _linearise(_leibniz_terms(A, _UNKNOWN, D, s, r, D.parity), index_of)
+    # The residual vanishes: the rows in the companion equal minus the terms in D, both times d.
     targets = contraction_sum(known)
     nonzero = {(t, k) for t, image in targets.items() for k, c in image.items() if c}
     for t, k in sorted(leibniz.keys() | nonzero):
         rows.append(leibniz.get((t, k), {}))
-        rhs.append(-targets.get(t, {}).get(k, ZERO))
+        rhs.append(-targets.get(t, {}).get(k, ZERO) * d)
     solution = solve_linear(rows, rhs, len(slots))
     if solution is None:
         return False, None

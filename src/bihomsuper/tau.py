@@ -164,11 +164,11 @@ def _tau_expansion(space: SuperSpace, pairs: dict, scalars) -> dict:
 def bracket_annihilating_forms(A: BiHomLieSuperalgebra) -> list[LinearForm]:
     """Basis of the space of forms killing all brackets and the odd part.
 
-    Convenience for fixture hunting: the annihilation condition is the only
-    linear one among the induction conditions, so its solution space can be
-    computed exactly.  The returned forms still need the other two conditions
-    checked before inducing.  The rows are the bracket's nonzero images on
-    basis pairs and one unit row per odd index.
+    Convenience for fixture hunting: the annihilation condition is linear in
+    tau, so its solution space is computed exactly.  Twist-proportionality is
+    linear in tau too but is not imposed here; it and beta-symmetry, which is
+    not linear, must still be checked before inducing.  The rows are the
+    bracket's nonzero images on basis pairs and one unit row per odd index.
     """
     ident = GradedMap.identity(A.space)
     rows = list(A.bracket.contract([ident, ident]).values())

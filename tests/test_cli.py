@@ -409,6 +409,33 @@ def test_malformed_value_with_a_long_digit_run_is_not_a_rational_number(value, t
 
 
 @pytest.mark.skipif(not LIMIT, reason="this Python has no integer string conversion limit")
+def test_plain_decimal_past_the_digit_limit_is_refused_at_its_field(tmp_path, capsys):
+    """Each run of digits is under the limit but not the two together, and there is no exponent."""
+    value = "1" * (LIMIT * 7 // 10) + "." + "1" * (LIMIT * 7 // 10)
+    message = f"{value!r} has more than {LIMIT} digits, beyond the integer string conversion limit"
+    with pytest.raises(ValueError) as exc:
+        as_scalar(value)
+    assert str(exc.value) == message
+    assert run(["check-rb", DATA / "ternary_basic.json", "--map", "N", f"--weight={value}"]) == 2
+    assert capsys.readouterr().err == f"input error: --weight: {message}\n"
+    for path in ("scalars.lambda", "maps.alpha.matrix[0][0]", "bracket3[0]"):
+        tree = json.loads((DATA / "ternary_basic.json").read_text())
+        *keys, last = _LONG_FIELDS[path]
+        node = tree
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(DocumentError) as err:
+            parse_document(json.dumps(tree))
+        assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+        doc = tmp_path / "long.json"
+        doc.write_text(json.dumps(tree))
+        for argv in (["verify", doc], ["derivations", doc], ["check-rb", doc, "--map", "N"]):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == f"input error: {path}: {message}\n", (path, argv)
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python has no integer string conversion limit")
 @pytest.mark.parametrize("command", ["check-rb", "rb-bracket"])
 @pytest.mark.parametrize("source", ["--weight", "scalars.lambda"])
 def test_unprintable_report_names_the_weight_and_the_limit(command, source, tmp_path, capsys):

@@ -4,23 +4,29 @@
 join ``algebras._composition_sum`` and the twist commutator ``core.commutator``
 sum ints over one common denominator and make one Fraction per reported
 coefficient; the derivation solvers read ``core.commutator_terms`` as int rows,
-one denominator per twist.  These properties draw tensors whose entries have
-denominators 1, 2, 3 and 7, slot, outer and twisting maps with denominators 4,
-5 and 9, and term coefficients 1/2 and -2/3, so that the terms of one sum have
-different denominators and the first is seldom their lcm.  Each asserts that
-both verdicts occur.  In a copy of the source they catch: the rescale to the
-common denominator dropped, the outer map's denominator ignored, the first
-term's denominator used for every term, and in the commutator either map's
-denominator dropped, one map's used for both and the sign of m X flipped.
+one denominator per twist, and ``derivations._linearise`` gives the Leibniz
+rows as ints over one denominator d per system.  These properties draw tensors
+whose entries have denominators 1, 2, 3 and 7, slot, outer and twisting maps
+with denominators 4, 5 and 9, and term coefficients 1/2 and -2/3, so that the
+terms of one sum have different denominators and the first is seldom their
+lcm.  Each asserts that both verdicts occur.  In a copy of the source they
+catch: the rescale to the common denominator dropped, the outer map's
+denominator ignored, the first term's denominator used for every term; in the
+commutator either map's denominator dropped, one map's used for both and the
+sign of m X flipped; in the Leibniz rows the rescale to d dropped, the first
+term's denominator used for every term, d taken from the tensor alone, and a
+quasiderivation's right-hand side not multiplied by d.
 """
 
 import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bihomsuper import (
+    BiHomLieSuperalgebra,
     DeformationPair,
     DerivationQuery,
     GradedMap,
@@ -28,6 +34,7 @@ from bihomsuper import (
     StructureTensor2,
     StructureTensor3,
     SuperSpace,
+    ThreeBiHomLieSuperalgebra,
     check_2cocycle,
     check_deformation,
     commute,
@@ -48,6 +55,7 @@ from bihomsuper import (
     verify_multiplicativity2,
     verify_multiplicativity3,
 )
+from bihomsuper import derivations
 from bihomsuper.core import commutator, contraction_sum, dense
 from bihomsuper.rota_baxter import _weighted_terms
 
@@ -369,3 +377,71 @@ def test_solver_rows_match_dense_oracles_with_denominators():
                         assert (witness.parity, list(oracles.matvec(rows, values))) == (parity, rhs), (A, s, r, D)
                     verdicts.add(ok)
     assert seen == {False, True} and verdicts == {False, True}, (seen, verdicts)
+
+
+def _commuting_twists(space, data):
+    """Two even twists with entries from MAP_VALUES that commute: both diagonal, or a random map and a
+    polynomial in it."""
+    if data.draw(st.booleans()):
+        return [GradedMap.diagonal(space, [data.draw(st.sampled_from(MAP_VALUES)) for _ in space.indices()])
+                for _ in range(2)]
+    alpha = _map(space, data)
+    return [alpha, _polynomial(alpha, data)]
+
+
+def test_linearised_rows_match_dense_rows_with_denominators():
+    """The solvers' Leibniz rows, in ints over their denominator d, row by row against the dense
+    constraint matrices, and the quasiderivation right-hand sides against the dense ones times d.
+
+    Tensors of arity 2 and 3 have entries from TENSOR_VALUES (denominators 2,
+    3 and 7); the twists commute, have entries from MAP_VALUES (denominators
+    4, 5 and 9) and are diagonal in some draws and not in others; (s, r) runs
+    over {0, 1, 2}^2 and the parity over both.  Every Leibniz row (t, k)
+    divided by d equals the dense row of (t, k), so rows absent from the
+    sparse system are zero there.  The candidate D is a combination, with
+    coefficients from MAP_VALUES, of the dense commutant's basis; the rows and
+    right-hand sides handed to ``solve_linear`` are recorded.  Trivial and
+    nontrivial derivation kernels both occur.
+    """
+    kernels = set()
+
+    @PROPERTY
+    @given(st.data())
+    def prop(data):
+        space, arity = data.draw(st.sampled_from(SPACES)), data.draw(st.sampled_from([2, 3]))
+        w, (alpha, beta) = _tensor(space, arity, data), _commuting_twists(space, data)
+        A = (ThreeBiHomLieSuperalgebra if arity == 3 else BiHomLieSuperalgebra)(space, w, alpha, beta)
+        s, r, parity = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)), data.draw(st.sampled_from([0, 1]))
+        dim, args = space.dim, (space.parities, _matrix(alpha), _matrix(beta), w.as_dict())
+        keys = [(t, k) for t in itertools.product(range(dim), repeat=arity) for k in range(dim)]
+        build = oracles.derivation_constraint_matrix_3 if arity == 3 else oracles.derivation_constraint_matrix_2
+        expected, ncols = build(*args, s, r, parity)
+        slots, index_of, commuting = derivations._commuting_system(A, parity)
+        unknown = derivations._UNKNOWN
+
+        def over_d(rows, d):
+            return [[F(rows.get(key, {}).get(pos, 0), d) for pos in range(ncols)] for key in keys]
+
+        rows, d, rest = derivations._linearise(derivations._leibniz_terms(A, unknown, unknown, s, r, parity), index_of)
+        assert rest == [] and all(type(c) is int for row in rows.values() for c in row.values())
+        assert over_d(rows, d) == expected[2 * dim * dim:], (A, s, r, parity)
+        kernels.add(oracles.nullity(expected, ncols) > 0)
+
+        companion, _ = oracles.companion_system(*args, arity, parity)
+        commutant = oracles.nullspace(companion[: 2 * dim * dim], len(slots))
+        coefficients = [data.draw(st.sampled_from(MAP_VALUES)) for _ in commutant]
+        values = [sum((c * v[j] for c, v in zip(coefficients, commutant)), F(0)) for j in range(len(slots))]
+        D = derivations._slots_to_map(space, parity, slots, values)
+        rhs = dict(zip(keys, oracles.companion_rhs(*args, arity, s, r, _matrix(D), parity)[2 * dim * dim:]))
+        rows, d, _ = derivations._linearise(derivations._leibniz_terms(A, unknown, D, s, r, parity), index_of)
+        assert over_d(rows, d) == companion[2 * dim * dim:], (A, D, s, r)
+        decide = is_quasiderivation_3 if arity == 3 else is_quasiderivation_2
+        with mock.patch.object(derivations, "solve_linear", wraps=derivations.solve_linear) as solve:
+            decide(A, D, s, r)
+        system, scaled, _ = solve.call_args.args
+        order = sorted(rows.keys() | {key for key, b in rhs.items() if b})
+        assert system == commuting + [rows.get(key, {}) for key in order], (A, D, s, r)
+        assert scaled == [0] * len(commuting) + [rhs[key] * d for key in order], (A, D, s, r)
+
+    prop()
+    assert kernels == {False, True}, kernels
