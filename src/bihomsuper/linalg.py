@@ -10,11 +10,11 @@ the manner of Markowitz; the other rows are cross-multiplied against it and
 divided by their content, so they stay primitive integer rows.  The pivot
 columns found in natural order depend only on the row space, so the kernel
 basis (free coordinate 1), the solution with zero free variables and the
-inverse do not depend on which rows were chosen as pivots.  Divisions in the
-back-substitution are exact.  Kernel bases, particular solutions and matrix
-inverses (elimination of [A | I]) all come from this pass.  These routines
-back the derivation-space and quasiderivation solvers, the annihilating forms
-of :mod:`bihomsuper.tau` and :meth:`GradedMap.inverse`.
+inverse do not depend on which rows were chosen as pivots.  Back-substitution
+stays in ints over one common denominator.  Kernel bases, particular solutions
+and matrix inverses (elimination of [A | I]) all come from this pass.  These
+routines back the derivation-space and quasiderivation solvers, the
+annihilating forms of :mod:`bihomsuper.tau` and :meth:`GradedMap.inverse`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ _Echelon = list[tuple[int, dict[int, int]]]  # (pivot column, integer row) by pi
 
 def _entries(row: Row, ncols: int) -> list[tuple[int, Fraction | int]]:
     """The (column, coefficient) pairs of a dense or mapping row over ``ncols`` columns, exact values as given."""
-    if isinstance(row, Mapping):
+    if type(row) is dict or isinstance(row, Mapping):
         for j in row:
             if not (isinstance(j, int) and 0 <= j < ncols):
                 raise ValueError(f"column {j!r} outside range({ncols})")
@@ -50,12 +50,13 @@ def _primitive(pairs) -> tuple[tuple[int, int], ...]:
     pairs = sorted((j, c) for j, c in pairs if c)
     if not pairs:
         return ()
-    scale = lcm(*(c.denominator for _, c in pairs))  # ints have denominator 1
-    ints = [(j, c.numerator * (scale // c.denominator)) for j, c in pairs]
-    g = gcd(*(c for _, c in ints))
-    if ints[0][1] < 0:
+    if any(type(c) is not int for _, c in pairs):
+        scale = lcm(*(c.denominator for _, c in pairs))
+        pairs = [(j, c.numerator * (scale // c.denominator)) for j, c in pairs]
+    g = gcd(*(c for _, c in pairs))
+    if pairs[0][1] < 0:
         g = -g
-    return tuple((j, c // g) for j, c in ints)
+    return tuple((j, c // g) for j, c in pairs)
 
 
 def _echelon(rows: Iterable[list[tuple[int, Fraction]]], width: int) -> _Echelon:
@@ -91,18 +92,24 @@ def _echelon(rows: Iterable[list[tuple[int, Fraction]]], width: int) -> _Echelon
     return echelon
 
 
-def _back_substitute(echelon: _Echelon, sol: list[Fraction], rhs: int | None = None) -> Vector:
+def _back_substitute(echelon: _Echelon, sol: list[int], rhs: int | None = None) -> Vector:
     """Fill the pivot coordinates of ``sol`` so every echelon row holds.
 
     Row r reads sum_j row[j] sol[j] = row[rhs] (0 when ``rhs`` is None or the
     row has no entry there) over the unknown columns 0..len(sol)-1; the free
-    coordinates already in ``sol`` stay as given.
+    coordinates already in ``sol`` stay as given.  ``sol`` holds int numerators
+    over one denominator, 1 on entry; when a pivot p does not divide its sum s,
+    all numerators and the denominator are multiplied by p / gcd(s, p).
     """
-    n = len(sol)
+    n, den = len(sol), 1
     for c, row in reversed(echelon):
-        acc = sum((v * sol[j] for j, v in row.items() if c < j < n and sol[j]), ZERO)
-        sol[c] = (row.get(rhs, 0) - acc) / row[c]
-    return tuple(sol)
+        s = row.get(rhs, 0) * den - sum(v * sol[j] for j, v in row.items() if c < j < n and sol[j])
+        p = row[c]
+        if s % p:
+            k = p // gcd(s, p)
+            sol, den, s = [x * k for x in sol], den * k, s * k
+        sol[c] = s // p
+    return tuple(Fraction(x, den) if x else ZERO for x in sol)
 
 
 def kernel_basis(rows: Sequence[Row], ncols: int) -> list[Vector]:
@@ -118,8 +125,8 @@ def kernel_basis(rows: Sequence[Row], ncols: int) -> list[Vector]:
     pivot_set = {c for c, _ in echelon}
     basis: list[Vector] = []
     for free in (c for c in range(ncols) if c not in pivot_set):
-        sol = [ZERO] * ncols
-        sol[free] = ONE
+        sol = [0] * ncols
+        sol[free] = 1
         basis.append(_back_substitute(echelon, sol))
     return basis
 
@@ -137,7 +144,7 @@ def solve_linear(rows: Sequence[Row], rhs: Sequence[object], ncols: int) -> Vect
     echelon = _echelon(augmented, ncols + 1)
     if echelon and echelon[-1][0] == ncols:
         return None  # a pivot in the RHS column certifies inconsistency
-    return _back_substitute(echelon, [ZERO] * ncols, ncols)
+    return _back_substitute(echelon, [0] * ncols, ncols)
 
 
 def invert_matrix(matrix: Matrix) -> Matrix | None:
@@ -153,5 +160,5 @@ def invert_matrix(matrix: Matrix) -> Matrix | None:
     echelon = _echelon(augmented, 2 * n)
     if [c for c, _ in echelon] != list(range(n)):
         return None
-    columns = [_back_substitute(echelon, [ZERO] * n, n + j) for j in range(n)]
+    columns = [_back_substitute(echelon, [0] * n, n + j) for j in range(n)]
     return tuple(zip(*columns)) if n else ()

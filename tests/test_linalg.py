@@ -1,6 +1,7 @@
 """Sparse fraction-free elimination against an independent dense oracle."""
 
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -246,3 +247,54 @@ def test_ragged_dense_row_is_refused():
         kernel_basis([[1, 0, 0], [1, 0]], 3)
     with pytest.raises(ValueError, match="ragged"):
         solve_linear([[1, 0, 0, 2]], [1], 3)
+
+
+# Upper-triangular primitive rows whose pivots 2, 3, 5 divide none of the sums
+# met in back-substitution, so each pivot scales up the coordinates filled before it.
+CHAIN = [[2, 1, 1, 0], [0, 3, 1, 1], [0, 0, 5, 1]]
+CHAIN_KERNEL = [(F(7, 30), F(-4, 15), F(-1, 5), F(1))]
+CHAIN_SOLUTION = (F(4, 15), F(4, 15), F(1, 5))  # of the first three columns = (1, 1, 1)
+CHAIN_INVERSE = ((F(1, 2), F(-1, 6), F(-1, 15)), (F(0), F(1, 3), F(-1, 15)), (F(0), F(0), F(1, 5)))
+
+
+def test_kernel_basis_rescales_the_coordinates_it_has_filled():
+    assert kernel_basis(CHAIN, 4) == CHAIN_KERNEL
+    assert kernel_basis([[3, 1, 0, 0], [0, 2, 1, 1]], 4) == [
+        (F(1, 6), F(-1, 2), F(1), F(0)), (F(1, 6), F(-1, 2), F(0), F(1))]
+
+
+def test_solve_linear_rescales_the_coordinates_it_has_filled():
+    assert solve_linear([row[:3] for row in CHAIN], [1, 1, 1], 3) == CHAIN_SOLUTION
+    assert solve_linear([[3, 1, 0], [0, 2, 1]], [1, 1], 3) == (F(1, 6), F(1, 2), F(0))
+
+
+def test_invert_matrix_rescales_the_coordinates_it_has_filled():
+    assert invert_matrix([row[:3] for row in CHAIN]) == CHAIN_INVERSE
+    assert invert_matrix([[3, 1], [0, 2]]) == ((F(1, 3), F(-1, 6)), (F(0), F(1, 2)))
+
+
+def given_four_ways(rows):
+    """Int dicts (the fast paths), dense Fractions, a non-dict mapping and dicts mixing ints and Fractions."""
+    return [
+        [{j: c for j, c in enumerate(row) if c} for row in rows],
+        [[F(c) for c in row] for row in rows],
+        [MappingProxyType(dict(enumerate(row))) for row in rows],
+        [{j: c if j % 2 else F(c) for j, c in enumerate(row)} for row in rows],
+    ]
+
+
+def test_int_mapping_and_fraction_rows_give_the_same_results():
+    rows = CHAIN + [[4, 5, 3, 1], [0, 0, 0, 0]]  # twice the first row plus the second, and a zero row
+    square = [row[:3] for row in rows]
+    kernels = [kernel_basis(form, 4) for form in given_four_ways(rows)]
+    solutions = [solve_linear(form, [1, 1, 1, 3, 0], 3) for form in given_four_ways(square)]
+    # invert_matrix takes dense rows: ints, Fractions, and ints beside Fractions
+    inverses = [invert_matrix(form) for form in (
+        square[:3], [[F(c) for c in row] for row in square[:3]],
+        [[c if j % 2 else F(c) for j, c in enumerate(row)] for row in square[:3]])]
+    assert kernels == [CHAIN_KERNEL] * 4
+    assert solutions == [CHAIN_SOLUTION] * 4
+    assert inverses == [CHAIN_INVERSE] * 3
+    # the answers to int rows are Fractions too
+    for vector in kernels[0] + [solutions[0]] + list(inverses[0]):
+        assert all(type(x) is F for x in vector)
