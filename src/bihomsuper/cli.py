@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 from fractions import Fraction
-from math import factorial, log10
+from math import factorial, gcd, log10
 
 from . import algebras, deformations, derivations, documents, rota_baxter, tau
 from .algebras import VerificationReport
@@ -132,28 +132,27 @@ def _require_printable(what: str, maps) -> None:
     limit = int_digit_limit()
     if not limit:
         return
-    bound = 10 ** limit
-    bits = bound.bit_length()  # a shorter integer is below the bound
     for m in maps:
-        d, rows, _ = m._integral  # each reduced numerator divides its numerator over d, each denominator d
-        if d.bit_length() < bits and all(n.bit_length() < bits for row in rows for _, n in row):
-            continue
-        for row in m.matrix:
-            for c in row:
-                if any(n.bit_length() >= bits and abs(n) >= bound for n in (c.numerator, c.denominator)):
+        for column in m._cols:
+            for _, n in column:  # the entry n / d, printed reduced by gcd(n, d); below 8^limit is below 10^limit
+                x = max(abs(n), m._d)
+                if x.bit_length() > 3 * limit and x // gcd(n, m._d) >= 10 ** limit:
                     raise ValueError(_UNPRINTABLE_POWERS.format(what, limit))
 
 
-def _abs_det(matrix) -> Fraction:
-    """|det matrix|, by exact elimination; a first column without a nonzero entry makes it 0."""
-    rows, det = matrix, Fraction(1)
-    while rows and det:
-        p = next((p for p, row in enumerate(rows) if row[0]), 0)
-        pivot = rows[p]
-        det *= abs(pivot[0])
-        rows = [[x - row[0] / pivot[0] * y for x, y in zip(row[1:], pivot[1:])] if row[0] else row[1:]
-                for q, row in enumerate(rows) if q != p]
-    return det
+def _abs_det(m: GradedMap) -> Fraction:
+    """|det m| = |det N| / d^n for m = N / d, by fraction-free (Bareiss) elimination of the int matrix N:
+    after step c the entries below and right of the pivots are minors of N, so each division is exact."""
+    rows, previous = m._int_rows(), 1
+    for c in range(len(rows)):
+        p = next((p for p in range(c, len(rows)) if rows[p][c]), None)
+        if p is None:
+            return Fraction(0)
+        rows[c], rows[p] = rows[p], rows[c]
+        for row in rows[c + 1:]:
+            row[c + 1:] = [(rows[c][c] * x - row[c] * y) // previous for x, y in zip(row[c + 1:], rows[c][c + 1:])]
+        previous = rows[c][c]
+    return Fraction(abs(previous), m._d ** len(rows))
 
 
 def _algebra3_doc(A: algebras.ThreeBiHomLieSuperalgebra, metadata: str) -> dict:
@@ -247,7 +246,7 @@ class _Context:
             if power < 0:
                 raise ValueError(f"{option}: twist powers must be non-negative, got {power}")
         what, limit, n = f"alpha^{s} beta^{r}", int_digit_limit(), A.dim
-        dets = [(power, _abs_det(m.matrix)) for power, m in ((s, A.alpha), (r, A.beta)) if power]
+        dets = [(power, _abs_det(m)) for power, m in ((s, A.alpha), (r, A.beta)) if power]
         if limit and all(d for _, d in dets):  # a singular twist decides nothing
             exact = Fraction if max(s, r) >> 1000 else float  # a float times a power past 2^1000 overflows
             logs = [(p * exact(log10(d.numerator)), p * exact(log10(d.denominator))) for p, d in dets]

@@ -1,10 +1,11 @@
 """Exact Z2-graded linear algebra: spaces, homogeneous maps, sparse brackets.
 
 Scalars are :class:`fractions.Fraction` at every boundary, so every identity
-check is an exact yes/no question with no tolerances; the contraction kernels
-sum ints over one common denominator.  Basis elements carry a parity (0 =
-even, 1 = odd); all sign bookkeeping uses the Koszul convention, where
-transposing two odd symbols introduces a factor -1.
+check is an exact yes/no question with no tolerances.  Inside, a map stores
+only its nonzero entries, as int columns over one denominator, and the
+contraction kernels sum ints over one common denominator.  Basis elements
+carry a parity (0 = even, 1 = odd); all sign bookkeeping uses the Koszul
+convention, where transposing two odd symbols introduces a factor -1.
 
 All container types here are immutable after construction and safe to share
 between threads.
@@ -220,7 +221,7 @@ class SuperSpace:
 
     @cached_property
     def _identity(self) -> "GradedMap":  # shared by GradedMap.identity
-        return GradedMap(self, tuple(tuple(ONE if k == i else ZERO for i in self.indices()) for k in self.indices()))
+        return GradedMap._of(self, EVEN, [[(i, 1)] for i in self.indices()], 1)
 
     def check_vector(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.dim:
@@ -241,50 +242,88 @@ def vec_parity(space: SuperSpace, v: Vector) -> int | None:
     return None
 
 
-def _freeze_matrix(space: SuperSpace, rows: Iterable[Iterable[object]]) -> Matrix:
+def _sparse_columns(space: SuperSpace, rows: Iterable[Iterable[object]]) -> list[list[tuple[int, Fraction]]]:
+    """The nonzero entries (k, c) of each column of a dim x dim matrix given by its rows, k ascending."""
     frozen = tuple(tuple(c if type(c) is Fraction else as_scalar(c) for c in row) for row in rows)
     if len(frozen) != space.dim or any(len(r) != space.dim for r in frozen):
         raise DimensionError(f"expected a {space.dim}x{space.dim} matrix")
-    return frozen
+    return [[(k, row[i]) for k, row in enumerate(frozen) if row[i]] for i in space.indices()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class GradedMap:
-    """A homogeneous linear endomorphism stored as a dense exact matrix.
+    """A homogeneous linear endomorphism, stored as int sparse columns over one denominator.
 
     ``matrix[k][i]`` is the coefficient of ``e_k`` in the image of ``e_i``
     (columns are images of basis elements).  A map of parity ``p`` may only
     send a basis element of parity ``q`` into components of parity ``q + p``.
+    The stored form is ``_cols[i]``, the pairs (k, n) with n / d = matrix[k][i] != 0,
+    k ascending, over the least common denominator d = ``_d``: equal maps store,
+    compare and hash equal forms.  ``matrix`` is the Fraction view, built on first read.
     """
 
     space: SuperSpace
-    matrix: Matrix
-    parity: int = EVEN
+    parity: int
+    _d: int
+    _cols: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.parity not in (EVEN, ODD):
-            raise ParityError(f"map parity must be 0 or 1, got {self.parity}")
-        object.__setattr__(self, "matrix", _freeze_matrix(self.space, self.matrix))
-        parities = self.space.parities
-        columns: list[list[tuple[int, Fraction]]] = [[] for _ in parities]
-        for k, row in enumerate(self.matrix):
-            for i, c in enumerate(row):
-                if c:
-                    if parities[k] != (parities[i] + self.parity) % 2:
-                        raise ParityError(
-                            f"entry ({k},{i}) violates the grading of a parity-{self.parity} map"
-                        )
-                    columns[i].append((k, c))
-        # _columns[i] lists the nonzero (k, c = matrix[k][i]); every product below walks only these.
-        object.__setattr__(self, "_columns", tuple(tuple(col) for col in columns))
+    def __init__(self, space: SuperSpace, matrix: Matrix, parity: int = EVEN):
+        if parity not in (EVEN, ODD):
+            raise ParityError(f"map parity must be 0 or 1, got {parity}")
+        self._store(space, parity, _sparse_columns(space, matrix), None)
+
+    @classmethod
+    def _of(cls, space: SuperSpace, parity: int, columns, d: int | None = None) -> "GradedMap":
+        """The map whose column i holds n / d at row k for the pairs (k, n) of ``columns[i]``, k ascending.
+
+        The n are ints over ``d`` > 0, or Fractions when ``d`` is None.  Zeros
+        are dropped, d is reduced and the grading is checked, as for a matrix.
+        """
+        m = cls.__new__(cls)
+        m._store(space, parity, columns, d)
+        return m
+
+    def _store(self, space: SuperSpace, parity: int, columns, d: int | None) -> None:
+        if d is None:  # over the lcm of reduced denominators the numerators have no common factor with d
+            d = lcm(*(c.denominator for column in columns for _, c in column))
+            cols = tuple(tuple([(k, c.numerator * (d // c.denominator)) for k, c in column if c]) for column in columns)
+        else:
+            cols = tuple(tuple([(k, n) for k, n in column if n]) for column in columns)
+            g = gcd(d, *(n for column in cols for _, n in column))
+            if g > 1:
+                d //= g
+                cols = tuple(tuple([(k, n // g) for k, n in column]) for column in cols)
+        P = space.parities
+        bad = [(k, i) for i, column in enumerate(cols) for k, _ in column if P[k] ^ P[i] != parity]
+        if bad:
+            raise ParityError("entry ({},{}) violates the grading of a parity-{} map".format(*min(bad), parity))
+        self.__dict__.update(space=space, parity=parity, _d=d, _cols=cols)
+
+    def __repr__(self):
+        return f"GradedMap(space={self.space!r}, matrix={self.matrix!r}, parity={self.parity!r})"
 
     @cached_property
-    def _integral(self) -> tuple[int, tuple, tuple]:
-        """(d, rows, columns): the nonzero entries by row and by column, as ints over d, their denominators' lcm."""
-        d = lcm(*(c.denominator for column in self._columns for _, c in column))
-        cols = tuple(tuple((k, c.numerator * (d // c.denominator)) for k, c in col) for col in self._columns)
-        rows = tuple(tuple((i, n) for i, col in enumerate(cols) for k, n in col if k == r) for r in range(len(cols)))
-        return d, rows, cols
+    def matrix(self) -> Matrix:
+        """The dense exact matrix, built from the stored form on first read."""
+        d = self._d
+        return tuple(tuple(Fraction(n, d) if n else ZERO for n in row) for row in self._int_rows())
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``_rows[k]`` lists the pairs (i, n) of the stored columns with row k, i ascending."""
+        rows: list[list[tuple[int, int]]] = [[] for _ in self._cols]
+        for i, column in enumerate(self._cols):
+            for k, n in column:
+                rows[k].append((i, n))
+        return tuple(map(tuple, rows))
+
+    def _int_rows(self) -> list[list[int]]:
+        """The dense int matrix N with self = N / d."""
+        rows = [[0] * len(self._cols) for _ in self._cols]
+        for i, column in enumerate(self._cols):
+            for k, n in column:
+                rows[k][i] = n
+        return rows
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "GradedMap":
@@ -300,36 +339,39 @@ class GradedMap:
         diag = [as_scalar(c) for c in entries]
         if len(diag) != space.dim:
             raise DimensionError("diagonal length does not match the space dimension")
-        rows = [
-            [diag[k] if k == i else ZERO for i in space.indices()] for k in space.indices()
-        ]
-        return cls(space, tuple(tuple(r) for r in rows), EVEN)
+        return cls._of(space, EVEN, [[(i, c)] for i, c in enumerate(diag)])
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
+        """The image of v, summed in ints over d times the lcm of v's denominators."""
         vv = self.space.check_vector(v)
-        out = [ZERO] * self.space.dim
-        for x, column in zip(vv, self._columns):
+        den = lcm(*(x.denominator for x in vv))
+        out = [0] * self.space.dim
+        for x, column in zip(vv, self._cols):
             if x:
-                for k, c in column:
-                    out[k] += c * x
-        return tuple(out)
+                a = x.numerator * (den // x.denominator)
+                for k, n in column:
+                    out[k] += a * n
+        d = den * self._d
+        return tuple(Fraction(c, d) if c else ZERO for c in out)
 
     def column(self, i: int) -> Vector:
         """Image of the basis element e_i."""
         if not 0 <= i < self.space.dim:
             raise DimensionError(f"basis index {i} out of range")
-        return tuple(self.matrix[k][i] for k in self.space.indices())
+        return tuple(self.matrix[k][i] for k in self.space.indices())  # walks read one map's columns many times
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self after other (matrix product self @ other)."""
         if self.space != other.space:
             raise DimensionError("composition of maps on different spaces")
-        rows = [[ZERO] * self.space.dim for _ in self.space.indices()]
-        for i, column in enumerate(other._columns):
+        columns = []
+        for column in other._cols:
+            image: dict[int, int] = {}
             for m, b in column:
-                for k, a in self._columns[m]:
-                    rows[k][i] += a * b
-        return GradedMap(self.space, tuple(tuple(r) for r in rows), (self.parity + other.parity) % 2)
+                for k, a in self._cols[m]:
+                    image[k] = image.get(k, 0) + a * b
+            columns.append(sorted(image.items()))
+        return GradedMap._of(self.space, (self.parity + other.parity) % 2, columns, self._d * other._d)
 
     def power(self, exponent: int) -> "GradedMap":
         if exponent < 0:
@@ -345,18 +387,17 @@ class GradedMap:
 
     def scale(self, c: Fraction | int) -> "GradedMap":
         cc = as_scalar(c)
-        rows = tuple(tuple(cc * a for a in row) for row in self.matrix)
-        return GradedMap(self.space, rows, self.parity)
+        columns = [[(k, n * cc.numerator) for k, n in column] for column in self._cols]
+        return GradedMap._of(self.space, self.parity, columns, self._d * cc.denominator)
 
     def add(self, other: "GradedMap") -> "GradedMap":
         if self.space != other.space:
             raise DimensionError("sum of maps on different spaces")
         if self.parity != other.parity:
             raise ParityError("sum of maps of different parities is not homogeneous")
-        rows = tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.matrix, other.matrix)
-        )
-        return GradedMap(self.space, rows, self.parity)
+        d, a, b = lcm(self._d, other._d), self._int_rows(), other._int_rows()
+        f, g, idx = d // self._d, d // other._d, self.space.indices()
+        return GradedMap._of(self.space, self.parity, [[(k, a[k][i] * f + b[k][i] * g) for k in idx] for i in idx], d)
 
     def sub(self, other: "GradedMap") -> "GradedMap":
         return self.add(other.scale(-1))
@@ -368,18 +409,18 @@ class GradedMap:
         return self == GradedMap.identity(self.space)
 
     def is_zero(self) -> bool:
-        return all(all(a == 0 for a in row) for row in self.matrix)
+        return not any(self._cols)
 
     def inverse(self) -> "GradedMap":
         """Exact inverse; raises PreconditionError when singular."""
         from .linalg import invert_matrix
 
-        inv = invert_matrix(self.matrix)
+        inv = invert_matrix(self._int_rows())  # N^-1 = self^-1 / d, for self = N / d
         if inv is None:
             raise PreconditionError("map is singular and has no inverse")
         # An invertible odd map swaps the graded components; its inverse is
         # odd as well, which the constructor checks.
-        return GradedMap(self.space, inv, self.parity)
+        return GradedMap(self.space, [[c * self._d for c in row] for row in inv], self.parity)
 
 
 def commutator_terms(m: GradedMap, r: int, c: int) -> list[tuple[tuple[int, int], int]]:
@@ -389,7 +430,7 @@ def commutator_terms(m: GradedMap, r: int, c: int) -> list[tuple[tuple[int, int]
     the nonzero m[c][i], and -m[k][r] X[r][c] into (k, c) for the nonzero m[k][r].  :func:`commutator`
     evaluates it; the derivation solvers read it, scaled by d_m, as linear rows in the entries of X.
     """
-    return [((r, i), a) for i, a in m._integral[1][c]] + [((k, c), -a) for k, a in m._integral[2][r]]
+    return [((r, i), a) for i, a in m._rows[c]] + [((k, c), -a) for k, a in m._cols[r]]
 
 
 def commutator(X: GradedMap, m: GradedMap) -> dict[tuple[int], dict[int, Fraction]]:
@@ -397,8 +438,8 @@ def commutator(X: GradedMap, m: GradedMap) -> dict[tuple[int], dict[int, Fractio
     summed over d_X d_m, one Fraction per coefficient, entries that cancel in such a column kept as zeros."""
     if X.space != m.space:
         raise DimensionError("maps on different spaces never commute")
-    d, acc = X._integral[0] * m._integral[0], {}
-    for c, column in enumerate(X._integral[2]):
+    d, acc = X._d * m._d, {}
+    for c, column in enumerate(X._cols):
         for r, x in column:
             for (k, i), a in commutator_terms(m, r, c):
                 image = acc.setdefault((i,), {})
@@ -417,16 +458,9 @@ def parity_components(space: SuperSpace, rows: Iterable[Iterable[object]]) -> tu
     Identity checks that depend on a Koszul sign are only defined for
     homogeneous maps, so mixed matrices must be decomposed first.
     """
-    matrix = _freeze_matrix(space, rows)
-
-    def part(parity: int) -> GradedMap:
-        kept = [
-            tuple(c if (space.parity(k) + space.parity(i)) % 2 == parity else ZERO for i, c in enumerate(row))
-            for k, row in enumerate(matrix)
-        ]
-        return GradedMap(space, tuple(kept), parity)
-
-    return part(EVEN), part(ODD)
+    columns, P = _sparse_columns(space, rows), space.parities
+    return tuple(GradedMap._of(space, parity, [[(k, c) for k, c in column if P[k] ^ P[i] == parity]
+                                               for i, column in enumerate(columns)]) for parity in (EVEN, ODD))
 
 
 @dataclass(frozen=True)
@@ -615,13 +649,13 @@ class StructureTensor:
         out: dict[tuple[int, ...], dict[int, int]] = {}
         for key, c in self._integral[1]:
             k = key[-1]
-            for combo in itertools.product(*(m._integral[1][a] for m, a in zip(maps, key))):
+            for combo in itertools.product(*(m._rows[a] for m, a in zip(maps, key))):
                 coeff = c
                 for _, x in combo:
                     coeff *= x
                 image = out.setdefault(tuple(t for t, _ in combo), {})
                 image[k] = image.get(k, 0) + coeff
-        return prod(f._integral[0] for f in (self, *maps)), out
+        return self._integral[0] * prod(m._d for m in maps), out
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -732,10 +766,10 @@ def contraction_sum(terms: Iterable[tuple[object, StructureTensor, Sequence[Grad
     :meth:`StructureTensor.contract`, with coefficients that cancel kept as zeros.
     """
     terms = [(as_scalar(c), w, maps, GradedMap.identity(w.space) if m is None else m) for c, w, maps, m in terms if c]
-    dens = [c.denominator * prod(f._integral[0] for f in (w, *maps, m)) for c, w, maps, m in terms]
+    dens = [c.denominator * w._integral[0] * prod(f._d for f in (*maps, m)) for c, w, maps, m in terms]
     common, acc = lcm(*dens), {}
     for (c, w, maps, outer), d in zip(terms, dens):
-        scale, columns = c.numerator * (common // d), outer._integral[2]
+        scale, columns = c.numerator * (common // d), outer._cols
         for t, image in w._contract_int(maps)[1].items():
             row = acc.setdefault(t, {})
             for i, x in image.items():

@@ -158,8 +158,10 @@ def is_derivation_3(
 
 
 def _slots_to_map(space, parity: int, slots: list[tuple[int, int]], values: Vector) -> GradedMap:
-    entries, idx = dict(zip(slots, values)), space.indices()
-    return GradedMap(space, tuple(tuple(entries.get((k, i), ZERO) for i in idx) for k in idx), parity)
+    columns: list[list[tuple[int, Fraction]]] = [[] for _ in space.indices()]
+    for (k, i), c in zip(slots, values):
+        columns[i].append((k, c))
+    return GradedMap._of(space, parity, columns)
 
 
 def _commuting_system(A, parity: int):

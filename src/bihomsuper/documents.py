@@ -160,8 +160,9 @@ def _tensor_tree(tensor: StructureTensor) -> list:
 
 
 def _map_tree(m: GradedMap) -> dict:
-    """The ``{"parity", "matrix"}`` node of one map, in documents and in reports."""
-    return {"parity": m.parity, "matrix": [[str(c) for c in row] for row in m.matrix]}
+    """The ``{"parity", "matrix"}`` node of one map, in documents and in reports, read from its stored form."""
+    d = m._d
+    return {"parity": m.parity, "matrix": [[str(Fraction(n, d)) if n else "0" for n in row] for row in m._int_rows()]}
 
 
 def _parse_maps(node: object, space: SuperSpace) -> tuple[dict[str, GradedMap], dict[str, LinearForm]]:
@@ -184,13 +185,15 @@ def _parse_maps(node: object, space: SuperSpace) -> tuple[dict[str, GradedMap], 
         _expect(_is_int(parity) and parity in (EVEN, ODD), "parity must be 0 or 1", f"{path}.parity")
         matrix, where = spec.get("matrix"), f"{path}.matrix"
         _expect(isinstance(matrix, list) and len(matrix) == space.dim, f"matrix must have {space.dim} rows", where)
-        rows = []
+        columns: list[list[tuple[int, Fraction]]] = [[] for _ in space.indices()]
         for rnum, row in enumerate(matrix):
             _expect(isinstance(row, list) and len(row) == space.dim,
                     f"matrix rows must have {space.dim} entries", where, rnum)
-            rows.append(tuple(_parse_scalar(c, where, rnum, cnum) for cnum, c in enumerate(row)))
+            for cnum, c in enumerate(row):  # the zeros 0 and "0" are skipped; false and 0.0 are still refused
+                if c != "0" and (c or type(c) is not int):
+                    columns[cnum].append((rnum, _parse_scalar(c, where, rnum, cnum)))
         try:
-            maps[name] = GradedMap(space, tuple(rows), parity)
+            maps[name] = GradedMap._of(space, parity, columns)
         except ParityError as exc:
             raise DocumentError(str(exc), where) from exc
     return maps, forms

@@ -89,8 +89,8 @@ def check_tau_conditions(A: BiHomLieSuperalgebra, tau: LinearForm) -> TauWitness
         add_image(sym, (i, j), {0: a * b})
         add_image(sym, (j, i), {0: a * b}, -1)
     for form, m, sign in ((ta, A.beta, 1), (tb, A.alpha, -1)):
-        for (i, c), (j, column) in itertools.product(form, enumerate(m._columns)):
-            add_image(prop, (i, j), dict(column), sign * c)
+        for (i, c), (j, column) in itertools.product(form, enumerate(m._cols)):
+            add_image(prop, (i, j), dict(column), sign * c / m._d)
     conditions = (("tau-annihilates-brackets", "bracket-annihilation", kill, 1),
                   ("tau-beta-symmetry", "beta-symmetry", sym, 1),
                   ("tau-twist-proportionality", "twist-proportionality", prop, A.dim))

@@ -39,13 +39,18 @@ class Mutant(NamedTuple):
 
 
 LINALG = "tests/test_linalg.py::"
+CORE = "tests/test_core.py::"
+CLI = "tests/test_cli.py::"
+DOCUMENTS = "tests/test_documents.py::"
+DEFORMATIONS = "tests/test_deformations.py::"
 DERIVATIONS = "tests/test_derivations.py::"
 INTEGER = "tests/test_integer_kernels.py::"
 GOLDEN = "tests/test_golden_reports.py::test_machine_report_matches_golden"
 _BACK_SUBSTITUTION_RESCALE = "sol, den, s = [x * k for x in sol], den * k, s * k"
-_COMMUTATOR_DENOMINATOR = "d, acc = X._integral[0] * m._integral[0], {}"
+_COMMUTATOR_DENOMINATOR = "d, acc = X._d * m._d, {}"
 _COMMUTATOR_TESTS = (INTEGER + "test_commutation_matches_dense_products_with_denominators",
                      DERIVATIONS + "test_derivation_reports_match_dense_oracle")
+_STORED_FORM = CORE + "test_stored_form_matches_the_dense_oracle"
 
 MUTANTS = (
     # linalg: fraction-free back-substitution and the int-row fast path of _primitive
@@ -97,13 +102,58 @@ MUTANTS = (
            (INTEGER + "test_solver_rows_match_dense_oracles_with_denominators",)),
     # core: twist commutation summed in ints over d_X d_m
     Mutant("commutator-d_m-dropped", "core.py", _COMMUTATOR_DENOMINATOR,
-           "d, acc = X._integral[0], {}", _COMMUTATOR_TESTS),
+           "d, acc = X._d, {}", _COMMUTATOR_TESTS),
     Mutant("commutator-d_X-dropped", "core.py", _COMMUTATOR_DENOMINATOR,
-           "d, acc = m._integral[0], {}", _COMMUTATOR_TESTS),
+           "d, acc = m._d, {}", _COMMUTATOR_TESTS),
     Mutant("commutator-d_m-for-both", "core.py", _COMMUTATOR_DENOMINATOR,
-           "d, acc = m._integral[0] * m._integral[0], {}", _COMMUTATOR_TESTS),
+           "d, acc = m._d * m._d, {}", _COMMUTATOR_TESTS),
     Mutant("commutator-d_X-for-both", "core.py", _COMMUTATOR_DENOMINATOR,
-           "d, acc = X._integral[0] * X._integral[0], {}", _COMMUTATOR_TESTS),
+           "d, acc = X._d * X._d, {}", _COMMUTATOR_TESTS),
+    Mutant("commutator-m-X-sign-flipped", "core.py",
+           "[((k, c), -a) for k, a in m._cols[r]]", "[((k, c), a) for k, a in m._cols[r]]",
+           _COMMUTATOR_TESTS + (_STORED_FORM,)),
+    # core: the stored form (d, int sparse columns) of a GradedMap is canonical and graded
+    Mutant("stored-denominator-not-reduced", "core.py",
+           "g = gcd(d, *(n for column in cols for _, n in column))", "g = 1",
+           (CORE + "test_equal_maps_store_one_form", _STORED_FORM)),
+    Mutant("stored-zero-entry-kept", "core.py",
+           "cols = tuple(tuple([(k, n) for k, n in column if n]) for column in columns)",
+           "cols = tuple(tuple(column) for column in columns)",
+           (CORE + "test_equal_maps_store_one_form", _STORED_FORM, CORE + "test_inverse_exact_and_singular",
+            DERIVATIONS + "test_supercommutator_basics")),
+    Mutant("stored-grading-not-checked", "core.py",
+           "bad = [(k, i) for i, column in enumerate(cols) for k, _ in column if P[k] ^ P[i] != parity]",
+           "bad = []",
+           (CORE + "test_graded_map_parity_invariant", _STORED_FORM,
+            DOCUMENTS + "test_map_grading_violation_names_its_first_entry_by_rows")),
+    # documents: a map is printed from its stored form, n / d per entry
+    Mutant("map-tree-prints-the-numerator", "documents.py",
+           "str(Fraction(n, d)) if n", "str(n) if n",
+           (_STORED_FORM, GOLDEN + "[derivations__twistable__s2_r1]", GOLDEN + "[twist3__twistable__swapped]")),
+    # cli: |det| of a twist by fraction-free (Bareiss) elimination of its ints over d
+    Mutant("bareiss-division-by-previous-pivot-dropped", "cli.py", "row[c] * y) // previous", "row[c] * y) // 1",
+           (CLI + "test_abs_det_pivots_by_position", CLI + "test_abs_det_matches_fraction_elimination_on_drawn_maps",
+            CLI + "test_abs_det_matches_fraction_elimination[parities3-rows3-0]")),
+    Mutant("bareiss-row-swap-dropped", "cli.py", "rows[c], rows[p] = rows[p], rows[c]", "pass",
+           (CLI + "test_abs_det_matches_fraction_elimination_on_drawn_maps",
+            CLI + "test_abs_det_matches_fraction_elimination[parities3-rows3-0]")),
+    Mutant("abs-det-denominator-ignored", "cli.py", "Fraction(abs(previous), m._d ** len(rows))",
+           "Fraction(abs(previous))",
+           (CLI + "test_abs_det_pivots_by_position", CLI + "test_abs_det_matches_fraction_elimination_on_drawn_maps",
+            CLI + "test_abs_det_matches_fraction_elimination[parities4-rows4-1]")),
+    # derivations: the Koszul sign of the maps that D moves past
+    Mutant("leibniz-koszul-sign-dropped", "derivations.py", "[signed] * p + [D]", "[M] * p + [D]",
+           (INTEGER + "test_linearised_rows_match_dense_rows_with_denominators",
+            DERIVATIONS + "test_derivation_reports_match_dense_oracle",
+            DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle",
+            DERIVATIONS + "test_solver_bases_match_dense_oracle_on_perturbed_algebras",
+            DERIVATIONS + "test_binary_solver_matches_dense_oracle")),
+    # deformations: the order of one composition term's basis tuple
+    Mutant("composition-term-order-swapped", "deformations.py", "(1, (0, 1, 3, 2, 4),", "(1, (0, 1, 2, 3, 4),",
+           (INTEGER + "test_composition_sums_match_dense_oracles",
+            DEFORMATIONS + "test_deformation_reports_match_dense_oracle",
+            DEFORMATIONS + "test_table_path_matches_direct_composition",
+            GOLDEN + "[deformation-check__twistable]")),
 )
 
 

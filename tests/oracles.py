@@ -59,6 +59,28 @@ def nullspace(rows, ncols):
     return basis
 
 
+def abs_det(rows):
+    """|det rows| by Gaussian elimination over Fractions."""
+    m, det = [[Fraction(c) for c in row] for row in rows], ONE
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            return ZERO
+        m[c], m[pivot] = m[pivot], m[c]
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return abs(det)
+
+
+def inverse(matrix):
+    """The inverse of a square matrix by Gauss-Jordan on [A | I], or None when A is singular."""
+    n = len(matrix)
+    m, pivots = rref([list(row) + list(unit_vec(n, k)) for k, row in enumerate(matrix)])
+    return [row[n:] for row in m] if pivots[:n] == list(range(n)) else None
+
+
 def nullity(rows, ncols):
     return len(nullspace(rows, ncols))
 

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,10 +14,12 @@ from pathlib import Path
 import pytest
 
 import corpus
+import oracles
 from bihomsuper import (
     DocumentError,
     GradedMap,
     PreconditionError,
+    SuperSpace,
     ThreeBiHomLieSuperalgebra,
     TwistError,
     VerificationReport,
@@ -592,19 +595,19 @@ def test_one_job_builds_each_twist_power_and_identity_once(command, monkeypatch,
     solve and by every re-check; each space has one identity map."""
     doc = load_document(GOLDEN_DOCS / "twistable.json")
     powered, identities = [], {}
-    power, post_init = GradedMap.power, GradedMap.__post_init__
+    power, store = GradedMap.power, GradedMap._store
 
     def counted_power(self, exponent):
         powered.append((self.matrix, exponent))
         return power(self, exponent)
 
-    def counted_post_init(self):
-        post_init(self)
+    def counted_store(self, *args):  # every map, from the public or the private constructor
+        store(self, *args)
         if self.matrix == tuple(tuple(int(k == i) for i in self.space.indices()) for k in self.space.indices()):
             identities[id(self.space)] = identities.get(id(self.space), 0) + 1
 
     monkeypatch.setattr(GradedMap, "power", counted_power)
-    monkeypatch.setattr(GradedMap, "__post_init__", counted_post_init)
+    monkeypatch.setattr(GradedMap, "_store", counted_store)
     assert run([command, GOLDEN_DOCS / "twistable.json", "--s", "1", "--r", "1", "--format", "machine"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "pass"
@@ -892,8 +895,40 @@ def test_each_hypothesis_is_checked_once_per_job(command, name, code, counts, mo
 def test_abs_det_pivots_by_position():
     # rows that are one tuple object are still two rows: (r, r) is singular
     r = (F(1), F(0))
-    assert cli._abs_det((r, r)) == 0
-    assert cli._abs_det(((F(3), F(0), F(0)), (F(0), F(1, 3), F(0)), (F(0), F(0), F(1)))) == 1
+    assert cli._abs_det(GradedMap(SuperSpace((0, 0)), (r, r))) == 0
+    assert cli._abs_det(GradedMap(SuperSpace((0, 0, 0)), ((F(3), F(0), F(0)), (F(0), F(1, 3), F(0)),
+                                                          (F(0), F(0), F(1))))) == 1
+
+
+@pytest.mark.parametrize("parities, rows, parity", [
+    ((0, 0, 0), [[1, 2, 3], [F(1, 2), F(-1, 3), 0], [F(3, 2), F(5, 3), 3]], 0),  # row 3 = row 1 + row 2
+    ((0, 0, 0), [[F(2, 3), F(1, 5), 0], [F(2, 3), F(1, 5), 0], [0, F(7, 4), 1]], 0),  # two equal rows
+    ((0, 0, 0), [[0, F(1, 2), 1], [0, F(3, 4), F(-1, 6)], [0, 0, 5]], 0),  # a zero column
+    ((0, 0, 0), [[0, F(1, 2), 1], [F(3, 4), 0, F(-1, 6)], [F(1, 9), 2, 0]], 0),  # a zero pivot in place
+    ((0, 1), [[0, F(2, 3)], [F(-5, 7), 0]], 1),
+    ((0, 0, 1, 1), [[0, 0, F(1, 2), 3], [0, 0, F(-2, 5), 1], [F(4, 9), 1, 0, 0], [F(1, 3), F(3, 4), 0, 0]], 1),
+    ((0, 1, 1), [[0, F(1, 2), 1], [0, 0, 0], [F(2, 3), 0, 0]], 1),  # odd and singular
+])
+def test_abs_det_matches_fraction_elimination(parities, rows, parity):
+    m = GradedMap(SuperSpace(parities), tuple(map(tuple, rows)), parity)
+    assert cli._abs_det(m) == oracles.abs_det(rows)
+
+
+def test_abs_det_matches_fraction_elimination_on_drawn_maps():
+    """Even and odd maps of dims 1-4 with entries over denominators 1-6, half of them zeros,
+    so that shared and dependent rows and zero pivots all occur."""
+    rng, dets = random.Random(5), set()
+    for _ in range(300):
+        parities = tuple(rng.randrange(2) for _ in range(rng.randint(1, 4)))
+        parity = rng.randrange(2)
+        rows = [[F(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.5 and p ^ q == parity else F(0)
+                 for q in parities] for p in parities]
+        if len(rows) > 1 and parities[-1] == parities[0] and rng.random() < 0.2:
+            rows[-1] = list(rows[0])  # a shared row
+        det = oracles.abs_det(rows)
+        assert cli._abs_det(GradedMap(SuperSpace(parities), tuple(map(tuple, rows)), parity)) == det, rows
+        dets.add(det == 0)
+    assert dets == {False, True}
 
 
 def test_document_scalars_and_built_objects_are_not_coerced_again(monkeypatch, capsys):

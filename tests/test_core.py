@@ -1,6 +1,8 @@
 """Core graded linear algebra: scalars, spaces, maps, tensors, signs."""
 
 import itertools
+import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -12,14 +14,19 @@ from bihomsuper import (
     GradedMap,
     LinearForm,
     ParityError,
+    PreconditionError,
     StructureTensor2,
     StructureTensor3,
     SuperSpace,
     WedgePair,
     commute,
     parity_components,
+    parse_document,
 )
-from bihomsuper.core import StructureTensor, basis_vector, ksign, vec_parity, vec_scale
+from bihomsuper import documents
+from bihomsuper.core import StructureTensor, basis_vector, commutator, dense, ksign, vec_parity, vec_scale
+
+import oracles
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10)
 
@@ -299,6 +306,98 @@ def test_sparse_apply_and_compose_match_dense_products(even, odd, v):
                 assert product.column(i) == dense_apply(m, other.column(i))
     with pytest.raises(ValueError):
         even.apply(["half", 0, 0, 0])  # entries are still read through as_scalar
+
+
+def test_equal_maps_store_one_form():
+    """Maps equal as matrices are equal and hash alike however they were built: the stored
+    denominator is reduced, and entries that cancel are dropped."""
+    sp = SuperSpace((0, 0, 1))
+    half = GradedMap.diagonal(sp, [F(1, 2), F(3, 2), F(-1, 2)])
+    assert half.scale(2) == GradedMap.diagonal(sp, [1, 3, -1])
+    assert half.scale(F(2, 3)).scale(F(3, 2)) == half and hash(half.scale(4).scale(F(1, 4))) == hash(half)
+    assert half.compose(half.inverse()).is_identity()
+    assert half.sub(half).is_zero() and half.sub(half) == GradedMap.zero(sp)
+    assert half.add(GradedMap.identity(sp).scale(F(-1, 2))).column(0) == (F(0),) * 3
+
+
+STORED_VALUES = [F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4), F(5, 6), F(2, 9)]
+STORED_SPACES = [SuperSpace((0, 1, 0, 1)), SuperSpace((0, 0, 1)), SuperSpace((1, 1, 0)), SuperSpace((0, 0))]
+
+
+def _drawn_rows(data, space, parity, violate):
+    """Entries from STORED_VALUES (denominators 1, 2, 4, 6, 9) at the positions a map of
+    ``parity`` allows, and with ``violate`` one nonzero entry at a forbidden position too."""
+    P = space.parities
+    rows = [[data.draw(st.sampled_from(STORED_VALUES)) if P[k] ^ P[i] == parity else F(0)
+             for i in space.indices()] for k in space.indices()]
+    forbidden = [(k, i) for k in space.indices() for i in space.indices() if P[k] ^ P[i] != parity]
+    if violate and forbidden:
+        k, i = data.draw(st.sampled_from(forbidden))
+        rows[k][i] = data.draw(st.sampled_from(STORED_VALUES[3:]))
+    return rows
+
+
+def test_stored_form_matches_the_dense_oracle():
+    """The stored form (d, int sparse columns) against dense Fraction matrices.
+
+    Maps of both parities with mixed denominators round-trip through
+    ``matrix`` and the document text; equality and hash agree with dense
+    equality, also for one map built by two paths (a document, scale there and
+    back, a sum that cancels); ``apply``, ``compose``, ``add``, ``scale``,
+    ``inverse`` and ``commutator`` agree with ``tests/oracles.py``.  A matrix
+    that breaks the grading is refused, naming its first such entry row by
+    row.  Accepted and refused, equal and unequal, invertible and singular all occur.
+    """
+    seen = {"graded": set(), "equal": set(), "invertible": set()}
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def prop(data):
+        space = data.draw(st.sampled_from(STORED_SPACES))
+        P, parity = space.parities, data.draw(st.sampled_from([0, 1]))
+        rows = _drawn_rows(data, space, parity, data.draw(st.booleans()))
+        bad = [(k, i) for k in space.indices() for i in space.indices() if rows[k][i] and P[k] ^ P[i] != parity]
+        seen["graded"].add(not bad)
+        if bad:
+            message = "entry ({},{}) violates the grading of a parity-{} map".format(*min(bad), parity)
+            with pytest.raises(ParityError, match=rf"^{re.escape(message)}$"):
+                GradedMap(space, tuple(map(tuple, rows)), parity)
+            return
+        m = GradedMap(space, tuple(map(tuple, rows)), parity)
+        assert m.matrix == tuple(map(tuple, rows)) and all(type(c) is F for row in m.matrix for c in row)
+        tree = {"parity": parity, "matrix": [[str(c) for c in row] for row in rows]}
+        assert documents._map_tree(m) == tree
+        text = json.dumps({"format": "bihom-algebra/1", "space": {"dim": space.dim, "parities": list(P)},
+                           "maps": {"m": tree}})
+        c = data.draw(st.sampled_from(STORED_VALUES[4:]))
+        other_rows = _drawn_rows(data, space, parity, False)
+        other = GradedMap(space, tuple(map(tuple, other_rows)), parity)
+        for twin in (parse_document(text).maps["m"], m.scale(c).scale(1 / c), m.add(other).sub(other)):
+            assert twin == m and hash(twin) == hash(m) and twin.matrix == m.matrix
+        assert (m == other) == (rows == other_rows) and (m == other) <= (hash(m) == hash(other))
+        seen["equal"].add(m == other)
+
+        v = [data.draw(st.sampled_from(STORED_VALUES)) for _ in space.indices()]
+        assert m.apply(v) == oracles.matvec(rows, v)
+        total = [[a + b for a, b in zip(p, q)] for p, q in zip(rows, other_rows)]
+        assert [list(row) for row in m.add(other).matrix] == total
+        assert [list(row) for row in m.scale(c).matrix] == [[c * a for a in row] for row in rows]
+        odd_rows = _drawn_rows(data, space, 1 - parity, False)
+        for second in (other_rows, odd_rows):
+            X = GradedMap(space, tuple(map(tuple, second)), parity if second is other_rows else 1 - parity)
+            assert [list(row) for row in m.compose(X).matrix] == oracles._compose(rows, second)
+            got = [(where, dense(image, space.dim)) for where, image in sorted(commutator(m, X).items())]
+            assert got == [(where, col) for where, col in oracles.commutator_columns(rows, second) if any(col)]
+        expected = oracles.inverse(rows)
+        seen["invertible"].add(expected is not None)
+        if expected is None:
+            with pytest.raises(PreconditionError):
+                m.inverse()
+        else:
+            assert [list(row) for row in m.inverse().matrix] == expected and m.inverse().parity == parity
+
+    prop()
+    assert seen == {key: {False, True} for key in seen}, seen
 
 
 def test_tensor_arity_is_read_from_keys():

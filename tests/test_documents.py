@@ -1,6 +1,7 @@
 """Document parsing, canonical serialization, and round trips."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from bihomsuper import (
     DocumentError,
     GradedMap,
     LinearForm,
+    ParityError,
     StructureTensor2,
     SuperSpace,
     parse_document,
@@ -47,6 +49,19 @@ def test_parity_violation_rejected_with_path():
     with pytest.raises(DocumentError) as err:
         parse_document(text)
     assert "bracket2" in str(err.value)
+
+
+def test_map_grading_violation_names_its_first_entry_by_rows():
+    """Entries (0,1) and (1,0) both break the grading; the refusal names (0,1), the first
+    row by row, whether the map comes from a document or from the public constructor."""
+    text = json.dumps({"format": "bihom-algebra/1", "space": {"dim": 2, "parities": [0, 1]},
+                       "maps": {"alpha": {"matrix": [["1", "2"], ["3", "1"]]}}})
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    message = "entry (0,1) violates the grading of a parity-0 map"
+    assert (str(err.value), err.value.path) == (f"maps.alpha.matrix: {message}", "maps.alpha.matrix")
+    with pytest.raises(ParityError, match=rf"^{re.escape(message)}$"):
+        GradedMap(SuperSpace((0, 1)), ((1, 2), (3, 1)))
 
 
 def test_bad_rational_and_bad_reference():
@@ -226,6 +241,26 @@ def _agrees_with_as_scalar(raw):
 ])
 def test_scalar_edge_cases_read_as_as_scalar_reads_them(raw):
     _agrees_with_as_scalar(raw)
+
+
+@pytest.mark.parametrize("raw, expected", [
+    (False, "expected a rational, got a boolean"),
+    (0.0, "expected a rational string, got float"),
+    ("0/0", "not a rational number: '0/0'"),
+    ("0.0", F(0)), ("-0", F(0)), ("00", F(0)), ("0/5", F(0)), ("0", F(0)), (0, F(0)),
+])
+def test_zero_like_map_entries_keep_their_value_or_refusal(raw, expected):
+    """Only the document zeros 0 and "0" skip the scalar parser.  false and 0.0 equal 0 in
+    Python, yet are refused at their field path; every other zero reads as the zero entry."""
+    path = "maps.alpha.matrix[2][1]"
+    if isinstance(expected, str):
+        with pytest.raises(DocumentError) as err:
+            parse_document(_holding(raw, path))
+        assert (str(err.value), err.value.path) == (f"{path}: {expected}", path)
+        return
+    alpha = parse_document(_holding(raw, path)).maps["alpha"]
+    assert alpha.matrix[2][1] == expected and type(alpha.matrix[2][1]) is F
+    assert alpha == GradedMap.identity(alpha.space) and hash(alpha) == hash(GradedMap.identity(alpha.space))
 
 
 @given(st.one_of(
