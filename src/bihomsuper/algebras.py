@@ -135,6 +135,10 @@ class _TwistedAlgebra:
     def _powers(self) -> dict[tuple[int, int, int], GradedMap]:
         return {}  # alpha^s beta^r and its signed form by (s, r, parity), built by derivations._twist
 
+    @cached_property
+    def _leibniz(self) -> dict[tuple[int, int, int], list]:
+        return {}  # the contracted Leibniz terms by (s, r, parity), built by derivations._contractions
+
 
 class BiHomLieSuperalgebra(_TwistedAlgebra):
     """A graded space with an even bilinear bracket (:class:`StructureTensor2`)

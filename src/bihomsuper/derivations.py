@@ -11,13 +11,14 @@ The two-slot analogue for binary brackets drops the last insertion.
 
 The rule is written once, as contraction terms (:func:`_leibniz_terms`): D
 after the bracket minus, per slot, the bracket contracted against (M, ..., D,
-..., M), the maps before D carrying its Koszul signs.  Two evaluators read it.
-:func:`bihomsuper.core.contraction_sum` evaluates it on every basis tuple at
-once for the verifiers, at a cost that follows the nonzeros rather than
+..., M), the maps before D carrying its Koszul signs.  :func:`_contractions`
+contracts them once per algebra and (s, r, parity), the identity in place of
+D.  :func:`_residual` pushes known maps through them for the verifiers, on
+every basis tuple at once at a cost that follows the nonzeros rather than
 dim ** arity; reports list the failing tuples in lexicographic order and count
-every tuple, as a walk over all of them would.  :func:`_linearise` reads the
-same terms in ints, with the unknown map in place of D (derivation spaces) or
-of the outer map (companions): the solvers' int rows, one denominator a system.
+every tuple, as a walk over all of them would.  :func:`_linearise` reads them
+with the unknown map in place of D (derivation spaces) or of the outer map
+(companions): the solvers' int rows, one denominator a system.
 Commutation with the twists is read from :func:`bihomsuper.core.commutator_terms`
 the same way: evaluated for the verifiers' ``commutes-with-*`` rules and
 linearised into the solvers' first int rows.  Each solved basis map and each
@@ -55,7 +56,6 @@ from .core import (
     TheoremContradictionError,
     Vector,
     commutator_terms,
-    contraction_sum,
     ksign,
 )
 from .linalg import kernel_basis, solve_linear
@@ -117,28 +117,31 @@ def _twist(A, s: int, r: int, parity: int = EVEN) -> GradedMap:
     return A._powers[s, r, parity]
 
 
-def _leibniz_terms(A, X, D, s: int, r: int, parity: int) -> list:
+_UNKNOWN = object()  # the varying map in the terms of _leibniz_terms
+
+
+def _leibniz_terms(A, s: int, r: int, parity: int) -> list:
     """X([x_1, ..., x_n]) - sum_p sign_p [M x_1, ..., D x_p, ..., M x_n] as contraction terms.
 
     In slot p the bracket is contracted against (M', ..., M', D, M, ..., M):
     M = alpha^s beta^r, and M' = M S^parity, S the parity operator e_i |-> (-1)^{|e_i|} e_i,
     puts the Koszul sign (-1)^{|D| (|x_1| + ... + |x_{p-1}|)} into the arguments
-    D moves past, so ``parity`` is |D|.  X or D may be :data:`_UNKNOWN`.
+    D moves past, so ``parity`` is |D|.  X and D are the varying map :data:`_UNKNOWN`.
     """
     n = A.bracket.arity
     M, signed = _twist(A, s, r), _twist(A, s, r, parity)
-    terms = [(1, A.bracket, [GradedMap.identity(A.space)] * n, X)]
-    terms += [(-1, A.bracket, [signed] * p + [D] + [M] * (n - 1 - p), None) for p in range(n)]
+    terms = [(1, A.bracket, [GradedMap.identity(A.space)] * n, _UNKNOWN)]
+    terms += [(-1, A.bracket, [signed] * p + [_UNKNOWN] + [M] * (n - 1 - p), None) for p in range(n)]
     return terms
 
 
 def _is_derivation(A, D: GradedMap, s: int, r: int, identity: str, fail_fast: bool) -> VerificationReport:
-    """Commutation with the twists, then the Leibniz rule; under fail-fast a failing
-    commutation is reported whole and ends the report."""
+    """Commutation with the twists, then the Leibniz rule, D pushed through :func:`_contractions` by
+    :func:`_residual`; under fail-fast a failing commutation is reported whole and ends the report."""
     blocks = _commutation_blocks(A, D)
     if fail_fast and any(found for _, _, found in blocks):
         return _report(identity, A.space.dim, blocks, False)
-    leibniz = contraction_sum(_leibniz_terms(A, D, D, s, r, D.parity))
+    leibniz = _residual(A, D, D, s, r)
     blocks.append(_rules_block(A.bracket.arity, [("leibniz", leibniz)], A.space.dim))
     return _report(identity, A.space.dim, blocks, fail_fast)
 
@@ -185,53 +188,69 @@ def _commuting_system(A, parity: int):
     return slots, index_of, rows
 
 
-_UNKNOWN = object()  # the unknown map in a term list read by _linearise
+def _contractions(A, s: int, r: int, parity: int) -> list:
+    """Per term of :func:`_leibniz_terms`, (coeff, p, *``_contract_int``) with the identity in place of
+    the varying map, p its slot or None for the outer map; built once per algebra and (s, r, parity)."""
+    key = s, r, parity
+    if key not in A._leibniz:
+        A._leibniz[key] = [(coeff, None if outer is _UNKNOWN else maps.index(_UNKNOWN),
+                            *tensor._contract_int([GradedMap.identity(A.space) if m is _UNKNOWN else m for m in maps]))
+                           for coeff, tensor, maps, outer in _leibniz_terms(A, s, r, parity)]
+    return A._leibniz[key]
 
 
-def _linearise(terms, index_of: dict[tuple[int, int], int]):
-    """The terms' sum as int rows over the entries of the unknown map X, their denominator d, and the terms without X.
+def _residual(A, X: GradedMap | None, D: GradedMap, s: int, r: int) -> dict:
+    """The Leibniz terms with X outside (None leaves that term out) and D in the slots, as {t: {k: c}}:
+    each map pushed through :func:`_contractions` on every basis tuple at once."""
+    pushed = [(coeff, p, images, f, d_term * f._d) for coeff, p, d_term, images in _contractions(A, s, r, D.parity)
+              for f in [X if p is None else D] if f is not None]
+    common, acc = lcm(*(d for *_, d in pushed)), {}
+    for coeff, p, images, f, d in pushed:
+        scale = coeff * (common // d)
+        for t, image in images.items():
+            if p is None:  # image component m goes to X's column m
+                moves = [(t, scale, [(k, c * n) for m, c in image.items() for k, n in f._cols[m]])]
+            else:  # the image at t goes to each tuple with i in slot p, times D[t_p][i] from D's row t_p
+                moves = [(t[:p] + (i,) + t[p + 1:], scale * n, image.items()) for i, n in f._rows[t[p]]]
+            for u, x, moved in moves:
+                row = acc.setdefault(u, {})
+                for k, c in moved:
+                    row[k] = row.get(k, 0) + x * c
+    return {t: {k: Fraction(c, common) for k, c in row.items()} for t, row in acc.items()}
 
-    ``index_of`` numbers the parity-allowed positions (k, i) of X; row (t, k)
-    holds d times the coefficient of e_k on the basis tuple t, d the lcm of the
-    denominators of coeff / d_term over the terms with X (d_term from ``_contract_int``).
-    With X as outer map, image component m at t lands on the unknown (k, m).
-    With X in slot p, the term is contracted once with the identity there; its
-    image at t' lands on the unknown (t'_p, i) in the row of the tuple with i in slot p.
+
+def _linearise(entries, index_of: dict[tuple[int, int], int]):
+    """The sum of ``entries`` from :func:`_contractions` as int rows over the entries of the unknown map X,
+    and their denominator d, the lcm of the denominators of coeff / d_term.
+
+    ``index_of`` numbers the parity-allowed positions (k, i) of X; row (t, k) holds d times the
+    coefficient of e_k on the basis tuple t.  With X as outer map, image component m at t lands on the
+    unknown (k, m); with X in slot p, the image at t' lands on (t'_p, i) in the row of t' with i in slot p.
     """
     by_column: dict[int, list] = {}
     by_row: dict[int, list] = {}
     for (k, i), pos in index_of.items():
         by_column.setdefault(i, []).append((k, pos))
         by_row.setdefault(k, []).append((i, pos))
-    linear, rest = [], []
-    for coeff, tensor, maps, outer in terms:
-        if outer is _UNKNOWN:
-            d_term, images = tensor._contract_int(maps)
-            found = [(t, k, pos, c) for t, image in images.items()
-                     for m, c in image.items() for k, pos in by_column.get(m, ())]
-        elif _UNKNOWN in maps:
-            p = maps.index(_UNKNOWN)
-            d_term, images = tensor._contract_int(maps[:p] + [GradedMap.identity(tensor.space)] + maps[p + 1:])
-            found = [(t[:p] + (i,) + t[p + 1:], k, pos, c) for t, image in images.items()
-                     for i, pos in by_row.get(t[p], ()) for k, c in image.items()]
-        else:
-            rest.append((coeff, tensor, maps, outer))
-            continue
-        linear.append((Fraction(coeff, d_term), found))
-    d = lcm(*(f.denominator for f, _ in linear))
+    d = lcm(*(Fraction(coeff, d_term).denominator for coeff, _, d_term, _ in entries))
     rows: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
-    for f, found in linear:
+    for coeff, p, d_term, images in entries:
+        f = Fraction(coeff, d_term)
         scale = f.numerator * (d // f.denominator)
-        for t, k, pos, c in found:
-            row = rows.setdefault((t, k), {})
-            row[pos] = row.get(pos, 0) + scale * c
-    return rows, d, rest
+        for t, image in images.items():
+            found = ([(t, k, pos, c) for m, c in image.items() for k, pos in by_column.get(m, ())] if p is None
+                     else [(t[:p] + (i,) + t[p + 1:], k, pos, c) for i, pos in by_row.get(t[p], ())
+                           for k, c in image.items()])
+            for u, k, pos, c in found:
+                row = rows.setdefault((u, k), {})
+                row[pos] = row.get(pos, 0) + scale * c
+    return rows, d
 
 
 def _solve_derivation_space(A, query: DerivationQuery, verify) -> DerivationSpace:
     """Kernel of the commutation and Leibniz rows; ``verify`` re-checks each basis map."""
     slots, index_of, rows = _commuting_system(A, query.parity)
-    leibniz, _, _ = _linearise(_leibniz_terms(A, _UNKNOWN, _UNKNOWN, query.s, query.r, query.parity), index_of)
+    leibniz, _ = _linearise(_contractions(A, query.s, query.r, query.parity), index_of)
     rows += (leibniz[key] for key in sorted(leibniz))
     basis_vectors = kernel_basis(rows, len(slots))
     basis = tuple(_slots_to_map(A.space, query.parity, slots, v) for v in basis_vectors)
@@ -247,8 +266,9 @@ def solve_derivation_space(
 
     Assembles the commutation and Leibniz constraints as one linear system
     over the parity-allowed matrix entries and returns its kernel, reshaped to
-    maps.  Every returned basis element is re-verified against
-    :func:`is_derivation_3`.
+    maps.  Every returned basis element is re-verified on every basis tuple
+    by :func:`is_derivation_3`, which pushes it through the Leibniz
+    contractions that built the rows instead of contracting the bracket again.
     """
     return _solve_derivation_space(A, query, is_derivation_3)
 
@@ -272,9 +292,9 @@ def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMa
     _require_commuting_twists(D, A, "candidate does not commute with the structure maps")
     slots, index_of, rows = _commuting_system(A, D.parity)
     rhs = [ZERO] * len(rows)
-    leibniz, d, known = _linearise(_leibniz_terms(A, _UNKNOWN, D, s, r, D.parity), index_of)
+    leibniz, d = _linearise(_contractions(A, s, r, D.parity)[:1], index_of)  # the outer term, X unknown
     # The residual vanishes: the rows in the companion equal minus the terms in D, both times d.
-    targets = contraction_sum(known)
+    targets = _residual(A, None, D, s, r)
     nonzero = {(t, k) for t, image in targets.items() for k, c in image.items() if c}
     for t, k in sorted(leibniz.keys() | nonzero):
         rows.append(leibniz.get((t, k), {}))
@@ -283,8 +303,8 @@ def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMa
     if solution is None:
         return False, None
     witness = _slots_to_map(A.space, D.parity, slots, solution)
-    # Cross-check by substitution against the contraction-based Leibniz residual.
-    residuals = contraction_sum(_leibniz_terms(A, witness, D, s, r, D.parity))
+    # Cross-check by substitution: the Leibniz residual of the witness and D.
+    residuals = _residual(A, witness, D, s, r)
     if any(any(image.values()) for image in residuals.values()):
         raise TheoremContradictionError("quasiderivation witness failed substitution")
     return True, witness

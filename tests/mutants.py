@@ -93,6 +93,28 @@ MUTANTS = (
            (INTEGER + "test_linearised_rows_match_dense_rows_with_denominators",
             INTEGER + "test_solver_rows_match_dense_oracles_with_denominators",
             DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle")),
+    # derivations: the Leibniz contractions kept per algebra and (s, r, parity), and the maps pushed through them
+    Mutant("leibniz-memo-key-without-parity", "derivations.py", "key = s, r, parity", "key = s, r",
+           (INTEGER + "test_interleaved_queries_read_the_contractions_of_their_own_key",
+            DERIVATIONS + "test_binary_solver_matches_dense_oracle",
+            DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle")),
+    Mutant("leibniz-slot-push-reads-a-column", "derivations.py",
+           "for i, n in f._rows[t[p]]", "for i, n in f._cols[t[p]]",
+           (INTEGER + "test_pushed_leibniz_residuals_match_dense_walk",
+            DERIVATIONS + "test_derivation_reports_match_dense_oracle",
+            DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle",
+            GOLDEN + "[derivations__mixed_parity__s1]")),
+    Mutant("leibniz-outer-term-sign-flipped", "derivations.py", "moves = [(t, scale, ", "moves = [(t, -scale, ",
+           (INTEGER + "test_pushed_leibniz_residuals_match_dense_walk",
+            DERIVATIONS + "test_derivation_reports_match_dense_oracle",
+            DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle",
+            GOLDEN + "[derivations__twistable__s2_r1]",
+            GOLDEN + "[quasiderivation__twistable__map-alpha_s2_r1]")),
+    # derivations: a slot row indexed by the wrong argument is refused by the solver's re-check
+    # (TheoremContradictionError), with no oracle involved
+    Mutant("linearise-slot-indexed-by-the-first-argument", "derivations.py",
+           "by_row.get(t[p], ())", "by_row.get(t[0], ())",
+           (DERIVATIONS + "test_solver_recheck_holds_on_every_corpus_query",)),
     # derivations: the commutation rows read both twists
     Mutant("commutation-rows-alpha-only", "derivations.py",
            "for m in (A.alpha, A.beta):", "for m in (A.alpha,):",
@@ -142,7 +164,7 @@ MUTANTS = (
            (CLI + "test_abs_det_pivots_by_position", CLI + "test_abs_det_matches_fraction_elimination_on_drawn_maps",
             CLI + "test_abs_det_matches_fraction_elimination[parities4-rows4-1]")),
     # derivations: the Koszul sign of the maps that D moves past
-    Mutant("leibniz-koszul-sign-dropped", "derivations.py", "[signed] * p + [D]", "[M] * p + [D]",
+    Mutant("leibniz-koszul-sign-dropped", "derivations.py", "[signed] * p + [_UNKNOWN]", "[M] * p + [_UNKNOWN]",
            (INTEGER + "test_linearised_rows_match_dense_rows_with_denominators",
             DERIVATIONS + "test_derivation_reports_match_dense_oracle",
             DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle",

@@ -618,6 +618,16 @@ def test_solver_recheck_refuses_a_perturbed_basis(solve, algebra, monkeypatch):
         solve(algebra(), DerivationQuery(1, 1))
 
 
+def test_solver_recheck_holds_on_every_corpus_query(binary_corpus, ternary_corpus):
+    """No solve on a corpus algebra raises: every basis map passes the re-check by evaluation on every
+    tuple, for s, r in {0, 1} and both parities.  Rows that let a non-derivation into the kernel fail
+    here through that re-check, independently of any oracle."""
+    for A in [fx.algebra for fx in binary_corpus + ternary_corpus]:
+        solve = solve_derivation_space if A.bracket.arity == 3 else solve_derivation_space_2
+        for s, r, parity in itertools.product((0, 1), (0, 1), (0, 1)):
+            solve(A, DerivationQuery(s, r, parity))
+
+
 def test_quasiderivation_witness_is_checked_by_substitution(monkeypatch):
     doc, A = _twistable()
     assert is_quasiderivation_3(A, doc.map_named("alpha"), 1, 1)[0]

@@ -4,8 +4,10 @@
 join ``algebras._composition_sum`` and the twist commutator ``core.commutator``
 sum ints over one common denominator and make one Fraction per reported
 coefficient; the derivation solvers read ``core.commutator_terms`` as int rows,
-one denominator per twist, and ``derivations._linearise`` gives the Leibniz
-rows as ints over one denominator d per system.  These properties draw tensors
+one denominator per twist, ``derivations._linearise`` gives the Leibniz rows as
+ints over one denominator d per system, and ``derivations._residual`` pushes
+known maps through the Leibniz contractions that the algebra keeps per
+(s, r, parity).  These properties draw tensors
 whose entries have denominators 1, 2, 3 and 7, slot, outer and twisting maps
 with denominators 4, 5 and 9, and term coefficients 1/2 and -2/3, so that the
 terms of one sum have different denominators and the first is seldom their
@@ -15,7 +17,9 @@ denominator ignored, the first term's denominator used for every term; in the
 commutator either map's denominator dropped, one map's used for both and the
 sign of m X flipped; in the Leibniz rows the rescale to d dropped, the first
 term's denominator used for every term, d taken from the tensor alone, and a
-quasiderivation's right-hand side not multiplied by d.
+quasiderivation's right-hand side not multiplied by d; in the pushed residuals
+the memo keyed without the parity, s or r, D's column read in place of its row,
+and the outer term's sign flipped.
 """
 
 import itertools
@@ -417,13 +421,13 @@ def test_linearised_rows_match_dense_rows_with_denominators():
         build = oracles.derivation_constraint_matrix_3 if arity == 3 else oracles.derivation_constraint_matrix_2
         expected, ncols = build(*args, s, r, parity)
         slots, index_of, commuting = derivations._commuting_system(A, parity)
-        unknown = derivations._UNKNOWN
+        contractions = derivations._contractions(A, s, r, parity)
 
         def over_d(rows, d):
             return [[F(rows.get(key, {}).get(pos, 0), d) for pos in range(ncols)] for key in keys]
 
-        rows, d, rest = derivations._linearise(derivations._leibniz_terms(A, unknown, unknown, s, r, parity), index_of)
-        assert rest == [] and all(type(c) is int for row in rows.values() for c in row.values())
+        rows, d = derivations._linearise(contractions, index_of)
+        assert all(type(c) is int for row in rows.values() for c in row.values())
         assert over_d(rows, d) == expected[2 * dim * dim:], (A, s, r, parity)
         kernels.add(oracles.nullity(expected, ncols) > 0)
 
@@ -433,7 +437,7 @@ def test_linearised_rows_match_dense_rows_with_denominators():
         values = [sum((c * v[j] for c, v in zip(coefficients, commutant)), F(0)) for j in range(len(slots))]
         D = derivations._slots_to_map(space, parity, slots, values)
         rhs = dict(zip(keys, oracles.companion_rhs(*args, arity, s, r, _matrix(D), parity)[2 * dim * dim:]))
-        rows, d, _ = derivations._linearise(derivations._leibniz_terms(A, unknown, D, s, r, parity), index_of)
+        rows, d = derivations._linearise([entry for entry in contractions if entry[1] is None], index_of)
         assert over_d(rows, d) == companion[2 * dim * dim:], (A, D, s, r)
         decide = is_quasiderivation_3 if arity == 3 else is_quasiderivation_2
         with mock.patch.object(derivations, "solve_linear", wraps=derivations.solve_linear) as solve:
@@ -445,3 +449,85 @@ def test_linearised_rows_match_dense_rows_with_denominators():
 
     prop()
     assert kernels == {False, True}, kernels
+
+
+def _drawn_twisted_algebra(data):
+    """An algebra of arity 2 or 3 on a super space of SPACES, its tensor from TENSOR_VALUES and its twists
+    from MAP_VALUES: commuting in some draws (:func:`_commuting_twists`), two independent maps in others."""
+    space, arity = data.draw(st.sampled_from(SPACES)), data.draw(st.sampled_from([2, 3]))
+    twists = _commuting_twists(space, data) if data.draw(st.booleans()) else [_map(space, data), _map(space, data)]
+    return (ThreeBiHomLieSuperalgebra if arity == 3 else BiHomLieSuperalgebra)(space, _tensor(space, arity, data),
+                                                                               *twists)
+
+
+def _solved_and_perturbed(A, s, r, parity, data):
+    """The solved basis of the (s, r)-derivations of the parity (the zero map when it is empty), and each
+    map again with one parity-allowed entry shifted by a nonzero value from MAP_VALUES."""
+    solve = solve_derivation_space if A.bracket.arity == 3 else solve_derivation_space_2
+    basis = solve(A, DerivationQuery(s, r, parity)).basis or (GradedMap.zero(A.space, parity),)
+    P, perturbed = A.space.parities, []
+    for D in basis:
+        k, i = data.draw(st.sampled_from([(k, i) for k in A.space.indices() for i in A.space.indices()
+                                          if P[k] ^ P[i] == parity]))
+        rows = _matrix(D)
+        rows[k][i] += data.draw(st.sampled_from([c for c in MAP_VALUES if c]))
+        perturbed.append(GradedMap(A.space, tuple(map(tuple, rows)), parity))
+    return list(basis) + perturbed
+
+
+def _assert_reports_match_dense_walk(A, D, s, r):
+    """``is_derivation_2/3`` with and without fail-fast equal ``oracles.derivation_report``; the verdict."""
+    check = is_derivation_3 if A.bracket.arity == 3 else is_derivation_2
+    args = (A.space.parities, _matrix(A.alpha), _matrix(A.beta), A.bracket.as_dict(), A.bracket.arity)
+    for fail_fast in (False, True):
+        rep = check(A, D, s, r, fail_fast=fail_fast)
+        expected = oracles.derivation_report(*args, s, r, _matrix(D), D.parity, fail_fast)
+        assert _fields(rep) == expected, (A, D, s, r, fail_fast)
+    return rep.passed
+
+
+def test_pushed_leibniz_residuals_match_dense_walk():
+    """The derivation verifiers push D through the Leibniz contractions kept on the algebra
+    (``derivations._residual``); each report equals the dense walk field for field.
+
+    Tensors of arity 2 and 3 have entries from TENSOR_VALUES; the twists have
+    entries from MAP_VALUES and commute in some draws and not in others; s, r
+    run over {0, 1, 2} and the parity over both.  The candidates are the solved
+    basis maps, with and without one perturbed entry.  Both verdicts occur.
+    """
+    verdicts = {2: set(), 3: set()}
+
+    @PROPERTY
+    @given(st.data())
+    def prop(data):
+        A = _drawn_twisted_algebra(data)
+        s, r, parity = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)), data.draw(st.sampled_from([0, 1]))
+        for D in _solved_and_perturbed(A, s, r, parity, data):
+            verdicts[A.bracket.arity].add(_assert_reports_match_dense_walk(A, D, s, r))
+
+    prop()
+    assert verdicts == {2: {False, True}, 3: {False, True}}, verdicts
+
+
+def test_interleaved_queries_read_the_contractions_of_their_own_key():
+    """One algebra keeps its Leibniz contractions per (s, r, parity) across interleaved queries.
+
+    Six queries alternate on one drawn algebra: each shares with an earlier
+    one (s, r) but not the parity, s and the parity but not r, or r and the
+    parity but not s.  After each solve, every candidate solved so far, of
+    either parity, is checked at the current (s, r) against the dense walk,
+    so a memo read under a key missing any of the three shows.
+    """
+    verdicts = set()
+
+    @settings(PROPERTY, max_examples=8)
+    @given(st.data())
+    def prop(data):
+        A, candidates = _drawn_twisted_algebra(data), []
+        for s, r, parity in ((1, 2, 0), (1, 2, 1), (2, 2, 1), (2, 1, 1), (2, 1, 0), (1, 2, 0)):
+            candidates += _solved_and_perturbed(A, s, r, parity, data)
+            for D in candidates:
+                verdicts.add(_assert_reports_match_dense_walk(A, D, s, r))
+
+    prop()
+    assert verdicts == {False, True}, verdicts
