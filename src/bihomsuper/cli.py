@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -93,7 +92,7 @@ class RunReport:
         }
 
     def machine_text(self) -> str:
-        return json.dumps(self.to_tree(), indent=2, sort_keys=True) + "\n"
+        return documents._canonical_json(self.to_tree())
 
     def human_text(self) -> str:
         lines = [f"command: {self.command}"]

@@ -508,8 +508,8 @@ class LinearForm:
 
 def _canonical_entries(
     space: SuperSpace, arity: int, entries: Mapping[tuple[int, ...], object]
-) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Validate, drop zeros and sort sparse structure-constant entries."""
+) -> dict[tuple[int, ...], Fraction]:
+    """Validate and sum sparse structure-constant entries, dropping zeros."""
     out: dict[tuple[int, ...], Fraction] = {}
     for raw_key, raw in entries.items():
         if len(raw_key) != arity + 1:
@@ -526,7 +526,7 @@ def _canonical_entries(
         if space.parities[k] != sum(space.parities[a] for a in args) % 2:
             raise ParityError(f"structure constant at {key} violates parity additivity")
         out[key] = out[key] + c if key in out else c
-    return tuple(sorted((k, c) for k, c in out.items() if c != 0))
+    return {k: c for k, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -552,12 +552,21 @@ class StructureTensor:
                 raise DimensionError("the arity of a tensor without entries is unknown")
             arity = len(next(iter(raw))) - 1
             object.__setattr__(self, "arity", arity)
-        entries = _canonical_entries(self.space, arity, raw)
-        object.__setattr__(self, "entries", entries)
+        self._store(self.space, _canonical_entries(self.space, arity, raw))
+
+    @classmethod
+    def _of(cls, space: SuperSpace, entries: dict[tuple[int, ...], Fraction]) -> "StructureTensor":
+        """The tensor of a fixed arity with ``entries``, already validated, summed and free of zeros."""
+        t = cls.__new__(cls)
+        t._store(space, entries)
+        return t
+
+    def _store(self, space: SuperSpace, entries: dict[tuple[int, ...], Fraction]) -> None:
+        entries = tuple(sorted(entries.items()))
         images: dict[tuple[int, ...], list[Fraction]] = {}
         for (*args, k), c in entries:
-            images.setdefault(tuple(args), [ZERO] * self.space.dim)[k] = c  # keys are unique
-        object.__setattr__(self, "_images", {a: tuple(v) for a, v in images.items()})
+            images.setdefault(tuple(args), [ZERO] * space.dim)[k] = c  # keys are unique
+        self.__dict__.update(space=space, entries=entries, _images={a: tuple(v) for a, v in images.items()})
 
     @cached_property
     def _integral(self) -> tuple[int, tuple]:

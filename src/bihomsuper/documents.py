@@ -9,11 +9,12 @@ everything in memory is 0-based.
 Serialization is canonical: rationals are reduced "p/q" strings ("p" when the
 denominator is 1), tensor entries are sorted, keys are sorted, and the dump is
 deterministic, so two documents with the same semantic content serialize to
-identical bytes and parse -> serialize -> parse is the identity.
+identical bytes and parse -> serialize -> parse is the identity.  One writer,
+:func:`_canonical_json`, prints documents, their digests and machine reports.
 
-Plain integers and "p/q" strings are read directly; :func:`as_scalar` is the
-one parser for every other scalar, and the constructors coerce only values
-that are not already Fractions.
+Parsing checks each entry once and builds the stored forms directly: plain
+integers and "p/q" strings become a map's int columns, or Fractions
+elsewhere, and :func:`as_scalar` is the one parser for every other scalar.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import lcm
 
 from .core import (
     EVEN,
@@ -76,7 +79,8 @@ class AlgebraDocument:
 
     def map_named(self, name: str, path: str = "maps") -> GradedMap:
         if name not in self.maps:
-            raise DocumentError(f"map {name!r} is not defined", path)
+            what = "a row, not a matrix" if name in self.forms else "not defined"
+            raise DocumentError(f"map {name!r} is {what}", path)
         return self.maps[name]
 
     def form_named(self, name: str, path: str = "maps") -> LinearForm:
@@ -85,8 +89,9 @@ class AlgebraDocument:
         return self.forms[name]
 
     def structure_maps(self) -> tuple[GradedMap, GradedMap]:
-        """alpha and beta, defaulting to the identity when absent."""
-        return tuple(self.maps.get(name, GradedMap.identity(self.space)) for name in ("alpha", "beta"))
+        """alpha and beta, defaulting to the identity when absent; a row of either name is refused."""
+        return tuple(self.map_named(name, f"maps.{name}") if name in self.forms else
+                     self.maps.get(name, GradedMap.identity(self.space)) for name in ("alpha", "beta"))
 
 
 def _expect(cond: bool, message: str, path: str, *index: int) -> None:
@@ -99,20 +104,25 @@ def _expect(cond: bool, message: str, path: str, *index: int) -> None:
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]{1,600})(?:/([0-9]{1,600}))?")
 
 
-def _parse_scalar(raw: object, path: str, *index: int) -> Fraction:
-    """The rational ``raw`` at the field that ``path`` and ``index`` name, as for :func:`_expect`."""
+def _parse_ratio(raw: object, path: str, *index: int) -> tuple[int, int]:
+    """The rational ``raw`` at the field that ``path`` and ``index`` name, as for :func:`_expect`,
+    as ints (n, q) with q > 0; a JSON integer or a plain "p/q" string is read unreduced."""
     if type(raw) is int:
-        return Fraction(raw)
+        return raw, 1
     match = _PLAIN_RATIONAL.fullmatch(raw) if type(raw) is str else None
     if match and (denominator := int(match[2] or 1)):  # as_scalar words the refusal of a zero one
-        return Fraction(int(match[1]), denominator)
+        return int(match[1]), denominator
     _expect(not isinstance(raw, bool), "expected a rational, got a boolean", path, *index)
     _expect(isinstance(raw, (int, str)), f"expected a rational string, got {type(raw).__name__}", path, *index)
     try:
-        return as_scalar(raw)
+        return as_scalar(raw).as_integer_ratio()
     except ValueError as exc:
         message = str(exc)
     _expect(False, message, path, *index)
+
+
+def _parse_scalar(raw: object, path: str, *index: int) -> Fraction:
+    return Fraction(*_parse_ratio(raw, path, *index))
 
 
 def _is_int(raw: object) -> bool:
@@ -149,10 +159,7 @@ def _parse_tensor(node: object, space: SuperSpace, section: str, kind: type[Stru
             *args, k = key = tuple(t - 1 for t in item[:-1])
             _expect(parities[k] == sum(parities[a] for a in args) % 2, "entry violates parity additivity", section, n)
             entries[key] = entries[key] + c if key in entries else c
-    try:
-        return kind.from_dict(space, entries)
-    except ParityError as exc:  # pragma: no cover - caught entrywise above
-        raise DocumentError(str(exc), section) from exc
+    return kind._of(space, {key: c for key, c in entries.items() if c})
 
 
 def _tensor_tree(tensor: StructureTensor) -> list:
@@ -185,15 +192,16 @@ def _parse_maps(node: object, space: SuperSpace) -> tuple[dict[str, GradedMap], 
         _expect(_is_int(parity) and parity in (EVEN, ODD), "parity must be 0 or 1", f"{path}.parity")
         matrix, where = spec.get("matrix"), f"{path}.matrix"
         _expect(isinstance(matrix, list) and len(matrix) == space.dim, f"matrix must have {space.dim} rows", where)
-        columns: list[list[tuple[int, Fraction]]] = [[] for _ in space.indices()]
+        columns: list[list[tuple[int, int, int]]] = [[] for _ in space.indices()]
         for rnum, row in enumerate(matrix):
             _expect(isinstance(row, list) and len(row) == space.dim,
                     f"matrix rows must have {space.dim} entries", where, rnum)
             for cnum, c in enumerate(row):  # the zeros 0 and "0" are skipped; false and 0.0 are still refused
                 if c != "0" and (c or type(c) is not int):
-                    columns[cnum].append((rnum, _parse_scalar(c, where, rnum, cnum)))
+                    columns[cnum].append((rnum, *_parse_ratio(c, where, rnum, cnum)))
+        d = lcm(*(q for column in columns for _, _, q in column))
         try:
-            maps[name] = GradedMap._of(space, parity, columns)
+            maps[name] = GradedMap._of(space, parity, [[(k, n * (d // q)) for k, n, q in col] for col in columns], d)
         except ParityError as exc:
             raise DocumentError(str(exc), where) from exc
     return maps, forms
@@ -271,9 +279,33 @@ def _document_tree(doc: AlgebraDocument) -> dict:
     return tree
 
 
+def _canonical_json(tree: object) -> str:
+    """The stdlib ``json`` text of ``tree`` at ``indent=2, sort_keys=True``, and a newline, byte for byte, for
+    trees of str-keyed dicts, lists, tuples, str, int, bool and None, without the pure-Python encoder that
+    ``indent`` selects.  Ints print by ``int.__repr__``, which refuses one past the digit limit alike."""
+    return _json_text(tree, "\n") + "\n"
+
+
+def _json_text(node: object, newline: str) -> str:
+    if type(node) is str:
+        return encode_basestring_ascii(node)
+    if type(node) is int:
+        return int.__repr__(node)
+    inner = newline + "  "
+    if isinstance(node, (list, tuple)):
+        items = [encode_basestring_ascii(x) if type(x) is str else _json_text(x, inner) for x in node]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if node else "[]"
+    if isinstance(node, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(node[k], inner)}" for k in sorted(node)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if node else "{}"
+    if node is None or type(node) is bool:
+        return "null" if node is None else "true" if node else "false"
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
 def serialize_document(doc: AlgebraDocument) -> str:
     """Canonical text form; stable under parse -> serialize round trips."""
-    return json.dumps(_document_tree(doc), indent=2, sort_keys=True) + "\n"
+    return _canonical_json(_document_tree(doc))
 
 
 def load_document(path: str) -> AlgebraDocument:

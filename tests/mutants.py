@@ -152,6 +152,22 @@ MUTANTS = (
     Mutant("map-tree-prints-the-numerator", "documents.py",
            "str(Fraction(n, d)) if n", "str(n) if n",
            (_STORED_FORM, GOLDEN + "[derivations__twistable__s2_r1]", GOLDEN + "[twist3__twistable__swapped]")),
+    # documents: one canonical JSON writer for documents, digests and machine reports
+    Mutant("writer-keys-not-sorted", "documents.py", "for k in sorted(node)]", "for k in node]",
+           (DOCUMENTS + "test_canonical_writer_matches_json_dumps",
+            DOCUMENTS + "test_canonical_writer_matches_json_dumps_on_the_golden_files",
+            GOLDEN + "[verify__ternary_basic]")),
+    Mutant("writer-nested-indent-step-wrong", "documents.py", 'inner = newline + "  "', 'inner = newline + " "',
+           (DOCUMENTS + "test_canonical_writer_matches_json_dumps",
+            DOCUMENTS + "test_canonical_writer_matches_json_dumps_on_the_golden_files",
+            GOLDEN + "[derivations__ternary_basic]")),
+    # documents: each entry validated once, at its field path, and read into the stored forms directly
+    Mutant("parser-parity-additivity-dropped", "documents.py",
+           "_expect(parities[k] == sum(parities[a] for a in args) % 2,", "_expect(True,",
+           (DOCUMENTS + "test_parity_violation_rejected_with_path", CLI + "test_input_error_exit_two")),
+    Mutant("int-map-path-drops-a-denominator", "documents.py", "n * (d // q)", "n * d",
+           (DOCUMENTS + "test_scalars_read_as_as_scalar_reads_them",
+            GOLDEN + "[derivations__twistable__s2_r1]", GOLDEN + "[twist3__twistable__swapped]")),
     # cli: |det| of a twist by fraction-free (Bareiss) elimination of its ints over d
     Mutant("bareiss-division-by-previous-pivot-dropped", "cli.py", "row[c] * y) // previous", "row[c] * y) // 1",
            (CLI + "test_abs_det_pivots_by_position", CLI + "test_abs_det_matches_fraction_elimination_on_drawn_maps",

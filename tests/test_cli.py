@@ -490,6 +490,19 @@ def test_input_paths_that_are_not_files_are_input_errors(capsys):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_twist_given_as_a_row_is_an_input_error(name, tmp_path, capsys):
+    """A row under a twist's name is refused at its field, not read as the identity."""
+    tree = json.loads((DATA / "ternary_basic.json").read_text())
+    tree["maps"][name] = {"row": ["1", "0", "0"]}
+    path = tmp_path / "row_twist.json"
+    path.write_text(json.dumps(tree))
+    for command in ("verify", "derivations", "check-rb"):
+        assert run([command, path]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"input error: maps.{name}: map {name!r} is a row, not a matrix\n")
+
+
 def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
     p = tmp_path / "deep.json"
     p.write_text("[" * 100_000)

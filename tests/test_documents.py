@@ -3,11 +3,13 @@
 import json
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import corpus
 from bihomsuper import (
     AlgebraDocument,
     DocumentError,
@@ -15,11 +17,17 @@ from bihomsuper import (
     LinearForm,
     ParityError,
     StructureTensor2,
+    StructureTensor3,
     SuperSpace,
+    core,
+    documents,
     parse_document,
     serialize_document,
 )
 from bihomsuper.core import as_scalar, int_digit_limit
+
+GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent / "data"
 
 
 MINIMAL = """
@@ -270,3 +278,82 @@ def test_zero_like_map_entries_keep_their_value_or_refusal(raw, expected):
 ))
 def test_scalars_read_as_as_scalar_reads_them(raw):
     _agrees_with_as_scalar(raw)
+
+
+def test_map_named_refuses_a_row_by_name():
+    """A row is not a map: asking for one by the name of a row says so, and so does a twist."""
+    text = json.dumps({"format": "bihom-algebra/1", "space": {"dim": 1, "parities": [0]},
+                       "maps": {"beta": {"row": ["1"]}}})
+    doc = parse_document(text)
+    with pytest.raises(DocumentError) as err:
+        doc.map_named("beta")
+    assert str(err.value) == "maps: map 'beta' is a row, not a matrix"
+    with pytest.raises(DocumentError) as err:
+        doc.structure_maps()
+    assert (str(err.value), err.value.path) == ("maps.beta: map 'beta' is a row, not a matrix", "maps.beta")
+
+
+def test_each_tensor_entry_is_validated_once(monkeypatch):
+    """``_parse_tensor`` checks each entry at its field path and stores the tensor directly: the
+    constructor's validation, ``core._canonical_entries``, does not run again on parsed entries.
+    A probe after the parse shows that the hook sees the constructor's calls."""
+    text = (DATA / "ternary_basic.json").read_text(encoding="utf-8")
+    scalars = corpus.count_calls(monkeypatch, documents._parse_scalar)
+    validated = corpus.count_calls(monkeypatch, core._canonical_entries)
+    doc = parse_document(text)
+    entries = json.loads(text)["bracket3"]
+    assert [args[:3] for args in scalars if args[1] == "bracket3"] == [
+        (entry[-1], "bracket3", n) for n, entry in enumerate(entries)]
+    assert validated == []
+    assert StructureTensor3.from_dict(doc.space, doc.bracket3.as_dict()) == doc.bracket3
+    assert len(validated) == 1
+
+
+def _reference_json(tree):
+    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+# Strings with what JSON escapes or spells out: quotes, backslashes, control characters,
+# non-ASCII, the line separators that JavaScript reads as newlines, and lone surrogates.
+_JSON_STRINGS = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\ud800\udfff')),
+                        max_size=6)
+_JSON_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.sampled_from([0, -1, 2 ** 64, -10 ** 40]), _JSON_STRINGS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_JSON_STRINGS, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(_JSON_TREES)
+def test_canonical_writer_matches_json_dumps(tree):
+    assert documents._canonical_json(tree) == _reference_json(tree)
+
+
+@pytest.mark.skipif(not int_digit_limit(), reason="no integer string conversion limit")
+def test_canonical_writer_refuses_an_int_past_the_digit_limit_as_json_dumps_does():
+    big = 10 ** int_digit_limit()  # one digit more than the limit
+    for tree in (big, [-big], {"a": [1, {"b": big}]}):
+        with pytest.raises(ValueError) as expected:
+            _reference_json(tree)
+        with pytest.raises(ValueError) as err:
+            documents._canonical_json(tree)
+        assert str(err.value) == str(expected.value)
+
+
+def test_canonical_writer_matches_json_dumps_on_the_golden_files():
+    """Every golden file, read back and written again, gives the reference bytes; a golden report
+    gives its own bytes, and a golden document does so too after parse and serialize."""
+    paths = sorted(GOLDEN.rglob("*.json"))
+    assert len(paths) > 100
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        trees = [json.loads(text)]
+        if path.parent.name == "docs":
+            doc = parse_document(text)
+            trees.append(documents._document_tree(doc))
+            assert serialize_document(doc) == _reference_json(trees[-1]), path
+        for tree in trees:
+            assert documents._canonical_json(tree) == _reference_json(tree), path
+        if path.parent.name == "reports":
+            assert documents._canonical_json(trees[0]) == text, path
