@@ -127,16 +127,19 @@ _UNPRINTABLE_POWERS = "--s/--r: {} has entries of more than {} digits, beyond th
 
 
 def _require_printable(what: str, maps) -> None:
-    """Refuse maps with an entry of more digits than ``int`` to ``str`` conversion allows."""
+    """Refuse maps with an entry of more digits than ``int`` to ``str`` conversion allows.
+
+    The entry n / d prints reduced by g = gcd(n, d).  With a, b the bit lengths of |n| and d,
+    |n| / g >= |n| / d > 2^(a - b - 1) and d / g > 2^(b - a - 1), so a gap |a - b| past the bit
+    length of 10^limit refuses before any gcd; below 8^limit is below 10^limit.
+    """
     limit = int_digit_limit()
     if not limit:
         return
-    for m in maps:
-        for column in m._cols:
-            for _, n in column:  # the entry n / d, printed reduced by gcd(n, d); below 8^limit is below 10^limit
-                x = max(abs(n), m._d)
-                if x.bit_length() > 3 * limit and x // gcd(n, m._d) >= 10 ** limit:
-                    raise ValueError(_UNPRINTABLE_POWERS.format(what, limit))
+    entries, gap = [(n, m._d) for m in maps for column in m._cols for _, n in column], (10 ** limit).bit_length()
+    if any(abs(abs(n).bit_length() - d.bit_length()) > gap for n, d in entries) or any(
+            (x := max(abs(n), d)).bit_length() > 3 * limit and x // gcd(n, d) >= 10 ** limit for n, d in entries):
+        raise ValueError(_UNPRINTABLE_POWERS.format(what, limit))
 
 
 def _abs_det(m: GradedMap) -> Fraction:

@@ -289,7 +289,8 @@ class GradedMap:
             cols = tuple(tuple([(k, c.numerator * (d // c.denominator)) for k, c in column if c]) for column in columns)
         else:
             cols = tuple(tuple([(k, n) for k, n in column if n]) for column in columns)
-            g = gcd(d, *(n for column in cols for _, n in column))
+            ns = [n for column in cols for _, n in column]
+            g = gcd(min(ns, key=abs, default=d), d, *ns)  # the least first: a gcd of 1 skips the rest
             if g > 1:
                 d //= g
                 cols = tuple(tuple([(k, n // g) for k, n in column]) for column in cols)

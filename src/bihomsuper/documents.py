@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import lcm
+from math import gcd, lcm
 
 from .core import (
     EVEN,
@@ -167,9 +167,12 @@ def _tensor_tree(tensor: StructureTensor) -> list:
 
 
 def _map_tree(m: GradedMap) -> dict:
-    """The ``{"parity", "matrix"}`` node of one map, in documents and in reports, read from its stored form."""
-    d = m._d
-    return {"parity": m.parity, "matrix": [[str(Fraction(n, d)) if n else "0" for n in row] for row in m._int_rows()]}
+    """The ``{"parity", "matrix"}`` node of one map, in documents and reports: n / d prints as str(Fraction(n, d))."""
+    d, matrix = m._d, [["0"] * len(m._cols) for _ in m._cols]
+    for i, column in enumerate(m._cols):
+        for k, n in column:
+            matrix[k][i] = str(n) if d == 1 else str(n // g) if (g := gcd(n, d)) == d else f"{n // g}/{d // g}"
+    return {"parity": m.parity, "matrix": matrix}
 
 
 def _parse_maps(node: object, space: SuperSpace) -> tuple[dict[str, GradedMap], dict[str, LinearForm]]:

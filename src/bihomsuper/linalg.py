@@ -2,28 +2,33 @@
 
 Every routine runs one forward pass and one back-substitution.  A row is a
 dense sequence or a sparse mapping {column: coefficient}.  The forward pass
-first reduces each row to a primitive integer row (denominators cleared,
-divided by the gcd of its entries, first entry positive) and drops zero rows
-and duplicates.  It then visits the columns in natural order and, among the
-rows leading in that column, pivots on the one with the fewest nonzeros, in
-the manner of Markowitz; the other rows are cross-multiplied against it and
-divided by their content, so they stay primitive integer rows.  The pivot
-columns found in natural order depend only on the row space, so the kernel
-basis (free coordinate 1), the solution with zero free variables and the
-inverse do not depend on which rows were chosen as pivots.  Back-substitution
-stays in ints over one common denominator.  Kernel bases, particular solutions
-and matrix inverses (elimination of [A | I]) all come from this pass.  These
-routines back the derivation-space and quasiderivation solvers, the
-annihilating forms of :mod:`bihomsuper.tau` and :meth:`GradedMap.inverse`.
+starts with the singleton-row presolve of Andersen & Andersen (Math. Program.
+71 (1995) 221-245): a row whose one nonzero entry is in column j fixes x_j = 0,
+becomes the pivot row {j: 1} unnormalised, and column j is struck from every
+other row.  It reduces each remaining row to a primitive integer row
+(denominators cleared, divided by the gcd of its entries, first entry
+positive) and drops zero rows and duplicates.  It then visits the columns in
+natural order and, among the rows leading in that column, pivots on the one
+with the fewest nonzeros, in the manner of Markowitz; the other rows are
+cross-multiplied against it and divided by their content, so they stay
+primitive integer rows.  The pivot columns found in natural order depend only
+on the row space, so the kernel basis (free coordinate 1), the solution with
+zero free variables and the inverse do not depend on which rows were chosen as
+pivots, nor on the presolve.  Back-substitution stays in ints over one common
+denominator.  Kernel bases, particular solutions and matrix inverses
+(elimination of [A | I]) all come from this pass.  These routines back the
+derivation-space and quasiderivation solvers, the annihilating forms of
+:mod:`bihomsuper.tau` and :meth:`GradedMap.inverse`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .core import Matrix, Vector, ZERO, ONE, as_scalar
+from .core import Matrix, Vector, ZERO, as_scalar
 
 __all__ = ["kernel_basis", "solve_linear", "invert_matrix"]
 
@@ -31,8 +36,8 @@ Row = Union[Sequence[object], Mapping[int, object]]
 _Echelon = list[tuple[int, dict[int, int]]]  # (pivot column, integer row) by pivot column
 
 
-def _entries(row: Row, ncols: int) -> list[tuple[int, Fraction | int]]:
-    """The (column, coefficient) pairs of a dense or mapping row over ``ncols`` columns, exact values as given."""
+def _entries(row: Row, ncols: int, *tail: tuple[int, object]) -> list[tuple[int, Fraction | int]]:
+    """The nonzero (column, coefficient) pairs of a dense or mapping row over ``ncols`` columns, then of ``tail``."""
     if type(row) is dict or isinstance(row, Mapping):
         for j in row:
             if not (isinstance(j, int) and 0 <= j < ncols):
@@ -42,7 +47,9 @@ def _entries(row: Row, ncols: int) -> list[tuple[int, Fraction | int]]:
         raise ValueError(f"ragged row of length {len(row)}, expected {ncols}")
     else:
         pairs = enumerate(row)
-    return [(j, c if type(c) in (Fraction, int) else as_scalar(c)) for j, c in pairs]
+    if tail:
+        pairs = chain(pairs, tail)
+    return [(j, c) for j, x in pairs if (c := x if type(x) in (Fraction, int) else as_scalar(x))]
 
 
 def _primitive(pairs) -> tuple[tuple[int, int], ...]:
@@ -59,10 +66,12 @@ def _primitive(pairs) -> tuple[tuple[int, int], ...]:
     return tuple((j, c // g) for j, c in pairs)
 
 
-def _echelon(rows: Iterable[list[tuple[int, Fraction]]], width: int) -> _Echelon:
-    """Forward elimination over the columns 0..width-1 in natural order."""
+def _echelon(rows: Iterable[list[tuple[int, Fraction | int]]], width: int) -> _Echelon:
+    """The presolve, then forward elimination over the columns 0..width-1 in natural order."""
+    rows = list(rows)
+    fixed = {pairs[0][0] for pairs in rows if len(pairs) == 1}
     seen: set[tuple[tuple[int, int], ...]] = set()
-    leading: dict[int, list[dict[int, int]]] = {}
+    leading: dict[int, list[dict[int, int]]] = {j: [{j: 1}] for j in fixed}
 
     def add(pairs) -> None:
         key = _primitive(pairs)
@@ -70,8 +79,9 @@ def _echelon(rows: Iterable[list[tuple[int, Fraction]]], width: int) -> _Echelon
             seen.add(key)
             leading.setdefault(key[0][0], []).append(dict(key))
 
-    for row in rows:
-        add(row)
+    for pairs in rows:
+        if len(pairs) > 1:
+            add([(j, c) for j, c in pairs if j not in fixed])
     echelon: _Echelon = []
     for c in range(width):
         candidates = leading.pop(c, None)
@@ -97,12 +107,15 @@ def _back_substitute(echelon: _Echelon, sol: list[int], rhs: int | None = None) 
 
     Row r reads sum_j row[j] sol[j] = row[rhs] (0 when ``rhs`` is None or the
     row has no entry there) over the unknown columns 0..len(sol)-1; the free
-    coordinates already in ``sol`` stay as given.  ``sol`` holds int numerators
+    coordinates already in ``sol`` stay as given, and the pivot coordinates are
+    0 on entry, so a row with one entry is skipped.  ``sol`` holds int numerators
     over one denominator, 1 on entry; when a pivot p does not divide its sum s,
     all numerators and the denominator are multiplied by p / gcd(s, p).
     """
     n, den = len(sol), 1
     for c, row in reversed(echelon):
+        if len(row) == 1:
+            continue
         s = row.get(rhs, 0) * den - sum(v * sol[j] for j, v in row.items() if c < j < n and sol[j])
         p = row[c]
         if s % p:
@@ -140,7 +153,7 @@ def solve_linear(rows: Sequence[Row], rhs: Sequence[object], ncols: int) -> Vect
     """
     if len(rows) != len(rhs):
         raise ValueError("number of rows and right-hand sides differ")
-    augmented = (_entries(row, ncols) + [(ncols, as_scalar(b))] for row, b in zip(rows, rhs))
+    augmented = (_entries(row, ncols, (ncols, b)) for row, b in zip(rows, rhs))
     echelon = _echelon(augmented, ncols + 1)
     if echelon and echelon[-1][0] == ncols:
         return None  # a pivot in the RHS column certifies inconsistency
@@ -156,7 +169,7 @@ def invert_matrix(matrix: Matrix) -> Matrix | None:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    augmented = (_entries(row, n) + [(n + i, ONE)] for i, row in enumerate(matrix))
+    augmented = (_entries(row, n, (n + i, 1)) for i, row in enumerate(matrix))
     echelon = _echelon(augmented, 2 * n)
     if [c for c, _ in echelon] != list(range(n)):
         return None

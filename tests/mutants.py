@@ -46,6 +46,11 @@ DEFORMATIONS = "tests/test_deformations.py::"
 DERIVATIONS = "tests/test_derivations.py::"
 INTEGER = "tests/test_integer_kernels.py::"
 GOLDEN = "tests/test_golden_reports.py::test_machine_report_matches_golden"
+ORACLES = "tests/test_operator_oracles.py::"
+ALGEBRAS = "tests/test_algebras.py::"
+TAU = "tests/test_tau.py::"
+ROTA_BAXTER = "tests/test_rota_baxter.py::"
+_LONG_POWER_REFUSAL = CLI + "test_power_with_long_and_short_entries_is_refused_without_long_gcds"
 _BACK_SUBSTITUTION_RESCALE = "sol, den, s = [x * k for x in sol], den * k, s * k"
 _COMMUTATOR_DENOMINATOR = "d, acc = X._d * m._d, {}"
 _COMMUTATOR_TESTS = (INTEGER + "test_commutation_matches_dense_products_with_denominators",
@@ -74,11 +79,29 @@ MUTANTS = (
             GOLDEN + "[quasiderivation__twistable__map-alpha_s2_r1]")),
     Mutant("primitive-int-path-for-a-fraction-row", "linalg.py",
            "if any(type(c) is not int for _, c in pairs):", "if all(type(c) is not int for _, c in pairs):",
-           (LINALG + "test_solve_linear_consistent_and_inconsistent",
-            LINALG + "test_solve_linear_rescales_the_coordinates_it_has_filled",
-            LINALG + "test_invert_matrix_rescales_the_coordinates_it_has_filled",
+           (LINALG + "test_invert_matrix_roundtrip_and_singular",
+            LINALG + "test_invert_matrix_equals_the_rref_inverse_including_singular_matrices",
+            LINALG + "test_presolved_rows_give_the_rref_answers",
             LINALG + "test_int_mapping_and_fraction_rows_give_the_same_results",
             DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle",
+            GOLDEN + "[quasiderivation__ternary_basic__map-R]")),
+    # linalg: the presolve makes a one-entry row the pivot {j: 1} and strikes column j from the other rows
+    Mutant("presolve-fixed-column-not-a-pivot", "linalg.py", "= {j: [{j: 1}] for j in fixed}", "= {}",
+           (LINALG + "test_presolved_rows_give_the_rref_answers",
+            LINALG + "test_kernel_basis_equals_the_rref_nullspace_on_respread_rows",
+            DERIVATIONS + "test_solver_bases_match_dense_oracle_on_perturbed_algebras",
+            GOLDEN + "[derivations__ternary_basic]")),
+    Mutant("presolve-two-entry-row-fixes-its-first-column", "linalg.py",
+           "for pairs in rows if len(pairs) == 1}", "for pairs in rows if len(pairs) in (1, 2)}",
+           (LINALG + "test_presolved_rows_give_the_rref_answers",
+            LINALG + "test_solve_linear_equals_the_rref_solution_on_respread_systems",
+            LINALG + "test_invert_matrix_equals_the_rref_inverse_including_singular_matrices",
+            DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle",
+            GOLDEN + "[rb-inverse-derivation__ternary_basic]")),
+    Mutant("back-substitution-skips-a-two-entry-row", "linalg.py", "if len(row) == 1:", "if len(row) <= 2:",
+           (LINALG + "test_presolved_rows_give_the_rref_answers",
+            LINALG + "test_kernel_basis_equals_the_rref_nullspace_on_respread_rows",
+            DERIVATIONS + "test_derivation_reports_match_dense_oracle",
             GOLDEN + "[quasiderivation__ternary_basic__map-R]")),
     # derivations: the Leibniz rows over one denominator per system
     Mutant("leibniz-rows-rescale-dropped", "derivations.py",
@@ -136,7 +159,7 @@ MUTANTS = (
            _COMMUTATOR_TESTS + (_STORED_FORM,)),
     # core: the stored form (d, int sparse columns) of a GradedMap is canonical and graded
     Mutant("stored-denominator-not-reduced", "core.py",
-           "g = gcd(d, *(n for column in cols for _, n in column))", "g = 1",
+           "g = gcd(min(ns, key=abs, default=d), d, *ns)", "g = 1",
            (CORE + "test_equal_maps_store_one_form", _STORED_FORM)),
     Mutant("stored-zero-entry-kept", "core.py",
            "cols = tuple(tuple([(k, n) for k, n in column if n]) for column in columns)",
@@ -148,9 +171,18 @@ MUTANTS = (
            "bad = []",
            (CORE + "test_graded_map_parity_invariant", _STORED_FORM,
             DOCUMENTS + "test_map_grading_violation_names_its_first_entry_by_rows")),
+    # core: the content gcd of a stored form starts from its least entry, so a power of a twist
+    # with long and short entries is reduced without a gcd of two long ones (a timed test)
+    Mutant("stored-gcd-long-entries-first", "core.py", "g = gcd(min(ns, key=abs, default=d), d, *ns)",
+           "g = gcd(d, *ns)", (_LONG_POWER_REFUSAL,)),
+    # cli: an entry whose numerator and denominator differ in bit length by more than 10^limit has
+    # bits is refused before any gcd or division of the two (a timed test)
+    Mutant("printable-bit-length-gap-dropped", "cli.py",
+           "any(abs(abs(n).bit_length() - d.bit_length()) > gap for n, d in entries) or any(", "any(",
+           (_LONG_POWER_REFUSAL,)),
     # documents: a map is printed from its stored form, n / d per entry
     Mutant("map-tree-prints-the-numerator", "documents.py",
-           "str(Fraction(n, d)) if n", "str(n) if n",
+           "str(n) if d == 1 else", "str(n) if d else",
            (_STORED_FORM, GOLDEN + "[derivations__twistable__s2_r1]", GOLDEN + "[twist3__twistable__swapped]")),
     # documents: one canonical JSON writer for documents, digests and machine reports
     Mutant("writer-keys-not-sorted", "documents.py", "for k in sorted(node)]", "for k in node]",
@@ -186,6 +218,46 @@ MUTANTS = (
             DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle",
             DERIVATIONS + "test_solver_bases_match_dense_oracle_on_perturbed_algebras",
             DERIVATIONS + "test_binary_solver_matches_dense_oracle")),
+    # Koszul signs of the paper's identities.  The corpus Heisenberg superalgebras are 2-step
+    # nilpotent, so the nested brackets the first four multiply vanish there, and one dense walk
+    # catches each of them
+    Mutant("tau-expansion-middle-sign-without-a", "tau.py",
+           "add_image(out, (a, s, b), image, -ksign(P[a] * P[s]) * c)",
+           "add_image(out, (a, s, b), image, -ksign(P[s]) * c)",
+           (ORACLES + "test_transfer_criterion_reports_match_dense_walk",)),
+    Mutant("tau-expansion-third-sign-without-a", "tau.py",
+           "ksign(P[s] * (P[a] + P[b])) * c)", "ksign(P[s] * P[b]) * c)",
+           (ORACLES + "test_transfer_criterion_reports_match_dense_walk",)),
+    Mutant("direct-jacobi-s2-without-uv", "algebras.py",
+           "s2 = ksign((P[z] + P[v]) * (P[x] + P[y]) + P[u] * P[v])", "s2 = ksign((P[z] + P[v]) * (P[x] + P[y]))",
+           (ORACLES + "test_jacobi_reports_match_dense_walk",)),
+    Mutant("cyclic-jacobi-third-row-without-uv", "algebras.py",
+           "1 + P[z] * P[v] + (P[v] + P[z]) * (P[x] + P[y]) + P[u] * P[v]),",
+           "1 + P[z] * P[v] + (P[v] + P[z]) * (P[x] + P[y])),",
+           (ORACLES + "test_jacobi_reports_match_dense_walk",)),
+    Mutant("binary-jacobi-second-row-exponent", "algebras.py",
+           "(1, (1, 2, 0), lambda P, x, y, z: P[x] * P[y]),", "(1, (1, 2, 0), lambda P, x, y, z: P[x] * P[z]),",
+           (ORACLES + "test_jacobi_reports_match_dense_walk",
+            ALGEBRAS + "test_jacobi_on_twisted_fixture_vs_bruteforce",
+            ALGEBRAS + "test_cyclic_reformulation_matches_on_corpus",
+            GOLDEN + "[verify__mixed_parity]")),
+    Mutant("tau-beta-symmetry-sign-flipped", "tau.py",
+           "add_image(sym, (j, i), {0: a * b}, -1)", "add_image(sym, (j, i), {0: a * b}, 1)",
+           (ORACLES + "test_tau_condition_reports_match_dense_walk",
+            TAU + "test_identity_twists_reduce_to_annihilation_only",
+            GOLDEN + "[induce-tau__central_pair]")),
+    Mutant("weighted-term-weight-power-off-by-one", "rota_baxter.py",
+           "R.weight ** (len(I) - 1)", "R.weight ** len(I)",
+           (ORACLES + "test_weighted_identity_and_bracket_match_dense_walk",
+            INTEGER + "test_leibniz_weighted_and_nijenhuis_sums_match_dense_oracles",
+            ROTA_BAXTER + "test_make_rb_bracket_matches_independent_subset_sum",
+            GOLDEN + "[check-rb__ternary_basic]")),
+    Mutant("skew-swap-koszul-sign-dropped", "algebras.py",
+           "image, ksign(P[t[p]] * P[t[p + 1]]))", "image, 1)",
+           (ORACLES + "test_skew_and_multiplicativity_reports_match_dense_walk",
+            ALGEBRAS + "test_classical_super_skew_reduces",
+            GOLDEN + "[verify__mixed_parity]",
+            GOLDEN + "[twist3__mixed_parity]")),
     # deformations: the order of one composition term's basis tuple
     Mutant("composition-term-order-swapped", "deformations.py", "(1, (0, 1, 3, 2, 4),", "(1, (0, 1, 2, 3, 4),",
            (INTEGER + "test_composition_sums_match_dense_oracles",

@@ -571,6 +571,22 @@ def test_determinant_refuses_only_what_it_proves_unprintable(alpha, power, built
     assert ("--s/--r: alpha^" in capsys.readouterr().err) == (code == 2)
 
 
+def test_power_with_long_and_short_entries_is_refused_without_long_gcds(tmp_path, capsys):
+    # det diag(3, 1/3, 1) = 1 decides nothing, so alpha^s is built: (3^2s, 1, 3^s) over 3^s.
+    # Each squaring's content gcd meets the entry 1 first, and the refusal reads the bit
+    # lengths of 3^2s and 3^s; a gcd or a division of two such entries takes seconds.
+    # The refusal takes 0.6-1.2 s on 2 vCPUs with Python 3.11.
+    doc = json.loads((DATA / "ternary_basic.json").read_text())
+    doc["maps"]["alpha"]["matrix"] = [["3", "0", "0"], ["0", "1/3", "0"], ["0", "0", "1"]]
+    path = tmp_path / "long_and_short.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert run(["derivations", path, "--s", "1000000"]) == 2
+    assert time.perf_counter() - start < 4
+    assert capsys.readouterr().err == ("input error: --s/--r: alpha^1000000 beta^0 has entries of more than "
+                                       f"{int_digit_limit()} digits, beyond the integer string conversion limit\n")
+
+
 def test_twist_power_of_identity_twists_is_solved(capsys):
     # the identity's determinant is 1, and its powers print at any exponent
     assert run(["derivations", DATA / "ternary_basic.json", "--s", "1000000000", "--format", "machine"]) == 0

@@ -298,3 +298,63 @@ def test_int_mapping_and_fraction_rows_give_the_same_results():
     # the answers to int rows are Fractions too
     for vector in kernels[0] + [solutions[0]] + list(inverses[0]):
         assert all(type(x) is F for x in vector)
+
+
+NONZERO = small_fractions.filter(bool)
+
+
+def given_in_form(draw, row, dense_only=False):
+    """A row as a dict of its nonzeros, a dict keeping its zeros, a MappingProxyType, or a dense
+    list of Fractions or of ints where they are whole; ``dense_only`` keeps the two lists."""
+    forms = ["fractions", "ints"] + ([] if dense_only else ["dict", "dict with zeros", "proxy"])
+    form = draw(st.sampled_from(forms))
+    whole = [c.numerator if c.denominator == 1 else c for c in map(F, row)]
+    if form == "fractions":
+        return [F(c) for c in row]
+    if form == "ints":
+        return whole
+    nonzero = {j: c for j, c in enumerate(whole) if c or form == "dict with zeros"}
+    return MappingProxyType(nonzero) if form == "proxy" else nonzero
+
+
+@st.composite
+def planted_systems(draw):
+    """Rows [A | b] over n unknowns, shuffled: random rows; rows with one nonzero entry in A,
+    with b = 0 (one entry in [A | b] too) or drawn; rows with their one entry in b; zero rows;
+    and exact and scaled duplicates of all of them."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(small_fractions, min_size=n + 1, max_size=n + 1), max_size=3))
+    for _ in range(draw(st.integers(0, n + 1))):
+        j = draw(st.integers(0, n))  # j = n puts the one entry in b
+        row = [draw(NONZERO) if i == j else F(0) for i in range(n + 1)]
+        if j < n and draw(st.booleans()):
+            row[n] = draw(small_fractions)
+        rows.append(row)
+    rows += [[F(0)] * (n + 1)] * draw(st.integers(0, 2))
+    for row in list(rows):
+        rows += [[c * x for x in row] for c in draw(st.lists(MULTIPLES, max_size=2))]
+    return draw(st.permutations(rows)), n
+
+
+def test_presolved_rows_give_the_rref_answers():
+    """Rows with one nonzero entry fix their unknown before elimination; kernels, solutions and
+    inverses still equal those read off the RREF, consistent or not, singular or not."""
+    outcomes = set()
+
+    @PROPERTY
+    @given(st.data())
+    def prop(data):
+        augmented, n = data.draw(planted_systems())
+        A, b = [row[:n] for row in augmented], [row[n] for row in augmented]
+        assert kernel_basis([given_in_form(data.draw, row) for row in A], n) == nullspace(A, n)
+        solution = rref_solution(A, b, n)
+        given_b = given_in_form(data.draw, b, dense_only=True)
+        assert solve_linear([given_in_form(data.draw, row) for row in A], given_b, n) == solution
+        matrix = (A + [[F(0)] * n] * n)[:n]  # zero rows of A become rows [0 | e_i] of [A | I]
+        m, pivots = rref([row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)])
+        inverse = tuple(tuple(row[n:]) for row in m) if pivots[:n] == list(range(n)) else None
+        assert invert_matrix([given_in_form(data.draw, row, dense_only=True) for row in matrix]) == inverse
+        outcomes.update({("consistent", solution is not None), ("invertible", inverse is not None)})
+
+    prop()
+    assert outcomes == {(kind, seen) for kind in ("consistent", "invertible") for seen in (True, False)}
