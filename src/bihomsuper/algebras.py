@@ -9,12 +9,13 @@ claim flag carried by an algebra; that claim has its own verifier.
 
 Skew-symmetry and the morphism rules come from sparse contractions of the
 bracket on all tuples at once, twist commutation from
-:func:`bihomsuper.core.commutator`; :func:`_report` gives the report a walk
-would, here and for every check of the other modules but the weighted
-identity.  The binary Jacobi identity, the cyclic ternary form and the
-deformation sums are tables of nested brackets [b^2(.), ..., [b(.), ...,
-a(.)], ...] for one sparse join (:func:`_composition_sum`), which sums ints and
-reports Fractions; of the verifiers here, only the direct ternary form walks.
+:func:`bihomsuper.core.commutator`.  The binary Jacobi identity, the cyclic
+ternary form and the deformation sums are tables of nested brackets [b^2(.),
+..., [b(.), ..., a(.)], ...] for one sparse join (:func:`_composition_sum`),
+which sums ints and reports Fractions.  The direct ternary form here and the
+weighted identity still walk the basis tuples (:func:`_walk_block`).  Every
+report of every module comes from :func:`_report`, in the order and with the
+count of a walk over all tuples.
 
 Every module refuses through :func:`_require`, which puts the failing report
 in ``details``, and cross-checks through :func:`_confirm` and :func:`_agree`;
@@ -24,9 +25,10 @@ an operator that does not commute with the twists is refused with its
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
 
 from .core import (
@@ -41,13 +43,11 @@ from .core import (
     TheoremContradictionError,
     Vector,
     add_image,
-    basis_tuples,
     commutator,
     contraction_sum,
     dense,
     ksign,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -155,18 +155,6 @@ class ThreeBiHomLieSuperalgebra(_TwistedAlgebra):
     _arity = 3
 
 
-def _collect(identity, gen, fail_fast, notes=()):
-    total = 0
-    violations = []
-    for where, rule, residual in gen:
-        total += 1
-        if not vec_is_zero(residual):
-            violations.append(Violation(tuple(where), tuple(residual), rule))
-            if fail_fast:
-                break
-    return VerificationReport(identity, total, tuple(violations), tuple(notes))
-
-
 def _rules_block(length: int, rules, size: int) -> tuple:
     """A block of ``rules``, a list of (rule, {t: {k: c}}) pairs, checked in that order on
     every basis tuple of ``length``, with residual vectors of ``size``; see :func:`_walk_order`."""
@@ -177,6 +165,19 @@ def _rules_block(length: int, rules, size: int) -> tuple:
         if any(image.values())
     }
     return length, len(rules), found
+
+
+def _walk_block(length: int, dim: int, residual, rule: str, fail_fast: bool) -> tuple:
+    """One rule, checked by ``residual(*t)`` on each basis tuple t of ``length`` in lexicographic order, as a
+    block for :func:`_report`; under fail-fast the walk stops at the first nonzero residual."""
+    found = {}
+    for t in itertools.product(range(dim), repeat=length):
+        res = residual(*t)
+        if any(res):
+            found[t, 0] = (res, rule)
+            if fail_fast:
+                break
+    return length, 1, found
 
 
 def _walk_order(block: tuple, dim: int, fail_fast: bool):
@@ -390,8 +391,8 @@ class _TwistedTables:
         self.P = A.space.parities
         beta2 = A.beta.compose(A.beta)
         b2 = [beta2.column(i) for i in idx]
-        T = _twisted_tensor(A.bracket, A.beta, A.alpha)
-        self.inner = [[[T.bracket_basis(a, b, c) for c in idx] for b in idx] for a in idx]
+        T = A.bracket.contract([A.beta, A.beta, A.alpha])
+        self.inner = [[[dense(T.get((a, b, c), {}), A.dim) for c in idx] for b in idx] for a in idx]
         self._outer = [[A.bracket.partial_matrix(2, b2[x], b2[y]) for y in idx] for x in idx]
 
     def outer_apply(self, u: int, v: int, w: Vector) -> Vector:
@@ -422,13 +423,8 @@ def verify_3bihom_jacobi(
     A: ThreeBiHomLieSuperalgebra, fail_fast: bool = False
 ) -> VerificationReport:
     """The five-argument twisted Jacobi identity over all basis 5-tuples."""
-    tables = _TwistedTables(A)
-
-    def gen():
-        for t in basis_tuples(A.space, 5):
-            yield t, "twisted-jacobi", _jacobi_residual(tables, *t)
-
-    return _collect("ternary-twisted-jacobi", gen(), fail_fast)
+    block = _walk_block(5, A.dim, partial(_jacobi_residual, _TwistedTables(A)), "twisted-jacobi", fail_fast)
+    return _report("ternary-twisted-jacobi", A.dim, [block], fail_fast)
 
 
 # The cyclic form at t = (x, y, z, u, v), rows read by _composition_sum

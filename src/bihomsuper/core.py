@@ -3,7 +3,8 @@
 Scalars are :class:`fractions.Fraction` at every boundary, so every identity
 check is an exact yes/no question with no tolerances.  Inside, a map stores
 only its nonzero entries, as int columns over one denominator, and the
-contraction kernels sum ints over one common denominator.  Basis elements
+contraction kernels sum ints over one common denominator, in one push loop
+(:func:`_push_sum`) for every contraction sum.  Basis elements
 carry a parity (0 = even, 1 = odd); all sign bookkeeping uses the Koszul
 convention, where transposing two odd symbols introduces a factor -1.
 
@@ -741,11 +742,6 @@ class WedgePair:
         return WedgePair(self.space, self.second, self.first)
 
 
-def basis_tuples(space: SuperSpace, length: int) -> Iterable[tuple[int, ...]]:
-    """All tuples of basis indices of the given length, in lexicographic order."""
-    return itertools.product(space.indices(), repeat=length)
-
-
 def slot_substitutions(n: int, inserted: GradedMap, sizes: Iterable[int] | None = None):
     """Yield (I, slot maps) over the nonempty subsets I of n slots, by size, then lexicographic.
 
@@ -766,27 +762,42 @@ def add_image(acc: dict, t: tuple[int, ...], image: Mapping[int, Fraction], coef
         row[k] = row.get(k, ZERO) + coeff * c
 
 
+def _push_sum(terms) -> dict[tuple[int, ...], dict[int, Fraction]]:
+    """The sum over the terms (c, p, d, images, f) of c times the map f pushed through an int contraction
+    {t: {k: n}} over d (:meth:`StructureTensor._contract_int`): into its slot p, where the contraction has the
+    identity, or outside when p is None.  c is an int or a Fraction; the ints are summed over the lcm of the
+    c.denominator * d * d_f.  Returns ``{t: {k: c}}``, with coefficients that cancel kept as zeros."""
+    terms = [(c, p, images, f, c.denominator * d * f._d) for c, p, d, images, f in terms]
+    common, acc = lcm(*(den for *_, den in terms)), {}
+    for c, p, images, f, den in terms:
+        scale = c.numerator * (common // den)
+        for t, image in images.items():
+            if p is None:  # image component i goes to f's column i
+                row = acc.setdefault(t, {})
+                for i, x in image.items():
+                    x *= scale
+                    for k, y in f._cols[i]:
+                        row[k] = row.get(k, 0) + x * y
+            else:  # the image at t goes to each tuple with i in slot p, times f[t_p][i] from f's row t_p
+                for i, n in f._rows[t[p]]:
+                    row, x = acc.setdefault(t[:p] + (i,) + t[p + 1:], {}), scale * n
+                    for k, y in image.items():
+                        row[k] = row.get(k, 0) + x * y
+    return {t: {k: Fraction(c, common) for k, c in row.items()} for t, row in acc.items()}
+
+
 def contraction_sum(terms: Iterable[tuple[object, StructureTensor, Sequence[GradedMap], GradedMap | None]]):
     """The sum of c * m(w(m_1 x_1, ..., m_n x_n)) over the terms (c, w, (m_1, ..., m_n), m),
     on every basis tuple at once.
 
     Each term is one integer contraction, its images pushed through the outer
-    map m (None for the identity) and brought to the lcm of the terms'
-    denominators; terms with c = 0 are skipped.  Returns ``{t: {k: c}}`` like
-    :meth:`StructureTensor.contract`, with coefficients that cancel kept as zeros.
+    map m (None for the identity) by :func:`_push_sum`; terms with c = 0 are
+    skipped.  Returns ``{t: {k: c}}`` like :meth:`StructureTensor.contract`,
+    with coefficients that cancel kept as zeros.
     """
-    terms = [(as_scalar(c), w, maps, GradedMap.identity(w.space) if m is None else m) for c, w, maps, m in terms if c]
-    dens = [c.denominator * w._integral[0] * prod(f._d for f in (*maps, m)) for c, w, maps, m in terms]
-    common, acc = lcm(*dens), {}
-    for (c, w, maps, outer), d in zip(terms, dens):
-        scale, columns = c.numerator * (common // d), outer._cols
-        for t, image in w._contract_int(maps)[1].items():
-            row = acc.setdefault(t, {})
-            for i, x in image.items():
-                x *= scale
-                for k, y in columns[i]:
-                    row[k] = row.get(k, 0) + x * y
-    return {t: {k: Fraction(c, common) for k, c in row.items()} for t, row in acc.items()}
+    terms = [(as_scalar(c), w, maps, m) for c, w, maps, m in terms]
+    return _push_sum([(c, None, *w._contract_int(maps), GradedMap.identity(w.space) if m is None else m)
+                      for c, w, maps, m in terms if c])
 
 
 def dense(image: Mapping[int, Fraction], dim: int) -> Vector:

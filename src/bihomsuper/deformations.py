@@ -33,8 +33,9 @@ and count every tuple analytically, as a walk over all of them would;
 Nijenhuis operators are even maps N whose deformed brackets telescope:
 [Nx, Ny, Nz] equals N applied to the second N-bracket, equivalently the
 alternating subset sum of N-powers.  They generate trivial deformations
-(w1, w2) = (first N-bracket, second N-bracket).  Both forms are separate
-sums of contractions, so comparing them still cross-checks the encodings.
+(w1, w2) = (first N-bracket, second N-bracket).  The check is two sums of
+contractions: [Nx, Ny, Nz] minus the inductive form, and the inductive minus
+the subset form, whose terms are separate encodings, so it still cross-checks them.
 Each hypothesis is checked once: :func:`_n_brackets` checks N as it builds the
 chain, and callers that have just checked N reuse that chain.
 Each refusal carries its report: an operator's ``twist-commutation``, a
@@ -79,7 +80,6 @@ from .core import (
     ksign,
     slot_substitutions,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -244,8 +244,9 @@ def _is_nijenhuis(A, N: GradedMap, identity: str, fail_fast: bool, notes=()) -> 
     The inductive form N(w) is compared with the alternating subset sum over
     nonempty slot subsets I of (-1)^{|I|-1} N^{|I|} [args], where slots in I
     keep their basis argument and the others receive N.  The two agree
-    identically; a mismatch would indicate an implementation defect and is
-    reported as a ``form-consistency`` violation.
+    identically; a nonzero difference would indicate an implementation defect
+    and is reported as a ``form-consistency`` violation in place of the tuple's
+    ``nijenhuis`` residual.
     """
     n, dim = A.bracket.arity, A.space.dim
     brackets = _n_brackets(A, N, n - 1)
@@ -253,21 +254,14 @@ def _is_nijenhuis(A, N: GradedMap, identity: str, fail_fast: bool, notes=()) -> 
     powers = [ident]
     for _ in range(n):
         powers.append(powers[-1].compose(N))
-    inductive = contraction_sum([(1, brackets[-1], [ident] * n, N)])
-    subset_form = contraction_sum(
-        (ksign(len(I) - 1), A.bracket, maps, powers[len(I)]) for I, maps in slot_substitutions(n, N)
-    )
-    lhs = contraction_sum([(1, A.bracket, [N] * n, None)])
-    found = {}
-    for t in inductive.keys() | subset_form.keys() | lhs.keys():
-        value = dense(inductive.get(t, {}), dim)
-        mismatch = vec_sub(value, dense(subset_form.get(t, {}), dim))
-        if vec_is_zero(mismatch):
-            residual, rule = vec_sub(dense(lhs.get(t, {}), dim), value), "nijenhuis"
-        else:
-            residual, rule = mismatch, "form-consistency"
-        if not vec_is_zero(residual):
-            found[t, 0] = (residual, rule)
+    inductive = (brackets[-1], [ident] * n, N)  # N(w)
+    residuals = {
+        "nijenhuis": contraction_sum([(1, A.bracket, [N] * n, None), (-1, *inductive)]),
+        "form-consistency": contraction_sum([(1, *inductive)] + [(-ksign(len(I) - 1), A.bracket, maps, powers[len(I)])
+                                                                 for I, maps in slot_substitutions(n, N)]),
+    }
+    found = {(t, 0): (dense(image, dim), rule)  # a form-consistency residual replaces the tuple's nijenhuis one
+             for rule, images in residuals.items() for t, image in images.items() if any(image.values())}
     return _report(identity, dim, [(n, 1, found)], fail_fast, notes), brackets
 
 

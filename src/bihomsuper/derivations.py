@@ -13,7 +13,8 @@ The rule is written once, as contraction terms (:func:`_leibniz_terms`): D
 after the bracket minus, per slot, the bracket contracted against (M, ..., D,
 ..., M), the maps before D carrying its Koszul signs.  :func:`_contractions`
 contracts them once per algebra and (s, r, parity), the identity in place of
-D.  :func:`_residual` pushes known maps through them for the verifiers, on
+D.  :func:`_residual` pushes known maps through them for the verifiers, with
+:func:`bihomsuper.core._push_sum`, the loop behind every contraction sum, on
 every basis tuple at once at a cost that follows the nonzeros rather than
 dim ** arity; reports list the failing tuples in lexicographic order and count
 every tuple, as a walk over all of them would.  :func:`_linearise` reads them
@@ -55,6 +56,7 @@ from .core import (
     PreconditionError,
     TheoremContradictionError,
     Vector,
+    _push_sum,
     commutator_terms,
     ksign,
 )
@@ -201,22 +203,9 @@ def _contractions(A, s: int, r: int, parity: int) -> list:
 
 def _residual(A, X: GradedMap | None, D: GradedMap, s: int, r: int) -> dict:
     """The Leibniz terms with X outside (None leaves that term out) and D in the slots, as {t: {k: c}}:
-    each map pushed through :func:`_contractions` on every basis tuple at once."""
-    pushed = [(coeff, p, images, f, d_term * f._d) for coeff, p, d_term, images in _contractions(A, s, r, D.parity)
-              for f in [X if p is None else D] if f is not None]
-    common, acc = lcm(*(d for *_, d in pushed)), {}
-    for coeff, p, images, f, d in pushed:
-        scale = coeff * (common // d)
-        for t, image in images.items():
-            if p is None:  # image component m goes to X's column m
-                moves = [(t, scale, [(k, c * n) for m, c in image.items() for k, n in f._cols[m]])]
-            else:  # the image at t goes to each tuple with i in slot p, times D[t_p][i] from D's row t_p
-                moves = [(t[:p] + (i,) + t[p + 1:], scale * n, image.items()) for i, n in f._rows[t[p]]]
-            for u, x, moved in moves:
-                row = acc.setdefault(u, {})
-                for k, c in moved:
-                    row[k] = row.get(k, 0) + x * c
-    return {t: {k: Fraction(c, common) for k, c in row.items()} for t, row in acc.items()}
+    each map pushed through :func:`_contractions` by :func:`bihomsuper.core._push_sum`."""
+    return _push_sum([(coeff, p, d_term, images, f) for coeff, p, d_term, images in _contractions(A, s, r, D.parity)
+                      for f in [X if p is None else D] if f is not None])
 
 
 def _linearise(entries, index_of: dict[tuple[int, int], int]):

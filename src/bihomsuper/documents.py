@@ -85,7 +85,8 @@ class AlgebraDocument:
 
     def form_named(self, name: str, path: str = "maps") -> LinearForm:
         if name not in self.forms:
-            raise DocumentError(f"row {name!r} is not defined", path)
+            raise DocumentError(f"map {name!r} is a matrix, not a row" if name in self.maps else
+                                f"row {name!r} is not defined", path)
         return self.forms[name]
 
     def structure_maps(self) -> tuple[GradedMap, GradedMap]:

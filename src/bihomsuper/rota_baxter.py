@@ -12,9 +12,10 @@ The subset sum is written once, as one (coefficient, slot maps) term per
 subset (:func:`_weighted_terms`).  The induced bracket sums those terms as
 contractions of the whole tensor, and the transfer criterion expands the
 contraction [R., R.] against tau; the weighted identity still brackets every
-basis tuple, term by term.  Each hypothesis is checked once: make_rb_bracket
-checks the weighted identity and then builds (:func:`_rb_bracket`); callers
-that have just checked it build directly.
+basis tuple, term by term, in a walk (:func:`bihomsuper.algebras._walk_block`).
+Each hypothesis is checked once: make_rb_bracket checks the weighted identity
+and then builds (:func:`_rb_bracket`); callers that have just checked it build
+directly.
 
 Note on the transfer criterion: under the defining identity above (with the
 plus sign on the weight term), the exact expansion of the ternary identity on
@@ -36,12 +37,12 @@ from .algebras import (
     ThreeBiHomLieSuperalgebra,
     VerificationReport,
     _agree,
-    _collect,
     _confirm,
     _report,
     _require,
     _require_commuting_twists,
     _rules_block,
+    _walk_block,
     verify_3bihom_jacobi,
     verify_3bihom_skewsymmetry,
 )
@@ -53,7 +54,6 @@ from .core import (
     ParityError,
     PreconditionError,
     as_scalar,
-    basis_tuples,
     contraction_sum,
     slot_substitutions,
     vec_scale,
@@ -109,22 +109,23 @@ def _pointwise_terms(A, R: RotaBaxterOperator):
 def _is_rb(A, R: RotaBaxterOperator, identity: str, fail_fast: bool) -> VerificationReport:
     """[R(x_1), ..., R(x_n)] = R([x_1, ..., x_n]_R) over all basis tuples.
 
-    Still a walk over every basis tuple, one bracket per weighted term.  The
-    contraction form waits for ROADMAP open item 1: the benchmark keeps every
-    report until the run ends, so its peak RSS grows with the faster form's
-    throughput and rises past the 10% bound.
+    Still a walk over every basis tuple, one bracket per weighted term, that stops
+    at the first failing tuple under fail-fast.  The contraction form waits for
+    ROADMAP open item 1: the benchmark keeps every report until the run ends, so
+    its peak RSS grows with the faster form's throughput and rises past the 10%
+    bound.
     """
     _require_commuting_twists(R.map, A)
     Rcol = [R.map.column(i) for i in A.space.indices()]
     terms = _pointwise_terms(A, R)
 
-    def gen():
-        for t in basis_tuples(A.space, A.bracket.arity):
-            lhs = A.bracket.bracket(*(Rcol[i] for i in t))
-            subset_sum = [sum(c) for c in zip(*(term for _, term in terms(t)))]
-            yield t, "weighted-identity", vec_sub(lhs, R.map.apply(subset_sum))
+    def residual(*t):
+        lhs = A.bracket.bracket(*(Rcol[i] for i in t))
+        subset_sum = [sum(c) for c in zip(*(term for _, term in terms(t)))]
+        return vec_sub(lhs, R.map.apply(subset_sum))
 
-    return _collect(identity, gen(), fail_fast)
+    block = _walk_block(A.bracket.arity, A.dim, residual, "weighted-identity", fail_fast)
+    return _report(identity, A.dim, [block], fail_fast)
 
 
 def is_rb2(A: BiHomLieSuperalgebra, R: RotaBaxterOperator, fail_fast: bool = False) -> VerificationReport:

@@ -34,7 +34,7 @@ from bihomsuper import (
     verify_bihom_jacobi,
     verify_bihom_skewsymmetry,
 )
-from bihomsuper.core import basis_tuples, ksign, vec_is_zero, vec_add, vec_scale
+from bihomsuper.core import ksign, vec_is_zero, vec_add, vec_scale
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def _assert_ternary_valid(A: ThreeBiHomLieSuperalgebra, name: str) -> None:
 
 def is_plainly_skew(T: StructureTensor3) -> bool:
     P = T.space.parities
-    for i, j, l in basis_tuples(T.space, 3):
+    for i, j, l in itertools.product(T.space.indices(), repeat=3):
         base = T.bracket_basis(i, j, l)
         sw12 = vec_add(base, vec_scale(ksign(P[i] * P[j]), T.bracket_basis(j, i, l)))
         sw23 = vec_add(base, vec_scale(ksign(P[j] * P[l]), T.bracket_basis(i, l, j)))

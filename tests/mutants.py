@@ -116,18 +116,19 @@ MUTANTS = (
            (INTEGER + "test_linearised_rows_match_dense_rows_with_denominators",
             INTEGER + "test_solver_rows_match_dense_oracles_with_denominators",
             DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle")),
-    # derivations: the Leibniz contractions kept per algebra and (s, r, parity), and the maps pushed through them
+    # derivations: the Leibniz contractions kept per algebra and (s, r, parity), and the maps pushed through
+    # them by core._push_sum, which every contraction_sum also runs
     Mutant("leibniz-memo-key-without-parity", "derivations.py", "key = s, r, parity", "key = s, r",
            (INTEGER + "test_interleaved_queries_read_the_contractions_of_their_own_key",
             DERIVATIONS + "test_binary_solver_matches_dense_oracle",
             DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle")),
-    Mutant("leibniz-slot-push-reads-a-column", "derivations.py",
+    Mutant("leibniz-slot-push-reads-a-column", "core.py",
            "for i, n in f._rows[t[p]]", "for i, n in f._cols[t[p]]",
            (INTEGER + "test_pushed_leibniz_residuals_match_dense_walk",
             DERIVATIONS + "test_derivation_reports_match_dense_oracle",
             DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle",
             GOLDEN + "[derivations__mixed_parity__s1]")),
-    Mutant("leibniz-outer-term-sign-flipped", "derivations.py", "moves = [(t, scale, ", "moves = [(t, -scale, ",
+    Mutant("leibniz-outer-term-sign-flipped", "core.py", "x *= scale", "x *= -scale",
            (INTEGER + "test_pushed_leibniz_residuals_match_dense_walk",
             DERIVATIONS + "test_derivation_reports_match_dense_oracle",
             DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle",
@@ -234,7 +235,8 @@ MUTANTS = (
     Mutant("cyclic-jacobi-third-row-without-uv", "algebras.py",
            "1 + P[z] * P[v] + (P[v] + P[z]) * (P[x] + P[y]) + P[u] * P[v]),",
            "1 + P[z] * P[v] + (P[v] + P[z]) * (P[x] + P[y])),",
-           (ORACLES + "test_jacobi_reports_match_dense_walk",)),
+           (ORACLES + "test_jacobi_reports_match_dense_walk",
+            TAU + "test_induction_theorem_on_gl21_with_its_supertrace")),
     Mutant("binary-jacobi-second-row-exponent", "algebras.py",
            "(1, (1, 2, 0), lambda P, x, y, z: P[x] * P[y]),", "(1, (1, 2, 0), lambda P, x, y, z: P[x] * P[z]),",
            (ORACLES + "test_jacobi_reports_match_dense_walk",
@@ -264,6 +266,31 @@ MUTANTS = (
             DEFORMATIONS + "test_deformation_reports_match_dense_oracle",
             DEFORMATIONS + "test_table_path_matches_direct_composition",
             GOLDEN + "[deformation-check__twistable]")),
+    # core: one push kernel for contraction_sum and the Leibniz re-check, over the lcm of c.denominator * d * d_f
+    Mutant("push-sum-coefficient-denominator-dropped", "core.py", "c.denominator * d * f._d", "d * f._d",
+           (INTEGER + "test_contract_and_contraction_sum_match_dense_products",
+            INTEGER + "test_leibniz_weighted_and_nijenhuis_sums_match_dense_oracles",
+            ROTA_BAXTER + "test_make_rb_bracket_matches_independent_subset_sum")),
+    # algebras: the two walks, one block each for _report; a walk that runs on under fail-fast reports
+    # the same, so only the tests that count its evaluated tuples see it
+    Mutant("walk-block-runs-on-under-fail-fast", "algebras.py",
+           "            if fail_fast:\n                break", "            if False:\n                break",
+           (ALGEBRAS + "test_fail_fast_jacobi_walk_evaluates_only_the_tuples_it_counts",
+            ROTA_BAXTER + "test_fail_fast_weighted_identity_evaluates_only_the_tuples_it_counts")),
+    Mutant("twisted-tables-alpha-in-every-slot", "algebras.py",
+           "A.bracket.contract([A.beta, A.beta, A.alpha])", "A.bracket.contract([A.alpha] * 3)",
+           (ORACLES + "test_jacobi_reports_match_dense_walk",
+            ALGEBRAS + "test_make_twist_3_examples",
+            ROTA_BAXTER + "test_projection_twisted_algebra",
+            GOLDEN + "[verify__twistable]")),
+    # deformations: the Nijenhuis form-consistency residual, inductive minus subset form
+    Mutant("nijenhuis-subset-sign-flipped", "deformations.py",
+           "(-ksign(len(I) - 1), A.bracket, maps, powers[len(I)])",
+           "(ksign(len(I) - 1), A.bracket, maps, powers[len(I)])",
+           (ORACLES + "test_nijenhuis_reports_and_n_brackets_match_dense_walk",
+            DEFORMATIONS + "test_subset_and_inductive_forms_agree_for_arbitrary_maps",
+            INTEGER + "test_leibniz_weighted_and_nijenhuis_sums_match_dense_oracles",
+            GOLDEN + "[check-nijenhuis__ternary_basic__map-R]")),
 )
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from bihomsuper import (
     verify_multiplicativity2,
     verify_multiplicativity3,
 )
+from bihomsuper import algebras, load_document
 
 import corpus
 from oracles import bracket2_of_vectors, matvec, sign, unit_vec
@@ -175,6 +177,15 @@ def test_fail_fast_stops_early():
     rep = verify_bihom_skewsymmetry(A, fail_fast=True)
     assert len(rep.violations) == 1
     assert rep.total < 4
+
+
+def test_fail_fast_jacobi_walk_evaluates_only_the_tuples_it_counts(monkeypatch):
+    """Under fail-fast the direct walk stops at its first failing 5-tuple."""
+    doc = load_document(Path(__file__).parent / "golden" / "docs" / "perturbed_ternary.json")
+    calls = corpus.count_calls(monkeypatch, algebras._jacobi_residual)
+    rep = verify_3bihom_jacobi(corpus.document_algebra(doc, 3), fail_fast=True)
+    assert len(rep.violations) == 1
+    assert len(calls) == rep.total == 60 < doc.space.dim ** 5
 
 
 def test_make_twist_2_identity_and_zero():

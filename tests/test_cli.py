@@ -503,6 +503,14 @@ def test_twist_given_as_a_row_is_an_input_error(name, tmp_path, capsys):
         assert (captured.out, captured.err) == ("", f"input error: maps.{name}: map {name!r} is a row, not a matrix\n")
 
 
+def test_matrix_named_as_the_form_is_an_input_error(capsys):
+    """A matrix under the form's name is refused as a matrix, and an absent name as not defined."""
+    for name, message in (("R", "map 'R' is a matrix, not a row"), ("absent", "row 'absent' is not defined")):
+        assert run(["induce-tau", DATA / "line_action.json", "--tau", name]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"input error: maps: {message}\n")
+
+
 def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
     p = tmp_path / "deep.json"
     p.write_text("[" * 100_000)

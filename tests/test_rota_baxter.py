@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from bihomsuper import (
     verify_3bihom_jacobi,
     verify_3bihom_skewsymmetry,
 )
+from bihomsuper import load_document
+from bihomsuper.core import vec_sub
 from bihomsuper.rota_baxter import subset_deformations
 
 import corpus
@@ -88,6 +91,16 @@ def test_projection_on_structured_fixture_weights():
     for lam, expected in ((0, True), (-1, True), (1, False), (F(1, 2), False)):
         ok = is_rb3(A, RotaBaxterOperator(proj, F(lam))).passed
         assert ok is expected, lam
+
+
+def test_fail_fast_weighted_identity_evaluates_only_the_tuples_it_counts(monkeypatch):
+    """Under fail-fast the weighted-identity walk, one residual (one vec_sub) per triple, stops at
+    its first failing triple."""
+    doc = load_document(Path(__file__).parent / "data" / "ternary_basic.json")
+    calls = corpus.count_calls(monkeypatch, vec_sub)
+    rep = is_rb3(corpus.document_algebra(doc, 3), RotaBaxterOperator(doc.map_named("N"), F(0)), fail_fast=True)
+    assert len(rep.violations) == 1
+    assert len(calls) == rep.total == 6 < doc.space.dim ** 3
 
 
 def test_rb_corpus_verified(rb_corpus):

@@ -23,12 +23,14 @@ from bihomsuper import (
     check_tau_conditions,
     induce_tau,
     verify_3bihom_jacobi,
+    verify_3bihom_jacobi_cyclic,
     verify_3bihom_skewsymmetry,
+    verify_multiplicativity3,
 )
 from bihomsuper import tau as tau_module
 from bihomsuper.cli import main
 
-from corpus import count_calls
+from corpus import count_calls, gl21_fixtures
 from oracles import bracket2_of_vectors, nullspace, sign, unit_vec
 
 
@@ -117,6 +119,25 @@ def test_induction_theorem_property(tau_corpus):
         induced = induce_tau(fx.algebra, fx.tau)
         assert verify_3bihom_skewsymmetry(induced).passed, fx.name
         assert verify_3bihom_jacobi(induced).passed, fx.name
+
+
+def test_induction_theorem_on_gl21_with_its_supertrace():
+    """The paper's theorem on a superalgebra that is not nilpotent, where the Koszul signs of the
+    nested brackets matter: tau-induced gl(2|1) under Ad-twists, over all 9^5 tuples.
+
+    With equal twists the conditions hold and the induced algebra passes both twisted swaps,
+    multiplicativity and the cyclic Jacobi form.  With unequal twists only
+    tau-twist-proportionality fails, and the induced algebra fails the swaps and the cyclic form.
+    """
+    equal, unequal = gl21_fixtures()
+    for fx, conditions, verdicts in ((equal, [True, True, True], [True, True, True]),
+                                     (unequal, [True, True, False], [False, True, False])):
+        assert [r.passed for r in check_tau_conditions(fx.algebra, fx.tau).reports()] == conditions, fx.name
+        induced = induce_tau(fx.algebra, fx.tau, override=True)
+        reports = [verify(induced) for verify in (verify_3bihom_skewsymmetry, verify_multiplicativity3,
+                                                  verify_3bihom_jacobi_cyclic)]
+        assert reports[2].total == 9 ** 5
+        assert [r.passed for r in reports] == verdicts, fx.name
 
 
 def test_linearity_in_the_form(tau_corpus):
