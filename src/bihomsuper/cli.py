@@ -5,8 +5,8 @@ library call, and emits a run report.  Exit codes: 0 when every mandatory
 check passed, 1 when some mathematical check failed, 2 on input errors
 (unparseable documents, missing names, mismatched spaces, bad flags).
 
-The commands, their help lines, default operator maps and auxiliary
-documents are listed once, in :data:`COMMANDS` at the end of this module.
+The commands, their help lines, default operator maps, the options each one
+reads (it takes no other) and auxiliary documents are listed once, in :data:`COMMANDS`.
 """
 
 from __future__ import annotations
@@ -95,9 +95,7 @@ class RunReport:
         return documents._canonical_json(self.to_tree())
 
     def human_text(self) -> str:
-        lines = [f"command: {self.command}"]
-        for name, digest in self.inputs.items():
-            lines.append(f"input {name}: sha256 {digest[:16]}...")
+        lines = [f"command: {self.command}"] + [f"input {name}: sha256 {d[:16]}..." for name, d in self.inputs.items()]
         for c in self.checks:
             tag = "PASS" if c.passed else "FAIL"
             extra = "" if c.mandatory else " (informational)"
@@ -107,12 +105,8 @@ class RunReport:
                 lines.append(f"    at {where} [{v.rule}] residual {[str(x) for x in v.residual]}")
             if len(c.violations) > 3:
                 lines.append(f"    ... {len(c.violations) - 3} more")
-            for note in c.notes:
-                lines.append(f"    note: {note}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        for key in self.derived:
-            lines.append(f"derived: {key}")
+            lines += [f"    note: {note}" for note in c.notes]
+        lines += [f"note: {note}" for note in self.notes] + [f"derived: {key}" for key in self.derived]
         lines.append(f"status: {self.status}")
         return "\n".join(lines) + "\n"
 
@@ -182,28 +176,21 @@ class _Context:
     def fail_fast(self) -> bool:
         return self.options.get("fail_fast", False)
 
-    def binary(self) -> algebras.BiHomLieSuperalgebra:
-        doc = self.doc
-        if doc.bracket2 is None:
-            raise DocumentError("command needs a binary tensor", "bracket2")
-        alpha, beta = doc.structure_maps()
-        return algebras.BiHomLieSuperalgebra(doc.space, doc.bracket2, alpha, beta, doc.multiplicative)
-
-    def ternary(self) -> algebras.ThreeBiHomLieSuperalgebra:
-        doc = self.doc
-        if doc.bracket3 is None:
-            raise DocumentError("command needs a ternary tensor", "bracket3")
-        alpha, beta = doc.structure_maps()
-        return algebras.ThreeBiHomLieSuperalgebra(doc.space, doc.bracket3, alpha, beta, doc.multiplicative)
+    def algebra(self, arity: int):
+        """The binary (arity 2) or ternary (arity 3) algebra on the document's tensor of that arity."""
+        doc, bracket = self.doc, getattr(self.doc, f"bracket{arity}")
+        if bracket is None:
+            raise DocumentError(f"command needs a {('binary', 'ternary')[arity - 2]} tensor", f"bracket{arity}")
+        cls = algebras.BiHomLieSuperalgebra if arity == 2 else algebras.ThreeBiHomLieSuperalgebra
+        return cls(doc.space, bracket, *doc.structure_maps(), doc.multiplicative)
 
     def each_algebra(self, required: bool = True):
         """Yield the binary, then the ternary algebra, for each tensor the document carries."""
         if required and self.doc.bracket2 is None and self.doc.bracket3 is None:
             raise DocumentError("command needs a binary or ternary tensor", "bracket2")
-        if self.doc.bracket2 is not None:
-            yield self.binary()
-        if self.doc.bracket3 is not None:
-            yield self.ternary()
+        for arity in (2, 3):
+            if getattr(self.doc, f"bracket{arity}") is not None:
+                yield self.algebra(arity)
 
     def map(self) -> GradedMap:
         """The operator map: ``--map``, else the command's default."""
@@ -294,7 +281,7 @@ def _twist3(ctx: _Context) -> None:
 
 
 def _induce_tau(ctx: _Context) -> None:
-    A, form = ctx.binary(), ctx.form()
+    A, form = ctx.algebra(2), ctx.form()
     override = ctx.options.get("override_tau", False)
     witness = tau.check_tau_conditions(A, form)
     for rep in witness.reports():
@@ -307,7 +294,7 @@ def _induce_tau(ctx: _Context) -> None:
 
 
 def _derivations(ctx: _Context) -> None:
-    A3 = ctx.ternary()
+    A3 = ctx.algebra(3)
     parity = 1 if ctx.options.get("parity", "even") == "odd" else 0
     query = derivations.DerivationQuery(*ctx.twist_powers(A3), parity)
     space = derivations.solve_derivation_space(A3, query)
@@ -317,7 +304,7 @@ def _derivations(ctx: _Context) -> None:
 
 
 def _quasiderivation(ctx: _Context) -> None:
-    A3 = ctx.ternary()
+    A3 = ctx.algebra(3)
     ok, witness = derivations.is_quasiderivation_3(A3, ctx.map(), *ctx.twist_powers(A3))
     ctx.flag("quasiderivation-solvable", ok)
     ctx.report.derived["is_quasiderivation"] = ok
@@ -334,7 +321,7 @@ def _check_rb(ctx: _Context) -> None:
 
 
 def _rb_bracket(ctx: _Context) -> None:
-    A3, op = ctx.ternary(), ctx.operator()
+    A3, op = ctx.algebra(3), ctx.operator()
     rep = rota_baxter.is_rb3(A3, op)
     ctx.check(rep)
     if rep.passed:
@@ -343,20 +330,20 @@ def _rb_bracket(ctx: _Context) -> None:
 
 
 def _rb_inverse_derivation(ctx: _Context) -> None:
-    value = rota_baxter.check_inverse_derivation_equivalence(ctx.ternary(), ctx.map())
+    value = rota_baxter.check_inverse_derivation_equivalence(ctx.algebra(3), ctx.map())
     ctx.flag("inverse-derivation-equivalence", True, "both sides computed independently and agreed")
     ctx.report.derived["weight0_operator_and_inverse_derivation"] = value
 
 
 def _rb_transfer(ctx: _Context) -> None:
-    ok, rep = rota_baxter.check_rb_transfer_criterion(ctx.binary(), ctx.form(), ctx.operator())
+    ok, rep = rota_baxter.check_rb_transfer_criterion(ctx.algebra(2), ctx.form(), ctx.operator())
     ctx.check(rep)
     ctx.report.derived["criterion"] = ok
     ctx.report.notes.append("verdict cross-checked against the direct induced verification")
 
 
 def _rb_projection_twist(ctx: _Context) -> None:
-    result, reports = rota_baxter._projection_twist(ctx.ternary(), ctx.operator())
+    result, reports = rota_baxter._projection_twist(ctx.algebra(3), ctx.operator())
     for rep in reports:
         ctx.check(rep)
     ctx.report.notes.append(
@@ -374,7 +361,7 @@ def _check_nijenhuis(ctx: _Context) -> None:
 
 
 def _n_brackets(ctx: _Context) -> None:
-    A3, N = ctx.ternary(), ctx.map()
+    A3, N = ctx.algebra(3), ctx.map()
     nb1, nb2 = deformations._n_brackets(A3, N, 2)
     ctx.flag("n-brackets-built", True)
     ctx.report.derived.update(first=_doc_tree(space=A3.space, bracket3=nb1),
@@ -382,7 +369,7 @@ def _n_brackets(ctx: _Context) -> None:
 
 
 def _deformation_check(ctx: _Context) -> None:
-    A3 = ctx.ternary()
+    A3 = ctx.algebra(3)
     omegas = []
     for key in ctx.row.aux:
         aux_doc = ctx.aux.get(key)
@@ -393,12 +380,11 @@ def _deformation_check(ctx: _Context) -> None:
         if aux_doc.space != ctx.doc.space:
             raise DocumentError("tensor document is on a different space", f"{key}.space")
         omegas.append(aux_doc.bracket3)
-    pair = deformations.DeformationPair(*omegas)
-    ctx.check(deformations.check_deformation(A3, pair, ctx.fail_fast))
+    ctx.check(deformations.check_deformation(A3, deformations.DeformationPair(*omegas), ctx.fail_fast))
 
 
 def _trivial_deformation(ctx: _Context) -> None:
-    A3, N = ctx.ternary(), ctx.map()
+    A3, N = ctx.algebra(3), ctx.map()
     pair = deformations.build_trivial_deformation(A3, N)
     ctx.flag("nijenhuis-precondition", True)
     ctx.report.derived.update(omega1=_doc_tree(space=A3.space, bracket3=pair.omega1),
@@ -406,56 +392,82 @@ def _trivial_deformation(ctx: _Context) -> None:
 
 
 def _nijenhuis_transfer(ctx: _Context) -> None:
-    ok = deformations.check_nijenhuis_transfer(ctx.binary(), ctx.form(), ctx.map())
+    ok = deformations.check_nijenhuis_transfer(ctx.algebra(2), ctx.form(), ctx.map())
     ctx.flag("nijenhuis-transfer", ok)
 
 
 def _nijenhuis_rb_compat(ctx: _Context) -> None:
-    A3, N = ctx.ternary(), ctx.map()
+    A3, N = ctx.algebra(3), ctx.map()
     op = ctx.operator(ctx.doc.map_named(ctx.options.get("rb_name", "R")))
     ctx.flag("nijenhuis-survives-induced-bracket", deformations.check_nijenhuis_rb_compatibility(A3, N, op))
 
 
 def _derivation_nijenhuis_rb(ctx: _Context) -> None:
-    value = deformations.check_derivation_nijenhuis_rb_equivalence(ctx.ternary(), ctx.map())
+    value = deformations.check_derivation_nijenhuis_rb_equivalence(ctx.algebra(3), ctx.map())
     ctx.flag("nijenhuis-weight0-equivalence", True, "both sides computed independently and agreed")
     ctx.report.derived["nijenhuis_and_weight0"] = value
 
 
 @dataclass(frozen=True)
 class Command:
-    """One CLI command: help line, body, default ``--map`` name and auxiliary document options."""
+    """One CLI command: help line, body, default ``--map`` name, the :data:`_OPTIONS` keys its body reads
+    and its auxiliary document options; it takes these, its document, ``--format`` and ``--output`` only."""
 
     help: str
     body: Callable[[_Context], None]
     default_map: str | None = None
+    options: tuple[str, ...] = ()
     aux: tuple[str, ...] = ()
 
 
+# The options a command may read, by ``run_pipeline`` key: flag and argparse keywords, but no default;
+# the ``_Context`` getter that reads an option applies its default.
+_OPTIONS = {
+    "weight": ("--weight", {"help": "rational weight, e.g. -1 or 1/2"}),
+    "s": ("--s", {"type": int, "help": "power of the first structure map"}),
+    "r": ("--r", {"type": int, "help": "power of the second structure map"}),
+    "parity": ("--parity", {"choices": ["even", "odd"]}),
+    "fail_fast": ("--fail-fast", {"action": "store_true", "help": "stop at the first violation"}),
+    "override_tau": ("--override-tau-conditions", {
+        "action": "store_true", "help": "build the induced tensor even when the conditions fail"}),
+    "map_name": ("--map", {"help": "name of the operator map in the document"}),
+    "tau_name": ("--tau", {"help": "name of the linear form"}),
+    "alpha_name": ("--alpha", {"help": "name of the first twist map"}),
+    "beta_name": ("--beta", {"help": "name of the second twist map"}),
+    "rb_name": ("--rb", {"help": "name of the weighted operator map"}),
+}
+
 COMMANDS: dict[str, Command] = {
-    "verify": Command("axiom verifiers for whatever tensors are present", _verify),
-    "twist3": Command("ternary twist construction from a ternary Lie superalgebra", _twist3),
-    "induce-tau": Command("induction conditions + induced ternary bracket", _induce_tau),
-    "derivations": Command("exact twisted-derivation space of a ternary algebra", _derivations),
-    "quasiderivation": Command("companion-map solvability for one candidate map", _quasiderivation, "D"),
-    "check-rb": Command("binary/ternary weighted Baxter identity", _check_rb, "R"),
-    "rb-bracket": Command("subset-induced ternary bracket of a weighted operator", _rb_bracket, "R"),
-    "rb-inverse-derivation":
-        Command("weight-0 operator iff inverse is a derivation (both sides)", _rb_inverse_derivation, "R"),
-    "rb-transfer": Command("kernel criterion for transferring a binary operator", _rb_transfer, "R"),
-    "rb-projection-twist":
-        Command("idempotent operator: induced bracket with composed twists", _rb_projection_twist, "R"),
-    "check-nijenhuis": Command("binary/ternary Nijenhuis identity", _check_nijenhuis, "N"),
-    "n-brackets": Command("the two deformed brackets of an even operator", _n_brackets, "N"),
+    "verify": Command("axiom verifiers for whatever tensors are present", _verify, None, ("fail_fast",)),
+    "twist3": Command("ternary twist construction from a ternary Lie superalgebra", _twist3, None,
+                      ("alpha_name", "beta_name")),
+    "induce-tau": Command("induction conditions + induced ternary bracket", _induce_tau, None,
+                          ("tau_name", "override_tau")),
+    "derivations": Command("exact twisted-derivation space of a ternary algebra", _derivations, None,
+                           ("s", "r", "parity")),
+    "quasiderivation": Command("companion-map solvability for one candidate map", _quasiderivation, "D",
+                               ("map_name", "s", "r")),
+    "check-rb": Command("binary/ternary weighted Baxter identity", _check_rb, "R", ("map_name", "weight", "fail_fast")),
+    "rb-bracket": Command("subset-induced ternary bracket of a weighted operator", _rb_bracket, "R",
+                          ("map_name", "weight")),
+    "rb-inverse-derivation": Command("weight-0 operator iff inverse is a derivation (both sides)",
+                                     _rb_inverse_derivation, "R", ("map_name",)),
+    "rb-transfer": Command("kernel criterion for transferring a binary operator", _rb_transfer, "R",
+                           ("map_name", "weight", "tau_name")),
+    "rb-projection-twist": Command("idempotent operator: induced bracket with composed twists",
+                                   _rb_projection_twist, "R", ("map_name", "weight")),
+    "check-nijenhuis": Command("binary/ternary Nijenhuis identity", _check_nijenhuis, "N", ("map_name",)),
+    "n-brackets": Command("the two deformed brackets of an even operator", _n_brackets, "N", ("map_name",)),
     "deformation-check": Command("degree-wise validity of a quadratic deformation pair", _deformation_check,
-                                 aux=("omega1", "omega2")),
-    "trivial-deformation":
-        Command("deformation pair generated by a Nijenhuis operator", _trivial_deformation, "N"),
-    "nijenhuis-transfer":
-        Command("binary Nijenhuis operator on the induced ternary algebra", _nijenhuis_transfer, "N"),
-    "nijenhuis-rb-compat": Command("Nijenhuis operator on a subset-induced bracket", _nijenhuis_rb_compat, "N"),
-    "derivation-nijenhuis-rb":
-        Command("for even derivations: Nijenhuis iff weight 0 (both sides)", _derivation_nijenhuis_rb, "N"),
+                                 None, ("fail_fast",), ("omega1", "omega2")),
+    "trivial-deformation": Command("deformation pair generated by a Nijenhuis operator", _trivial_deformation,
+                                   "N", ("map_name",)),
+    "nijenhuis-transfer": Command("binary Nijenhuis operator on the induced ternary algebra",
+                                  _nijenhuis_transfer, "N", ("map_name", "tau_name")),
+    "nijenhuis-rb-compat": Command("Nijenhuis operator on a subset-induced bracket", _nijenhuis_rb_compat, "N",
+                                   ("map_name", "weight", "rb_name")),
+    "derivation-nijenhuis-rb": Command("for even derivations: Nijenhuis iff weight 0 (both sides)",
+                                       _derivation_nijenhuis_rb, "N", ("map_name",)),
 }
 
 
@@ -476,12 +488,11 @@ def _run(command: str, doc: AlgebraDocument, options: dict | None,
     row = COMMANDS.get(command)
     if row is None:
         raise DocumentError(f"unknown command {command!r}")
-    aux = dict(aux or {})
-    report = RunReport(command=command)
-    report.inputs["document"] = documents.document_digest(doc)
-    for name, aux_doc in aux.items():
-        report.inputs[name] = documents.document_digest(aux_doc)
-    ctx = _Context(row, doc, dict(options or {}), aux, report)
+    options, aux = dict(options or {}), dict(aux or {})
+    if unread := [key for key in options if key not in row.options]:
+        raise DocumentError(f"not an option of {command}", unread[0])
+    report = RunReport(command, {name: documents.document_digest(d) for name, d in {"document": doc, **aux}.items()})
+    ctx = _Context(row, doc, options, aux, report)
     try:
         row.body(ctx)
     except PreconditionError as exc:
@@ -496,59 +507,48 @@ def _run(command: str, doc: AlgebraDocument, options: dict | None,
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # Every command takes the same options, so they live on one parent parser;
-    # ``dest`` names them as the option keys of ``run_pipeline``.  The tree is
-    # built on the first ``main`` call and reused: ``parse_args`` fills a fresh
+    # A command takes its row's options, spelled out in full; one left out is absent from the
+    # namespace, so the getter that reads it applies its default.  ``dest`` is the ``run_pipeline``
+    # key.  The tree is built on the first ``main`` call and reused: ``parse_args`` fills a fresh
     # namespace each time, so calls do not see each other's options.
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("document", help="algebra-description file")
-    shared.add_argument("--weight", help="rational weight, e.g. -1 or 1/2")
-    shared.add_argument("--s", type=int, default=0, help="power of the first structure map")
-    shared.add_argument("--r", type=int, default=0, help="power of the second structure map")
-    shared.add_argument("--parity", choices=["even", "odd"], default="even")
-    shared.add_argument("--fail-fast", action="store_true", help="stop at the first violation")
-    shared.add_argument("--output", help="write the machine report to this file")
-    shared.add_argument("--format", choices=["human", "machine"], default="human")
-    shared.add_argument("--override-tau-conditions", dest="override_tau", action="store_true",
-                        help="build the induced tensor even when the conditions fail")
-    shared.add_argument("--map", dest="map_name", help="name of the operator map in the document")
-    shared.add_argument("--tau", dest="tau_name", default="tau", help="name of the linear form")
-    shared.add_argument("--alpha", dest="alpha_name", default="alpha", help="name of the first twist map")
-    shared.add_argument("--beta", dest="beta_name", default="beta", help="name of the second twist map")
-    shared.add_argument("--rb", dest="rb_name", default="R", help="name of the weighted operator map")
-    for key in dict.fromkeys(key for row in COMMANDS.values() for key in row.aux):
-        shared.add_argument(f"--{key}", help=f"document holding the {key} tensor")
     parser = argparse.ArgumentParser(
         prog="bihomsuper", description="Exact checks and constructions for twisted graded Lie brackets."
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, row in COMMANDS.items():
-        sub.add_parser(name, help=row.help, description=row.help, parents=[shared])
+        subparser = sub.add_parser(name, help=row.help, description=row.help, allow_abbrev=False)
+        subparser.add_argument("document", help="algebra-description file")
+        for key in row.options:
+            flag, keywords = _OPTIONS[key]
+            subparser.add_argument(flag, dest=key, default=argparse.SUPPRESS, **keywords)
+        for key in row.aux:
+            subparser.add_argument(f"--{key}", default=argparse.SUPPRESS, help=f"document holding the {key} tensor")
+        subparser.add_argument("--format", choices=["human", "machine"], default="human")
+        subparser.add_argument("--output", help="write the machine report to this file")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    options = vars(_build_parser().parse_args(argv))
-    command = options["command"]
+    args = vars(_build_parser().parse_args(argv))
+    command, row = args["command"], COMMANDS[args["command"]]
     try:
-        doc = documents.load_document(options["document"])
-        aux = {key: documents.load_document(options[key])
-               for key in COMMANDS[command].aux if options[key] is not None}
-        ctx = _run(command, doc, options, aux)
+        doc = documents.load_document(args["document"])
+        aux = {key: documents.load_document(args[key]) for key in row.aux if key in args}
+        ctx = _run(command, doc, {key: args[key] for key in row.options if key in args}, aux)
         report = ctx.report
         # Rendering prints every rational in full, so a number with more
         # digits than int-to-str conversion allows is refused here as well.
         try:
-            machine = report.machine_text() if options["output"] or options["format"] == "machine" else None
-            text = machine if options["format"] == "machine" else report.human_text()
+            machine = report.machine_text() if args["output"] or args["format"] == "machine" else None
+            text = machine if args["format"] == "machine" else report.human_text()
         except ValueError:
             raise ValueError(ctx.unprintable()) from None
     except (DocumentError, DimensionError, ParityError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if options["output"]:
+    if args["output"]:
         try:
-            with open(options["output"], "w", encoding="utf-8") as fh:
+            with open(args["output"], "w", encoding="utf-8") as fh:
                 fh.write(machine)
         except OSError as exc:
             print(f"input error: cannot write --output: {exc}", file=sys.stderr)

@@ -291,6 +291,15 @@ MUTANTS = (
             DEFORMATIONS + "test_subset_and_inductive_forms_agree_for_arbitrary_maps",
             INTEGER + "test_leibniz_weighted_and_nijenhuis_sums_match_dense_oracles",
             GOLDEN + "[check-nijenhuis__ternary_basic__map-R]")),
+    # cli: each command's subparser takes the options of its row and no others
+    Mutant("every-command-takes-every-option", "cli.py", "for key in row.options:", "for key in _OPTIONS:",
+           (CLI + "test_each_command_takes_only_the_options_it_reads",
+            "tests/test_cli_fuzz.py::test_mutated_documents_and_options_never_raise")),
+    Mutant("check-rb-row-without-fail-fast", "cli.py", '_check_rb, "R", ("map_name", "weight", "fail_fast"))',
+           '_check_rb, "R", ("map_name", "weight"))',
+           (CLI + "test_each_command_takes_only_the_options_it_reads",
+            GOLDEN + "[check-rb__mixed_parity__fail-fast]",
+            GOLDEN + "[check-rb__ternary_basic__map-N_weight-0_fail-fast]")),
 )
 
 

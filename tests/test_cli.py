@@ -742,6 +742,63 @@ def test_library_callers_get_the_cli_defaults(command, monkeypatch, capsys):
     assert set(lib_names) == expected
 
 
+# Each option a command may take: its run_pipeline key and a value (None: a switch).
+FLAGS = {
+    "--weight": ("weight", "1"), "--s": ("s", "1"), "--r": ("r", "1"), "--parity": ("parity", "odd"),
+    "--fail-fast": ("fail_fast", None), "--override-tau-conditions": ("override_tau", None),
+    "--map": ("map_name", "R"), "--tau": ("tau_name", "tau"), "--alpha": ("alpha_name", "alpha"),
+    "--beta": ("beta_name", "beta"), "--rb": ("rb_name", "R"),
+    "--omega1": ("omega1", str(DATA / "ternary_basic_w1.json")),
+    "--omega2": ("omega2", str(DATA / "ternary_basic_w2.json")),
+}
+# The options each command's body reads; every command also takes its document, --format and --output.
+READS = {
+    "verify": {"--fail-fast"},
+    "twist3": {"--alpha", "--beta"},
+    "induce-tau": {"--tau", "--override-tau-conditions"},
+    "derivations": {"--s", "--r", "--parity"},
+    "quasiderivation": {"--map", "--s", "--r"},
+    "check-rb": {"--map", "--weight", "--fail-fast"},
+    "rb-bracket": {"--map", "--weight"},
+    "rb-inverse-derivation": {"--map"},
+    "rb-transfer": {"--map", "--weight", "--tau"},
+    "rb-projection-twist": {"--map", "--weight"},
+    "check-nijenhuis": {"--map"},
+    "n-brackets": {"--map"},
+    "deformation-check": {"--fail-fast", "--omega1", "--omega2"},
+    "trivial-deformation": {"--map"},
+    "nijenhuis-transfer": {"--map", "--tau"},
+    "nijenhuis-rb-compat": {"--map", "--weight", "--rb"},
+    "derivation-nijenhuis-rb": {"--map"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads(capsys):
+    """Of the 17 x 13 (command, option) pairs, the 34 that the bodies read parse to their
+    ``run_pipeline`` keys.  Every other option exits 2 from ``main`` with argparse's
+    refusal naming the flag and nothing on stdout, and ``run_pipeline`` refuses its key."""
+    assert set(READS) == set(COMMANDS) and sum(map(len, READS.values())) == 34
+    path = str(DATA / "ternary_basic.json")
+    doc = load_document(path)
+    for command, reads in READS.items():
+        row = COMMANDS[command]
+        assert {FLAGS[flag][0] for flag in reads} == {*row.options, *row.aux}
+        for flag, (key, value) in FLAGS.items():
+            argv = [command, path, flag] + ([value] if value else [])
+            if flag in reads:
+                parsed = vars(cli._build_parser().parse_args(argv))
+                assert set(parsed) == {"command", "document", "format", "output", key}
+                continue
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert (exited.value.code, out) == (2, ""), argv
+            assert f"unrecognized arguments: {flag}" in err, argv
+            with pytest.raises(DocumentError) as refused:
+                run_pipeline(command, doc, {key: value or True})
+            assert refused.value.path == key
+
+
 def test_quasiderivation_commutation_failure_reports_its_columns(tmp_path, capsys):
     """A candidate that does not commute with the twists is refused with the failing
     ``commutes-with-*`` columns, the same ones the derivation verifier lists."""
@@ -865,7 +922,8 @@ def test_operator_refusal_lists_the_columns_that_do_not_commute_with_a_twist(com
     expected = [v for v in is_derivation_3(A, parsed.maps["X"], 0, 0).violations
                 if v.rule.startswith("commutes-with-")]
     assert {v.rule for v in expected} == {"commutes-with-alpha", "commutes-with-beta"}
-    checks = _machine_checks([command, path, "--map", "X", "--weight", "0"], 1, capsys)
+    weight = ["--weight", "0"] if command == "check-rb" else []  # check-nijenhuis reads no weight
+    checks = _machine_checks([command, path, "--map", "X", *weight], 1, capsys)
     assert checks["preconditions"]["notes"] == ["operator does not commute with alpha"]
     assert _witnesses(checks["twist-commutation"]) == _violation_trees(expected)
 
@@ -924,7 +982,8 @@ def test_each_hypothesis_is_checked_once_per_job(command, name, code, counts, mo
     *walks, twists = [corpus.count_calls(monkeypatch, function) for function in (
         rota_baxter.is_rb3, algebras.verify_3bihom_skewsymmetry, algebras.verify_3bihom_jacobi,
         algebras._require_commuting_twists)]
-    assert run([command, DATA / "ternary_basic.json", "--map", name, "--weight", "0"]) == code
+    weight = ["--weight", "0"] if command in ("rb-bracket", "nijenhuis-rb-compat", "rb-projection-twist") else []
+    assert run([command, DATA / "ternary_basic.json", "--map", name, *weight]) == code
     capsys.readouterr()
     assert (*map(len, walks), sum(args[0] == operator for args in twists)) == counts
 

@@ -2,8 +2,10 @@
 
 Each example takes a document from ``tests/data``, mutates its JSON tree
 (types, list shapes, indices, parities, scalars) and runs one command with
-drawn option values through ``cli.main``.  The exit code must be 0, 1 or 2
-and nothing may escape as an exception; argparse refusals exit 2 as well.
+drawn values of the options its row in ``COMMANDS`` lists through
+``cli.main``.  The exit code must be 0, 1 or 2 and nothing may escape as an
+exception; argparse refusals exit 2 as well.  One example in eight adds an
+option the command does not read, which must exit 2 with nothing on stdout.
 """
 
 import contextlib
@@ -64,8 +66,28 @@ def _mutate(tree, data):
     return tree
 
 
+# Each option a command may take, by its row key: the flag and the values drawn for it (None: a switch).
+OPTIONS = {
+    "weight": ("--weight", SCALARS),
+    "s": ("--s", ["0", "1", "2", "-1", "x"]),
+    "r": ("--r", ["0", "1", "3"]),
+    "parity": ("--parity", ["even", "odd"]),
+    "fail_fast": ("--fail-fast", None),
+    "override_tau": ("--override-tau-conditions", None),
+    "map_name": ("--map", MAP_NAMES),
+    "tau_name": ("--tau", MAP_NAMES),
+    "alpha_name": ("--alpha", MAP_NAMES),
+    "beta_name": ("--beta", MAP_NAMES),
+    "rb_name": ("--rb", MAP_NAMES),
+    "omega1": ("--omega1", [str(DATA / "ternary_basic_w1.json")]),
+    "omega2": ("--omega2", [str(DATA / "ternary_basic_w2.json")]),
+}
+
+
 def _option(data, flag, values):
-    """``flag`` with a drawn value, one time in six."""
+    """``flag`` with a drawn value one time in six, or as a switch (values None) one time in four."""
+    if values is None:
+        return [flag] if not data.draw(st.integers(0, 3)) else []
     return [flag, data.draw(st.sampled_from(values))] if not data.draw(st.integers(0, 5)) else []
 
 
@@ -77,6 +99,7 @@ def test_mutated_documents_and_options_never_raise():
     @given(st.data())
     def prop(data):
         command = data.draw(st.sampled_from(sorted(COMMANDS)))
+        row = COMMANDS[command]
         with tempfile.TemporaryDirectory() as tmp:
             def document(name):
                 tree = TREES[data.draw(st.sampled_from(sorted(TREES)))]
@@ -87,28 +110,27 @@ def test_mutated_documents_and_options_never_raise():
                 return str(path)
 
             argv = [command, document("doc.json")]
-            for key in COMMANDS[command].aux:
+            for key in row.aux:
                 argv += [f"--{key}", document(f"{key}.json")]
-            argv += _option(data, "--weight", SCALARS)
-            argv += _option(data, "--s", ["0", "1", "2", "-1", "x"])
-            argv += _option(data, "--r", ["0", "1", "3"])
-            argv += _option(data, "--map", MAP_NAMES)
-            argv += _option(data, "--tau", MAP_NAMES)
-            argv += _option(data, "--rb", MAP_NAMES)
-            argv += _option(data, "--parity", ["even", "odd"])
+            for key in row.options:
+                argv += _option(data, *OPTIONS[key])
             argv += _option(data, "--format", ["human", "machine"])
             argv += _option(data, "--output", [str(Path(tmp) / "report.json"), tmp])
-            for flag in ("--fail-fast", "--override-tau-conditions"):
-                if not data.draw(st.integers(0, 3)):
-                    argv.append(flag)
+            foreign = not data.draw(st.integers(0, 7))  # an option the command does not read
+            if foreign:
+                key = data.draw(st.sampled_from([key for key in OPTIONS if key not in row.options + row.aux]))
+                flag, values = OPTIONS[key]
+                argv += [flag] if values is None else [flag, data.draw(st.sampled_from(values))]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
                     code = main(argv)
-                except SystemExit as exc:  # argparse refuses an option value
+                except SystemExit as exc:  # argparse refuses an option or its value
                     code = exc.code
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+        if foreign:
+            assert code == 2 and not out.getvalue(), argv
         codes.add(code)
 
     prop()
