@@ -15,6 +15,7 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from typing import Callable
 from fractions import Fraction
 from math import factorial, gcd, log10
@@ -228,20 +229,37 @@ class _Context:
         all the work was done.  With n x n entries of numerators and denominators below 10^L, a
         determinant is below n! 10^(n(n+1)L) and, unless 0, above 10^(-n^2 L); so
         det(alpha)^s det(beta)^r, compared with a margin beyond any rounding of its logarithm,
-        refuses most such powers unbuilt.
+        refuses most such powers unbuilt.  With one power M^N, the spectral radius gives
+        rho(M)^k >= |tr M^k| / n and rho(M^N) <= n max|entry of M^N|, so some entry of M^N, and so
+        its numerator, is at least 10^x with x = N log10(|tr M^k| / n) / k - log10 n for each k <= n;
+        the traces of M, ..., M^n refuse it unbuilt when some x passes L by the margin.
         """
         s, r = self.options.get("s", 0), self.options.get("r", 0)
         for option, power in (("--s", s), ("--r", r)):
             if power < 0:
                 raise ValueError(f"{option}: twist powers must be non-negative, got {power}")
         what, limit, n = f"alpha^{s} beta^{r}", int_digit_limit(), A.dim
-        dets = [(power, _abs_det(m)) for power, m in ((s, A.alpha), (r, A.beta)) if power]
+        powered = [(power, m) for power, m in ((s, A.alpha), (r, A.beta)) if power]
+        exact = Fraction if max(s, r) >> 1000 else float  # a float times a power past 2^1000 overflows
+
+        def log10_of(terms):  # sum p log10 x over (p, x) in ``terms``, with a margin beyond any rounding of it
+            logs = [(p * exact(log10(x.numerator)), p * exact(log10(x.denominator))) for p, x in terms]
+            return sum(a - b for a, b in logs), 1 + sum(a + b for a, b in logs) / 2 ** 40
+
+        dets = [(power, _abs_det(m)) for power, m in powered]
         if limit and all(d for _, d in dets):  # a singular twist decides nothing
-            exact = Fraction if max(s, r) >> 1000 else float  # a float times a power past 2^1000 overflows
-            logs = [(p * exact(log10(d.numerator)), p * exact(log10(d.denominator))) for p, d in dets]
-            log_det, margin = sum(a - b for a, b in logs), 1 + sum(a + b for a, b in logs) / 2 ** 40
+            log_det, margin = log10_of(dets)
             if log_det + margin <= -n * n * limit or log_det - margin >= n * (n + 1) * limit + log10(factorial(n)):
                 raise ValueError(_UNPRINTABLE_POWERS.format(what, limit))
+        if limit and len(powered) == 1:  # one power M^N
+            [(N, M)] = powered
+            for k, power in enumerate(accumulate(repeat(M, n), GradedMap.compose), 1):
+                trace = sum(x for i, column in enumerate(power._cols) for j, x in column if j == i)
+                ratio = Fraction(abs(trace), n * power._d)  # |tr M^k| / n
+                if ratio > 1:
+                    log_rho, margin = log10_of([(Fraction(N, k), ratio)])
+                    if log_rho - margin >= limit + log10(n):  # compared, as a Fraction past 2^1000 has no float
+                        raise ValueError(_UNPRINTABLE_POWERS.format(what, limit))
         _require_printable(what, [derivations._twist(A, s, r)])
         return s, r
 
@@ -505,6 +523,16 @@ def _run(command: str, doc: AlgebraDocument, options: dict | None,
     return ctx
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser: it refuses the arguments it does not take, so the usage line names the command."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, unread = super().parse_known_args(args, namespace)
+        if unread:
+            self.error(f"unrecognized arguments: {' '.join(unread)}")
+        return namespace, unread
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # A command takes its row's options, spelled out in full; one left out is absent from the
@@ -514,7 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bihomsuper", description="Exact checks and constructions for twisted graded Lie brackets."
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, row in COMMANDS.items():
         subparser = sub.add_parser(name, help=row.help, description=row.help, allow_abbrev=False)
         subparser.add_argument("document", help="algebra-description file")

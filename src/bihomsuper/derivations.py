@@ -19,7 +19,8 @@ every basis tuple at once at a cost that follows the nonzeros rather than
 dim ** arity; reports list the failing tuples in lexicographic order and count
 every tuple, as a walk over all of them would.  :func:`_linearise` reads them
 with the unknown map in place of D (derivation spaces) or of the outer map
-(companions): the solvers' int rows, one denominator a system.
+(companions): the solvers' int rows, one denominator a system, over the
+entries of the unknown that no one-entry commutation row fixes at 0 (:func:`_free`).
 Commutation with the twists is read from :func:`bihomsuper.core.commutator_terms`
 the same way: evaluated for the verifiers' ``commutes-with-*`` rules and
 linearised into the solvers' first int rows.  Each solved basis map and each
@@ -190,6 +191,12 @@ def _commuting_system(A, parity: int):
     return slots, index_of, rows
 
 
+def _free(index_of: dict[tuple[int, int], int], rows) -> dict[tuple[int, int], int]:
+    """``index_of`` without the positions that a commutation row with one nonzero coefficient fixes at 0."""
+    fixed = {pos for row in rows if len(nonzero := [pos for pos, c in row.items() if c]) == 1 for pos in nonzero}
+    return {slot: pos for slot, pos in index_of.items() if pos not in fixed}
+
+
 def _contractions(A, s: int, r: int, parity: int) -> list:
     """Per term of :func:`_leibniz_terms`, (coeff, p, *``_contract_int``) with the identity in place of
     the varying map, p its slot or None for the outer map; built once per algebra and (s, r, parity)."""
@@ -212,9 +219,12 @@ def _linearise(entries, index_of: dict[tuple[int, int], int]):
     """The sum of ``entries`` from :func:`_contractions` as int rows over the entries of the unknown map X,
     and their denominator d, the lcm of the denominators of coeff / d_term.
 
-    ``index_of`` numbers the parity-allowed positions (k, i) of X; row (t, k) holds d times the
-    coefficient of e_k on the basis tuple t.  With X as outer map, image component m at t lands on the
-    unknown (k, m); with X in slot p, the image at t' lands on (t'_p, i) in the row of t' with i in slot p.
+    ``index_of`` maps the positions (k, i) of X that the rows cover to their columns; row (t, k) holds d
+    times the coefficient of e_k on the basis tuple t.  With X as outer map, image component m at t lands
+    on the unknown (k, m); with X in slot p, the image at t' lands on (t'_p, i) in the row of t' with i in
+    slot p.  The solvers pass the positions that :func:`_free` leaves, numbered as in
+    :func:`_commuting_system` over every parity-allowed position, since the commutation rows that fix the
+    others share those columns; a row whose every term is on a fixed position is not built.
     """
     by_column: dict[int, list] = {}
     by_row: dict[int, list] = {}
@@ -239,7 +249,7 @@ def _linearise(entries, index_of: dict[tuple[int, int], int]):
 def _solve_derivation_space(A, query: DerivationQuery, verify) -> DerivationSpace:
     """Kernel of the commutation and Leibniz rows; ``verify`` re-checks each basis map."""
     slots, index_of, rows = _commuting_system(A, query.parity)
-    leibniz, _ = _linearise(_contractions(A, query.s, query.r, query.parity), index_of)
+    leibniz, _ = _linearise(_contractions(A, query.s, query.r, query.parity), _free(index_of, rows))
     rows += (leibniz[key] for key in sorted(leibniz))
     basis_vectors = kernel_basis(rows, len(slots))
     basis = tuple(_slots_to_map(A.space, query.parity, slots, v) for v in basis_vectors)
@@ -255,9 +265,13 @@ def solve_derivation_space(
 
     Assembles the commutation and Leibniz constraints as one linear system
     over the parity-allowed matrix entries and returns its kernel, reshaped to
-    maps.  Every returned basis element is re-verified on every basis tuple
-    by :func:`is_derivation_3`, which pushes it through the Leibniz
-    contractions that built the rows instead of contracting the bracket again.
+    maps.  A commutation row with one nonzero coefficient fixes its entry at 0,
+    so the Leibniz rows cover only the entries no such row fixes; the columns
+    stay numbered over every parity-allowed entry, as the commutation rows that
+    fix the others are part of the same system.  Every returned basis element
+    is re-verified on every basis tuple by :func:`is_derivation_3`, which
+    pushes it through the Leibniz contractions that built the rows instead of
+    contracting the bracket again.
     """
     return _solve_derivation_space(A, query, is_derivation_3)
 
@@ -281,8 +295,9 @@ def _is_quasiderivation(A, D: GradedMap, s: int, r: int) -> tuple[bool, GradedMa
     _require_commuting_twists(D, A, "candidate does not commute with the structure maps")
     slots, index_of, rows = _commuting_system(A, D.parity)
     rhs = [ZERO] * len(rows)
-    leibniz, d = _linearise(_contractions(A, s, r, D.parity)[:1], index_of)  # the outer term, X unknown
-    # The residual vanishes: the rows in the companion equal minus the terms in D, both times d.
+    leibniz, d = _linearise(_contractions(A, s, r, D.parity)[:1], _free(index_of, rows))  # the outer term, X unknown
+    # The residual vanishes: the rows in the companion equal minus the terms in D, both times d.  A row
+    # with no free unknown left stays when its right-hand side is not 0: it reads 0 = b.
     targets = _residual(A, None, D, s, r)
     nonzero = {(t, k) for t, image in targets.items() for k, c in image.items() if c}
     for t, k in sorted(leibniz.keys() | nonzero):

@@ -116,6 +116,28 @@ MUTANTS = (
            (INTEGER + "test_linearised_rows_match_dense_rows_with_denominators",
             INTEGER + "test_solver_rows_match_dense_oracles_with_denominators",
             DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle")),
+    # derivations: the Leibniz rows cover only the unknowns that no commutation row with one nonzero
+    # coefficient fixes at 0; a quasiderivation keeps the rows that this empties but whose right-hand
+    # side is nonzero.  Counting a stored, cancelled 0 drops the unknowns of cancelled rows (every one
+    # under identity twists), and the kernel takes maps the re-check refuses
+    Mutant("fixing-row-counts-a-cancelled-zero", "derivations.py",
+           "[pos for pos, c in row.items() if c]", "list(row)",
+           (INTEGER + "test_linearised_rows_match_dense_rows_with_denominators",
+            DERIVATIONS + "test_solver_bases_match_dense_oracle_on_perturbed_algebras",
+            DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle",
+            GOLDEN + "[derivations__ternary_basic]",
+            GOLDEN + "[quasiderivation__ternary_basic__map-R]")),
+    Mutant("fixing-row-with-two-entries", "derivations.py",
+           ") == 1 for pos in nonzero}", ") in (1, 2) for pos in nonzero}",
+           (INTEGER + "test_linearised_rows_match_dense_rows_with_denominators",
+            INTEGER + "test_pushed_leibniz_residuals_match_dense_walk",
+            INTEGER + "test_interleaved_queries_read_the_contractions_of_their_own_key")),
+    Mutant("quasiderivation-emptied-rows-dropped", "derivations.py",
+           "sorted(leibniz.keys() | nonzero)", "sorted(leibniz.keys())",
+           (INTEGER + "test_linearised_rows_match_dense_rows_with_denominators",
+            DERIVATIONS + "test_binary_quasiderivation_inconsistent_system",
+            DERIVATIONS + "test_quasiderivation_verdicts_match_dense_oracle",
+            GOLDEN + "[quasiderivation__blocked_twist]")),
     # derivations: the Leibniz contractions kept per algebra and (s, r, parity), and the maps pushed through
     # them by core._push_sum, which every contraction_sum also runs
     Mutant("leibniz-memo-key-without-parity", "derivations.py", "key = s, r, parity", "key = s, r",
@@ -181,6 +203,12 @@ MUTANTS = (
     Mutant("printable-bit-length-gap-dropped", "cli.py",
            "any(abs(abs(n).bit_length() - d.bit_length()) > gap for n, d in entries) or any(", "any(",
            (_LONG_POWER_REFUSAL,)),
+    # cli: one power M^N is refused unbuilt when rho(M)^N / n, with rho(M)^k >= |tr M^k| / n, passes the
+    # digit limit; without the / n, rho(Id) would read n^(1/k) and identity twists would be refused
+    Mutant("trace-bound-without-the-division-by-n", "cli.py",
+           "ratio = Fraction(abs(trace), n * power._d)", "ratio = Fraction(abs(trace), power._d)",
+           (CLI + "test_twist_power_of_identity_twists_is_solved",
+            CLI + "test_determinant_refuses_only_what_it_proves_unprintable[alpha4-<lambda>-True-2]")),
     # documents: a map is printed from its stored form, n / d per entry
     Mutant("map-tree-prints-the-numerator", "documents.py",
            "str(n) if d == 1 else", "str(n) if d else",

@@ -551,18 +551,25 @@ def test_twist_power_refused_by_its_determinant_is_never_built(command, option, 
                                        f"{int_digit_limit()} digits, beyond the integer string conversion limit\n")
 
 
-def _below(bound):  # the largest power s with s log10 2 below ``bound``
-    return int(bound / math.log10(2))
+def _below(bound, det=2):  # the largest power s with s log10 det below ``bound``
+    return int(bound / math.log10(det))
 
 
 @pytest.mark.parametrize("alpha, power, built, code", [
     # det 1/2: a printable power keeps log10 |det| = -s log10 2 above -n^2 L = -9 L
     (["1/2", "1/3", "3"], lambda L: 10 ** 8, False, 2),  # far beyond: refused unbuilt
     (["1/2", "1/3", "3"], lambda L: _below(9 * L + 2) + 1, False, 2),  # two decades beyond, past the margin
-    (["1/2", "1/3", "3"], lambda L: _below(9 * L - 0.5), True, 2),  # half a decade inside: built, then refused
+    # det 1/6, and |tr alpha^k| < 3 for every k, so only the determinant decides: half a decade inside
+    (["1/2", "1/3", "1"], lambda L: _below(9 * L - 0.5, 6), True, 2),  # built, then refused
     (["1/2", "1/3", "3"], lambda L: 30, True, 0),  # the built power decides, and prints
-    (["3", "1/3", "1"], lambda L: 10 ** 5, True, 2),  # det 1 decides nothing: 3^s is built and refused
+    # det 1 decides nothing, and 3^s has 1.2 L digits while the trace bound, at its best
+    # s log10(tr alpha^3 / 3) / 3 - log10 3, stays below 0.82 L
+    (["3", "1/3", "1"], lambda L: _below(1.2 * L, 3), True, 2),  # built, then refused
     (["0", "1", "1"], lambda L: 10 ** 8, True, 0),  # a singular twist decides nothing: built, and it prints
+    # half a decade inside, where tr = 23/6 > 3 decides: s log10(23/18) - log10 3 is past L
+    (["1/2", "1/3", "3"], lambda L: _below(9 * L - 0.5), False, 2),
+    (["3", "1/3", "1"], lambda L: 10 ** 5, False, 2),  # det 1 decides nothing, but tr = 13/3 > 3 does
+    (["1/2", "1/3", "1"], lambda L: _below(9 * L + 2, 6) + 1, False, 2),  # two decades beyond, past the margin
 ])
 def test_determinant_refuses_only_what_it_proves_unprintable(alpha, power, built, code, tmp_path, monkeypatch,
                                                              capsys):
@@ -579,19 +586,44 @@ def test_determinant_refuses_only_what_it_proves_unprintable(alpha, power, built
     assert ("--s/--r: alpha^" in capsys.readouterr().err) == (code == 2)
 
 
-def test_power_with_long_and_short_entries_is_refused_without_long_gcds(tmp_path, capsys):
-    # det diag(3, 1/3, 1) = 1 decides nothing, so alpha^s is built: (3^2s, 1, 3^s) over 3^s.
-    # Each squaring's content gcd meets the entry 1 first, and the refusal reads the bit
-    # lengths of 3^2s and 3^s; a gcd or a division of two such entries takes seconds.
-    # The refusal takes 0.6-1.2 s on 2 vCPUs with Python 3.11.
+def _long_and_short_twist(tmp_path):
+    """ternary_basic with alpha = diag(3, 1/3, 1): det 1, tr 13/3."""
     doc = json.loads((DATA / "ternary_basic.json").read_text())
     doc["maps"]["alpha"]["matrix"] = [["3", "0", "0"], ["0", "1/3", "0"], ["0", "0", "1"]]
     path = tmp_path / "long_and_short.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_power_with_long_and_short_entries_is_refused_without_long_gcds(tmp_path, capsys):
+    # det diag(3, 1/3, 1) = 1 decides nothing, and with beta^1 beside it neither does the trace,
+    # so alpha^s beta is built: (3^2s, 1, 3^s) over 3^s.  Each squaring's content gcd meets the
+    # entry 1 first, and the refusal reads the bit lengths of 3^2s and 3^s; a gcd or a division
+    # of two such entries takes seconds.  The refusal takes 0.6-1.2 s on 2 vCPUs with Python 3.11.
+    path = _long_and_short_twist(tmp_path)
     start = time.perf_counter()
-    assert run(["derivations", path, "--s", "1000000"]) == 2
+    assert run(["derivations", path, "--s", "1000000", "--r", "1"]) == 2
     assert time.perf_counter() - start < 4
-    assert capsys.readouterr().err == ("input error: --s/--r: alpha^1000000 beta^0 has entries of more than "
+    assert capsys.readouterr().err == ("input error: --s/--r: alpha^1000000 beta^1 has entries of more than "
+                                       f"{int_digit_limit()} digits, beyond the integer string conversion limit\n")
+
+
+@pytest.mark.parametrize("power", [10 ** 7, 10 ** 400])
+def test_single_power_past_the_trace_bound_is_never_built(power, tmp_path, monkeypatch, capsys):
+    # tr diag(3, 1/3, 1) = 13/3, so rho >= 13/9 and alpha^(10^7) has a numerator of at least
+    # 10^7 log10(13/9) - log10 3 > 1.5 million digits; building it took 32 s on 2 vCPUs.  At
+    # 10^400 the logarithms are Fractions, as no float holds them.
+    from bihomsuper import derivations
+
+    def never(*args):
+        raise AssertionError("the power was built")
+
+    path = _long_and_short_twist(tmp_path)
+    monkeypatch.setattr(derivations, "_twist", never)
+    start = time.perf_counter()
+    assert run(["derivations", path, "--s", str(power)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (f"input error: --s/--r: alpha^{power} beta^0 has entries of more than "
                                        f"{int_digit_limit()} digits, beyond the integer string conversion limit\n")
 
 
@@ -776,7 +808,8 @@ READS = {
 def test_each_command_takes_only_the_options_it_reads(capsys):
     """Of the 17 x 13 (command, option) pairs, the 34 that the bodies read parse to their
     ``run_pipeline`` keys.  Every other option exits 2 from ``main`` with argparse's
-    refusal naming the flag and nothing on stdout, and ``run_pipeline`` refuses its key."""
+    refusal naming the flag under the command's own usage line and nothing on stdout, and
+    ``run_pipeline`` refuses its key."""
     assert set(READS) == set(COMMANDS) and sum(map(len, READS.values())) == 34
     path = str(DATA / "ternary_basic.json")
     doc = load_document(path)
@@ -793,7 +826,7 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
                 main(argv)
             out, err = capsys.readouterr()
             assert (exited.value.code, out) == (2, ""), argv
-            assert f"unrecognized arguments: {flag}" in err, argv
+            assert err.startswith(f"usage: bihomsuper {command} ") and f"unrecognized arguments: {flag}" in err, argv
             with pytest.raises(DocumentError) as refused:
                 run_pipeline(command, doc, {key: value or True})
             assert refused.value.path == key

@@ -395,17 +395,21 @@ def _commuting_twists(space, data):
 
 def test_linearised_rows_match_dense_rows_with_denominators():
     """The solvers' Leibniz rows, in ints over their denominator d, row by row against the dense
-    constraint matrices, and the quasiderivation right-hand sides against the dense ones times d.
+    constraint matrices off the unknowns that the commutation rows fix, and the quasiderivation
+    right-hand sides against the dense ones times d.
 
     Tensors of arity 2 and 3 have entries from TENSOR_VALUES (denominators 2,
     3 and 7); the twists commute, have entries from MAP_VALUES (denominators
     4, 5 and 9) and are diagonal in some draws and not in others; (s, r) runs
-    over {0, 1, 2}^2 and the parity over both.  Every Leibniz row (t, k)
-    divided by d equals the dense row of (t, k), so rows absent from the
-    sparse system are zero there.  The candidate D is a combination, with
-    coefficients from MAP_VALUES, of the dense commutant's basis; the rows and
-    right-hand sides handed to ``solve_linear`` are recorded.  Trivial and
-    nontrivial derivation kernels both occur.
+    over {0, 1, 2}^2 and the parity over both.  The unknowns fixed at 0 are
+    exactly the columns of the dense commutation rows with one nonzero entry,
+    and every dense kernel vector is 0 on them.  The Leibniz rows cover the
+    other unknowns only: every row (t, k) divided by d equals the dense row of
+    (t, k) with the fixed columns removed, so rows absent from the sparse system
+    are zero there.  The candidate D is a combination, with coefficients from
+    MAP_VALUES, of the dense commutant's basis; the rows and right-hand sides
+    handed to ``solve_linear`` are recorded, every commutation row first.
+    Trivial and nontrivial derivation kernels both occur.
     """
     kernels = set()
 
@@ -421,15 +425,25 @@ def test_linearised_rows_match_dense_rows_with_denominators():
         build = oracles.derivation_constraint_matrix_3 if arity == 3 else oracles.derivation_constraint_matrix_2
         expected, ncols = build(*args, s, r, parity)
         slots, index_of, commuting = derivations._commuting_system(A, parity)
+        free = derivations._free(index_of, commuting)
+        fixed = {j for row in expected[: 2 * dim * dim] if len(nonzero := [j for j, c in enumerate(row) if c]) == 1
+                 for j in nonzero}
+        assert set(index_of.values()) - set(free.values()) == fixed, (A, parity)
+        kernel = oracles.nullspace(expected, ncols)
+        assert all(v[j] == 0 for v in kernel for j in fixed), (A, s, r, parity)
+        kernels.add(bool(kernel))
         contractions = derivations._contractions(A, s, r, parity)
 
-        def over_d(rows, d):
-            return [[F(rows.get(key, {}).get(pos, 0), d) for pos in range(ncols)] for key in keys]
+        def off_fixed(dense):
+            return [[c for j, c in enumerate(row) if j not in fixed] for row in dense]
 
-        rows, d = derivations._linearise(contractions, index_of)
+        def over_d(rows, d):
+            assert not any(pos in fixed for row in rows.values() for pos in row), (A, s, r, parity)
+            return off_fixed([[F(rows.get(key, {}).get(pos, 0), d) for pos in range(ncols)] for key in keys])
+
+        rows, d = derivations._linearise(contractions, free)
         assert all(type(c) is int for row in rows.values() for c in row.values())
-        assert over_d(rows, d) == expected[2 * dim * dim:], (A, s, r, parity)
-        kernels.add(oracles.nullity(expected, ncols) > 0)
+        assert over_d(rows, d) == off_fixed(expected[2 * dim * dim:]), (A, s, r, parity)
 
         companion, _ = oracles.companion_system(*args, arity, parity)
         commutant = oracles.nullspace(companion[: 2 * dim * dim], len(slots))
@@ -437,8 +451,8 @@ def test_linearised_rows_match_dense_rows_with_denominators():
         values = [sum((c * v[j] for c, v in zip(coefficients, commutant)), F(0)) for j in range(len(slots))]
         D = derivations._slots_to_map(space, parity, slots, values)
         rhs = dict(zip(keys, oracles.companion_rhs(*args, arity, s, r, _matrix(D), parity)[2 * dim * dim:]))
-        rows, d = derivations._linearise([entry for entry in contractions if entry[1] is None], index_of)
-        assert over_d(rows, d) == companion[2 * dim * dim:], (A, D, s, r)
+        rows, d = derivations._linearise([entry for entry in contractions if entry[1] is None], free)
+        assert over_d(rows, d) == off_fixed(companion[2 * dim * dim:]), (A, D, s, r)
         decide = is_quasiderivation_3 if arity == 3 else is_quasiderivation_2
         with mock.patch.object(derivations, "solve_linear", wraps=derivations.solve_linear) as solve:
             decide(A, D, s, r)
